@@ -63,6 +63,7 @@ from .graphs import (
 from .groups import (
     CosetDecomposition,
     FiniteGroup,
+    GroupCache,
     SubgroupHandle,
     build_group,
     cosets,

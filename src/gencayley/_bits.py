@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
+
+# _BYTE_BITS[b] lists the set bits of the byte b in ascending order
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -12,11 +15,18 @@ def mask_of(items: Iterable[int]) -> int:
     return m
 
 
-def bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> list[int]:
+    """The set bits of a mask in ascending order, one byte at a time."""
+    out = []
+    base = 0
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        byte = mask & 255
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                out.append(base + i)
+        mask >>= 8
+        base += 8
+    return out
 
 
 def elems(mask: int) -> tuple[int, ...]:
@@ -33,10 +43,11 @@ def perm_mask(perm, mask: int) -> int:
 
 def product_mask(table, amask: int, bmask: int) -> int:
     """Pointwise product set {a*b} as a mask."""
+    bs = bits(bmask)
     m = 0
     for a in bits(amask):
         row = table[a]
-        for b in bits(bmask):
+        for b in bs:
             m |= 1 << row[b]
     return m
 

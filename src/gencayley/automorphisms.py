@@ -110,15 +110,14 @@ def enumerate_automorphisms(group: FiniteGroup, limit: int = AUT_ENUM_LIMIT) -> 
 
     Images are chosen for a greedy generating sequence, with pruning on
     element order and on partial-homomorphism consistency. Results are
-    sorted by permutation and cached on the group object.
+    sorted by permutation and kept in ``group.cache``.
     """
     if group.order > limit:
         raise ThresholdError(
             f"automorphism enumeration limited to order <= {limit}, got {group.order}"
         )
-    cache = getattr(group, "_aut_cache", None)
-    if cache is not None:
-        return cache
+    if group.cache.automorphisms is not None:
+        return group.cache.automorphisms
 
     n = group.order
     table = group.table
@@ -194,7 +193,7 @@ def enumerate_automorphisms(group: FiniteGroup, limit: int = AUT_ENUM_LIMIT) -> 
     if __debug__:
         for a in autos:
             assert _is_homomorphism(group, a.perm) is None
-    group._aut_cache = autos
+    group.cache.automorphisms = autos
     return autos
 
 
@@ -317,9 +316,15 @@ class AlphaContext:
     def mho_mask(self) -> int:
         return mask_of(self.mho)
 
+    @cached_property
+    def tau_perm(self) -> tuple[int, ...]:
+        """The pairing map s -> alpha(s^-1) as an index array."""
+        alpha = self.alpha.perm
+        return tuple([alpha[x] for x in self.group.inv])
+
     def tau(self, x: int) -> int:
         """The pairing map s -> alpha(s^-1)."""
-        return self.alpha.perm[self.group.inv[x]]
+        return self.tau_perm[x]
 
     @cached_property
     def tau_orbits(self) -> tuple[tuple[int, ...], ...]:

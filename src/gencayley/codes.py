@@ -64,25 +64,24 @@ def image_subgroup(alpha: Automorphism, sub: SubgroupHandle) -> SubgroupHandle:
 
 
 def _translate_union(graph: GenCayleyGraph, xmask: int):
-    group = graph.group
+    """The union of the translates alpha(X)s over s in S, i.e. alpha(X)S."""
     ax = perm_mask(graph.context.alpha.perm, xmask)
-    union = 0
-    for s in graph.subset.elements:
-        union |= product_mask(group.table, ax, 1 << s)
-    return union
+    return product_mask(graph.group.table, ax, graph.subset.mask)
 
 
-def _product_conditions(graph: GenCayleyGraph, xmask: int) -> tuple[bool, bool]:
-    """(alpha(X^-1)X disjoint from S, alpha(X^-1)alpha(X) meets SS^-1 in at
-    most the identity)."""
+def _product_conditions(graph: GenCayleyGraph, xmask: int, no_edge: bool) -> bool:
+    """alpha(X^-1)alpha(X) meets SS^-1 in at most the identity and, when
+    ``no_edge`` is set, alpha(X^-1)X is disjoint from S."""
     group = graph.group
+    table = group.table
     alpha = graph.context.alpha.perm
-    xinv = perm_mask(group.inv, xmask)
-    p2 = product_mask(group.table, perm_mask(alpha, xinv), xmask)
-    p1 = perm_mask(alpha, product_mask(group.table, xinv, xmask))
     sm = graph.subset.mask
-    ss_inv = product_mask(group.table, sm, perm_mask(group.inv, sm))
-    return p2 & sm == 0, p1 & ss_inv & ~1 == 0
+    xinv = perm_mask(group.inv, xmask)
+    if no_edge and product_mask(table, perm_mask(alpha, xinv), xmask) & sm:
+        return False
+    p1 = perm_mask(alpha, product_mask(table, xinv, xmask))
+    ss_inv = product_mask(table, sm, perm_mask(group.inv, sm))
+    return p1 & ss_inv & ~1 == 0
 
 
 def _pc_routes(graph: GenCayleyGraph, xmask: int) -> tuple[bool, bool, bool]:
@@ -107,8 +106,7 @@ def _pc_routes(graph: GenCayleyGraph, xmask: int) -> tuple[bool, bool, bool]:
     # their union covers G (each translate has |X| elements)
     by_partition = sizex * (r + 1) == n and (xmask | union) == full
 
-    no_edge, at_most_one = _product_conditions(graph, xmask)
-    by_algebra = sizex * (r + 1) == n and no_edge and at_most_one
+    by_algebra = sizex * (r + 1) == n and _product_conditions(graph, xmask, no_edge=True)
     return by_graph, by_partition, by_algebra
 
 
@@ -140,8 +138,7 @@ def _tpc_routes(graph: GenCayleyGraph, xmask: int) -> tuple[bool, bool, bool]:
     by_graph = all((nm & xmask).bit_count() == 1 for nm in graph.nbr_masks)
     union = _translate_union(graph, xmask)
     by_partition = sizex * r == n and union == full
-    _, at_most_one = _product_conditions(graph, xmask)
-    by_algebra = sizex * r == n and at_most_one
+    by_algebra = sizex * r == n and _product_conditions(graph, xmask, no_edge=False)
     return by_graph, by_partition, by_algebra
 
 
@@ -271,9 +268,8 @@ class CodeWitness:
 def _rep_candidates(ctx: AlphaContext, coset: tuple[int, ...]) -> list[int]:
     # tau-fixed elements first: a self-consistent representative is always
     # preferable and matches the deterministic construction rule
-    first = [x for x in coset if ctx.big_omega_mask >> x & 1]
-    second = [x for x in coset if ctx.mho_mask >> x & 1]
-    return first + second
+    big_omega, mho = ctx.big_omega_mask, ctx.mho_mask
+    return [x for x in coset if big_omega >> x & 1] + [x for x in coset if mho >> x & 1]
 
 
 def _search_transversal(
@@ -283,6 +279,7 @@ def _search_transversal(
     the whole choice closed under tau. Deterministic depth-first search:
     lowest unassigned coset first, candidates in `_rep_candidates` order."""
     coset_of = dec.rep_of
+    tau = ctx.tau_perm
     required_set = set(required)
     cands = {ci: _rep_candidates(ctx, dec.cosets[ci]) for ci in required}
     reps: dict[int, int] = {}
@@ -292,7 +289,7 @@ def _search_transversal(
         if target is None:
             return True
         for x in cands[target]:
-            y = ctx.tau(x)
+            y = tau[x]
             cy = coset_of[y]
             if cy == target:
                 if y != x:

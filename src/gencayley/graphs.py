@@ -50,7 +50,7 @@ def subset_violation(ctx: AlphaContext, elements: Iterable[int]):
     emask = mask_of(elems)
     hit = emask & ctx.omega_mask
     if hit:
-        return ("omega-intersection", next(bits(hit)))
+        return ("omega-intersection", bits(hit)[0])
     for s in elems:
         if not (emask >> ctx.tau(s)) & 1:
             return ("tau-closure", s)
@@ -148,22 +148,22 @@ def build_graph(subset: GenCayleySubset) -> GenCayleyGraph:
     ctx = subset.context
     group = ctx.group
     table = group.table
-    alpha = ctx.alpha.perm
-    adjacency = []
-    nbr_masks = []
-    for g in range(group.order):
-        ag = alpha[g]
-        row = table[ag]
-        nbrs = sorted(row[s] for s in subset.elements)
-        adjacency.append(tuple(nbrs))
-        nbr_masks.append(mask_of(nbrs))
-    graph = GenCayleyGraph(group, subset, tuple(adjacency), tuple(nbr_masks))
+    elements = subset.elements
+    # vertex g is joined to alpha(g) * s for every s in the connection set
+    adjacency = tuple([
+        tuple(sorted([row[s] for s in elements]))
+        for row in [table[ag] for ag in ctx.alpha.perm]
+    ])
+    nbr_masks = tuple([mask_of(nbrs) for nbrs in adjacency])
+    graph = GenCayleyGraph(group, subset, adjacency, nbr_masks)
     if __debug__:
-        for g in range(group.order):
-            assert not nbr_masks[g] >> g & 1, f"loop at vertex {g}"
-            assert len(adjacency[g]) == subset.size, f"vertex {g} not {subset.size}-regular"
-            for h in adjacency[g]:
-                assert nbr_masks[h] >> g & 1, f"asymmetric edge ({g},{h})"
+        size = subset.size
+        for g, nbrs in enumerate(adjacency):
+            bit = 1 << g
+            assert not nbr_masks[g] & bit, f"loop at vertex {g}"
+            assert len(nbrs) == size, f"vertex {g} not {size}-regular"
+            for h in nbrs:
+                assert nbr_masks[h] & bit, f"asymmetric edge ({g},{h})"
     return graph
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import permutations
 
@@ -31,13 +31,32 @@ SYMMETRIC_DEGREE_LIMIT = 5
 
 
 @dataclass(eq=False)
+class GroupCache:
+    """Data derived from one group, computed on first use and kept with it.
+
+    Every entry depends only on the group's table. The cache is never
+    pickled: a worker process that receives a group starts with an empty
+    one and fills it as it goes.
+    """
+
+    # sorted element tuple -> its validated handle, see :func:`subgroup`
+    subgroups: dict[tuple[int, ...], SubgroupHandle] = field(default_factory=dict)
+    # Aut(G) sorted by permutation, see automorphisms.enumerate_automorphisms
+    automorphisms: list | None = None
+    # (index, AlphaContext) per involution, see verify._contexts
+    contexts: list | None = None
+    # the table flattened row by row, see verify._mul_flat
+    mul_flat: list[int] | None = None
+
+
+@dataclass(eq=False)
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
-    Instances are immutable after construction and safe to share between
-    threads or processes. Always build through :func:`build_group`,
-    :func:`direct_product` or :func:`group_from_table`, which validate the
-    axioms.
+    Instances are immutable after construction, apart from ``cache``,
+    which memoizes derived data, and are safe to share between processes.
+    Always build through :func:`build_group`, :func:`direct_product` or
+    :func:`group_from_table`, which validate the axioms.
     """
 
     order: int
@@ -45,6 +64,7 @@ class FiniteGroup:
     inv: tuple[int, ...]
     id: str
     names: tuple[str, ...] | None = None
+    cache: GroupCache = field(default_factory=GroupCache, init=False, repr=False)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -64,9 +84,14 @@ class FiniteGroup:
         return t[t[self.inv[x]][g]][x]
 
     def __getstate__(self):
-        # drop derived caches (automorphism lists, flattened tables, ...)
-        # so pickling for worker processes stays cheap
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+        # only the defining fields: everything derived (the cache, the
+        # cached properties) is rebuilt on demand, so pickles for worker
+        # processes stay small
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.cache = GroupCache()
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -410,10 +435,18 @@ def load_group_file(path) -> FiniteGroup:
 
 @dataclass(eq=False)
 class SubgroupHandle:
-    """A validated subgroup, stored as a sorted tuple of element indices."""
+    """A validated subgroup, stored as a sorted tuple of element indices.
+
+    Build through :func:`subgroup`, which returns one handle per element
+    set and group; ``decompositions`` holds its cosets by side, filled by
+    :func:`cosets`.
+    """
 
     elements: tuple[int, ...]
     parent: FiniteGroup
+    decompositions: dict[str, CosetDecomposition] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @cached_property
     def mask(self) -> int:
@@ -431,8 +464,20 @@ class SubgroupHandle:
 
 
 def subgroup(group: FiniteGroup, elements) -> SubgroupHandle:
-    """Validate a set of element indices as a subgroup of ``group``."""
-    elems = tuple(sorted(set(int(x) for x in elements)))
+    """Validate a set of element indices as a subgroup of ``group``.
+
+    Each set is validated once per group and later calls return the same
+    handle; a set that fails validation raises on every call.
+    """
+    elems = tuple(sorted(set(map(int, elements))))
+    handle = group.cache.subgroups.get(elems)
+    if handle is None:
+        _validate_subgroup(group, elems)
+        handle = group.cache.subgroups[elems] = SubgroupHandle(elems, group)
+    return handle
+
+
+def _validate_subgroup(group: FiniteGroup, elems: tuple[int, ...]) -> None:
     if not elems or elems[0] != 0:
         raise GroupValidationError("subgroup-identity", elems[:1] or (None,))
     eset = set(elems)
@@ -445,7 +490,6 @@ def subgroup(group: FiniteGroup, elements) -> SubgroupHandle:
                 raise GroupValidationError("subgroup-closure", (a, b, row[b]))
     if group.order % len(elems) != 0:
         raise GroupValidationError("subgroup-lagrange", (len(elems), group.order))
-    return SubgroupHandle(elems, group)
 
 
 def subgroup_closure(group: FiniteGroup, generators) -> tuple[int, ...]:
@@ -518,10 +562,18 @@ class CosetDecomposition:
 
 
 def cosets(group: FiniteGroup, sub: SubgroupHandle, side: str = "right") -> CosetDecomposition:
+    """The decomposition on one side, computed once per handle and side."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if sub.parent is not group:
         raise GroupValidationError("subgroup-parent", (sub.elements,), "wrong parent group")
+    dec = sub.decompositions.get(side)
+    if dec is None:
+        dec = sub.decompositions[side] = _decompose(group, sub, side)
+    return dec
+
+
+def _decompose(group: FiniteGroup, sub: SubgroupHandle, side: str) -> CosetDecomposition:
     table = group.table
     assigned = [-1] * group.order
     blocks: list[tuple[int, ...]] = []

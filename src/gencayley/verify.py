@@ -68,22 +68,20 @@ def _mix_seed(seed: int, *parts) -> int:
 
 
 def _mul_flat(group: FiniteGroup) -> list[int]:
-    cached = getattr(group, "_mul_flat", None)
-    if cached is None:
-        cached = [v for row in group.table for v in row]
-        group._mul_flat = cached
-    return cached
+    cache = group.cache
+    if cache.mul_flat is None:
+        cache.mul_flat = [v for row in group.table for v in row]
+    return cache.mul_flat
 
 
 def _contexts(group: FiniteGroup):
-    cached = getattr(group, "_ctx_cache", None)
-    if cached is None:
-        cached = [
+    cache = group.cache
+    if cache.contexts is None:
+        cache.contexts = [
             (idx, alpha_context(group, a))
             for idx, a in enumerate(enumerate_involutory_automorphisms(group))
         ]
-        group._ctx_cache = cached
-    return cached
+    return cache.contexts
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import gencayley
 from gencayley.census import catalog, census_records, emit_report
 from gencayley.cli import main
 
@@ -69,6 +74,23 @@ def test_workers_do_not_change_bytes():
     one = emit_report(census_records(8, workers=1))
     two = emit_report(census_records(8, workers=2))
     assert one == two
+
+
+def test_optimize_flag_does_not_change_bytes():
+    # -O strips every __debug__ re-validation; the report must not notice
+    code = (
+        "import sys, gencayley;"
+        "sys.stdout.write(gencayley.emit_report(gencayley.census_records(12)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gencayley.__file__).parent.parent))
+    outputs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", code], env=env, capture_output=True, check=True
+        ).stdout
+        for flags in ([], ["-O"])
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == emit_report(census_records(12)).encode()
 
 
 def test_cli_decide_example(capsys):

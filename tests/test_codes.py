@@ -28,6 +28,7 @@ from gencayley import (
     validate_subset,
     verify_product_codes,
 )
+import gencayley.codes as codes_module
 from gencayley.codes import _product_context
 from gencayley.verify import _contexts
 
@@ -392,3 +393,22 @@ def test_pc_hits_preserve_subgroup_and_miss_image():
                     assert alpha_preserves(ctx.alpha, sub)
                     image = image_subgroup(ctx.alpha, sub)
                     assert not set(w.subset.elements) & set(image.elements)
+
+
+@pytest.mark.skipif(not __debug__, reason="witness re-validation runs only without -O")
+@pytest.mark.parametrize("decide", [decide_subgroup_pc, decide_subgroup_tpc])
+def test_corrupted_witness_is_caught(monkeypatch, z6, z6_ctx, decide):
+    search = codes_module._search_transversal
+
+    def drop_one_pair(ctx, dec, required):
+        # a valid connection set that no longer meets every coset
+        reps = search(ctx, dec, required)
+        x = reps.pop(max(reps))
+        reps.pop(dec.rep_of[ctx.tau(x)], None)
+        return reps
+
+    sub = subgroup(z6, [0, 3])
+    assert decide(sub, z6_ctx).success
+    monkeypatch.setattr(codes_module, "_search_transversal", drop_one_pair)
+    with pytest.raises(AssertionError):
+        decide(sub, z6_ctx)

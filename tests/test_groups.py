@@ -1,13 +1,17 @@
 import json
+import pickle
 
 import pytest
 
 from gencayley import (
     GroupFileError,
     GroupValidationError,
+    SubgroupHandle,
     ThresholdError,
     build_group,
+    catalog,
     cosets,
+    enumerate_automorphisms,
     enumerate_subgroups,
     load_group_file,
     noncommuting_pair,
@@ -121,6 +125,63 @@ def test_subgroup_validation(z6):
     with pytest.raises(GroupValidationError):
         subgroup(z6, [1, 2])  # missing identity
     assert subgroup_closure(z6, (2,)) == (0, 2, 4)
+
+
+def test_subgroup_handle_shared_within_a_group(z6):
+    h = subgroup(z6, [0, 3])
+    assert subgroup(z6, (3, 0, 3)) is h
+    assert cosets(z6, h, "left") is cosets(z6, subgroup(z6, [3, 0]), "left")
+    # the cached decompositions are filled only by cosets(), never passed in
+    with pytest.raises(TypeError):
+        SubgroupHandle((0, 3), z6, {})
+
+
+def test_subgroup_handles_distinct_across_groups(z6):
+    twin = build_group("Z6")
+    assert twin is not z6 and twin.table == z6.table
+    h, h_twin = subgroup(z6, [0, 2, 4]), subgroup(twin, [0, 2, 4])
+    assert h is not h_twin
+    assert h.parent is z6 and h_twin.parent is twin
+
+
+def test_failed_subgroup_raises_every_time(z6):
+    for _ in range(2):
+        with pytest.raises(GroupValidationError):
+            subgroup(z6, [0, 1])
+    assert (0, 1) not in z6.cache.subgroups
+
+
+def _cosets_by_definition(group, elements, side):
+    t = group.table
+    blocks = {
+        tuple(sorted(t[h][g] if side == "right" else t[g][h] for h in elements))
+        for g in range(group.order)
+    }
+    return sorted(blocks, key=lambda b: b[0])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cached_cosets_match_recomputation(side):
+    for group in catalog(12):
+        for sub in enumerate_subgroups(group):
+            dec = cosets(group, sub, side)
+            assert cosets(group, sub, side) is dec
+            assert dec.subgroup is sub and dec.side == side
+            assert list(dec.cosets) == _cosets_by_definition(group, sub.elements, side)
+            for idx, block in enumerate(dec.cosets):
+                assert all(dec.rep_of[x] == idx for x in block)
+
+
+def test_pickle_leaves_caches_out():
+    group = pickle.loads(pickle.dumps(build_group("dihedral:4")))
+    assert group.cache.subgroups == {} and group.cache.automorphisms is None
+    before = len(pickle.dumps(group))
+    enumerate_subgroups(group)
+    enumerate_automorphisms(group)
+    assert group.cache.subgroups and group.cache.automorphisms
+    assert len(pickle.dumps(group)) == before
+    copy = pickle.loads(pickle.dumps(group))
+    assert copy.table == group.table and copy.cache.subgroups == {}
 
 
 def test_cosets_z6(z6):
