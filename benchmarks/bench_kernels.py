@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python fallback.
 
-Times the three hot scans on representative instances and prints a table
-with the speedups. Usage:
+Times the three hot kernels on representative instances and prints a table
+with the speedups. The compiled code scans loop over every subset; the
+pure-Python ones are pruned searches with the same output. Usage:
 
     python benchmarks/bench_kernels.py [--repeat 3]
 """
@@ -32,7 +33,7 @@ def _best(fn, repeat):
 def bench(repeat: int) -> None:
     cases = []
 
-    # full 2^n code scan on an order-16 graph
+    # code scan of an order-16 graph
     g16 = build_group("abelian:2,2,2,2")
     ctx16 = _contexts(g16)[0][1]
     from gencayley import enumerate_subsets

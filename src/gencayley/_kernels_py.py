@@ -1,86 +1,159 @@
-"""Pure-Python kernels: exhaustive bitmask scans used by oracles and sweeps.
+"""Pure-Python kernels: exact bitmask searches used by oracles and sweeps.
 
-Same signatures and semantics as the compiled module ``_kernels``; selected
+Same signatures and results as the compiled module ``_kernels``; selected
 at import time by :mod:`gencayley.kernels` when the extension is missing.
+The two code searches here prune where the compiled ones scan all 2^n
+subsets literally, and return the identical lists in the same order.
 All set arguments are bitmasks (bit i = element i); neighbor masks are the
 adjacency rows of a generalized Cayley graph.
 """
 
 from __future__ import annotations
 
+from ._bits import bits
+
 
 def scan_codes(nbr_masks, kind: int) -> list[int]:
     """All vertex subsets that are codes, as ascending masks.
 
-    kind 0: perfect codes (members have no neighbor in the set, everyone
-    else exactly one). kind 1: total perfect codes (every vertex has
-    exactly one neighbor in the set). Pure neighbor counting; no algebraic
-    shortcuts, so this stays an independent oracle.
+    kind 1: total perfect codes (every vertex has exactly one neighbor in
+    the set); any other kind: perfect codes (members have no neighbor in
+    the set, everyone else exactly one). Both are exact hitting: X is a
+    code iff every vertex v has exactly one member of X in C_v, where C_v
+    is N(v) for total codes and N(v) + {v} for perfect codes (a vertex
+    with a self-loop can then never be a member). The search branches on
+    the lowest vertex whose C_v is not hit yet, over the members of C_v
+    still allowed; choosing x hits every C_v containing x and disallows
+    all of their members. A vertex in no C_v is free and doubles every
+    solution. Pure neighbor counting; no algebraic shortcuts, so this
+    stays an independent oracle.
     """
     n = len(nbr_masks)
-    nbr = list(nbr_masks)
+    full = (1 << n) - 1
+    total = kind == 1
+    eligible = full  # the vertices that may be members
+    cons = []
+    for v, m in enumerate(nbr_masks):
+        c = m & full
+        if not total:
+            if c >> v & 1:
+                eligible &= ~(1 << v)
+            c |= 1 << v
+        cons.append(c)
+    cover = [0] * n  # cover[x]: the vertices v with x in C_v
+    for v, c in enumerate(cons):
+        for x in bits(c):
+            cover[x] |= 1 << v
+    block = []  # block[x]: members of the constraints that choosing x hits
+    free = 0
+    for x, cv in enumerate(cover):
+        b = 0
+        for v in bits(cv):
+            b |= cons[v]
+        block.append(b)
+        if not cv:  # only in total codes: perfect ones have v in C_v
+            free |= 1 << x
+
+    found = []
+
+    def search(unhit: int, allowed: int, chosen: int) -> None:
+        if not unhit:
+            found.append(chosen)
+            return
+        cand = cons[(unhit & -unhit).bit_length() - 1] & allowed
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length() - 1
+            search(unhit & ~cover[x], allowed & ~block[x], chosen | low)
+
+    search(full, eligible, 0)
     out = []
-    for xm in range(1 << n):
-        ok = True
-        for v in range(n):
-            c = (nbr[v] & xm).bit_count()
-            if kind == 1:
-                if c != 1:
-                    ok = False
-                    break
-            elif xm >> v & 1:
-                if c != 0:
-                    ok = False
-                    break
-            elif c != 1:
-                ok = False
+    for chosen in found:
+        sub = free
+        while True:  # every subset of the free vertices
+            out.append(chosen | sub)
+            if not sub:
                 break
-        if ok:
-            out.append(xm)
+            sub = (sub - 1) & free
+    out.sort()
     return out
 
 
 def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int) -> list[int]:
-    """For each subgroup mask, the first orbit-subset whose connection set
-    makes it a code, else -1.
+    """For each subgroup mask, the least orbit-subset mask whose connection
+    set makes it a code, else -1.
 
     ``trans_masks`` is flattened ``num_orbits x n``: entry ``o*n + g`` holds
     the neighbors vertex g gains when pairing-orbit o joins the connection
-    set. Orbit subsets are scanned in ascending mask order and each
-    candidate is checked by plain neighbor counting.
+    set, and the neighbor mask of g is the OR over the chosen orbits.
+    For one subgroup H, a vertex v sees ``trans & H`` from each orbit; it
+    needs none of H (kind 0 and v in H) or exactly one element of H. An
+    orbit that shows v two elements, or any element when v needs none, can
+    never be chosen and is dropped. The search decides the orbits from the
+    highest index down, leaving each out before putting it in, so the
+    first leaf reached is the least mask. It keeps per vertex the single
+    element reached so far (two orbits reaching v at the same element
+    count once), and prunes when a vertex still short of its element is
+    touched by none of the undecided orbits. Pure neighbor counting, as in
+    :func:`scan_codes`.
     """
     m = num_orbits
-    res = [-1] * len(h_masks)
-    undecided = len(h_masks)
-    for sm in range(1 << m):
-        nbr = [0] * n
-        for o in range(m):
-            if sm >> o & 1:
-                base = o * n
-                for v in range(n):
-                    nbr[v] |= trans_masks[base + v]
-        for i, hm in enumerate(h_masks):
-            if res[i] != -1:
-                continue
-            ok = True
-            for v in range(n):
-                c = (nbr[v] & hm).bit_count()
-                if kind == 1:
-                    if c != 1:
-                        ok = False
-                        break
-                elif hm >> v & 1:
-                    if c != 0:
-                        ok = False
-                        break
-                elif c != 1:
-                    ok = False
-                    break
-            if ok:
-                res[i] = sm
-                undecided -= 1
-        if undecided == 0:
-            break
+    width = max((t.bit_length() for t in trans_masks[: m * n]), default=0)
+    hits = []  # hits[o][e]: the vertices that orbit o shows element e
+    for o in range(m):
+        he = [0] * width
+        for v in range(n):
+            for e in bits(trans_masks[o * n + v]):
+                he[e] |= 1 << v
+        hits.append(he)
+    res = []
+    for hm in h_masks:
+        hbits = bits(hm & ((1 << width) - 1))
+        needy = (1 << n) - 1  # the vertices that need exactly one element of H
+        if kind != 1:
+            needy &= ~hm
+        usable = []  # (orbit, touched vertices, [(element, its vertices), ...])
+        for o, he in enumerate(hits):
+            touch = twice = 0
+            reach = []
+            for e in hbits:
+                r = he[e]
+                if r:
+                    twice |= touch & r
+                    touch |= r
+                    reach.append((e, r))
+            # an orbit that touches nothing is never in the least mask
+            if touch and not twice and not touch & ~needy:
+                usable.append((o, touch, reach))
+        # reachable[k]: the vertices touched by some orbit in usable[:k]
+        reachable = [0]
+        for _, touch, _ in usable:
+            reachable.append(reachable[-1] | touch)
+        seen = [0] * width  # seen[e]: the vertices reached at element e so far
+
+        def search(k: int, reached: int) -> int:
+            if needy & ~(reached | reachable[k]):
+                return -1
+            if not k:
+                return 0
+            k -= 1
+            found = search(k, reached)
+            if found != -1:
+                return found
+            o, touch, reach = usable[k]
+            for e, r in reach:
+                if r & reached & ~seen[e]:
+                    return -1  # some vertex already reached at another element
+            saved = [seen[e] for e, _ in reach]
+            for e, r in reach:
+                seen[e] |= r
+            found = search(k, reached | touch)
+            for (e, _), old in zip(reach, saved):
+                seen[e] = old
+            return -1 if found == -1 else found | 1 << o
+
+        res.append(search(len(usable), 0))
     return res
 
 

@@ -5,8 +5,8 @@ neighborhoods, translate partitions, algebraic set conditions) and assert
 agreement. Subgroup-level deciders search for a witness connection set by
 backtracking over coset representatives; each witness is re-validated
 against the graph definition before it is returned, and the package's
-verification suites additionally compare every decision against exhaustive
-brute-force search.
+verification suites additionally compare every decision against an exact
+search over all connection sets.
 """
 
 from __future__ import annotations
@@ -167,11 +167,11 @@ def is_total_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool
 
 
 def brute_force_codes(graph: GenCayleyGraph, kind: str = "perfect") -> list[tuple[int, ...]]:
-    """All codes of the requested kind by scanning every vertex subset.
+    """All codes of the requested kind, by an exact search over vertex subsets.
 
     This is the graph-level oracle the other deciders are checked against;
-    it does nothing smarter than neighbor counting. Refuses groups with
-    more than 20 elements.
+    it uses nothing but neighbor counting and no group algebra. Refuses
+    groups with more than 20 elements.
     """
     n = graph.group.order
     if n > BRUTE_FORCE_LIMIT:
@@ -417,9 +417,9 @@ def is_gc_transversal(ctx: AlphaContext, sub: SubgroupHandle, T, side: str = "ri
     tset = sorted(set(int(x) for x in T))
     if 0 not in tset:
         return False
-    from .graphs import subset_violation
+    from .graphs import _sorted_violation
 
-    if subset_violation(ctx, [x for x in tset if x != 0]) is not None:
+    if _sorted_violation(ctx, [x for x in tset if x != 0]) is not None:
         return False
     dec = cosets(sub.parent, sub, side)
     return sorted(dec.rep_of[x] for x in tset) == list(range(dec.index))

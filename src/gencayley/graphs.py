@@ -43,7 +43,11 @@ class GenCayleySubset:
 
 def subset_violation(ctx: AlphaContext, elements: Iterable[int]):
     """First violated condition as (reason, witness element), or None."""
-    elems = sorted(set(int(x) for x in elements))
+    return _sorted_violation(ctx, sorted(set(int(x) for x in elements)))
+
+
+def _sorted_violation(ctx: AlphaContext, elems):
+    """:func:`subset_violation` for elements already sorted and distinct."""
     for s in elems:
         if not (0 <= s < ctx.group.order):
             return ("out-of-range", s)
@@ -64,7 +68,7 @@ def validate_subset(ctx: AlphaContext, elements: Iterable[int]) -> GenCayleySubs
     (``omega-intersection`` or ``tau-closure``) and a witness element.
     """
     elems = tuple(sorted(set(int(x) for x in elements)))
-    bad = subset_violation(ctx, elems)
+    bad = _sorted_violation(ctx, elems)
     if bad is not None:
         raise SubsetInvalidError(*bad)
     return GenCayleySubset(elems, ctx)

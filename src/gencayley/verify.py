@@ -482,13 +482,13 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
 
 
 def suite_pc_oracle(max_order: int = 16) -> SuiteResult:
-    """decide_subgroup_pc agrees with exhaustive search over every
+    """decide_subgroup_pc agrees with an exact search over every
     connection set, and both witnesses re-validate."""
     return _suite_code_oracle("pc-oracle", 0, max_order)
 
 
 def suite_tpc_oracle(max_order: int = 16) -> SuiteResult:
-    """decide_subgroup_tpc agrees with exhaustive search over every
+    """decide_subgroup_tpc agrees with an exact search over every
     connection set."""
     return _suite_code_oracle("tpc-oracle", 1, max_order)
 
@@ -515,8 +515,13 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
                     continue
                 if predicted:
                     try:
-                        build_witness_abelian(sub, ctx)  # asserts re-validation
-                    except AssertionError:
+                        subset = build_witness_abelian(sub, ctx)
+                    except AssertionError:  # its own re-validation, when asserts run
+                        subset = None
+                    if subset is None or not (
+                        is_perfect_code(build_graph(subset), sub.elements)
+                        and is_gc_transversal(ctx, sub, subset.elements + (0,))
+                    ):
                         violations.append(
                             f"group={group.id} alpha={ai} H={fmt_set(sub.elements)}:"
                             " constructive witness failed"

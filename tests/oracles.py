@@ -122,3 +122,67 @@ def exists_pc_connection_set(ctx, sub) -> bool:
         if ok:
             return True
     return False
+
+
+def scan_codes_bruteforce(nbr_masks, kind: int) -> list[int]:
+    """Literal 2^n reference for ``scan_codes``: every vertex subset, in
+    ascending mask order, checked by neighbor counting."""
+    n = len(nbr_masks)
+    nbr = list(nbr_masks)
+    out = []
+    for xm in range(1 << n):
+        ok = True
+        for v in range(n):
+            c = (nbr[v] & xm).bit_count()
+            if kind == 1:
+                if c != 1:
+                    ok = False
+                    break
+            elif xm >> v & 1:
+                if c != 0:
+                    ok = False
+                    break
+            elif c != 1:
+                ok = False
+                break
+        if ok:
+            out.append(xm)
+    return out
+
+
+def scan_subgroup_codes_bruteforce(trans_masks, num_orbits: int, h_masks, n: int, kind: int) -> list[int]:
+    """Literal 2^m reference for ``scan_subgroup_codes``: every orbit mask,
+    in ascending order, checked against every undecided subgroup mask."""
+    m = num_orbits
+    res = [-1] * len(h_masks)
+    undecided = len(h_masks)
+    for sm in range(1 << m):
+        nbr = [0] * n
+        for o in range(m):
+            if sm >> o & 1:
+                base = o * n
+                for v in range(n):
+                    nbr[v] |= trans_masks[base + v]
+        for i, hm in enumerate(h_masks):
+            if res[i] != -1:
+                continue
+            ok = True
+            for v in range(n):
+                c = (nbr[v] & hm).bit_count()
+                if kind == 1:
+                    if c != 1:
+                        ok = False
+                        break
+                elif hm >> v & 1:
+                    if c != 0:
+                        ok = False
+                        break
+                elif c != 1:
+                    ok = False
+                    break
+            if ok:
+                res[i] = sm
+                undecided -= 1
+        if undecided == 0:
+            break
+    return res

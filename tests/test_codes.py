@@ -29,6 +29,7 @@ from gencayley import (
     verify_product_codes,
 )
 import gencayley.codes as codes_module
+import gencayley.verify as verify_module
 from gencayley.codes import _product_context
 from gencayley.verify import _contexts
 
@@ -412,3 +413,15 @@ def test_corrupted_witness_is_caught(monkeypatch, z6, z6_ctx, decide):
     monkeypatch.setattr(codes_module, "_search_transversal", drop_one_pair)
     with pytest.raises(AssertionError):
         decide(sub, z6_ctx)
+
+
+def test_abelian_suite_checks_the_returned_witness(monkeypatch):
+    # the empty set is a valid connection set but a code only of the whole
+    # group; nothing asserts, so only the suite's own checks can see it
+    assert verify_module.suite_abelian_criterion(max_order=4).ok
+    monkeypatch.setattr(
+        verify_module, "build_witness_abelian", lambda sub, ctx: validate_subset(ctx, ())
+    )
+    res = verify_module.suite_abelian_criterion(max_order=4)
+    assert res.violations
+    assert all(v.endswith("constructive witness failed") for v in res.violations)
