@@ -4540,7 +4540,7 @@ static PyObject *__pyx_pf_9gencayley_8_kernels_4scan_check_routes(CYTHON_UNUSED 
  *         free(mul); free(inv); free(alpha); free(nbr)
  *         raise MemoryError()             # <<<<<<<<<<<<<<
  * 
- *     cdef uint64_t full = ((<uint64_t> 1) << n) - 1
+ *     cdef uint64_t full = (~(<uint64_t> 0)) >> (64 - n)
 */
     PyErr_NoMemory(); __PYX_ERR(0, 136, __pyx_L1_error)
 
@@ -4556,15 +4556,15 @@ static PyObject *__pyx_pf_9gencayley_8_kernels_4scan_check_routes(CYTHON_UNUSED 
   /* "gencayley/_kernels.pyx":138
  *         raise MemoryError()
  * 
- *     cdef uint64_t full = ((<uint64_t> 1) << n) - 1             # <<<<<<<<<<<<<<
+ *     cdef uint64_t full = (~(<uint64_t> 0)) >> (64 - n)             # <<<<<<<<<<<<<<
  *     cdef uint64_t not_e = ~(<uint64_t> 1)
  *     cdef uint64_t smask = 0, ss_inv = 0
 */
-  __pyx_v_full = ((((uint64_t)1) << __pyx_v_n) - 1);
+  __pyx_v_full = ((~((uint64_t)0)) >> (64 - __pyx_v_n));
 
   /* "gencayley/_kernels.pyx":139
  * 
- *     cdef uint64_t full = ((<uint64_t> 1) << n) - 1
+ *     cdef uint64_t full = (~(<uint64_t> 0)) >> (64 - n)
  *     cdef uint64_t not_e = ~(<uint64_t> 1)             # <<<<<<<<<<<<<<
  *     cdef uint64_t smask = 0, ss_inv = 0
  *     cdef uint64_t xm, ax, union_tr, t, p1, p2, low, aa
@@ -4572,7 +4572,7 @@ static PyObject *__pyx_pf_9gencayley_8_kernels_4scan_check_routes(CYTHON_UNUSED 
   __pyx_v_not_e = (~((uint64_t)1));
 
   /* "gencayley/_kernels.pyx":140
- *     cdef uint64_t full = ((<uint64_t> 1) << n) - 1
+ *     cdef uint64_t full = (~(<uint64_t> 0)) >> (64 - n)
  *     cdef uint64_t not_e = ~(<uint64_t> 1)
  *     cdef uint64_t smask = 0, ss_inv = 0             # <<<<<<<<<<<<<<
  *     cdef uint64_t xm, ax, union_tr, t, p1, p2, low, aa

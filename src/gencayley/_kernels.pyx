@@ -135,7 +135,7 @@ def scan_check_routes(int n, object mul_flat, object inv_perm, object alpha_perm
         free(mul); free(inv); free(alpha); free(nbr)
         raise MemoryError()
 
-    cdef uint64_t full = ((<uint64_t> 1) << n) - 1
+    cdef uint64_t full = (~(<uint64_t> 0)) >> (64 - n)
     cdef uint64_t not_e = ~(<uint64_t> 1)
     cdef uint64_t smask = 0, ss_inv = 0
     cdef uint64_t xm, ax, union_tr, t, p1, p2, low, aa

@@ -508,7 +508,7 @@ def transport_conjugate(
     """Conjugate a validated code pair by an alpha-fixed element.
 
     Returns (g^-1 H g, g^-1 S g) for the same involution; the transported
-    pair is re-validated.
+    pair is re-validated, and :class:`GenCayleyError` is raised if it fails.
     """
     ctx = subset.context
     group = sub.parent
@@ -516,7 +516,8 @@ def transport_conjugate(
         raise GenCayleyError(f"element {g} is not fixed by alpha")
     conj_sub = subgroup(group, (group.conjugate(h, g) for h in sub.elements))
     conj_set = validate_subset(ctx, (group.conjugate(s, g) for s in subset.elements))
-    assert _code_pair_holds(conj_sub, conj_set, kind), "transported pair fails"
+    if not _code_pair_holds(conj_sub, conj_set, kind):
+        raise GenCayleyError(f"conjugation by {g} gives a pair that is not a {kind} code")
     return conj_sub, conj_set
 
 
@@ -526,7 +527,8 @@ def transport_automorphism(
     """Push a validated code pair through any automorphism beta.
 
     Returns (beta(H), beta(S), context of beta.alpha.beta^-1); the
-    transported pair is re-validated in the new context.
+    transported pair is re-validated in the new context, and
+    :class:`GenCayleyError` is raised if it fails.
     """
     ctx = subset.context
     group = sub.parent
@@ -535,7 +537,8 @@ def transport_automorphism(
     new_ctx = alpha_context(group, conjugate_automorphism(beta, ctx.alpha))
     new_sub = subgroup(group, (beta.perm[h] for h in sub.elements))
     new_set = validate_subset(new_ctx, (beta.perm[s] for s in subset.elements))
-    assert _code_pair_holds(new_sub, new_set, kind), "transported pair fails"
+    if not _code_pair_holds(new_sub, new_set, kind):
+        raise GenCayleyError(f"transport by beta gives a pair that is not a {kind} code")
     return new_sub, new_set, new_ctx
 
 

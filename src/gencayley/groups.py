@@ -16,7 +16,6 @@ Conventions, fixed across the whole package:
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -24,8 +23,6 @@ from itertools import permutations
 from ._bits import mask_of
 from .errors import GroupFileError, GroupValidationError, ThresholdError
 
-ASSOC_EXHAUSTIVE_LIMIT = 24  # full triple scan up to this order, seeded sample above
-ASSOC_SAMPLE_TRIPLES = 100_000
 SUBGROUP_ENUM_LIMIT = 64
 SYMMETRIC_DEGREE_LIMIT = 5
 
@@ -140,7 +137,17 @@ def noncommuting_pair(group: FiniteGroup) -> tuple[int, int] | None:
 # validation
 
 
-def _first_axiom_violation(table, order: int, seed: int = 0):
+def _first_axiom_violation(table, order: int):
+    """First violated group axiom as (axiom, witness), or None.
+
+    Associativity is decided exactly by Light's test: greedily pick a set
+    Gamma that reaches every element by right multiplication from the
+    identity, then check (x*a)*y == x*(a*y) for every x, y and a in Gamma.
+    The elements a that pass are closed under products, since
+    x((ab)y) = x(a(by)) = (xa)(by) = ((xa)b)y = (x(ab))y, so they are the
+    whole table once Gamma passes. A failure reports a violating triple
+    (x, a, y), not necessarily the least one.
+    """
     if len(table) != order:
         return ("shape", (len(table), order))
     for a, row in enumerate(table):
@@ -165,23 +172,43 @@ def _first_axiom_violation(table, order: int, seed: int = 0):
     for a in range(order):
         if 0 not in table[a]:
             return ("inverse", (a,))
-    if order <= ASSOC_EXHAUSTIVE_LIMIT:
-        triples = (
-            (a, b, c)
-            for a in range(order)
-            for b in range(order)
-            for c in range(order)
-        )
-    else:
-        rng = random.Random(seed)
-        triples = (
-            (rng.randrange(order), rng.randrange(order), rng.randrange(order))
-            for _ in range(ASSOC_SAMPLE_TRIPLES)
-        )
-    for a, b, c in triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            return ("associativity", (a, b, c))
+    rows = [list(row) for row in table]  # lists, to compare with built rows
+    for a in _right_generators(rows, order):
+        row_a = rows[a]
+        for x, row_x in enumerate(rows):
+            left = rows[row_x[a]]
+            right = [row_x[v] for v in row_a]
+            if left != right:
+                y = next(y for y in range(order) if left[y] != right[y])
+                return ("associativity", (x, a, y))
     return None
+
+
+def _right_closure(table, order: int, gens) -> bytearray:
+    """Flags of the elements reached from the identity by right
+    multiplication with ``gens``."""
+    seen = bytearray(order)
+    seen[0] = 1
+    queue = [0]
+    for x in queue:
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if not seen[y]:
+                seen[y] = 1
+                queue.append(y)
+    return seen
+
+
+def _right_generators(table, order: int) -> list[int]:
+    """Least unreached elements, added one at a time until every element
+    is reached from the identity by right multiplication with them."""
+    gens: list[int] = []
+    seen = _right_closure(table, order, gens)
+    while (g := seen.find(0)) != -1:
+        gens.append(g)
+        seen = _right_closure(table, order, gens)
+    return gens
 
 
 def _finish_group(table, gid: str, names=None) -> FiniteGroup:
@@ -494,18 +521,7 @@ def _validate_subgroup(group: FiniteGroup, elems: tuple[int, ...]) -> None:
 
 def subgroup_closure(group: FiniteGroup, generators) -> tuple[int, ...]:
     """Subgroup generated by the given elements, as a sorted tuple."""
-    table = group.table
-    gens = sorted(set(generators))
-    seen = bytearray(group.order)
-    seen[0] = 1
-    queue = [0]
-    for x in queue:
-        row = table[x]
-        for g in gens:
-            y = row[g]
-            if not seen[y]:
-                seen[y] = 1
-                queue.append(y)
+    seen = _right_closure(group.table, group.order, sorted(set(generators)))
     return tuple(i for i in range(group.order) if seen[i])
 
 

@@ -39,9 +39,11 @@ from .codes import (
     transport_conjugate,
     verify_product_codes,
 )
+from .errors import GenCayleyError
 from .graphs import build_graph, count_subsets, enumerate_subsets, subset_from_orbit_mask, validate_subset
 from .groups import (
     FiniteGroup,
+    _first_axiom_violation,
     build_group,
     cosets,
     enumerate_subgroups,
@@ -88,9 +90,24 @@ def _contexts(group: FiniteGroup):
 # structural suites
 
 
-def suite_group_axioms(max_order: int = 24, seed: int = 0) -> SuiteResult:
-    """Identity, Latin property, inverses, associativity on every catalog
-    group (exhaustive triples up to order 24, 1e5 seeded triples above)."""
+def associativity_violations(table):
+    """Every triple (a, b, c) with (ab)c != a(bc), in lexicographic order:
+    the literal O(n^3) reference for the axiom checker."""
+    n = len(table)
+    return (
+        (a, b, c)
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        if table[table[a][b]][c] != table[a][table[b][c]]
+    )
+
+
+def suite_group_axioms(max_order: int = 24) -> SuiteResult:
+    """Every catalog group passes the package's axiom checker (identity,
+    Latin property, inverses, exact associativity), its identity and
+    ``inv`` agree with the table, and up to order 24 a literal triple scan
+    finds no associativity violation either."""
     violations = []
     cases = 0
     for group in catalog(max_order):
@@ -98,29 +115,17 @@ def suite_group_axioms(max_order: int = 24, seed: int = 0) -> SuiteResult:
         n = group.order
         t = group.table
         bad = None
-        if any(t[0][b] != b for b in range(n)) or any(t[a][0] != a for a in range(n)):
+        checker = _first_axiom_violation(t, n)
+        if checker is not None:
+            bad = f"{checker[0]} at {checker[1]}"
+        elif any(t[0][b] != b for b in range(n)) or any(t[a][0] != a for a in range(n)):
             bad = "identity"
-        elif any(sorted(t[a]) != list(range(n)) for a in range(n)):
-            bad = "latin-row"
-        elif any(sorted(t[a][b] for a in range(n)) != list(range(n)) for b in range(n)):
-            bad = "latin-column"
         elif any(t[a][group.inv[a]] != 0 or t[group.inv[a]][a] != 0 for a in range(n)):
             bad = "inverse"
-        else:
-            if n <= 24:
-                triples = (
-                    (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-                )
-            else:
-                rng = random.Random(_mix_seed(seed, group.id, "assoc"))
-                triples = (
-                    (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                    for _ in range(100_000)
-                )
-            for a, b, c in triples:
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    bad = f"associativity at {(a, b, c)}"
-                    break
+        elif n <= 24:
+            triple = next(associativity_violations(t), None)
+            if triple is not None:
+                bad = f"associativity at {triple} (triple scan)"
         if bad:
             violations.append(f"group={group.id}: {bad}")
     return SuiteResult("group-axioms", cases, violations)
@@ -585,7 +590,11 @@ def suite_census_audits(max_order: int = 24, workers: int = 1) -> SuiteResult:
 
 def suite_transports(max_order: int = 12) -> SuiteResult:
     """Conjugation and automorphism transport of every code hit
-    re-validates, for both code kinds, over all admissible (g, beta)."""
+    re-validates, for both code kinds, over all admissible (g, beta).
+
+    A failed re-validation raises :class:`GenCayleyError`, also under
+    ``python -O``; an ``AssertionError`` from a route-agreement check
+    counts as a violation too."""
     violations = []
     cases = 0
     for group in catalog(max_order):
@@ -607,13 +616,13 @@ def suite_transports(max_order: int = 12) -> SuiteResult:
                         cases += 1
                         try:
                             transport_conjugate(sub, subset, g, kind)
-                        except AssertionError:
+                        except (GenCayleyError, AssertionError):
                             violations.append(f"{where}: conjugation by {g} fails")
                     for beta in autos:
                         cases += 1
                         try:
                             tsub, tset, tctx = transport_automorphism(sub, subset, beta, kind)
-                        except AssertionError:
+                        except (GenCayleyError, AssertionError):
                             violations.append(f"{where}: transport by beta fails")
                             continue
                         # combined form: conjugate the transported pair by
@@ -622,7 +631,7 @@ def suite_transports(max_order: int = 12) -> SuiteResult:
                             cases += 1
                             try:
                                 transport_conjugate(tsub, tset, g, kind)
-                            except AssertionError:
+                            except (GenCayleyError, AssertionError):
                                 violations.append(
                                     f"{where}: combined transport (beta, g={g}) fails"
                                 )
@@ -836,7 +845,5 @@ def run_all(max_order: int | None = None, seed: int = 0) -> list[SuiteResult]:
             # the full run extends the exhaustive-X window to order 10, which
             # covers the code-mode equivalence suite at its stated scale
             kwargs["exhaustive_limit"] = 10
-        if name == "group-axioms":
-            kwargs["seed"] = seed
         results.append(fn(**kwargs))
     return results

@@ -425,3 +425,17 @@ def test_abelian_suite_checks_the_returned_witness(monkeypatch):
     res = verify_module.suite_abelian_criterion(max_order=4)
     assert res.violations
     assert all(v.endswith("constructive witness failed") for v in res.violations)
+
+
+def test_failed_transport_raises_and_is_reported(monkeypatch, z6, z6_ctx):
+    # the re-validation is an explicit check, so it also runs under -O
+    sub = subgroup(z6, [0, 3])
+    subset = decide_subgroup_pc(sub, z6_ctx).subset
+    assert verify_module.suite_transports(max_order=4).ok
+    monkeypatch.setattr(codes_module, "_code_pair_holds", lambda sub, subset, kind: False)
+    with pytest.raises(GenCayleyError, match="not a perfect code"):
+        transport_conjugate(sub, subset, 0)
+    with pytest.raises(GenCayleyError, match="not a perfect code"):
+        transport_automorphism(sub, subset, z6_ctx.alpha)
+    res = verify_module.suite_transports(max_order=4)
+    assert res.cases and len(res.violations) == res.cases

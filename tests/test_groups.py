@@ -1,5 +1,6 @@
 import json
 import pickle
+import random
 
 import pytest
 
@@ -11,15 +12,19 @@ from gencayley import (
     build_group,
     catalog,
     cosets,
+    decide_subgroup_pc,
     enumerate_automorphisms,
     enumerate_subgroups,
     load_group_file,
     noncommuting_pair,
     normalizer,
+    restrict_witness,
     subgroup,
     subgroup_closure,
 )
-from gencayley.groups import group_from_table
+import gencayley.groups as groups_module
+from gencayley.groups import _first_axiom_violation, cyclic_group, direct_product, group_from_table
+from gencayley.verify import associativity_violations
 
 from oracles import subgroups_by_generator_subsets
 
@@ -267,3 +272,101 @@ def test_bad_table_reports_first_axiom():
         group_from_table({"name": "bad", "order": 5, "table": table})
     assert "associativity" in str(err.value)
     assert "witness" in str(err.value)
+
+
+def _xor_loop(k, rng):
+    """Z2^k with one intercalate swapped: rows a, b and columns c, d = c*a*b,
+    none of them the identity. The result is a loop that is not a group."""
+    n = 1 << k
+    table = [[x ^ y for y in range(n)] for x in range(n)]
+    a, b = rng.sample(range(1, n), 2)
+    c = rng.choice([c for c in range(1, n) if c != a ^ b])
+    d = c ^ a ^ b
+    for r in (a, b):
+        table[r][c], table[r][d] = table[r][d], table[r][c]
+    return table
+
+
+def _assert_agrees_with_triple_scan(table):
+    verdict = _first_axiom_violation(table, len(table))
+    first = next(associativity_violations(table), None)
+    assert (verdict is None) == (first is None), (verdict, first)
+    if verdict is not None:
+        axiom, (x, a, y) = verdict
+        assert axiom == "associativity"
+        assert table[table[x][a]][y] != table[x][table[a][y]]
+
+
+def test_axiom_checker_matches_triple_scan_on_catalog():
+    groups = catalog(24)
+    assert len(groups) > 40
+    for group in groups:
+        _assert_agrees_with_triple_scan(group.table)
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square with first row and column 0..n-1: every
+    loop table of order n with identity 0."""
+    table = [list(range(n))] + [[r] + [None] * (n - 1) for r in range(1, n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            yield [row[:] for row in table]
+            return
+        r, c = cells[i]
+        used = set(table[r][:c]) | {table[q][c] for q in range(r)}
+        for v in range(n):
+            if v not in used:
+                table[r][c] = v
+                yield from fill(i + 1)
+        table[r][c] = None
+
+    return fill(0)
+
+
+def test_axiom_checker_matches_triple_scan_on_every_small_loop():
+    # every element of Gamma matters here: with its first or its last one
+    # left unchecked, the checker passes over 4,000 of these loops
+    nonassociative = 0
+    for n, count in ((1, 1), (2, 1), (3, 1), (4, 4), (5, 56), (6, 9408)):
+        tables = list(_reduced_latin_squares(n))
+        assert len(tables) == count
+        for table in tables:
+            _assert_agrees_with_triple_scan(table)
+            nonassociative += _first_axiom_violation(table, n) is not None
+    assert nonassociative > 9000
+
+
+@pytest.mark.parametrize("k", [3, 5, 6])
+def test_axiom_checker_matches_triple_scan_on_loops(k):
+    rng = random.Random(k)
+    for _ in range(5):
+        table = _xor_loop(k, rng)
+        assert next(associativity_violations(table), None) is not None
+        _assert_agrees_with_triple_scan(table)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_group_from_table_rejects_large_loop(k):
+    table = _xor_loop(k, random.Random(k))
+    with pytest.raises(GroupFileError) as err:
+        group_from_table({"name": "loop", "order": 1 << k, "table": table})
+    assert "associativity" in str(err.value)
+
+
+def test_every_construction_goes_through_the_checker(monkeypatch, z6, z6_ctx):
+    z2 = cyclic_group(2)
+    sub = subgroup(z6, [0, 3])
+    subset = decide_subgroup_pc(sub, z6_ctx).subset
+    monkeypatch.setattr(
+        groups_module, "_first_axiom_violation", lambda table, order: ("associativity", (0, 0, 0))
+    )
+    for build in (
+        lambda: cyclic_group(3),
+        lambda: direct_product(z2, z2),
+        lambda: group_from_table({"name": "Z2", "order": 2, "table": [[0, 1], [1, 0]]}),
+        lambda: restrict_witness(sub, subset, sub),
+    ):
+        with pytest.raises((GroupValidationError, GroupFileError), match="associativity"):
+            build()

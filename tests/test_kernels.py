@@ -14,12 +14,16 @@ import pytest
 
 from gencayley import (
     _kernels_py,
+    alpha_context,
+    automorphism_from_perm,
     build_graph,
     build_group,
     catalog,
     enumerate_subgroups,
     enumerate_subsets,
+    inversion_automorphism,
     kernels,
+    subset_from_orbit_mask,
 )
 from gencayley.kernels import backend
 from gencayley.verify import _contexts, _mul_flat, _orbit_translate_masks
@@ -207,3 +211,28 @@ def test_compiled_scan_check_routes_matches_pure(compiled):
             xms,
         )
         assert compiled.scan_check_routes(*args) == _kernels_py.scan_check_routes(*args)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_compiled_scan_check_routes_matches_pure_at_full_width(compiled, n):
+    # order 64 fills the 64-bit masks, so the all-vertices mask has no spare
+    # bit; order 63 is the control just below it
+    group = build_group(f"cyclic:{n}")
+    rng = random.Random(n)
+    identity = automorphism_from_perm(group, range(n))
+    for alpha in (inversion_automorphism(group)[0], identity):
+        ctx = alpha_context(group, alpha)
+        for _ in range(10):
+            subset = subset_from_orbit_mask(ctx, rng.getrandbits(len(ctx.tau_orbits)))
+            graph = build_graph(subset)
+            xms = [rng.getrandbits(n) for _ in range(20)] + [0, (1 << n) - 1]
+            args = (
+                n,
+                _mul_flat(group),
+                group.inv,
+                ctx.alpha.perm,
+                subset.elements,
+                graph.nbr_masks,
+                xms,
+            )
+            assert compiled.scan_check_routes(*args) == _kernels_py.scan_check_routes(*args)
