@@ -105,20 +105,16 @@ def _generating_sequence(group: FiniteGroup) -> list[int]:
     return gens
 
 
-def enumerate_automorphisms(group: FiniteGroup, limit: int = AUT_ENUM_LIMIT) -> list[Automorphism]:
-    """Full automorphism group via generator-image search.
+def _search_automorphisms(group: FiniteGroup, involutive: bool) -> list[Automorphism]:
+    """Generator-image search for Aut(G), or for its involutions.
 
-    Images are chosen for a greedy generating sequence, with pruning on
-    element order and on partial-homomorphism consistency. Results are
-    sorted by permutation and kept in ``group.cache``.
+    Images are chosen for a greedy generating sequence and propagated
+    through products, with pruning on element order and on
+    partial-homomorphism consistency. In involutive mode every binding
+    x -> v also binds v -> x, so an image that is already taken prunes the
+    branch at once, and the identity leaf is skipped. Every leaf is
+    checked against the whole table. Results are sorted by permutation.
     """
-    if group.order > limit:
-        raise ThresholdError(
-            f"automorphism enumeration limited to order <= {limit}, got {group.order}"
-        )
-    if group.cache.automorphisms is not None:
-        return group.cache.automorphisms
-
     n = group.order
     table = group.table
     orders = group.element_orders
@@ -134,28 +130,49 @@ def enumerate_automorphisms(group: FiniteGroup, limit: int = AUT_ENUM_LIMIT) -> 
     used[0] = True
     known = [0]  # elements with assigned images, in discovery order
 
+    def bind(x: int, v: int) -> int:
+        """Assign x -> v (and v -> x in involutive mode) to an unbound x.
+
+        Returns the number of elements bound, 0 when v is already used. In
+        involutive mode the bindings stay paired, so v unused means v
+        unbound and x unbound means x unused.
+        """
+        if used[v]:
+            return 0
+        img[x] = v
+        used[v] = True
+        known.append(x)
+        if not involutive or v == x:
+            return 1
+        img[v] = x
+        used[x] = True
+        known.append(v)
+        return 2
+
     def close_over(gen_count: int, start: int) -> tuple[bool, int]:
         """Propagate images through products with the first gen_count generators.
 
-        Returns (ok, n_added); on failure the caller rolls back n_added
-        assignments.
+        Elements before known[start] are multiplied by the newest generator,
+        the rest by all of them. Afterwards every known element has met
+        every chosen generator, so the known set is closed under them and a
+        leaf has checked every edge of the Cayley graph. Returns (ok,
+        n_added); on failure the caller rolls back n_added bindings.
         """
         added = 0
-        i = start
+        i = 0
         while i < len(known):
             x = known[i]
-            ix = img[x]
-            for j in range(gen_count):
+            row = table[x]
+            irow = table[img[x]]
+            for j in range(0 if i >= start else gen_count - 1, gen_count):
                 g = gens[j]
-                y = table[x][g]
-                iy = table[ix][img[g]]
+                y = row[g]
+                iy = irow[img[g]]
                 if img[y] == -1:
-                    if used[iy]:
+                    bound = bind(y, iy)
+                    if not bound:
                         return False, added
-                    img[y] = iy
-                    used[iy] = True
-                    known.append(y)
-                    added += 1
+                    added += bound
                 elif img[y] != iy:
                     return False, added
             i += 1
@@ -167,50 +184,80 @@ def enumerate_automorphisms(group: FiniteGroup, limit: int = AUT_ENUM_LIMIT) -> 
             used[img[y]] = False
             img[y] = -1
 
+    def descend(level: int, restart: int, bound: int) -> None:
+        ok, added = close_over(level + 1, restart)
+        if ok:
+            assign(level + 1)
+        rollback(added + bound)
+
     def assign(level: int) -> None:
         if level == len(gens):
-            results.append(tuple(img))
+            if not involutive or any(img[g] != g for g in gens):
+                results.append(tuple(img))
             return
         g = gens[level]
+        if img[g] != -1:
+            # involutive mode: g is already bound as the partner of an image
+            descend(level, len(known), 0)
+            return
         for cand in by_order[orders[g]]:
-            if used[cand]:
-                continue
             restart = len(known)
-            if img[g] == -1:
-                img[g] = cand
-                used[cand] = True
-                known.append(g)
-                ok, added = close_over(level + 1, restart)
-                if ok:
-                    assign(level + 1)
-                rollback(added + 1)
-            elif img[g] == cand:
-                assign(level + 1)
+            bound = bind(g, cand)
+            if bound:
+                descend(level, restart, bound)
 
     assign(0)
     results.sort()
-    autos = [Automorphism(p, group) for p in results]
-    if __debug__:
-        for a in autos:
-            assert _is_homomorphism(group, a.perm) is None
-    group.cache.automorphisms = autos
-    return autos
+    for perm in results:
+        bad = _is_homomorphism(group, perm)
+        if bad is not None:
+            raise GenCayleyError(
+                f"automorphism search on {group.id} produced {list(perm)},"
+                f" which fails the homomorphism law at pair {bad}"
+            )
+    return [Automorphism(p, group) for p in results]
+
+
+def _check_limit(group: FiniteGroup, limit: int) -> None:
+    if group.order > limit:
+        raise ThresholdError(
+            f"automorphism enumeration limited to order <= {limit}, got {group.order}"
+        )
+
+
+def enumerate_automorphisms(group: FiniteGroup, limit: int = AUT_ENUM_LIMIT) -> list[Automorphism]:
+    """Full automorphism group, sorted by permutation.
+
+    The result is kept in ``group.cache.automorphisms``. The census and the
+    involution listings never need it; see
+    :func:`enumerate_involutory_automorphisms`.
+    """
+    _check_limit(group, limit)
+    if group.cache.automorphisms is None:
+        group.cache.automorphisms = _search_automorphisms(group, involutive=False)
+    return group.cache.automorphisms
 
 
 def enumerate_involutory_automorphisms(
     group: FiniteGroup, include_identity: bool = False, limit: int = AUT_ENUM_LIMIT
 ) -> list[Automorphism]:
-    """All automorphisms squaring to the identity, in deterministic order.
+    """All automorphisms squaring to the identity, sorted by permutation.
+
+    The search binds images in pairs and never lists Aut(G): Z2^4 has
+    20,160 automorphisms but only 315 involutions. The list is the one the
+    full enumeration gives after filtering, in the same order, and is kept
+    in ``group.cache.involutions``.
 
     The identity map is excluded by default; pass ``include_identity`` to
     admit it (then generalized Cayley graphs degenerate to ordinary Cayley
-    graphs, which is useful as a cross-check).
+    graphs, which is useful as a cross-check). It comes first.
     """
-    autos = enumerate_automorphisms(group, limit=limit)
-    out = [a for a in autos if a.squares_to_identity and not a.is_identity]
+    _check_limit(group, limit)
+    if group.cache.involutions is None:
+        group.cache.involutions = _search_automorphisms(group, involutive=True)
     if include_identity:
-        out.insert(0, autos[0] if autos and autos[0].is_identity else Automorphism(tuple(range(group.order)), group))
-    return out
+        return [Automorphism(tuple(range(group.order)), group), *group.cache.involutions]
+    return group.cache.involutions
 
 
 def inversion_automorphism(group: FiniteGroup):

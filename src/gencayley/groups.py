@@ -33,13 +33,18 @@ class GroupCache:
 
     Every entry depends only on the group's table. The cache is never
     pickled: a worker process that receives a group starts with an empty
-    one and fills it as it goes.
+    one and fills it as it goes. ``involutions`` is searched for directly,
+    so a run that needs only the involutions (the census, for one) leaves
+    ``automorphisms`` empty.
     """
 
     # sorted element tuple -> its validated handle, see :func:`subgroup`
     subgroups: dict[tuple[int, ...], SubgroupHandle] = field(default_factory=dict)
     # Aut(G) sorted by permutation, see automorphisms.enumerate_automorphisms
     automorphisms: list | None = None
+    # the non-identity involutions of Aut(G), sorted by permutation and found
+    # without listing Aut(G), see automorphisms.enumerate_involutory_automorphisms
+    involutions: list | None = None
     # (index, AlphaContext) per involution, see verify._contexts
     contexts: list | None = None
     # the table flattened row by row, see verify._mul_flat

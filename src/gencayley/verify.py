@@ -237,16 +237,30 @@ def _bijection_involutions(group: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def suite_alpha_invariants(max_order: int = 12, brute_limit: int = 8) -> SuiteResult:
+    """The involution list equals Aut(G) filtered to its involutions (and,
+    up to ``brute_limit``, a bijection oracle), inversion is listed where
+    it applies, and the derived sets of every involution are consistent."""
     violations = []
     cases = 0
     for group in catalog(max_order):
         n = group.order
         full = (1 << n) - 1
+        cases += 1
+        listed = [ctx.alpha.perm for _, ctx in _contexts(group)]
+        filtered = [
+            a.perm
+            for a in enumerate_automorphisms(group)
+            if a.squares_to_identity and not a.is_identity
+        ]
+        if listed != filtered:
+            violations.append(
+                f"group={group.id}: involution list {len(listed)} != filtered Aut(G)"
+                f" {len(filtered)} or differs in order"
+            )
         if n <= brute_limit:
             cases += 1
-            listed = sorted(ctx.alpha.perm for _, ctx in _contexts(group))
             oracle = _bijection_involutions(group)
-            if listed != oracle:
+            if sorted(listed) != oracle:
                 violations.append(
                     f"group={group.id}: involution list {len(listed)} != bijection oracle {len(oracle)}"
                 )
@@ -255,9 +269,7 @@ def suite_alpha_invariants(max_order: int = 12, brute_limit: int = 8) -> SuiteRe
             expected_present = group.exponent > 2
             if (inv_auto is not None) != expected_present:
                 violations.append(f"group={group.id}: inversion availability wrong")
-            if inv_auto is not None and not any(
-                ctx.alpha.perm == inv_auto.perm for _, ctx in _contexts(group)
-            ):
+            if inv_auto is not None and inv_auto.perm not in listed:
                 violations.append(f"group={group.id}: inversion missing from enumeration")
         elif reason != "nonabelian":
             violations.append(f"group={group.id}: inversion reason {reason!r}")

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -8,6 +9,7 @@ from gencayley import (
     alpha_context,
     automorphism_from_perm,
     build_group,
+    catalog,
     conjugate_automorphism,
     enumerate_automorphisms,
     enumerate_involutory_automorphisms,
@@ -15,8 +17,14 @@ from gencayley import (
     load_automorphism,
     product_automorphism,
 )
+import gencayley.automorphisms as automorphisms_module
 
 from oracles import involutory_automorphisms_bruteforce
+
+
+def _fresh(spec):
+    """The group of ``spec`` with an empty cache (pickling drops the cache)."""
+    return pickle.loads(pickle.dumps(build_group(spec)))
 
 
 def test_involutions_z6_single(z6):
@@ -52,6 +60,58 @@ def test_include_identity_flag(z6):
     with_id = enumerate_involutory_automorphisms(z6, include_identity=True)
     assert with_id[0].perm == tuple(range(6))
     assert len(with_id) == 2
+    z2_4 = build_group("abelian:2,2,2,2")
+    with_id = enumerate_involutory_automorphisms(z2_4, include_identity=True)
+    assert with_id[0].is_identity
+    assert [a.perm for a in with_id[1:]] == [
+        a.perm for a in enumerate_involutory_automorphisms(z2_4)
+    ]
+
+
+def test_involutions_equal_filtered_aut_on_catalog():
+    # the direct search against the full listing, perm for perm and in order
+    groups = catalog(24)
+    assert "Z2xZ2xZ2xZ2" in {g.id for g in groups}
+    for group in groups:
+        direct = [a.perm for a in enumerate_involutory_automorphisms(group)]
+        filtered = [
+            a.perm
+            for a in enumerate_automorphisms(group)
+            if a.squares_to_identity and not a.is_identity
+        ]
+        assert direct == filtered, group.id
+
+
+def test_involutions_do_not_list_aut():
+    group = _fresh("abelian:2,2,2,2")
+    assert len(enumerate_involutory_automorphisms(group)) == 315
+    assert group.cache.automorphisms is None
+    assert enumerate_involutory_automorphisms(group) is group.cache.involutions
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        # nonzero N with N^2 = 0 over GF(2)^r: sum over ranks k of
+        # [r k]_2 * [r-k k]_2 * |GL(k, 2)|
+        ("abelian:2,2,2,2", 105 + 210),
+        ("abelian:2,2,2,2,2", 465 + 6510),
+    ],
+)
+def test_elementary_abelian_involution_counts(spec, count):
+    alphas = enumerate_involutory_automorphisms(_fresh(spec))
+    assert len(alphas) == count
+    assert all(a.is_involution for a in alphas)
+    assert len({a.perm for a in alphas}) == count
+
+
+def test_leaf_check_raises_without_assert(monkeypatch):
+    # a leaf failing the homomorphism law is an error under -O as well
+    monkeypatch.setattr(automorphisms_module, "_is_homomorphism", lambda group, perm: (1, 1))
+    with pytest.raises(GenCayleyError, match="homomorphism"):
+        enumerate_automorphisms(_fresh("V4"))
+    with pytest.raises(GenCayleyError, match="homomorphism"):
+        enumerate_involutory_automorphisms(_fresh("V4"))
 
 
 def test_inversion_cases(z6, v4):

@@ -133,6 +133,15 @@ def test_cli_sets_without_involutions(capsys):
     assert "no involutory automorphisms" in out
 
 
+def test_cli_aut_list_rank_five(capsys):
+    # |Aut(Z2^5)| is almost 10^7; the listing searches for involutions only
+    code, out, _ = run_cli(capsys, "aut", "list", "--group", "abelian:2,2,2,2,2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].endswith(" involutory_automorphisms=6975")
+    assert len(lines) == 1 + 6975
+
+
 def test_cli_threshold_exit_code(capsys):
     code, _, err = run_cli(capsys, "aut", "list", "--group", "cyclic:99")
     assert code == 3

@@ -14,6 +14,7 @@ from gencayley import (
     cosets,
     decide_subgroup_pc,
     enumerate_automorphisms,
+    enumerate_involutory_automorphisms,
     enumerate_subgroups,
     load_group_file,
     noncommuting_pair,
@@ -180,10 +181,12 @@ def test_cached_cosets_match_recomputation(side):
 def test_pickle_leaves_caches_out():
     group = pickle.loads(pickle.dumps(build_group("dihedral:4")))
     assert group.cache.subgroups == {} and group.cache.automorphisms is None
+    assert group.cache.involutions is None
     before = len(pickle.dumps(group))
     enumerate_subgroups(group)
     enumerate_automorphisms(group)
-    assert group.cache.subgroups and group.cache.automorphisms
+    enumerate_involutory_automorphisms(group)
+    assert group.cache.subgroups and group.cache.automorphisms and group.cache.involutions
     assert len(pickle.dumps(group)) == before
     copy = pickle.loads(pickle.dumps(group))
     assert copy.table == group.table and copy.cache.subgroups == {}
