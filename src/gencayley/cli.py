@@ -350,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="sweep the catalog and emit records")
     p.add_argument("--max-order", type=int, default=DEFAULT_CENSUS_MAX_ORDER)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out", help="output path (default: stdout)")

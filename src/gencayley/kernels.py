@@ -1,47 +1,278 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Bitmask kernels: exact searches and batched route evaluation, used by
+the oracles, the verification suites and the sweeps.
 
-Set ``GENCAYLEY_PURE=1`` in the environment to force the pure-Python
-kernels (used by the benchmark and for debugging).
+All set arguments are bitmasks (bit i = element i); neighbor masks are the
+adjacency rows of a generalized Cayley graph. The code searches prune, and
+return the same lists in the same order as the literal scans over all
+subsets kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import os
+from ._bits import bits, mask_of
 
-from . import _kernels_py
 
-if os.environ.get("GENCAYLEY_PURE"):
-    _impl = _kernels_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
+def scan_codes(nbr_masks, kind: int) -> list[int]:
+    """All vertex subsets that are codes, as ascending masks.
 
-        BACKEND = "compiled"
-    except ImportError:  # extension not built
-        _impl = _kernels_py
-        BACKEND = "python"
+    kind 1: total perfect codes (every vertex has exactly one neighbor in
+    the set); any other kind: perfect codes (members have no neighbor in
+    the set, everyone else exactly one). Both are exact hitting: X is a
+    code iff every vertex v has exactly one member of X in C_v, where C_v
+    is N(v) for total codes and N(v) + {v} for perfect codes (a vertex
+    with a self-loop can then never be a member). The search branches on
+    the lowest vertex whose C_v is not hit yet, over the members of C_v
+    still allowed; choosing x hits every C_v containing x and disallows
+    all of their members. A vertex in no C_v is free and doubles every
+    solution. Pure neighbor counting; no algebraic shortcuts, so this
+    stays an independent oracle.
+    """
+    n = len(nbr_masks)
+    full = (1 << n) - 1
+    total = kind == 1
+    eligible = full  # the vertices that may be members
+    cons = []
+    for v, m in enumerate(nbr_masks):
+        c = m & full
+        if not total:
+            if c >> v & 1:
+                eligible &= ~(1 << v)
+            c |= 1 << v
+        cons.append(c)
+    cover = [0] * n  # cover[x]: the vertices v with x in C_v
+    for v, c in enumerate(cons):
+        for x in bits(c):
+            cover[x] |= 1 << v
+    block = []  # block[x]: members of the constraints that choosing x hits
+    free = 0
+    for x, cv in enumerate(cover):
+        b = 0
+        for v in bits(cv):
+            b |= cons[v]
+        block.append(b)
+        if not cv:  # only in total codes: perfect ones have v in C_v
+            free |= 1 << x
 
-scan_codes = _impl.scan_codes
-scan_subgroup_codes = _impl.scan_subgroup_codes
-scan_check_routes = _impl.scan_check_routes
+    found = []
 
-# verdict bit names re-exported from the reference implementation
-AMO_GRAPH = _kernels_py.AMO_GRAPH
-AMO_TRANSLATES = _kernels_py.AMO_TRANSLATES
-AMO_PRODUCTSET = _kernels_py.AMO_PRODUCTSET
-DOM_GRAPH = _kernels_py.DOM_GRAPH
-DOM_TRANSLATES = _kernels_py.DOM_TRANSLATES
-IND_GRAPH = _kernels_py.IND_GRAPH
-IND_ALGEBRAIC = _kernels_py.IND_ALGEBRAIC
-PC_GRAPH = _kernels_py.PC_GRAPH
-PC_PARTITION = _kernels_py.PC_PARTITION
-PC_ALGEBRAIC = _kernels_py.PC_ALGEBRAIC
-TPC_GRAPH = _kernels_py.TPC_GRAPH
-TPC_PARTITION = _kernels_py.TPC_PARTITION
-TPC_ALGEBRAIC = _kernels_py.TPC_ALGEBRAIC
+    def search(unhit: int, allowed: int, chosen: int) -> None:
+        if not unhit:
+            found.append(chosen)
+            return
+        cand = cons[(unhit & -unhit).bit_length() - 1] & allowed
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length() - 1
+            search(unhit & ~cover[x], allowed & ~block[x], chosen | low)
+
+    search(full, eligible, 0)
+    out = []
+    for chosen in found:
+        sub = free
+        while True:  # every subset of the free vertices
+            out.append(chosen | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    out.sort()
+    return out
+
+
+def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int) -> list[int]:
+    """For each subgroup mask, the least orbit-subset mask whose connection
+    set makes it a code, else -1.
+
+    ``trans_masks`` is flattened ``num_orbits x n``: entry ``o*n + g`` holds
+    the neighbors vertex g gains when pairing-orbit o joins the connection
+    set, and the neighbor mask of g is the OR over the chosen orbits.
+    For one subgroup H, a vertex v sees ``trans & H`` from each orbit; it
+    needs none of H (kind 0 and v in H) or exactly one element of H. An
+    orbit that shows v two elements, or any element when v needs none, can
+    never be chosen and is dropped. The search decides the orbits from the
+    highest index down, leaving each out before putting it in, so the
+    first leaf reached is the least mask. It keeps per vertex the single
+    element reached so far (two orbits reaching v at the same element
+    count once), and prunes when a vertex still short of its element is
+    touched by none of the undecided orbits. Pure neighbor counting, as in
+    :func:`scan_codes`.
+    """
+    m = num_orbits
+    width = max((t.bit_length() for t in trans_masks[: m * n]), default=0)
+    hits = []  # hits[o][e]: the vertices that orbit o shows element e
+    for o in range(m):
+        he = [0] * width
+        for v in range(n):
+            for e in bits(trans_masks[o * n + v]):
+                he[e] |= 1 << v
+        hits.append(he)
+    res = []
+    for hm in h_masks:
+        hbits = bits(hm & ((1 << width) - 1))
+        needy = (1 << n) - 1  # the vertices that need exactly one element of H
+        if kind != 1:
+            needy &= ~hm
+        usable = []  # (orbit, touched vertices, [(element, its vertices), ...])
+        for o, he in enumerate(hits):
+            touch = twice = 0
+            reach = []
+            for e in hbits:
+                r = he[e]
+                if r:
+                    twice |= touch & r
+                    touch |= r
+                    reach.append((e, r))
+            # an orbit that touches nothing is never in the least mask
+            if touch and not twice and not touch & ~needy:
+                usable.append((o, touch, reach))
+        # reachable[k]: the vertices touched by some orbit in usable[:k]
+        reachable = [0]
+        for _, touch, _ in usable:
+            reachable.append(reachable[-1] | touch)
+        seen = [0] * width  # seen[e]: the vertices reached at element e so far
+
+        def search(k: int, reached: int) -> int:
+            if needy & ~(reached | reachable[k]):
+                return -1
+            if not k:
+                return 0
+            k -= 1
+            found = search(k, reached)
+            if found != -1:
+                return found
+            o, touch, reach = usable[k]
+            for e, r in reach:
+                if r & reached & ~seen[e]:
+                    return -1  # some vertex already reached at another element
+            saved = [seen[e] for e, _ in reach]
+            for e, r in reach:
+                seen[e] |= r
+            found = search(k, reached | touch)
+            for (e, _), old in zip(reach, saved):
+                seen[e] = old
+            return -1 if found == -1 else found | 1 << o
+
+        res.append(search(len(usable), 0))
+    return res
+
+
+# verdict bits produced by scan_check_routes, one evaluation route per bit
+AMO_GRAPH = 1 << 0
+AMO_TRANSLATES = 1 << 1
+AMO_PRODUCTSET = 1 << 2
+DOM_GRAPH = 1 << 3
+DOM_TRANSLATES = 1 << 4
+IND_GRAPH = 1 << 5
+IND_ALGEBRAIC = 1 << 6
+PC_GRAPH = 1 << 7
+PC_PARTITION = 1 << 8
+PC_ALGEBRAIC = 1 << 9
+TPC_GRAPH = 1 << 10
+TPC_PARTITION = 1 << 11
+TPC_ALGEBRAIC = 1 << 12
+
+
+def scan_check_routes(n, mul_flat, inv_perm, alpha_perm, s_elems, nbr_masks, x_masks) -> list[int]:
+    """Evaluate every route of the code criteria for a batch of subsets X.
+
+    Returns one verdict int per X mask, with the bit layout of the
+    ``*_GRAPH`` / ``*_PARTITION`` / ... constants above. Callers check that
+    the routes inside each group agree; that agreement is the content of
+    the equivalence suites, so each route has its own per-element table,
+    built from that route's definition and from no other table:
+
+    * graph: ``col[x]``, the vertices v with x in N(v). OR-ing the columns
+      of X, and keeping the vertices hit a second time, tells for every v
+      whether |N(v) & X| is 0, 1 or more.
+    * translates: ``tr[a] = alpha(a)S``. The union over X is alpha(X)S;
+      the translates are disjoint iff it has r|X| elements.
+    * product set: ``ps[a] = {b : alpha(a^-1 b) in SS^-1 - {e}}`` and
+      ``ind[a] = {b : alpha(a^-1)b in S}``. X meets the union of
+      ``ps[a]`` over a in X iff alpha(X^-1 X) meets SS^-1 - {e}, and
+      likewise ``ind`` for alpha(X^-1)X and S.
+
+    Each X then costs O(|X|) big-int operations.
+    """
+    full = (1 << n) - 1
+    r = len(s_elems)
+    verts = range(n)
+    smask = mask_of(s_elems)
+    ss_inv = 0
+    for s1 in s_elems:
+        row = s1 * n
+        for s2 in s_elems:
+            ss_inv |= 1 << mul_flat[row + inv_perm[s2]]
+    ss_inv &= ~1  # without the identity, element 0
+
+    col = [0] * n
+    for v in verts:
+        for x in bits(nbr_masks[v] & full):
+            col[x] |= 1 << v
+    tables = []  # per element a: (col, tr, ps, ind)
+    for a in verts:
+        row = alpha_perm[a] * n
+        tr = 0
+        for s in s_elems:
+            tr |= 1 << mul_flat[row + s]
+        row = inv_perm[a] * n
+        ps = sum(1 << b for b in verts if ss_inv >> alpha_perm[mul_flat[row + b]] & 1)
+        row = alpha_perm[inv_perm[a]] * n
+        ind = sum(1 << b for b in verts if smask >> mul_flat[row + b] & 1)
+        tables.append((col[a], tr, ps, ind))
+
+    out = []
+    for xm in x_masks:
+        once = twice = union = ps_hit = ind_hit = 0
+        mm = xm
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            c, tr, ps, ind = tables[low.bit_length() - 1]
+            twice |= once & c
+            once |= c
+            union |= tr
+            ps_hit |= ps
+            ind_hit |= ind
+        size = xm.bit_count()
+        outside = full ^ xm
+        pc_size = size * (r + 1) == n
+        tpc_size = size * r == n
+        amo_ps = not ps_hit & xm
+        ind_alg = not ind_hit & xm
+        ind_g = not once & xm
+        dom_g = not outside & ~once
+
+        verdict = 0
+        if not twice:
+            verdict |= AMO_GRAPH
+            if once == full:
+                verdict |= TPC_GRAPH
+        if r * size == union.bit_count():
+            verdict |= AMO_TRANSLATES
+        if amo_ps:
+            verdict |= AMO_PRODUCTSET
+            if tpc_size:
+                verdict |= TPC_ALGEBRAIC
+            if pc_size and ind_alg:
+                verdict |= PC_ALGEBRAIC
+        if dom_g:
+            verdict |= DOM_GRAPH
+            if ind_g and not outside & twice:
+                verdict |= PC_GRAPH
+        if not outside & ~union:
+            verdict |= DOM_TRANSLATES
+        if ind_g:
+            verdict |= IND_GRAPH
+        if ind_alg:
+            verdict |= IND_ALGEBRAIC
+        if pc_size and xm | union == full:
+            verdict |= PC_PARTITION
+        if tpc_size and union == full:
+            verdict |= TPC_PARTITION
+        out.append(verdict)
+    return out
 
 
 def backend() -> str:
-    """Which kernel implementation is active: 'compiled' or 'python'."""
-    return BACKEND
+    """The kernel implementation, reported by ``gencayley --version``."""
+    return "python"

@@ -1,65 +1,32 @@
-"""Compiled and pure kernels must be interchangeable; the pure searches must
-return exactly what the literal 2^n scans in ``oracles`` return, and both
-must match the definition-level oracles."""
+"""The pure searches must return exactly what the literal scans in
+``oracles`` return, and both must match the definition-level oracles; the
+batched route kernel must return the verdicts of the literal reference."""
 
-import importlib.util
 import random
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 
 import pytest
 
 from gencayley import (
-    _kernels_py,
     alpha_context,
     automorphism_from_perm,
     build_graph,
     build_group,
     catalog,
+    enumerate_involutory_automorphisms,
     enumerate_subgroups,
     enumerate_subsets,
     inversion_automorphism,
     kernels,
     subset_from_orbit_mask,
 )
-from gencayley.kernels import backend
-from gencayley.verify import _contexts, _mul_flat, _orbit_translate_masks
+from gencayley.verify import CONSISTENT_VERDICTS, _contexts, _mul_flat, _orbit_translate_masks
 
-from oracles import codes_by_definition, scan_codes_bruteforce, scan_subgroup_codes_bruteforce
-
-KERNELS_C = Path(__file__).resolve().parent.parent / "src" / "gencayley" / "_kernels.c"
-
-
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The compiled kernels: an installed build, else the shipped C source
-    built into a temporary directory. The build is loaded without an entry
-    in ``sys.modules``, so the active backend does not change."""
-    try:
-        from gencayley import _kernels
-
-        return _kernels
-    except ImportError:
-        pass
-    gcc = shutil.which("gcc")
-    include = sysconfig.get_paths()["include"]
-    if gcc is None or not Path(include, "Python.h").exists():
-        pytest.skip("extension not built, and no gcc and Python.h to build it")
-    target = tmp_path_factory.mktemp("kernels") / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
-    proc = subprocess.run(
-        [gcc, "-shared", "-fPIC", "-O2", f"-I{include}", str(KERNELS_C), "-o", str(target)],
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode:
-        pytest.fail(f"building {KERNELS_C.name} failed:\n{proc.stderr}")
-    spec = importlib.util.spec_from_file_location("gencayley._kernels", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from oracles import (
+    codes_by_definition,
+    scan_check_routes_literal,
+    scan_codes_bruteforce,
+    scan_subgroup_codes_bruteforce,
+)
 
 
 def _instances(max_order=8):
@@ -79,14 +46,14 @@ def _random_mask(rng, n, density):
 
 
 def test_backend_reports_something():
-    assert backend() in ("compiled", "python")
+    assert kernels.backend() == "python"
 
 
 def test_scan_codes_matches_definition_oracle():
     for group, ctx, subset in _instances():
         graph = build_graph(subset)
         for kind, name in ((0, "perfect"), (1, "total")):
-            masks = _kernels_py.scan_codes(graph.nbr_masks, kind)
+            masks = kernels.scan_codes(graph.nbr_masks, kind)
             expect = {
                 frozenset(c) for c in codes_by_definition(graph.adjacency, name)
             }
@@ -113,7 +80,7 @@ def test_scan_codes_matches_bruteforce_on_random_graphs():
         if rng.random() < 0.2:
             nbr = [m | rng.getrandbits(4) << n for m in nbr]
         for kind in (0, 1):
-            got = _kernels_py.scan_codes(nbr, kind)
+            got = kernels.scan_codes(nbr, kind)
             assert got == scan_codes_bruteforce(nbr, kind), (nbr, kind)
             found += len(got)
     assert found > 500
@@ -141,7 +108,7 @@ def test_scan_subgroup_codes_matches_bruteforce_on_random_translates():
                 trans.append(t)
         h_masks = [0, (1 << n) - 1] + [_random_mask(rng, n, 0.4) for _ in range(4)]
         for kind in (0, 1):
-            got = _kernels_py.scan_subgroup_codes(trans, m, h_masks, n, kind)
+            got = kernels.scan_subgroup_codes(trans, m, h_masks, n, kind)
             assert got == scan_subgroup_codes_bruteforce(trans, m, h_masks, n, kind), (
                 trans, m, h_masks, n, kind,
             )
@@ -156,83 +123,93 @@ def test_kernels_match_bruteforce_on_catalog_to_order_8():
             trans = _orbit_translate_masks(ctx)
             m = len(ctx.tau_orbits)
             for kind in (0, 1):
-                assert _kernels_py.scan_subgroup_codes(
+                assert kernels.scan_subgroup_codes(
                     trans, m, h_masks, group.order, kind
                 ) == scan_subgroup_codes_bruteforce(trans, m, h_masks, group.order, kind)
             for subset in enumerate_subsets(ctx):
                 nbr = build_graph(subset).nbr_masks
                 for kind in (0, 1):
-                    assert _kernels_py.scan_codes(nbr, kind) == scan_codes_bruteforce(nbr, kind)
+                    assert kernels.scan_codes(nbr, kind) == scan_codes_bruteforce(nbr, kind)
 
 
-def test_compiled_build_leaves_backend_alone(compiled):
-    if sys.modules.get("gencayley._kernels") is not compiled:  # built by the fixture
-        assert "gencayley._kernels" not in sys.modules
-        assert kernels.scan_codes is not compiled.scan_codes
+def _route_args(group, ctx, subset, x_masks):
+    return (
+        group.order,
+        _mul_flat(group),
+        group.inv,
+        ctx.alpha.perm,
+        subset.elements,
+        build_graph(subset).nbr_masks,
+        x_masks,
+    )
 
 
-def test_compiled_scan_codes_matches_pure(compiled):
-    for group, ctx, subset in _instances():
-        graph = build_graph(subset)
-        for kind in (0, 1):
-            assert compiled.scan_codes(graph.nbr_masks, kind) == _kernels_py.scan_codes(
-                graph.nbr_masks, kind
-            )
-
-
-def test_compiled_scan_subgroup_codes_matches_pure(compiled):
-    for group in catalog(16):
-        h_masks = [s.mask for s in enumerate_subgroups(group)]
+def test_scan_check_routes_matches_literal_on_catalog_to_order_8():
+    calls = masks = 0
+    for group in catalog(8):
+        x_masks = list(range(1 << group.order))
         for _, ctx in _contexts(group):
-            trans = _orbit_translate_masks(ctx)
-            for kind in (0, 1):
-                got = compiled.scan_subgroup_codes(
-                    trans, len(ctx.tau_orbits), h_masks, group.order, kind
+            for subset in enumerate_subsets(ctx):
+                args = _route_args(group, ctx, subset, x_masks)
+                assert kernels.scan_check_routes(*args) == scan_check_routes_literal(*args), (
+                    group.id, ctx.alpha.perm, subset.elements,
                 )
-                want = _kernels_py.scan_subgroup_codes(
-                    trans, len(ctx.tau_orbits), h_masks, group.order, kind
-                )
-                assert got == want
+                calls += 1
+                masks += len(x_masks)
+    assert (calls, masks) == (617, 148_808)
 
 
-def test_compiled_scan_check_routes_matches_pure(compiled):
-    rng = random.Random(0)
-    for group, ctx, subset in _instances():
-        graph = build_graph(subset)
-        n = group.order
-        xms = [rng.getrandbits(n) for _ in range(64)] + [0, (1 << n) - 1]
-        args = (
-            n,
-            _mul_flat(group),
-            group.inv,
-            ctx.alpha.perm,
-            subset.elements,
-            graph.nbr_masks,
-            xms,
-        )
-        assert compiled.scan_check_routes(*args) == _kernels_py.scan_check_routes(*args)
-
-
-@pytest.mark.parametrize("n", [63, 64])
-def test_compiled_scan_check_routes_matches_pure_at_full_width(compiled, n):
-    # order 64 fills the 64-bit masks, so the all-vertices mask has no spare
-    # bit; order 63 is the control just below it
-    group = build_group(f"cyclic:{n}")
-    rng = random.Random(n)
-    identity = automorphism_from_perm(group, range(n))
-    for alpha in (inversion_automorphism(group)[0], identity):
+# order 64 fills a 64-bit mask, so the all-vertices mask has no spare bit;
+# order 63 is the control just below it, and D16 (order 32) is non-abelian
+@pytest.mark.parametrize("spec", ["cyclic:63", "cyclic:64", "dihedral:16"])
+def test_scan_check_routes_matches_literal_on_random_sets(spec):
+    group = build_group(spec)
+    n = group.order
+    rng = random.Random(spec)
+    alphas = [automorphism_from_perm(group, range(n))]
+    if group.is_abelian:
+        alphas.append(inversion_automorphism(group)[0])
+    else:
+        alphas += rng.sample(enumerate_involutory_automorphisms(group), 2)
+    subgroups = [h.mask for h in enumerate_subgroups(group)]
+    verdicts = set()
+    for alpha in alphas:
         ctx = alpha_context(group, alpha)
         for _ in range(10):
             subset = subset_from_orbit_mask(ctx, rng.getrandbits(len(ctx.tau_orbits)))
-            graph = build_graph(subset)
-            xms = [rng.getrandbits(n) for _ in range(20)] + [0, (1 << n) - 1]
-            args = (
-                n,
-                _mul_flat(group),
-                group.inv,
-                ctx.alpha.perm,
-                subset.elements,
-                graph.nbr_masks,
-                xms,
+            x_masks = [0, (1 << n) - 1] + subgroups
+            x_masks += [rng.getrandbits(n) for _ in range(10)]
+            x_masks += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(10)]
+            x_masks += [sum(1 << x for x in rng.sample(range(n), 2)) for _ in range(5)]
+            args = _route_args(group, ctx, subset, x_masks)
+            got = kernels.scan_check_routes(*args)
+            assert got == scan_check_routes_literal(*args), (alpha.perm, subset.elements)
+            verdicts.update(got)
+            # neighbor masks unrelated to S make the graph route disagree
+            # with the others, which it can only do from its own table
+            noise = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+            args = args[:5] + (noise, x_masks)
+            assert kernels.scan_check_routes(*args) == scan_check_routes_literal(*args), (
+                alpha.perm, subset.elements, noise,
             )
-            assert compiled.scan_check_routes(*args) == _kernels_py.scan_check_routes(*args)
+    assert len(verdicts) >= 6  # the X masks pass and fail several checks
+
+
+def test_verdict_lookup_matches_group_check():
+    def verdict_consistent(verdict: int) -> bool:
+        """The per-check set comparison the lookup replaced."""
+        for route_bits in (
+            (kernels.AMO_GRAPH, kernels.AMO_TRANSLATES, kernels.AMO_PRODUCTSET),
+            (kernels.DOM_GRAPH, kernels.DOM_TRANSLATES),
+            (kernels.IND_GRAPH, kernels.IND_ALGEBRAIC),
+            (kernels.PC_GRAPH, kernels.PC_PARTITION, kernels.PC_ALGEBRAIC),
+            (kernels.TPC_GRAPH, kernels.TPC_PARTITION, kernels.TPC_ALGEBRAIC),
+        ):
+            vals = {bool(verdict & b) for b in route_bits}
+            if len(vals) != 1:
+                return False
+        return True
+
+    assert len(CONSISTENT_VERDICTS) == 32
+    for verdict in range(1 << 13):
+        assert (verdict in CONSISTENT_VERDICTS) == verdict_consistent(verdict), verdict
