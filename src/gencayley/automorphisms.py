@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._bits import mask_of, perm_mask
+from ._bits import mask_of
 from .errors import GenCayleyError, GroupFileError, ThresholdError
 from .groups import FiniteGroup, subgroup_closure
 
@@ -410,7 +410,7 @@ def alpha_context(group: FiniteGroup, alpha: Automorphism) -> AlphaContext:
     big_omega = [g for g in k_set if g not in omega_set]
     mho = [g for g in range(n) if perm[g] != inv[g]]
     fix = [g for g in range(n) if perm[g] == g]
-    ctx = AlphaContext(
+    return AlphaContext(
         alpha=alpha,
         omega=tuple(omega),
         big_omega=tuple(big_omega),
@@ -418,13 +418,3 @@ def alpha_context(group: FiniteGroup, alpha: Automorphism) -> AlphaContext:
         fix=tuple(fix),
         k_set=tuple(k_set),
     )
-    if __debug__:
-        full = (1 << n) - 1
-        assert ctx.omega_mask | ctx.big_omega_mask | ctx.mho_mask == full
-        assert ctx.omega_mask & ctx.big_omega_mask == 0
-        assert (ctx.omega_mask | ctx.big_omega_mask) & ctx.mho_mask == 0
-        assert ctx.omega_mask & 1, "identity always lies in omega"
-        assert perm_mask(perm, ctx.omega_mask) == ctx.omega_mask
-        assert all(ctx.tau(w) == w for w in omega), "tau fixes omega pointwise"
-        assert all(ctx.tau(ctx.tau(x)) == x for x in range(n))
-    return ctx

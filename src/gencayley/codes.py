@@ -1,12 +1,14 @@
 """Perfect codes and total perfect codes in generalized Cayley graphs.
 
-Subset-level deciders evaluate every equivalent formulation (graph
-neighborhoods, translate partitions, algebraic set conditions) and assert
-agreement. Subgroup-level deciders search for a witness connection set by
-backtracking over coset representatives; each witness is re-validated
-against the graph definition before it is returned, and the package's
-verification suites additionally compare every decision against an exact
-search over all connection sets.
+Subset-level deciders evaluate one formulation of the criterion (graph
+neighborhoods, translate partitions or algebraic set conditions), taken
+from the route table in :mod:`graphs`; the mode-agreement suite checks
+that the formulations agree. Subgroup-level deciders search for a witness
+connection set by backtracking over coset representatives; each witness
+passes an explicit transversal certificate before it is returned, and the
+package's verification suites re-validate witnesses against the graph
+definition and compare every decision against an exact search over all
+connection sets.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from ._bits import bits, elems, fmt_set, mask_of, perm_mask, product_mask
+from ._bits import elems, fmt_set, perm_mask
 from .automorphisms import (
     AlphaContext,
     Automorphism,
@@ -25,8 +27,10 @@ from .automorphisms import (
 )
 from .errors import GenCayleyError, ThresholdError
 from .graphs import (
+    ROUTES,
     GenCayleyGraph,
     GenCayleySubset,
+    _as_mask,
     build_graph,
     validate_subset,
 )
@@ -63,51 +67,14 @@ def image_subgroup(alpha: Automorphism, sub: SubgroupHandle) -> SubgroupHandle:
 # subset-level deciders
 
 
-def _translate_union(graph: GenCayleyGraph, xmask: int):
-    """The union of the translates alpha(X)s over s in S, i.e. alpha(X)S."""
-    ax = perm_mask(graph.context.alpha.perm, xmask)
-    return product_mask(graph.group.table, ax, graph.subset.mask)
+_PC_ROUTES = (kernels.PC_GRAPH, kernels.PC_PARTITION, kernels.PC_ALGEBRAIC)
+_TPC_ROUTES = (kernels.TPC_GRAPH, kernels.TPC_PARTITION, kernels.TPC_ALGEBRAIC)
 
 
-def _product_conditions(graph: GenCayleyGraph, xmask: int, no_edge: bool) -> bool:
-    """alpha(X^-1)alpha(X) meets SS^-1 in at most the identity and, when
-    ``no_edge`` is set, alpha(X^-1)X is disjoint from S."""
-    group = graph.group
-    table = group.table
-    alpha = graph.context.alpha.perm
-    sm = graph.subset.mask
-    xinv = perm_mask(group.inv, xmask)
-    if no_edge and product_mask(table, perm_mask(alpha, xinv), xmask) & sm:
-        return False
-    p1 = perm_mask(alpha, product_mask(table, xinv, xmask))
-    ss_inv = product_mask(table, sm, perm_mask(group.inv, sm))
-    return p1 & ss_inv & ~1 == 0
-
-
-def _pc_routes(graph: GenCayleyGraph, xmask: int) -> tuple[bool, bool, bool]:
-    n = graph.group.order
-    r = graph.degree
-    sizex = xmask.bit_count()
-    full = (1 << n) - 1
-
-    independent = True
-    outside_one = True
-    for v in range(n):
-        c = (graph.nbr_masks[v] & xmask).bit_count()
-        if xmask >> v & 1:
-            if c != 0:
-                independent = False
-        elif c != 1:
-            outside_one = False
-    by_graph = independent and outside_one
-
-    union = _translate_union(graph, xmask)
-    # X and the r translates partition G iff their sizes sum to |G| and
-    # their union covers G (each translate has |X| elements)
-    by_partition = sizex * (r + 1) == n and (xmask | union) == full
-
-    by_algebra = sizex * (r + 1) == n and _product_conditions(graph, xmask, no_edge=True)
-    return by_graph, by_partition, by_algebra
+def _route(routes: tuple[int, int, int], mode: str):
+    if mode not in PC_MODES:
+        raise ValueError(f"mode must be one of {PC_MODES}, got {mode!r}")
+    return ROUTES[routes[PC_MODES.index(mode)]]
 
 
 def is_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool:
@@ -116,54 +83,21 @@ def is_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool:
 
     Modes: ``graph`` (neighbor counting), ``partition`` (X together with the
     translates alpha(X)s partitions the vertices), ``algebraic`` (counting
-    plus the two product-set conditions). All three are computed and
-    asserted equal.
+    plus the two product-set conditions).
     """
-    if mode not in PC_MODES:
-        raise ValueError(f"mode must be one of {PC_MODES}, got {mode!r}")
-    xmask = mask_of(int(x) for x in X)
-    if xmask >> graph.group.order:
-        raise ValueError("X contains elements outside the group")
-    routes = _pc_routes(graph, xmask)
-    assert routes[0] == routes[1] == routes[2], f"route disagreement: {routes}"
-    return routes[PC_MODES.index(mode)]
-
-
-def _tpc_routes(graph: GenCayleyGraph, xmask: int) -> tuple[bool, bool, bool]:
-    n = graph.group.order
-    r = graph.degree
-    sizex = xmask.bit_count()
-    full = (1 << n) - 1
-
-    by_graph = all((nm & xmask).bit_count() == 1 for nm in graph.nbr_masks)
-    union = _translate_union(graph, xmask)
-    by_partition = sizex * r == n and union == full
-    by_algebra = sizex * r == n and _product_conditions(graph, xmask, no_edge=False)
-    return by_graph, by_partition, by_algebra
+    return _route(_PC_ROUTES, mode)(graph, _as_mask(graph, X))
 
 
 def is_total_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool:
     """Does every vertex, members of X included, have exactly one neighbor
     in X?
 
-    An empty connection set can never admit one (no vertex has neighbors at
-    all), so the result is then False in every mode. When the answer is
-    True, X induces a perfect matching on itself and has even size; both
-    are asserted.
+    Modes as for :func:`is_perfect_code`, with the translates alone
+    partitioning the vertices. An empty connection set can never admit one
+    (no vertex has neighbors at all), so the result is then False in every
+    mode.
     """
-    if mode not in PC_MODES:
-        raise ValueError(f"mode must be one of {PC_MODES}, got {mode!r}")
-    xmask = mask_of(int(x) for x in X)
-    if xmask >> graph.group.order:
-        raise ValueError("X contains elements outside the group")
-    routes = _tpc_routes(graph, xmask)
-    assert routes[0] == routes[1] == routes[2], f"route disagreement: {routes}"
-    result = routes[PC_MODES.index(mode)]
-    if result:
-        assert xmask.bit_count() % 2 == 0, "total perfect code of odd size"
-        for v in bits(xmask):
-            assert (graph.nbr_masks[v] & xmask).bit_count() == 1
-    return result
+    return _route(_TPC_ROUTES, mode)(graph, _as_mask(graph, X))
 
 
 def brute_force_codes(graph: GenCayleyGraph, kind: str = "perfect") -> list[tuple[int, ...]]:
@@ -209,9 +143,9 @@ def coset_pairing(sub: SubgroupHandle, ctx: AlphaContext) -> CosetPairing:
     Requires alpha to preserve the subgroup. Each coset Hg is sent towards
     H*tau(g); when that target does not depend on the representative the
     coset is self-paired or paired and the induced map is an involution
-    (asserted). Representative-dependent targets can occur for non-normal
-    subgroups; such cosets are reported as ``mixed`` and ``well_defined``
-    is False.
+    (checked; :class:`GenCayleyError` otherwise). Representative-dependent
+    targets can occur for non-normal subgroups; such cosets are reported
+    as ``mixed`` and ``well_defined`` is False.
     """
     group = sub.parent
     if ctx.group is not group:
@@ -233,9 +167,8 @@ def coset_pairing(sub: SubgroupHandle, ctx: AlphaContext) -> CosetPairing:
     if well_defined:
         by_index = {e.coset: e for e in entries}
         for e in entries:
-            assert e.partner is not None
-            back = by_index[e.partner]
-            assert back.partner == e.coset, "coset pairing is not an involution"
+            if by_index[e.partner].partner != e.coset:
+                raise GenCayleyError("coset pairing is not an involution")
     return CosetPairing(dec, tuple(entries), well_defined)
 
 
@@ -340,8 +273,8 @@ def decide_subgroup_pc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
     set, closed under tau. Representatives of self-paired cosets must be
     tau-fixed; a representative sent elsewhere forces its partner. The
     search is deterministic (lowest coset, tau-fixed candidates first, then
-    ascending element index) and every witness is re-validated against the
-    graph definition.
+    ascending element index) and every witness passes
+    :func:`_certify_transversal`.
     """
     group = sub.parent
     if ctx.group is not group:
@@ -356,21 +289,27 @@ def decide_subgroup_pc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
         return CodeWitness(
             sub, "perfect", None, _refutation_reason(ctx, dec, required), (), True
         )
-    subset = validate_subset(ctx, reps.values())
-    witness = CodeWitness(sub, "perfect", subset, None, _classification(ctx, dec, reps), True)
-    if __debug__:
-        _assert_pc_witness(sub, subset, dec)
-    return witness
+    subset = _certify_transversal(ctx, reps.values(), dec, with_identity=True)
+    return CodeWitness(sub, "perfect", subset, None, _classification(ctx, dec, reps), True)
 
 
-def _assert_pc_witness(sub: SubgroupHandle, subset: GenCayleySubset, dec: CosetDecomposition):
-    seen = {0}
+def _certify_transversal(
+    ctx: AlphaContext, elements, dec: CosetDecomposition, with_identity: bool
+) -> GenCayleySubset:
+    """The witness certificate: the elements form a valid connection set S,
+    and S (with the identity when ``with_identity`` is set) meets every
+    coset of ``dec`` exactly once. Costs O(|S|); raises
+    :class:`GenCayleyError` when the certificate fails."""
+    subset = validate_subset(ctx, elements)
+    seen = 1 if with_identity else 0  # bit ci: coset ci already met
     for s in subset.elements:
-        ci = dec.rep_of[s]
-        assert ci not in seen, "two representatives in one coset"
-        seen.add(ci)
-    assert len(seen) == dec.index, "not a transversal"
-    assert is_perfect_code(build_graph(subset), sub.elements)
+        bit = 1 << dec.rep_of[s]
+        if seen & bit:
+            raise GenCayleyError(f"witness meets coset {dec.rep_of[s]} twice")
+        seen |= bit
+    if seen != (1 << dec.index) - 1:
+        raise GenCayleyError("witness is not a transversal of the cosets")
+    return subset
 
 
 def decide_subgroup_tpc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
@@ -379,7 +318,8 @@ def decide_subgroup_tpc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
 
     A witness is a connection set that is a right transversal of the
     alpha-image of the subgroup (every coset, including the image itself,
-    contributes one representative). The subgroup need not be preserved by
+    contributes one representative), certified by
+    :func:`_certify_transversal`. The subgroup need not be preserved by
     alpha; whether it is gets recorded on the witness.
     """
     group = sub.parent
@@ -394,21 +334,8 @@ def decide_subgroup_tpc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
         return CodeWitness(
             sub, "total", None, _refutation_reason(ctx, dec, required), (), preserved
         )
-    subset = validate_subset(ctx, reps.values())
-    witness = CodeWitness(sub, "total", subset, None, _classification(ctx, dec, reps), preserved)
-    if __debug__:
-        _assert_tpc_witness(sub, subset, dec)
-    return witness
-
-
-def _assert_tpc_witness(sub: SubgroupHandle, subset: GenCayleySubset, dec: CosetDecomposition):
-    group = sub.parent
-    assert sorted(dec.rep_of[s] for s in subset.elements) == list(range(dec.index))
-    assert is_total_perfect_code(build_graph(subset), sub.elements)
-    # the inverse set is then a left transversal of the alpha-image
-    image = dec.subgroup
-    left = cosets(group, image, "left")
-    assert sorted(left.rep_of[group.inv[s]] for s in subset.elements) == list(range(left.index))
+    subset = _certify_transversal(ctx, reps.values(), dec, with_identity=False)
+    return CodeWitness(sub, "total", subset, None, _classification(ctx, dec, reps), preserved)
 
 
 def is_gc_transversal(ctx: AlphaContext, sub: SubgroupHandle, T, side: str = "right") -> bool:
@@ -464,7 +391,9 @@ def build_witness_abelian(sub: SubgroupHandle, ctx: AlphaContext) -> GenCayleySu
     Self-paired cosets (alpha(g)*g falls inside the subgroup) contribute
     their least tau-fixed non-loop element; the remaining cosets pair up
     under the coset map and contribute a least element together with its
-    tau-image. Requires :func:`abelian_pc_criterion` to hold.
+    tau-image. Requires :func:`abelian_pc_criterion` to hold; the result
+    passes the same certificate as the witnesses of
+    :func:`decide_subgroup_pc`.
     """
     if not abelian_pc_criterion(sub, ctx):
         raise GenCayleyError("abelian perfect-code criterion not satisfied")
@@ -485,10 +414,7 @@ def build_witness_abelian(sub: SubgroupHandle, ctx: AlphaContext) -> GenCayleySu
             t = ctx.tau(y)
             done.add(dec.rep_of[t])
             chosen.extend((y, t))
-    subset = validate_subset(ctx, chosen)
-    if __debug__:
-        _assert_pc_witness(sub, subset, dec)
-    return subset
+    return _certify_transversal(ctx, chosen, dec, with_identity=True)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +426,12 @@ def _code_pair_holds(sub: SubgroupHandle, subset: GenCayleySubset, kind: str) ->
     if kind == "perfect":
         return is_perfect_code(graph, sub.elements)
     return is_total_perfect_code(graph, sub.elements)
+
+
+def _require_code_pair(sub: SubgroupHandle, subset: GenCayleySubset, kind: str, which: str):
+    """Input check: raise :class:`GenCayleyError` unless the pair is a code."""
+    if not _code_pair_holds(sub, subset, kind):
+        raise GenCayleyError(f"{which} pair is not a {kind} code")
 
 
 def transport_conjugate(
@@ -597,8 +529,8 @@ def verify_product_codes(
     """
     h1, s1 = pc_pair1
     h2, s2 = pc_pair2
-    assert _code_pair_holds(h1, s1, "perfect"), "first pair is not a perfect code"
-    assert _code_pair_holds(h2, s2, "perfect"), "second pair is not a perfect code"
+    _require_code_pair(h1, s1, "perfect", "first")
+    _require_code_pair(h2, s2, "perfect", "second")
 
     prod_group, prod_ctx = _product_context(s1.context, s2.context)
     n2 = h2.parent.order
@@ -618,8 +550,8 @@ def verify_product_codes(
     if evaluated:
         th1, ts1 = tpc_pair1
         th2, ts2 = tpc_pair2
-        assert _code_pair_holds(th1, ts1, "total"), "first pair is not a total code"
-        assert _code_pair_holds(th2, ts2, "total"), "second pair is not a total code"
+        _require_code_pair(th1, ts1, "total", "first")
+        _require_code_pair(th2, ts2, "total", "second")
         tg, tctx = _product_context(ts1.context, ts2.context)
         tn2 = th2.parent.order
         tsub = subgroup(tg, (a * tn2 + b for a in th1.elements for b in th2.elements))
@@ -668,7 +600,8 @@ def restrict_witness(
     The intermediate subgroup becomes a standalone group (elements
     renumbered in ascending order, identity stays 0), alpha restricts to an
     automorphism of it, and the intersected connection set re-validates as
-    a perfect-code witness there.
+    a perfect-code witness there. :class:`GenCayleyError` is raised when
+    the input pair is not a perfect code or the restricted pair fails.
     """
     ctx = subset.context
     group = sub.parent
@@ -678,8 +611,7 @@ def restrict_witness(
         raise GenCayleyError("code subgroup is not contained in the intermediate one")
     if perm_mask(ctx.alpha.perm, inter.mask) != inter.mask:
         raise GenCayleyError("alpha does not preserve the intermediate subgroup")
-    if __debug__:
-        assert _code_pair_holds(sub, subset, "perfect"), "input pair does not validate"
+    _require_code_pair(sub, subset, "perfect", "input")
 
     elements = inter.elements
     local = {g: i for i, g in enumerate(elements)}
@@ -699,7 +631,8 @@ def restrict_witness(
     subset_k = validate_subset(
         ctx_k, (local[s] for s in subset.elements if inter.mask >> s & 1)
     )
-    assert _code_pair_holds(sub_k, subset_k, "perfect"), "restricted pair fails"
+    if not _code_pair_holds(sub_k, subset_k, "perfect"):
+        raise GenCayleyError("restricted pair is not a perfect code")
     return RestrictionResult(k_group, sub_k, subset_k, ctx_k, elements)
 
 
@@ -709,10 +642,6 @@ def restrict_to_normalizer(
     """Restriction with the normalizer as the intermediate subgroup.
 
     When alpha preserves the code subgroup it automatically preserves the
-    normalizer; that is asserted rather than assumed.
+    normalizer; :func:`restrict_witness` checks that rather than assuming it.
     """
-    group = sub.parent
-    ctx = subset.context
-    norm = normalizer(group, sub)
-    assert perm_mask(ctx.alpha.perm, norm.mask) == norm.mask
-    return restrict_witness(sub, subset, norm)
+    return restrict_witness(sub, subset, normalizer(sub.parent, sub))

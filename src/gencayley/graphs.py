@@ -1,4 +1,5 @@
-"""Generalized Cayley graphs and the elementary neighborhood checks.
+"""Generalized Cayley graphs, the route table and the elementary
+neighborhood checks.
 
 Given a group G, an involution ``a`` of Aut(G) and a connection set S, the
 graph has vertex set G and an edge {g, h} whenever ``a(g^-1) * h`` lies in
@@ -6,6 +7,11 @@ S. S must avoid the loop set ``omega`` and be closed under the pairing map
 ``tau: s -> a(s^-1)``; those two conditions make the edge relation
 symmetric and loop-free, and every vertex has exactly |S| neighbors
 ``a(g) * S``.
+
+:data:`ROUTES` defines every evaluation route of the five checks (at most
+one neighbor, domination, independence, perfect and total perfect code)
+once; the checks here and in :mod:`codes`, the verification suites and the
+kernel tests all read it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+from . import kernels
 from ._bits import bits, fmt_set, mask_of, perm_mask, product_mask
 from .automorphisms import AlphaContext
 from .errors import SubsetInvalidError, ThresholdError
@@ -148,7 +155,8 @@ class GenCayleyGraph:
 
 
 def build_graph(subset: GenCayleySubset) -> GenCayleyGraph:
-    """Construct the graph; symmetry, loop-freeness and regularity are asserted."""
+    """Construct the graph; the validity of S makes it loop-free,
+    symmetric and |S|-regular, which the graph-laws suite re-checks."""
     ctx = subset.context
     group = ctx.group
     table = group.table
@@ -159,16 +167,7 @@ def build_graph(subset: GenCayleySubset) -> GenCayleyGraph:
         for row in [table[ag] for ag in ctx.alpha.perm]
     ])
     nbr_masks = tuple([mask_of(nbrs) for nbrs in adjacency])
-    graph = GenCayleyGraph(group, subset, adjacency, nbr_masks)
-    if __debug__:
-        size = subset.size
-        for g, nbrs in enumerate(adjacency):
-            bit = 1 << g
-            assert not nbr_masks[g] & bit, f"loop at vertex {g}"
-            assert len(nbrs) == size, f"vertex {g} not {size}-regular"
-            for h in nbrs:
-                assert nbr_masks[h] & bit, f"asymmetric edge ({g},{h})"
-    return graph
+    return GenCayleyGraph(group, subset, adjacency, nbr_masks)
 
 
 def _as_mask(graph: GenCayleyGraph, X: Iterable[int]) -> int:
@@ -179,38 +178,103 @@ def _as_mask(graph: GenCayleyGraph, X: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the three elementary checks; each computes all its evaluation routes and
-# asserts they agree before returning the requested one
+# the route table: every evaluation route of every check, written once from
+# its definition as a predicate (graph, X mask) -> bool and keyed by its
+# verdict bit in :mod:`kernels`. The public checks evaluate the requested
+# route only; the mode-agreement suite compares the routes of each check
+# with each other and with the batch kernel.
+
+
+def _translates(graph: GenCayleyGraph, xmask: int) -> int:
+    """alpha(X)S, the union of the translates alpha(X)s over s in S."""
+    ax = perm_mask(graph.context.alpha.perm, xmask)
+    return product_mask(graph.group.table, ax, graph.subset.mask)
+
+
+def _amo_graph(graph: GenCayleyGraph, xmask: int) -> bool:
+    return all((nm & xmask).bit_count() <= 1 for nm in graph.nbr_masks)
+
+
+def _amo_translates(graph: GenCayleyGraph, xmask: int) -> bool:
+    # the translates alpha(X)s are pairwise disjoint for distinct s
+    ax = perm_mask(graph.context.alpha.perm, xmask)
+    union = 0
+    for s in graph.subset.elements:
+        t = product_mask(graph.group.table, ax, 1 << s)
+        if union & t:
+            return False
+        union |= t
+    return True
+
+
+def _amo_productset(graph: GenCayleyGraph, xmask: int) -> bool:
+    # alpha(X^-1)alpha(X) meets SS^-1 only in the identity; both products
+    # contain e whenever X and S are nonempty, so "subset of {e}" is the
+    # reading that stays consistent with the graph route on empty inputs
+    group = graph.group
+    sm = graph.subset.mask
+    xinv = perm_mask(group.inv, xmask)
+    p1 = perm_mask(graph.context.alpha.perm, product_mask(group.table, xinv, xmask))
+    ss_inv = product_mask(group.table, sm, perm_mask(group.inv, sm))
+    return not p1 & ss_inv & ~1
+
+
+def _dom_graph(graph: GenCayleyGraph, xmask: int) -> bool:
+    outside = ((1 << graph.group.order) - 1) & ~xmask
+    return all(graph.nbr_masks[v] & xmask for v in bits(outside))
+
+
+def _dom_translates(graph: GenCayleyGraph, xmask: int) -> bool:
+    # X and alpha(X)S together cover G
+    return xmask | _translates(graph, xmask) == (1 << graph.group.order) - 1
+
+
+def _ind_graph(graph: GenCayleyGraph, xmask: int) -> bool:
+    return not any(graph.nbr_masks[v] & xmask for v in bits(xmask))
+
+
+def _ind_algebraic(graph: GenCayleyGraph, xmask: int) -> bool:
+    # alpha(X^-1)X is disjoint from S
+    group = graph.group
+    ax_inv = perm_mask(graph.context.alpha.perm, perm_mask(group.inv, xmask))
+    return not product_mask(group.table, ax_inv, xmask) & graph.subset.mask
+
+
+def _blocks(graph: GenCayleyGraph, xmask: int, k: int) -> bool:
+    """Do k blocks of |X| elements add up to |G|?"""
+    return xmask.bit_count() * k == graph.group.order
+
+
+ROUTES = {
+    kernels.AMO_GRAPH: _amo_graph,
+    kernels.AMO_TRANSLATES: _amo_translates,
+    kernels.AMO_PRODUCTSET: _amo_productset,
+    kernels.DOM_GRAPH: _dom_graph,
+    kernels.DOM_TRANSLATES: _dom_translates,
+    kernels.IND_GRAPH: _ind_graph,
+    kernels.IND_ALGEBRAIC: _ind_algebraic,
+    # perfect code: independent, and every outside vertex has exactly one
+    # neighbor in X; equivalently X and the r translates partition G
+    kernels.PC_GRAPH: lambda g, x: _ind_graph(g, x) and _dom_graph(g, x) and _amo_graph(g, x),
+    kernels.PC_PARTITION: lambda g, x: _blocks(g, x, g.degree + 1) and _dom_translates(g, x),
+    kernels.PC_ALGEBRAIC: lambda g, x: (
+        _blocks(g, x, g.degree + 1) and _ind_algebraic(g, x) and _amo_productset(g, x)
+    ),
+    # total perfect code: every vertex has exactly one neighbor in X;
+    # equivalently the r translates partition G
+    kernels.TPC_GRAPH: lambda g, x: _amo_graph(g, x) and all(nm & x for nm in g.nbr_masks),
+    kernels.TPC_PARTITION: lambda g, x: (
+        _blocks(g, x, g.degree) and _translates(g, x) == (1 << g.group.order) - 1
+    ),
+    kernels.TPC_ALGEBRAIC: lambda g, x: _blocks(g, x, g.degree) and _amo_productset(g, x),
+}
+
+# ---------------------------------------------------------------------------
+# the three elementary checks
+
 
 AMO_MODES = ("graph", "cosets", "product-set")
-
-
-def _amo_routes(graph: GenCayleyGraph, xmask: int) -> tuple[bool, bool, bool]:
-    ctx = graph.context
-    group = graph.group
-    # (graph) neighbor counting
-    by_graph = all((nm & xmask).bit_count() <= 1 for nm in graph.nbr_masks)
-    # (cosets) the translates alpha(X)s are pairwise disjoint for distinct s
-    ax = perm_mask(ctx.alpha.perm, xmask)
-    translates = [
-        product_mask(group.table, ax, 1 << s) for s in graph.subset.elements
-    ]
-    union = 0
-    total = 0
-    for t in translates:
-        union |= t
-        total += t.bit_count()
-    by_translates = total == union.bit_count()
-    # (product-set) alpha(X^-1)alpha(X) meets SS^-1 only in the identity;
-    # both products contain e whenever X and S are nonempty, so "subset of
-    # {e}" is the reading that stays consistent with the graph route on
-    # empty inputs
-    xinv = perm_mask(group.inv, xmask)
-    p1 = perm_mask(ctx.alpha.perm, product_mask(group.table, xinv, xmask))
-    sm = graph.subset.mask
-    ss_inv = product_mask(group.table, sm, perm_mask(group.inv, sm))
-    by_products = p1 & ss_inv & ~1 == 0
-    return by_graph, by_translates, by_products
+_AMO_ROUTES = (kernels.AMO_GRAPH, kernels.AMO_TRANSLATES, kernels.AMO_PRODUCTSET)
 
 
 def check_at_most_one(graph: GenCayleyGraph, X: Iterable[int], mode: str = "graph") -> bool:
@@ -218,57 +282,20 @@ def check_at_most_one(graph: GenCayleyGraph, X: Iterable[int], mode: str = "grap
 
     Three interchangeable evaluations: neighbor counting, pairwise
     disjointness of the translates alpha(X)s, and the product-set test.
-    All three are computed and asserted equal.
     """
     if mode not in AMO_MODES:
         raise ValueError(f"mode must be one of {AMO_MODES}, got {mode!r}")
-    routes = _amo_routes(graph, _as_mask(graph, X))
-    assert routes[0] == routes[1] == routes[2], f"route disagreement: {routes}"
-    return routes[AMO_MODES.index(mode)]
-
-
-def _dominates_routes(graph: GenCayleyGraph, xmask: int) -> tuple[bool, bool]:
-    group = graph.group
-    ctx = graph.context
-    outside = ((1 << group.order) - 1) & ~xmask
-    by_graph = all(
-        graph.nbr_masks[v] & xmask for v in bits(outside)
-    )
-    ax = perm_mask(ctx.alpha.perm, xmask)
-    union = product_mask(group.table, ax, graph.subset.mask)
-    by_union = outside & ~union == 0
-    return by_graph, by_union
+    return ROUTES[_AMO_ROUTES[AMO_MODES.index(mode)]](graph, _as_mask(graph, X))
 
 
 def check_dominates(graph: GenCayleyGraph, X: Iterable[int]) -> bool:
-    """Is every vertex outside X adjacent to at least one member of X?
-
-    Evaluated both by neighbor scanning and by covering with the translate
-    union; the two results are asserted equal.
-    """
-    routes = _dominates_routes(graph, _as_mask(graph, X))
-    assert routes[0] == routes[1], f"route disagreement: {routes}"
-    return routes[0]
-
-
-def _independent_routes(graph: GenCayleyGraph, xmask: int) -> tuple[bool, bool]:
-    group = graph.group
-    ctx = graph.context
-    by_graph = all(
-        graph.nbr_masks[v] & xmask == 0 for v in bits(xmask)
-    )
-    xinv = perm_mask(group.inv, xmask)
-    p2 = product_mask(group.table, perm_mask(ctx.alpha.perm, xinv), xmask)
-    by_algebra = p2 & graph.subset.mask == 0
-    return by_graph, by_algebra
+    """Is every vertex outside X adjacent to at least one member of X?"""
+    return _dom_graph(graph, _as_mask(graph, X))
 
 
 def check_independent(graph: GenCayleyGraph, X: Iterable[int]) -> bool:
-    """Does X span no edge? Graph scan and the algebraic test
-    alpha(X^-1)X disjoint from S, asserted equal."""
-    routes = _independent_routes(graph, _as_mask(graph, X))
-    assert routes[0] == routes[1], f"route disagreement: {routes}"
-    return routes[0]
+    """Does X span no edge?"""
+    return _ind_graph(graph, _as_mask(graph, X))
 
 
 # ---------------------------------------------------------------------------

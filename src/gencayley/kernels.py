@@ -156,7 +156,8 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
     return res
 
 
-# verdict bits produced by scan_check_routes, one evaluation route per bit
+# verdict bits produced by scan_check_routes, one evaluation route per bit;
+# graphs.ROUTES maps each bit to the route's predicate
 AMO_GRAPH = 1 << 0
 AMO_TRANSLATES = 1 << 1
 AMO_PRODUCTSET = 1 << 2
@@ -176,10 +177,12 @@ def scan_check_routes(n, mul_flat, inv_perm, alpha_perm, s_elems, nbr_masks, x_m
     """Evaluate every route of the code criteria for a batch of subsets X.
 
     Returns one verdict int per X mask, with the bit layout of the
-    ``*_GRAPH`` / ``*_PARTITION`` / ... constants above. Callers check that
-    the routes inside each group agree; that agreement is the content of
-    the equivalence suites, so each route has its own per-element table,
-    built from that route's definition and from no other table:
+    ``*_GRAPH`` / ``*_PARTITION`` / ... constants above; bit b must equal
+    the predicate ``graphs.ROUTES[b]``, which is the one definition of each
+    route. Callers check that the routes inside each group agree; that
+    agreement is the content of the equivalence suites, so each route has
+    its own per-element table, built from that route's definition and from
+    no other table:
 
     * graph: ``col[x]``, the vertices v with x in N(v). OR-ing the columns
       of X, and keeping the vertices hit a second time, tells for every v

@@ -13,10 +13,10 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from . import kernels
-from ._bits import bits, elems, fmt_set, mask_of, perm_mask
+from ._bits import elems, fmt_set, mask_of, perm_mask
 from .automorphisms import (
     alpha_context,
     Automorphism,
@@ -26,6 +26,7 @@ from .automorphisms import (
 )
 from .census import catalog, census_records
 from .codes import (
+    PC_MODES,
     abelian_pc_criterion,
     alpha_preserves,
     build_witness_abelian,
@@ -40,7 +41,13 @@ from .codes import (
     verify_product_codes,
 )
 from .errors import GenCayleyError
-from .graphs import build_graph, count_subsets, enumerate_subsets, subset_from_orbit_mask, validate_subset
+from .graphs import (
+    ROUTES,
+    build_graph,
+    count_subsets,
+    enumerate_subsets,
+    subset_from_orbit_mask,
+)
 from .groups import (
     FiniteGroup,
     _first_axiom_violation,
@@ -131,8 +138,8 @@ def suite_group_axioms(max_order: int = 24) -> SuiteResult:
     return SuiteResult("group-axioms", cases, violations)
 
 
-# groups whose whole subgroup lattice is 2-generated, so the two-generator
-# closure oracle below is complete for them
+# groups whose whole subgroup lattice is 2-generated, so the closure oracle
+# below is complete for them with two generators
 TWO_GENERATED_SPECS = (
     "cyclic:6",
     "V4",
@@ -147,14 +154,13 @@ TWO_GENERATED_SPECS = (
 )
 
 
-def two_generator_subgroup_oracle(group: FiniteGroup) -> set[tuple[int, ...]]:
-    """Independent subgroup enumeration: close every set of at most two
-    generators."""
+def subgroups_by_generators(group: FiniteGroup, max_generators: int) -> set[tuple[int, ...]]:
+    """Independent subgroup enumeration: close every set of at most
+    ``max_generators`` generators."""
     found = {(0,)}
-    for g in range(group.order):
-        found.add(subgroup_closure(group, (g,)))
-        for h in range(g + 1, group.order):
-            found.add(subgroup_closure(group, (g, h)))
+    for k in range(1, max_generators + 1):
+        for gens in combinations(range(group.order), k):
+            found.add(subgroup_closure(group, gens))
     return found
 
 
@@ -165,7 +171,7 @@ def suite_subgroup_oracle(specs=TWO_GENERATED_SPECS) -> SuiteResult:
         group = build_group(spec)
         cases += 1
         listed = {s.elements for s in enumerate_subgroups(group)}
-        oracle = two_generator_subgroup_oracle(group)
+        oracle = subgroups_by_generators(group, 2)
         if listed != oracle:
             violations.append(
                 f"group={group.id}: enumeration {len(listed)} != oracle {len(oracle)}"
@@ -217,7 +223,7 @@ def suite_coset_partitions(max_order: int = 12) -> SuiteResult:
     return SuiteResult("coset-partitions", cases, violations)
 
 
-def _bijection_involutions(group: FiniteGroup) -> list[tuple[int, ...]]:
+def involutions_by_bijections(group: FiniteGroup) -> list[tuple[int, ...]]:
     """Brute-force oracle: all involutory automorphisms by scanning every
     bijection fixing the identity. Only sensible for tiny groups."""
     n = group.order
@@ -239,7 +245,10 @@ def _bijection_involutions(group: FiniteGroup) -> list[tuple[int, ...]]:
 def suite_alpha_invariants(max_order: int = 12, brute_limit: int = 8) -> SuiteResult:
     """The involution list equals Aut(G) filtered to its involutions (and,
     up to ``brute_limit``, a bijection oracle), inversion is listed where
-    it applies, and the derived sets of every involution are consistent."""
+    it applies, and the derived sets of every involution are consistent:
+    omega, big_omega and mho partition G, the identity lies in omega,
+    alpha maps omega onto itself, and tau is an involution that fixes omega
+    pointwise and maps its complement onto itself."""
     violations = []
     cases = 0
     for group in catalog(max_order):
@@ -259,7 +268,7 @@ def suite_alpha_invariants(max_order: int = 12, brute_limit: int = 8) -> SuiteRe
             )
         if n <= brute_limit:
             cases += 1
-            oracle = _bijection_involutions(group)
+            oracle = involutions_by_bijections(group)
             if sorted(listed) != oracle:
                 violations.append(
                     f"group={group.id}: involution list {len(listed)} != bijection oracle {len(oracle)}"
@@ -279,14 +288,18 @@ def suite_alpha_invariants(max_order: int = 12, brute_limit: int = 8) -> SuiteRe
                 ctx.omega_mask | ctx.big_omega_mask | ctx.mho_mask == full
                 and ctx.omega_mask & ctx.big_omega_mask == 0
                 and (ctx.omega_mask | ctx.big_omega_mask) & ctx.mho_mask == 0
+                and ctx.omega_mask & 1
                 and perm_mask(ctx.alpha.perm, ctx.omega_mask) == ctx.omega_mask
             )
-            # tau is an involution and maps the complement of omega onto itself
-            outside = full & ~ctx.omega_mask
+            # tau is an involution, fixes omega pointwise and maps the
+            # complement of omega onto itself
             for x in range(n):
                 if ctx.tau(ctx.tau(x)) != x:
                     ok = False
-                if outside >> x & 1 and not outside >> ctx.tau(x) & 1:
+                if ctx.omega_mask >> x & 1:
+                    if ctx.tau(x) != x:
+                        ok = False
+                elif ctx.omega_mask >> ctx.tau(x) & 1:
                     ok = False
             if mask_of(ctx.k_set) != ctx.omega_mask | ctx.big_omega_mask:
                 ok = False
@@ -311,7 +324,7 @@ def suite_graph_laws(max_order: int = 12) -> SuiteResult:
                 continue
             for subset in enumerate_subsets(ctx):
                 cases += 1
-                graph = build_graph(subset)  # construction asserts the laws
+                graph = build_graph(subset)  # which does not check the laws itself
                 ok = True
                 for g in range(n):
                     nm = graph.nbr_masks[g]
@@ -343,35 +356,10 @@ CONSISTENT_VERDICTS = frozenset(
 
 
 def _reference_verdict(graph, xmask: int) -> int:
-    """Recompute one verdict with the reference (non-kernel) routines."""
-    from .codes import _pc_routes, _tpc_routes
-    from .graphs import _amo_routes, _dominates_routes, _independent_routes
-
+    """Recompute one verdict from the route table, one predicate per bit."""
     verdict = 0
-    amo = _amo_routes(graph, xmask)
-    dom = _dominates_routes(graph, xmask)
-    ind = _independent_routes(graph, xmask)
-    pc = _pc_routes(graph, xmask)
-    tpc = _tpc_routes(graph, xmask)
-    for value, bit in zip(
-        amo + dom + ind + pc + tpc,
-        (
-            kernels.AMO_GRAPH,
-            kernels.AMO_TRANSLATES,
-            kernels.AMO_PRODUCTSET,
-            kernels.DOM_GRAPH,
-            kernels.DOM_TRANSLATES,
-            kernels.IND_GRAPH,
-            kernels.IND_ALGEBRAIC,
-            kernels.PC_GRAPH,
-            kernels.PC_PARTITION,
-            kernels.PC_ALGEBRAIC,
-            kernels.TPC_GRAPH,
-            kernels.TPC_PARTITION,
-            kernels.TPC_ALGEBRAIC,
-        ),
-    ):
-        if value:
+    for bit, route in ROUTES.items():
+        if route(graph, xmask):
             verdict |= bit
     return verdict
 
@@ -385,9 +373,10 @@ def suite_mode_agreement(
 ) -> SuiteResult:
     """Every evaluation route of every check agrees on every tested X.
 
-    Exhaustive over X for groups up to ``exhaustive_limit``; seeded random
-    X above that. A deterministic subsample is recomputed with the
-    reference routines to keep the batch kernel honest.
+    Exhaustive over X for groups up to ``exhaustive_limit``; above that,
+    every subgroup and then seeded random X, ``samples`` in all. A
+    deterministic subsample is recomputed from the route table in
+    :mod:`graphs` to keep the batch kernel honest.
     """
     violations = []
     cases = 0
@@ -396,6 +385,7 @@ def suite_mode_agreement(
         if n < 2:
             continue
         mul_flat = _mul_flat(group)
+        h_masks = [h.mask for h in enumerate_subgroups(group)]
         for ai, ctx in _contexts(group):
             for subset in enumerate_subsets(ctx):
                 graph = build_graph(subset)
@@ -403,7 +393,7 @@ def suite_mode_agreement(
                     xms = list(range(1 << n))
                 else:
                     rng = random.Random(_mix_seed(seed, group.id, ai, subset.mask))
-                    xms = [rng.getrandbits(n) for _ in range(samples)]
+                    xms = (h_masks + [rng.getrandbits(n) for _ in range(samples)])[:samples]
                 verdicts = kernels.scan_check_routes(
                     n,
                     mul_flat,
@@ -449,6 +439,8 @@ def _orbit_translate_masks(ctx) -> list[int]:
 def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
     violations = []
     cases = 0
+    decide = decide_subgroup_pc if kind == 0 else decide_subgroup_tpc
+    is_code = is_perfect_code if kind == 0 else is_total_perfect_code
     for group in catalog(max_order):
         subs = enumerate_subgroups(group)
         h_masks = [s.mask for s in subs]
@@ -459,29 +451,23 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
             )
             for sub, orbit_mask in zip(subs, found):
                 cases += 1
-                witness = (
-                    decide_subgroup_pc(sub, ctx)
-                    if kind == 0
-                    else decide_subgroup_tpc(sub, ctx)
-                )
+                witness = decide(sub, ctx)
+                where = f"group={group.id} alpha={ai} H={fmt_set(sub.elements)}:"
                 if witness.success != (orbit_mask != -1):
                     violations.append(
-                        f"group={group.id} alpha={ai} H={fmt_set(sub.elements)}:"
-                        f" decide={witness.success} oracle={orbit_mask != -1}"
+                        f"{where} decide={witness.success} oracle={orbit_mask != -1}"
                     )
                     continue
                 if orbit_mask != -1:
+                    if not is_code(build_graph(witness.subset), sub.elements):
+                        violations.append(
+                            f"{where} decider witness S={fmt_set(witness.subset.elements)} fails"
+                        )
                     subset = subset_from_orbit_mask(ctx, orbit_mask)
                     graph = build_graph(subset)
-                    ok = (
-                        is_perfect_code(graph, sub.elements)
-                        if kind == 0
-                        else is_total_perfect_code(graph, sub.elements)
-                    )
-                    if not ok:
+                    if not all(is_code(graph, sub.elements, mode) for mode in PC_MODES):
                         violations.append(
-                            f"group={group.id} alpha={ai} H={fmt_set(sub.elements)}:"
-                            f" oracle witness S={fmt_set(subset.elements)} fails"
+                            f"{where} oracle witness S={fmt_set(subset.elements)} fails"
                         )
                     elif kind == 0:
                         # every perfect-code pair forces alpha-invariance of
@@ -490,21 +476,21 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
                             subset.mask & image_subgroup(ctx.alpha, sub).mask
                         ):
                             violations.append(
-                                f"group={group.id} alpha={ai} H={fmt_set(sub.elements)}:"
-                                " oracle witness breaks the invariance audit"
+                                f"{where} oracle witness breaks the invariance audit"
                             )
     return SuiteResult(name, cases, violations)
 
 
 def suite_pc_oracle(max_order: int = 16) -> SuiteResult:
     """decide_subgroup_pc agrees with an exact search over every
-    connection set, and both witnesses re-validate."""
+    connection set; its witness re-validates by the graph route, and the
+    search's witness by all three routes."""
     return _suite_code_oracle("pc-oracle", 0, max_order)
 
 
 def suite_tpc_oracle(max_order: int = 16) -> SuiteResult:
     """decide_subgroup_tpc agrees with an exact search over every
-    connection set."""
+    connection set, with the witnesses re-validated as in the pc suite."""
     return _suite_code_oracle("tpc-oracle", 1, max_order)
 
 
@@ -531,7 +517,7 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
                 if predicted:
                     try:
                         subset = build_witness_abelian(sub, ctx)
-                    except AssertionError:  # its own re-validation, when asserts run
+                    except GenCayleyError:  # its own transversal certificate
                         subset = None
                     if subset is None or not (
                         is_perfect_code(build_graph(subset), sub.elements)
@@ -545,9 +531,11 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
 
 
 def suite_census_audits(max_order: int = 24, workers: int = 1) -> SuiteResult:
-    """Census booleans re-validate and every perfect-code hit passes the
+    """Census booleans re-validate, the census witnesses are the deciders'
+    and pass the graph definition, every perfect-code hit passes the
     subgroup-code audits (alpha-invariance, transversal on both sides,
-    the exclusions for tau-moved connection elements)."""
+    the exclusions for tau-moved connection elements), and the inverse of
+    every total-code witness is a left transversal of alpha(H)."""
     violations = []
     cases = 0
     groups = {g.id: g for g in catalog(max_order)}
@@ -569,15 +557,17 @@ def suite_census_audits(max_order: int = 24, workers: int = 1) -> SuiteResult:
         if pc.success != rec.is_pc or tpc.success != rec.is_tpc:
             violations.append(f"{where}: census booleans do not re-validate")
             continue
-        if pc.success and rec.pc_witness != pc.subset.elements:
+        if (pc.success and rec.pc_witness != pc.subset.elements) or (
+            tpc.success and rec.tpc_witness != tpc.subset.elements
+        ):
             violations.append(f"{where}: census witness differs from decider")
             continue
         if rec.is_pc:
-            s_mask = mask_of(rec.pc_witness)
-            image = image_subgroup(ctx.alpha, sub)
+            if not is_perfect_code(build_graph(pc.subset), rec.subgroup):
+                violations.append(f"{where}: witness fails re-validation")
             if not alpha_preserves(ctx.alpha, sub):
                 violations.append(f"{where}: perfect-code hit without alpha(H)=H")
-            if s_mask & image.mask:
+            if pc.subset.mask & image_subgroup(ctx.alpha, sub).mask:
                 violations.append(f"{where}: witness meets alpha(H)")
             if not is_gc_transversal(ctx, sub, rec.pc_witness + (0,), "right"):
                 violations.append(f"{where}: witness not a right transversal")
@@ -592,9 +582,13 @@ def suite_census_audits(max_order: int = 24, workers: int = 1) -> SuiteResult:
                 if dec.rep_of[ctx.tau(s)] == dec.rep_of[s]:
                     violations.append(f"{where}: tau(s) shares the coset of s={s}")
         if rec.is_tpc:
-            subset = validate_subset(ctx, rec.tpc_witness)
-            if not is_total_perfect_code(build_graph(subset), rec.subgroup):
+            if not is_total_perfect_code(build_graph(tpc.subset), rec.subgroup):
                 violations.append(f"{where}: total witness fails re-validation")
+            left = cosets(group, image_subgroup(ctx.alpha, sub), "left")
+            if sorted(left.rep_of[group.inv[s]] for s in rec.tpc_witness) != list(
+                range(left.index)
+            ):
+                violations.append(f"{where}: inverse total witness not a left transversal")
     return SuiteResult("census-audits", cases, violations)
 
 
@@ -603,8 +597,7 @@ def suite_transports(max_order: int = 12) -> SuiteResult:
     re-validates, for both code kinds, over all admissible (g, beta).
 
     A failed re-validation raises :class:`GenCayleyError`, also under
-    ``python -O``; an ``AssertionError`` from a route-agreement check
-    counts as a violation too."""
+    ``python -O``."""
     violations = []
     cases = 0
     for group in catalog(max_order):
@@ -626,13 +619,13 @@ def suite_transports(max_order: int = 12) -> SuiteResult:
                         cases += 1
                         try:
                             transport_conjugate(sub, subset, g, kind)
-                        except (GenCayleyError, AssertionError):
+                        except GenCayleyError:
                             violations.append(f"{where}: conjugation by {g} fails")
                     for beta in autos:
                         cases += 1
                         try:
                             tsub, tset, tctx = transport_automorphism(sub, subset, beta, kind)
-                        except (GenCayleyError, AssertionError):
+                        except GenCayleyError:
                             violations.append(f"{where}: transport by beta fails")
                             continue
                         # combined form: conjugate the transported pair by
@@ -641,7 +634,7 @@ def suite_transports(max_order: int = 12) -> SuiteResult:
                             cases += 1
                             try:
                                 transport_conjugate(tsub, tset, g, kind)
-                            except (GenCayleyError, AssertionError):
+                            except GenCayleyError:
                                 violations.append(
                                     f"{where}: combined transport (beta, g={g}) fails"
                                 )

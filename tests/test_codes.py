@@ -1,3 +1,10 @@
+import ast
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from gencayley import (
@@ -318,6 +325,25 @@ def test_verify_product_codes_z4(z4, z4_ctx):
     assert not report.tpc_amended_evaluated
 
 
+def test_non_code_pairs_are_refused(z6, z6_ctx):
+    sub = subgroup(z6, [0, 3])
+    code = (sub, decide_subgroup_pc(sub, z6_ctx).subset)
+    total = (sub, decide_subgroup_tpc(sub, z6_ctx).subset)
+    edgeless = (sub, validate_subset(z6_ctx, []))  # no outside vertex is dominated
+    with pytest.raises(GenCayleyError, match="first pair is not a perfect code"):
+        verify_product_codes(edgeless, code)
+    with pytest.raises(GenCayleyError, match="second pair is not a perfect code"):
+        verify_product_codes(code, edgeless)
+    with pytest.raises(GenCayleyError, match="first pair is not a total code"):
+        verify_product_codes(code, code, code, total)
+    with pytest.raises(GenCayleyError, match="second pair is not a total code"):
+        verify_product_codes(code, code, total, code)
+    with pytest.raises(GenCayleyError, match="input pair is not a perfect code"):
+        restrict_witness(*edgeless, subgroup(z6, range(6)))
+    with pytest.raises(GenCayleyError, match="input pair is not a perfect code"):
+        restrict_to_normalizer(*edgeless)
+
+
 def test_verify_product_codes_amended(z6, z6_ctx, z4, z4_ctx):
     pc_pair = (subgroup(z4, [0, 2]), decide_subgroup_pc(subgroup(z4, [0, 2]), z4_ctx).subset)
     tpc_sub = subgroup(z6, [0, 3])
@@ -396,28 +422,34 @@ def test_pc_hits_preserve_subgroup_and_miss_image():
                     assert not set(w.subset.elements) & set(image.elements)
 
 
-@pytest.mark.skipif(not __debug__, reason="witness re-validation runs only without -O")
-@pytest.mark.parametrize("decide", [decide_subgroup_pc, decide_subgroup_tpc])
-def test_corrupted_witness_is_caught(monkeypatch, z6, z6_ctx, decide):
-    search = codes_module._search_transversal
+def drop_one_pair(search):
+    """A transversal search whose answers are valid connection sets that no
+    longer meet every coset."""
 
-    def drop_one_pair(ctx, dec, required):
-        # a valid connection set that no longer meets every coset
+    def corrupted(ctx, dec, required):
         reps = search(ctx, dec, required)
         x = reps.pop(max(reps))
         reps.pop(dec.rep_of[ctx.tau(x)], None)
         return reps
 
+    return corrupted
+
+
+@pytest.mark.parametrize("decide", [decide_subgroup_pc, decide_subgroup_tpc])
+def test_corrupted_witness_is_caught(monkeypatch, z6, z6_ctx, decide):
     sub = subgroup(z6, [0, 3])
     assert decide(sub, z6_ctx).success
-    monkeypatch.setattr(codes_module, "_search_transversal", drop_one_pair)
-    with pytest.raises(AssertionError):
+    monkeypatch.setattr(
+        codes_module, "_search_transversal", drop_one_pair(codes_module._search_transversal)
+    )
+    with pytest.raises(GenCayleyError, match="not a transversal"):
         decide(sub, z6_ctx)
 
 
 def test_abelian_suite_checks_the_returned_witness(monkeypatch):
     # the empty set is a valid connection set but a code only of the whole
-    # group; nothing asserts, so only the suite's own checks can see it
+    # group; the stand-in skips the certificate, so only the suite's own
+    # checks can see it
     assert verify_module.suite_abelian_criterion(max_order=4).ok
     monkeypatch.setattr(
         verify_module, "build_witness_abelian", lambda sub, ctx: validate_subset(ctx, ())
@@ -439,3 +471,63 @@ def test_failed_transport_raises_and_is_reported(monkeypatch, z6, z6_ctx):
         transport_automorphism(sub, subset, z6_ctx.alpha)
     res = verify_module.suite_transports(max_order=4)
     assert res.cases and len(res.violations) == res.cases
+
+
+# ---------------------------------------------------------------------------
+# checks mean the same under python -O
+
+
+def test_checks_raise_under_optimize_flag():
+    # the same faults as above, in an interpreter that strips assert
+    code = textwrap.dedent(
+        """
+        import gencayley, gencayley.codes as codes
+        from test_codes import drop_one_pair
+        assert False, "assert statements must be stripped"
+        z6 = gencayley.build_group("cyclic:6")
+        ctx = gencayley.alpha_context(z6, gencayley.inversion_automorphism(z6)[0])
+        sub = gencayley.subgroup(z6, [0, 3])
+        edgeless = (sub, gencayley.validate_subset(ctx, []))
+        codes._search_transversal = drop_one_pair(codes._search_transversal)
+        calls = [
+            lambda: gencayley.decide_subgroup_pc(sub, ctx),
+            lambda: gencayley.decide_subgroup_tpc(sub, ctx),
+            lambda: gencayley.verify_product_codes(edgeless, edgeless),
+            lambda: gencayley.restrict_witness(*edgeless, sub),
+        ]
+        for call in calls:
+            try:
+                call()
+                print("returned")
+            except gencayley.GenCayleyError as exc:
+                print(exc)
+        """
+    )
+    package_root = Path(codes_module.__file__).parent.parent
+    path = os.pathsep.join([str(package_root), str(Path(__file__).parent)])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out == [
+        "witness is not a transversal of the cosets",
+        "witness is not a transversal of the cosets",
+        "first pair is not a perfect code",
+        "input pair is not a perfect code",
+    ]
+
+
+def test_package_has_no_debug_only_code():
+    # code under __debug__ vanishes with -O, so a check there would not
+    # mean the same in both interpreters
+    src = Path(codes_module.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "__debug__"
+    ]
+    assert not found

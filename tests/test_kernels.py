@@ -1,7 +1,9 @@
 """The pure searches must return exactly what the literal scans in
 ``oracles`` return, and both must match the definition-level oracles; the
-batched route kernel must return the verdicts of the literal reference."""
+batched route kernel must return, bit for bit, the verdicts of the route
+table ``graphs.ROUTES``."""
 
+import dataclasses
 import random
 
 import pytest
@@ -19,14 +21,15 @@ from gencayley import (
     kernels,
     subset_from_orbit_mask,
 )
-from gencayley.verify import CONSISTENT_VERDICTS, _contexts, _mul_flat, _orbit_translate_masks
-
-from oracles import (
-    codes_by_definition,
-    scan_check_routes_literal,
-    scan_codes_bruteforce,
-    scan_subgroup_codes_bruteforce,
+from gencayley.verify import (
+    CONSISTENT_VERDICTS,
+    _contexts,
+    _mul_flat,
+    _orbit_translate_masks,
+    _reference_verdict,
 )
+
+from oracles import codes_by_definition, scan_codes_bruteforce, scan_subgroup_codes_bruteforce
 
 
 def _instances(max_order=8):
@@ -132,26 +135,31 @@ def test_kernels_match_bruteforce_on_catalog_to_order_8():
                     assert kernels.scan_codes(nbr, kind) == scan_codes_bruteforce(nbr, kind)
 
 
-def _route_args(group, ctx, subset, x_masks):
-    return (
+def _kernel_verdicts(graph, x_masks):
+    group = graph.group
+    return kernels.scan_check_routes(
         group.order,
         _mul_flat(group),
         group.inv,
-        ctx.alpha.perm,
-        subset.elements,
-        build_graph(subset).nbr_masks,
+        graph.context.alpha.perm,
+        graph.subset.elements,
+        graph.nbr_masks,
         x_masks,
     )
 
 
-def test_scan_check_routes_matches_literal_on_catalog_to_order_8():
+def _table_verdicts(graph, x_masks):
+    return [_reference_verdict(graph, xm) for xm in x_masks]
+
+
+def test_scan_check_routes_matches_table_on_catalog_to_order_8():
     calls = masks = 0
     for group in catalog(8):
         x_masks = list(range(1 << group.order))
         for _, ctx in _contexts(group):
             for subset in enumerate_subsets(ctx):
-                args = _route_args(group, ctx, subset, x_masks)
-                assert kernels.scan_check_routes(*args) == scan_check_routes_literal(*args), (
+                graph = build_graph(subset)
+                assert _kernel_verdicts(graph, x_masks) == _table_verdicts(graph, x_masks), (
                     group.id, ctx.alpha.perm, subset.elements,
                 )
                 calls += 1
@@ -162,7 +170,7 @@ def test_scan_check_routes_matches_literal_on_catalog_to_order_8():
 # order 64 fills a 64-bit mask, so the all-vertices mask has no spare bit;
 # order 63 is the control just below it, and D16 (order 32) is non-abelian
 @pytest.mark.parametrize("spec", ["cyclic:63", "cyclic:64", "dihedral:16"])
-def test_scan_check_routes_matches_literal_on_random_sets(spec):
+def test_scan_check_routes_matches_table_on_random_sets(spec):
     group = build_group(spec)
     n = group.order
     rng = random.Random(spec)
@@ -181,15 +189,15 @@ def test_scan_check_routes_matches_literal_on_random_sets(spec):
             x_masks += [rng.getrandbits(n) for _ in range(10)]
             x_masks += [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(10)]
             x_masks += [sum(1 << x for x in rng.sample(range(n), 2)) for _ in range(5)]
-            args = _route_args(group, ctx, subset, x_masks)
-            got = kernels.scan_check_routes(*args)
-            assert got == scan_check_routes_literal(*args), (alpha.perm, subset.elements)
+            graph = build_graph(subset)
+            got = _kernel_verdicts(graph, x_masks)
+            assert got == _table_verdicts(graph, x_masks), (alpha.perm, subset.elements)
             verdicts.update(got)
-            # neighbor masks unrelated to S make the graph route disagree
-            # with the others, which it can only do from its own table
+            # neighbor masks unrelated to S make the graph routes disagree
+            # with the others, which they can only do from their own table
             noise = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
-            args = args[:5] + (noise, x_masks)
-            assert kernels.scan_check_routes(*args) == scan_check_routes_literal(*args), (
+            noisy = dataclasses.replace(graph, nbr_masks=tuple(noise))
+            assert _kernel_verdicts(noisy, x_masks) == _table_verdicts(noisy, x_masks), (
                 alpha.perm, subset.elements, noise,
             )
     assert len(verdicts) >= 6  # the X masks pass and fail several checks
