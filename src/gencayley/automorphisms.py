@@ -26,7 +26,7 @@ from functools import cached_property
 
 from ._bits import mask_of
 from .errors import GenCayleyError, GroupFileError, ThresholdError
-from .groups import FiniteGroup, subgroup_closure
+from .groups import FiniteGroup, _right_generators
 
 AUT_ENUM_LIMIT = 48
 
@@ -82,7 +82,12 @@ def _is_homomorphism(group: FiniteGroup, perm) -> tuple[int, int] | None:
 
 
 def automorphism_from_perm(group: FiniteGroup, perm) -> Automorphism:
-    perm = tuple(int(x) for x in perm)
+    perm = tuple(perm)
+    # bool is an int subclass, and truncating a float or parsing a string
+    # would accept a map the caller never wrote
+    bad = next((i for i, x in enumerate(perm) if type(x) is not int), None)
+    if bad is not None:
+        raise GenCayleyError(f"entry {bad} = {perm[bad]!r} is not an integer")
     if len(perm) != group.order or sorted(perm) != list(range(group.order)):
         raise GenCayleyError(f"not a permutation of 0..{group.order - 1}: {perm}")
     if perm[0] != 0:
@@ -93,32 +98,21 @@ def automorphism_from_perm(group: FiniteGroup, perm) -> Automorphism:
     return Automorphism(perm, group)
 
 
-def _generating_sequence(group: FiniteGroup) -> list[int]:
-    """Greedy generating set: repeatedly adjoin the smallest missing element."""
-    gens: list[int] = []
-    closed = (0,)
-    while len(closed) < group.order:
-        cset = set(closed)
-        g = next(x for x in range(group.order) if x not in cset)
-        gens.append(g)
-        closed = subgroup_closure(group, gens)
-    return gens
-
-
 def _search_automorphisms(group: FiniteGroup, involutive: bool) -> list[Automorphism]:
     """Generator-image search for Aut(G), or for its involutions.
 
-    Images are chosen for a greedy generating sequence and propagated
-    through products, with pruning on element order and on
-    partial-homomorphism consistency. In involutive mode every binding
-    x -> v also binds v -> x, so an image that is already taken prunes the
-    branch at once, and the identity leaf is skipped. Every leaf is
-    checked against the whole table. Results are sorted by permutation.
+    Images are chosen for a greedy generating sequence (the least element
+    not yet generated, repeatedly) and propagated through products, with
+    pruning on element order and on partial-homomorphism consistency. In
+    involutive mode every binding x -> v also binds v -> x, so an image
+    that is already taken prunes the branch at once, and the identity leaf
+    is skipped. Every leaf is checked against the whole table. Results are
+    sorted by permutation.
     """
     n = group.order
     table = group.table
     orders = group.element_orders
-    gens = _generating_sequence(group)
+    gens = _right_generators(table, n)
     by_order: dict[int, list[int]] = {}
     for x in range(n):
         by_order.setdefault(orders[x], []).append(x)

@@ -108,7 +108,26 @@ class CensusRecord:
 
 
 def _task_records(args) -> list[CensusRecord]:
+    """The records of one involution, or the placeholder record of a group
+    without involutions (``perm`` is None)."""
     group, alpha_index, perm, subgroup_sets = args
+    if perm is None:
+        return [
+            CensusRecord(
+                group_id=group.id,
+                group_order=group.order,
+                alpha_index=None,
+                subgroup=None,
+                alpha_preserves_subgroup=None,
+                is_pc=None,
+                pc_witness=None,
+                pc_refutation=None,
+                is_tpc=None,
+                tpc_witness=None,
+                tpc_refutation=None,
+                note="no-involutory-automorphisms",
+            )
+        ]
     alpha = Automorphism(perm, group)
     ctx = alpha_context(group, alpha)
     records = []
@@ -149,31 +168,15 @@ def census_records(
     order, so the output is identical for any worker count.
     """
     tasks = []
-    placeholders = {}
-    order_keys = []
     for group in catalog(max_order):
         alphas = enumerate_involutory_automorphisms(group)
         if not alphas:
-            placeholders[group.id] = CensusRecord(
-                group_id=group.id,
-                group_order=group.order,
-                alpha_index=None,
-                subgroup=None,
-                alpha_preserves_subgroup=None,
-                is_pc=None,
-                pc_witness=None,
-                pc_refutation=None,
-                is_tpc=None,
-                tpc_witness=None,
-                tpc_refutation=None,
-                note="no-involutory-automorphisms",
-            )
-            order_keys.append(("placeholder", group.id))
+            tasks.append((group, None, None, ()))
             continue
         subgroup_sets = tuple(s.elements for s in enumerate_subgroups(group))
-        for idx, alpha in enumerate(alphas):
-            tasks.append((group, idx, alpha.perm, subgroup_sets))
-            order_keys.append(("task", len(tasks) - 1))
+        tasks.extend(
+            (group, idx, alpha.perm, subgroup_sets) for idx, alpha in enumerate(alphas)
+        )
 
     if workers <= 1:
         task_results = [_task_records(t) for t in tasks]
@@ -181,14 +184,7 @@ def census_records(
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             task_results = list(pool.map(_task_records, tasks, chunksize=chunk))
-
-    records: list[CensusRecord] = []
-    for kind, key in order_keys:
-        if kind == "placeholder":
-            records.append(placeholders[key])
-        else:
-            records.extend(task_results[key])
-    return records
+    return [record for records in task_results for record in records]
 
 
 CSV_COLUMNS = [

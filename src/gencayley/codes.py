@@ -3,12 +3,17 @@
 Subset-level deciders evaluate one formulation of the criterion (graph
 neighborhoods, translate partitions or algebraic set conditions), taken
 from the route table in :mod:`graphs`; the mode-agreement suite checks
-that the formulations agree. Subgroup-level deciders search for a witness
-connection set by backtracking over coset representatives; each witness
-passes an explicit transversal certificate before it is returned, and the
-package's verification suites re-validate witnesses against the graph
-definition and compare every decision against an exact search over all
-connection sets.
+that the formulations agree.
+
+Subgroup-level deciders evaluate one criterion in two forms. Take S
+closed under tau and disjoint from the loop set. A subgroup H is a perfect
+code of some graph GC(G, S, alpha) exactly when alpha(H) = H and
+{e} union S is a right transversal of H; it is a total perfect code
+exactly when S is a right transversal of alpha(H). One backtracking search
+over coset representatives decides both; each witness passes an explicit
+transversal certificate before it is returned, and the package's
+verification suites re-validate witnesses against the graph definition and
+compare every decision against an exact search over all connection sets.
 """
 
 from __future__ import annotations
@@ -198,23 +203,21 @@ class CodeWitness:
         return self.subset is not None
 
 
-def _rep_candidates(ctx: AlphaContext, coset: tuple[int, ...]) -> list[int]:
-    # tau-fixed elements first: a self-consistent representative is always
-    # preferable and matches the deterministic construction rule
-    big_omega, mho = ctx.big_omega_mask, ctx.mho_mask
-    return [x for x in coset if big_omega >> x & 1] + [x for x in coset if mho >> x & 1]
-
-
 def _search_transversal(
     ctx: AlphaContext, dec: CosetDecomposition, required: list[int]
 ) -> dict[int, int] | None:
     """One representative per required coset, avoiding the loop set, with
     the whole choice closed under tau. Deterministic depth-first search:
-    lowest unassigned coset first, candidates in `_rep_candidates` order."""
+    lowest unassigned coset first; each coset's candidates are its
+    tau-fixed non-loop elements (big_omega), which need no partner, then
+    its tau-moved ones (mho), each group in ascending order."""
     coset_of = dec.rep_of
     tau = ctx.tau_perm
-    required_set = set(required)
-    cands = {ci: _rep_candidates(ctx, dec.cosets[ci]) for ci in required}
+    cands: dict[int, list[int]] = {ci: [] for ci in required}
+    for x in ctx.big_omega + ctx.mho:
+        choices = cands.get(coset_of[x])
+        if choices is not None:
+            choices.append(x)
     reps: dict[int, int] = {}
 
     def extend() -> bool:
@@ -232,7 +235,7 @@ def _search_transversal(
                     return True
                 del reps[target]
             else:
-                if cy not in required_set or cy in reps:
+                if cy not in cands or cy in reps:
                     continue
                 reps[target] = x
                 reps[cy] = y
@@ -256,43 +259,6 @@ def _refutation_reason(ctx: AlphaContext, dec: CosetDecomposition, required) -> 
     return REFUTATION_EXHAUSTED
 
 
-def _classification(ctx: AlphaContext, dec: CosetDecomposition, reps: dict[int, int]):
-    out = []
-    for ci in sorted(reps):
-        rep = reps[ci]
-        out.append((ci, dec.rep_of[ctx.tau(rep)], rep))
-    return tuple(out)
-
-
-def decide_subgroup_pc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
-    """Is the subgroup a perfect code of some graph induced by this
-    involution? Returns a witness connection set or a refutation.
-
-    A witness is a connection set S with {e} union S a right transversal of
-    the subgroup: one representative per nontrivial coset, outside the loop
-    set, closed under tau. Representatives of self-paired cosets must be
-    tau-fixed; a representative sent elsewhere forces its partner. The
-    search is deterministic (lowest coset, tau-fixed candidates first, then
-    ascending element index) and every witness passes
-    :func:`_certify_transversal`.
-    """
-    group = sub.parent
-    if ctx.group is not group:
-        raise GenCayleyError("context group does not match the subgroup's parent")
-    preserved = alpha_preserves(ctx.alpha, sub)
-    if not preserved:
-        return CodeWitness(sub, "perfect", None, REFUTATION_ALPHA, (), False)
-    dec = cosets(group, sub, "right")
-    required = list(range(1, dec.index))
-    reps = _search_transversal(ctx, dec, required)
-    if reps is None:
-        return CodeWitness(
-            sub, "perfect", None, _refutation_reason(ctx, dec, required), (), True
-        )
-    subset = _certify_transversal(ctx, reps.values(), dec, with_identity=True)
-    return CodeWitness(sub, "perfect", subset, None, _classification(ctx, dec, reps), True)
-
-
 def _certify_transversal(
     ctx: AlphaContext, elements, dec: CosetDecomposition, with_identity: bool
 ) -> GenCayleySubset:
@@ -312,30 +278,59 @@ def _certify_transversal(
     return subset
 
 
-def decide_subgroup_tpc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
-    """Is the subgroup a total perfect code of some graph induced by this
-    involution?
+def _decide(sub: SubgroupHandle, ctx: AlphaContext, kind: str) -> CodeWitness:
+    """The one decision flow behind both subgroup-level deciders.
 
-    A witness is a connection set that is a right transversal of the
-    alpha-image of the subgroup (every coset, including the image itself,
-    contributes one representative), certified by
-    :func:`_certify_transversal`. The subgroup need not be preserved by
-    alpha; whether it is gets recorded on the witness.
+    A witness for ``kind`` is a connection set S such that T is a right
+    transversal of alpha(H), where T = {e} union S for a perfect code and
+    T = S for a total perfect code. A perfect code also needs alpha(H) = H,
+    so its search runs on the cosets of H itself, with coset 0 covered by e.
     """
     group = sub.parent
     if ctx.group is not group:
         raise GenCayleyError("context group does not match the subgroup's parent")
     preserved = alpha_preserves(ctx.alpha, sub)
-    image = image_subgroup(ctx.alpha, sub)
+    perfect = kind == "perfect"
+    if perfect and not preserved:
+        return CodeWitness(sub, kind, None, REFUTATION_ALPHA, (), False)
+    image = sub if preserved else image_subgroup(ctx.alpha, sub)
     dec = cosets(group, image, "right")
-    required = list(range(dec.index))
+    required = list(range(1 if perfect else 0, dec.index))
     reps = _search_transversal(ctx, dec, required)
     if reps is None:
-        return CodeWitness(
-            sub, "total", None, _refutation_reason(ctx, dec, required), (), preserved
-        )
-    subset = _certify_transversal(ctx, reps.values(), dec, with_identity=False)
-    return CodeWitness(sub, "total", subset, None, _classification(ctx, dec, reps), preserved)
+        reason = _refutation_reason(ctx, dec, required)
+        return CodeWitness(sub, kind, None, reason, (), preserved)
+    subset = _certify_transversal(ctx, reps.values(), dec, with_identity=perfect)
+    classification = tuple(
+        (ci, dec.rep_of[ctx.tau(reps[ci])], reps[ci]) for ci in sorted(reps)
+    )
+    return CodeWitness(sub, kind, subset, None, classification, preserved)
+
+
+def decide_subgroup_pc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
+    """Is the subgroup H a perfect code of some graph induced by this
+    involution? Returns a witness connection set or a refutation.
+
+    H is one exactly when alpha(H) = H and some connection set S makes
+    {e} union S a right transversal of H: S avoids the loop set, is closed
+    under tau, and meets each nontrivial right coset once. The search is
+    deterministic (lowest coset first, tau-fixed candidates before tau-moved
+    ones, each in ascending element order) and every witness passes
+    :func:`_certify_transversal`.
+    """
+    return _decide(sub, ctx, "perfect")
+
+
+def decide_subgroup_tpc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
+    """Is the subgroup H a total perfect code of some graph induced by this
+    involution?
+
+    H is one exactly when some connection set S is a right transversal of
+    alpha(H), with the same search and certificate as
+    :func:`decide_subgroup_pc`. H need not be preserved by alpha; whether
+    it is gets recorded on the witness.
+    """
+    return _decide(sub, ctx, "total")
 
 
 def is_gc_transversal(ctx: AlphaContext, sub: SubgroupHandle, T, side: str = "right") -> bool:

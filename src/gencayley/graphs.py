@@ -113,11 +113,7 @@ def enumerate_subsets(
                 sm &= sm - 1
             if total != size_filter:
                 continue
-        chosen: list[int] = []
-        for i, orbit in enumerate(orbits):
-            if om >> i & 1:
-                chosen.extend(orbit)
-        yield GenCayleySubset(tuple(sorted(chosen)), ctx)
+        yield subset_from_orbit_mask(ctx, om)
 
 
 def subset_from_orbit_mask(ctx: AlphaContext, orbit_mask: int) -> GenCayleySubset:

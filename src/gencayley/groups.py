@@ -401,8 +401,11 @@ def group_from_table(data: dict, source: str = "<table>") -> FiniteGroup:
     name = data["name"]
     order = data["order"]
     table = data["table"]
-    if not isinstance(order, int) or order < 1:
-        raise GroupFileError(f"{source}: field 'order' must be a positive integer")
+    # bool is an int subclass; JSON true and false are not integers here
+    if type(order) is not int or order < 1:
+        raise GroupFileError(
+            f"{source}: field 'order' must be a positive integer, got {order!r}"
+        )
     if not isinstance(table, list) or len(table) != order:
         raise GroupFileError(
             f"{source}: field 'table' must have {order} rows, got "
@@ -412,9 +415,10 @@ def group_from_table(data: dict, source: str = "<table>") -> FiniteGroup:
         if not isinstance(row, list) or len(row) != order:
             raise GroupFileError(f"{source}: field 'table' row {i} must have {order} entries")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not (0 <= v < order):
+            if type(v) is not int or not 0 <= v < order:
                 raise GroupFileError(
-                    f"{source}: field 'table' entry [{i}][{j}] = {v!r} out of range 0..{order - 1}"
+                    f"{source}: field 'table' entry [{i}][{j}] = {v!r} is not an integer"
+                    f" in 0..{order - 1}"
                 )
     names = data.get("names")
     if names is not None:

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gencayley
 from gencayley.census import catalog, census_records, emit_report
@@ -92,6 +95,13 @@ def test_optimize_flag_does_not_change_bytes():
     ]
     assert outputs[0] == outputs[1]
     assert outputs[0] == emit_report(census_records(12)).encode()
+    # the witnesses themselves are pinned: a decider that finds another
+    # valid witness changes these bytes
+    assert len(outputs[0].splitlines()) == 831
+    assert len(outputs[0]) == 235_810
+    assert hashlib.sha256(outputs[0]).hexdigest() == (
+        "fef5c695561dab7d796fa352af390781f31686d83e6f272fe0728a497b5a1088"
+    )
 
 
 def test_cli_decide_example(capsys):
@@ -188,6 +198,29 @@ def test_cli_group_file(tmp_path, capsys):
     assert "group=my-z6" in out
     code, _, err = run_cli(capsys, "sets", "--group-file", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, payload, fragment",
+    [
+        # int() would truncate 5.9 and parse "4", giving the inversion of Z6
+        ("--alpha", {"perm": [0, 5.9, "4", 3, 2, 1]}, "field 'perm': entry 1 = 5.9 is not"),
+        ("--group-file", {"name": "b", "order": True, "table": [[False]]}, "'order' must"),
+        (
+            "--group-file",
+            {"name": "b", "order": 2, "table": [[0, True], [True, 0]]},
+            "field 'table' entry [0][1] = True is not",
+        ),
+    ],
+    ids=["perm-float-and-string", "order-bool", "table-entry-bool"],
+)
+def test_cli_rejects_non_integer_file_fields(tmp_path, capsys, flag, payload, fragment):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    group = ["--group", "cyclic:6"] if flag == "--alpha" else []
+    code, out, err = run_cli(capsys, "sets", *group, flag, str(path))
+    assert code == 2 and out == ""
+    assert fragment in err
 
 
 def test_cli_census_csv_out(tmp_path, capsys):
