@@ -254,7 +254,7 @@ def cmd_verify(args) -> int:
     failed = False
     for res in results:
         status = "ok" if res.ok else "FAIL"
-        print(f"{status:4} {res.name} ({res.cases} cases)")
+        print(f"{status:4} {res.name} ({res.cases} cases, {res.seconds:.2f} s)")
         if not res.ok:
             failed = True
             print(f"     counterexample: {res.violations[0]}")

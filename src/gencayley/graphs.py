@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from . import kernels
-from ._bits import bits, fmt_set, mask_of, perm_mask, product_mask
+from ._bits import bits, elems, fmt_set, mask_of, perm_mask, product_mask
 from .automorphisms import AlphaContext
 from .errors import SubsetInvalidError, ThresholdError
 from .groups import FiniteGroup
@@ -126,11 +126,11 @@ def subset_from_orbit_mask(ctx: AlphaContext, orbit_mask: int) -> GenCayleySubse
 
 @dataclass(eq=False)
 class GenCayleyGraph:
-    """Simple |S|-regular graph on the group elements."""
+    """Simple |S|-regular graph on the group elements, stored as one
+    neighbor mask per vertex: bit h of ``nbr_masks[g]`` means g ~ h."""
 
     group: FiniteGroup
     subset: GenCayleySubset
-    adjacency: tuple[tuple[int, ...], ...]
     nbr_masks: tuple[int, ...]
 
     @property
@@ -140,6 +140,11 @@ class GenCayleyGraph:
     @property
     def context(self) -> AlphaContext:
         return self.subset.context
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbors of each vertex in ascending order, from the masks."""
+        return tuple([elems(m) for m in self.nbr_masks])
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -154,16 +159,17 @@ def build_graph(subset: GenCayleySubset) -> GenCayleyGraph:
     """Construct the graph; the validity of S makes it loop-free,
     symmetric and |S|-regular, which the graph-laws suite re-checks."""
     ctx = subset.context
-    group = ctx.group
-    table = group.table
+    table = ctx.group.table
     elements = subset.elements
     # vertex g is joined to alpha(g) * s for every s in the connection set
-    adjacency = tuple([
-        tuple(sorted([row[s] for s in elements]))
-        for row in [table[ag] for ag in ctx.alpha.perm]
-    ])
-    nbr_masks = tuple([mask_of(nbrs) for nbrs in adjacency])
-    return GenCayleyGraph(group, subset, adjacency, nbr_masks)
+    nbr_masks = []
+    for ag in ctx.alpha.perm:
+        row = table[ag]
+        m = 0
+        for s in elements:
+            m |= 1 << row[s]
+        nbr_masks.append(m)
+    return GenCayleyGraph(ctx.group, subset, tuple(nbr_masks))
 
 
 def _as_mask(graph: GenCayleyGraph, X: Iterable[int]) -> int:

@@ -216,6 +216,16 @@ def _right_generators(table, order: int) -> list[int]:
     return gens
 
 
+def _repeated_name(names) -> tuple[int, int] | None:
+    """The first (i, j), i < j, with ``names[i] == names[j]``, or None."""
+    first = {}
+    for j, name in enumerate(names):
+        if name in first:
+            return first[name], j
+        first[name] = j
+    return None
+
+
 def _finish_group(table, gid: str, names=None) -> FiniteGroup:
     order = len(table)
     if order == 0:
@@ -233,6 +243,9 @@ def _finish_group(table, gid: str, names=None) -> FiniteGroup:
         names = tuple(str(s) for s in names)
         if len(names) != order:
             raise GroupValidationError("names", (len(names), order), "length mismatch")
+        repeat = _repeated_name(names)
+        if repeat is not None:
+            raise GroupValidationError("names", repeat, "duplicate name")
     return FiniteGroup(
         order=order,
         table=tuple(tuple(row) for row in table),
@@ -425,6 +438,12 @@ def group_from_table(data: dict, source: str = "<table>") -> FiniteGroup:
         if not isinstance(names, list) or len(names) != order:
             raise GroupFileError(f"{source}: field 'names' must list {order} strings")
         names = [str(s) for s in names]
+        repeat = _repeated_name(names)
+        if repeat is not None:
+            i, j = repeat
+            raise GroupFileError(
+                f"{source}: field 'names' repeats {names[i]!r} at indexes {i} and {j}"
+            )
 
     identity = None
     for e in range(order):

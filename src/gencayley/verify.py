@@ -11,12 +11,13 @@ a :class:`SuiteResult`; an empty violation list means the suite passed.
 from __future__ import annotations
 
 import random
+import time
 import zlib
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from . import kernels
-from ._bits import elems, fmt_set, mask_of, perm_mask
+from ._bits import bits, elems, fmt_set, mask_of, perm_mask
 from .automorphisms import (
     alpha_context,
     Automorphism,
@@ -43,6 +44,8 @@ from .codes import (
 from .errors import GenCayleyError
 from .graphs import (
     ROUTES,
+    GenCayleyGraph,
+    GenCayleySubset,
     build_graph,
     count_subsets,
     enumerate_subsets,
@@ -65,6 +68,7 @@ class SuiteResult:
     name: str
     cases: int
     violations: list[str]
+    seconds: float = 0.0  # wall time, filled in by run_all
 
     @property
     def ok(self) -> bool:
@@ -81,6 +85,15 @@ def _mul_flat(group: FiniteGroup) -> list[int]:
     if cache.mul_flat is None:
         cache.mul_flat = [v for row in group.table for v in row]
     return cache.mul_flat
+
+
+def _graph_of(graphs: dict, subset: GenCayleySubset) -> GenCayleyGraph:
+    """The graph of ``subset``, built once per connection set: ``graphs``
+    is a suite's dict for one involution context, keyed by ``elements``."""
+    graph = graphs.get(subset.elements)
+    if graph is None:
+        graph = graphs[subset.elements] = build_graph(subset)
+    return graph
 
 
 def _contexts(group: FiniteGroup):
@@ -313,7 +326,10 @@ def suite_alpha_invariants(max_order: int = 12, brute_limit: int = 8) -> SuiteRe
 
 
 def suite_graph_laws(max_order: int = 12) -> SuiteResult:
-    """Every graph over the catalog is loop-free, symmetric and |S|-regular."""
+    """Every graph over the catalog is loop-free, symmetric and |S|-regular.
+
+    The laws are read off the neighbor masks: no vertex has its own bit,
+    every mask has |S| bits set, and every neighbor's mask has the vertex."""
     violations = []
     cases = 0
     for group in catalog(max_order):
@@ -328,9 +344,9 @@ def suite_graph_laws(max_order: int = 12) -> SuiteResult:
                 ok = True
                 for g in range(n):
                     nm = graph.nbr_masks[g]
-                    if nm >> g & 1 or len(graph.adjacency[g]) != subset.size:
+                    if nm >> g & 1 or nm.bit_count() != subset.size:
                         ok = False
-                    for h in graph.adjacency[g]:
+                    for h in bits(nm):
                         if not graph.nbr_masks[h] >> g & 1:
                             ok = False
                 if not ok:
@@ -445,6 +461,7 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
         subs = enumerate_subgroups(group)
         h_masks = [s.mask for s in subs]
         for ai, ctx in _contexts(group):
+            graphs = {}
             trans = _orbit_translate_masks(ctx)
             found = kernels.scan_subgroup_codes(
                 trans, len(ctx.tau_orbits), h_masks, group.order, kind
@@ -459,12 +476,12 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
                     )
                     continue
                 if orbit_mask != -1:
-                    if not is_code(build_graph(witness.subset), sub.elements):
+                    if not is_code(_graph_of(graphs, witness.subset), sub.elements):
                         violations.append(
                             f"{where} decider witness S={fmt_set(witness.subset.elements)} fails"
                         )
                     subset = subset_from_orbit_mask(ctx, orbit_mask)
-                    graph = build_graph(subset)
+                    graph = _graph_of(graphs, subset)
                     if not all(is_code(graph, sub.elements, mode) for mode in PC_MODES):
                         violations.append(
                             f"{where} oracle witness S={fmt_set(subset.elements)} fails"
@@ -504,6 +521,7 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
             continue
         subs = enumerate_subgroups(group)
         for ai, ctx in _contexts(group):
+            graphs = {}
             for sub in subs:
                 cases += 1
                 predicted = abelian_pc_criterion(sub, ctx)
@@ -520,7 +538,7 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
                     except GenCayleyError:  # its own transversal certificate
                         subset = None
                     if subset is None or not (
-                        is_perfect_code(build_graph(subset), sub.elements)
+                        is_perfect_code(_graph_of(graphs, subset), sub.elements)
                         and is_gc_transversal(ctx, sub, subset.elements + (0,))
                     ):
                         violations.append(
@@ -539,17 +557,18 @@ def suite_census_audits(max_order: int = 24, workers: int = 1) -> SuiteResult:
     violations = []
     cases = 0
     groups = {g.id: g for g in catalog(max_order)}
-    ctx_cache = {}
+    key = None
     records = census_records(max_order, workers=workers)
+    # the records of one involution context are contiguous
     for rec in records:
         if rec.alpha_index is None:
             continue
         cases += 1
         group = groups[rec.group_id]
-        key = (rec.group_id, rec.alpha_index)
-        if key not in ctx_cache:
-            ctx_cache[key] = _contexts(group)[rec.alpha_index][1]
-        ctx = ctx_cache[key]
+        if key != (rec.group_id, rec.alpha_index):
+            key = (rec.group_id, rec.alpha_index)
+            ctx = _contexts(group)[rec.alpha_index][1]
+            graphs = {}
         sub = subgroup(group, rec.subgroup)
         pc = decide_subgroup_pc(sub, ctx)
         tpc = decide_subgroup_tpc(sub, ctx)
@@ -563,7 +582,7 @@ def suite_census_audits(max_order: int = 24, workers: int = 1) -> SuiteResult:
             violations.append(f"{where}: census witness differs from decider")
             continue
         if rec.is_pc:
-            if not is_perfect_code(build_graph(pc.subset), rec.subgroup):
+            if not is_perfect_code(_graph_of(graphs, pc.subset), rec.subgroup):
                 violations.append(f"{where}: witness fails re-validation")
             if not alpha_preserves(ctx.alpha, sub):
                 violations.append(f"{where}: perfect-code hit without alpha(H)=H")
@@ -582,7 +601,7 @@ def suite_census_audits(max_order: int = 24, workers: int = 1) -> SuiteResult:
                 if dec.rep_of[ctx.tau(s)] == dec.rep_of[s]:
                     violations.append(f"{where}: tau(s) shares the coset of s={s}")
         if rec.is_tpc:
-            if not is_total_perfect_code(build_graph(tpc.subset), rec.subgroup):
+            if not is_total_perfect_code(_graph_of(graphs, tpc.subset), rec.subgroup):
                 violations.append(f"{where}: total witness fails re-validation")
             left = cosets(group, image_subgroup(ctx.alpha, sub), "left")
             if sorted(left.rep_of[group.inv[s]] for s in rec.tpc_witness) != list(
@@ -848,5 +867,8 @@ def run_all(max_order: int | None = None, seed: int = 0) -> list[SuiteResult]:
             # the full run extends the exhaustive-X window to order 10, which
             # covers the code-mode equivalence suite at its stated scale
             kwargs["exhaustive_limit"] = 10
-        results.append(fn(**kwargs))
+        started = time.perf_counter()
+        result = fn(**kwargs)
+        result.seconds = time.perf_counter() - started
+        results.append(result)
     return results

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +224,22 @@ def test_cli_rejects_non_integer_file_fields(tmp_path, capsys, flag, payload, fr
     assert fragment in err
 
 
+def test_cli_rejects_duplicate_element_names(tmp_path, capsys):
+    # with the last name winning, --S a would parse as element 2
+    path = tmp_path / "z3dup.json"
+    path.write_text(
+        json.dumps(
+            {"name": "Z3dup", "order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+             "names": ["e", "a", "a"]}
+        )
+    )
+    code, out, err = run_cli(
+        capsys, "graph", "build", "--group-file", str(path), "--alpha", "0", "--S", "a"
+    )
+    assert code == 2 and out == ""
+    assert "field 'names' repeats 'a' at indexes 1 and 2" in err
+
+
 def test_cli_census_csv_out(tmp_path, capsys):
     out_path = tmp_path / "census.csv"
     code, out, _ = run_cli(
@@ -238,3 +255,11 @@ def test_cli_verify_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-order", "6")
     assert code == 0
     assert "ok   pc-oracle" in out
+
+
+def test_cli_verify_times_every_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-order", "4")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 15
+    assert all(re.fullmatch(r"ok   [a-z-]+ \(\d+ cases, \d+\.\d\d s\)", line) for line in lines), out

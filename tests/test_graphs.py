@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from gencayley import (
@@ -6,6 +8,7 @@ from gencayley import (
     alpha_context,
     build_graph,
     build_group,
+    catalog,
     check_at_most_one,
     check_dominates,
     check_independent,
@@ -84,6 +87,26 @@ def test_graphs_match_edge_rule_oracle(spec):
         for subset in enumerate_subsets(ctx):
             graph = build_graph(subset)
             assert edges(graph) == gc_edges_by_rule(group, ctx.alpha.perm, subset.elements)
+
+
+def test_graph_masks_and_adjacency_follow_the_definition():
+    # vertex g is joined to alpha(g) * s for every s in S
+    for group in catalog(8):
+        for _, ctx in _contexts(group):
+            for subset in enumerate_subsets(ctx):
+                graph = build_graph(subset)
+                for g in range(group.order):
+                    nbrs = {group.table[ctx.alpha.perm[g]][s] for s in subset.elements}
+                    assert graph.nbr_masks[g] == sum(1 << h for h in nbrs)
+                    assert graph.adjacency[g] == tuple(sorted(nbrs))
+
+
+def test_replaced_masks_derive_their_own_adjacency(z6_ctx):
+    graph = build_graph(validate_subset(z6_ctx, [1, 5]))
+    assert graph.adjacency[0] == (1, 5)
+    other = dataclasses.replace(graph, nbr_masks=(0b110, 0, 0, 0, 0, 1))
+    assert other.adjacency == ((1, 2), (), (), (), (), (0,))
+    assert graph.adjacency == ((1, 5), (0, 4), (3, 5), (2, 4), (1, 3), (0, 2))
 
 
 def test_identity_alpha_gives_cayley_graph():

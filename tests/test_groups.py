@@ -224,6 +224,16 @@ def test_group_from_table_renumbers_identity():
     assert g.table == ((0, 1), (1, 0))
 
 
+def test_duplicate_element_names_rejected():
+    # the indexes are the file's, before the identity is renumbered to 0
+    data = {"name": "flipped", "order": 2, "table": [[1, 0], [0, 1]], "names": [7, "7"]}
+    with pytest.raises(GroupFileError, match="field 'names' repeats '7' at indexes 0 and 1"):
+        group_from_table(data)
+    # the shared constructor refuses them too, so no name map is ambiguous
+    with pytest.raises(GroupValidationError, match=r"names, witness \(0, 2\)"):
+        groups_module._finish_group([[0, 1, 2], [1, 2, 0], [2, 0, 1]], "Z3", ["e", "a", "e"])
+
+
 def test_group_file_roundtrip(tmp_path, z6):
     path = tmp_path / "z6.json"
     path.write_text(
