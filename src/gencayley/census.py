@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .automorphisms import Automorphism, alpha_context, enumerate_involutory_automorphisms
 from .codes import decide_subgroup_pc, decide_subgroup_tpc
@@ -106,6 +107,15 @@ class CensusRecord:
             out["decide_tpc_ms"] = self.decide_tpc_ms
         return out
 
+    def __reduce__(self):
+        # pickle as the constructor and its field tuple: pool workers send
+        # every record back to the parent, and a tuple loads faster and
+        # smaller than the default attribute dict
+        return (CensusRecord, _record_fields(self))
+
+
+_record_fields = attrgetter(*(f.name for f in fields(CensusRecord)))
+
 
 def _task_records(args) -> list[CensusRecord]:
     """The records of one involution, or the placeholder record of a group
@@ -178,6 +188,9 @@ def census_records(
             (group, idx, alpha.perm, subgroup_sets) for idx, alpha in enumerate(alphas)
         )
 
+    # the pool starts all of its processes at once, so never ask it for
+    # more than there are tasks
+    workers = min(workers, len(tasks))
     if workers <= 1:
         task_results = [_task_records(t) for t in tasks]
     else:
@@ -218,14 +231,56 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_ints(values) -> str:
+    return "null" if values is None else "[" + ",".join(map(str, values)) + "]"
+
+
+def _json_ms(value) -> str:
+    """A timing as json writes a float: its repr, with NaN and the
+    infinities spelled out."""
+    if value is None:
+        return "null"
+    text = float.__repr__(value)
+    return _JSON_FLOAT_NAMES.get(text, text)
+
+
+def _jsonl_line(r: CensusRecord, with_timings: bool) -> str:
+    """``json.dumps(r.payload(with_timings), sort_keys=True,
+    separators=(",", ":"))`` plus a newline, written from one template whose
+    keys are already in sorted order; strings get json's own escaping."""
+    const, text = _JSON_CONSTANTS, encode_basestring_ascii
+    pcw, tpcw, note = r.pc_witness, r.tpc_witness, r.note
+    pc_ref, tpc_ref = r.pc_refutation, r.tpc_refutation
+    timings = (
+        f'"decide_pc_ms":{_json_ms(r.decide_pc_ms)},'
+        f'"decide_tpc_ms":{_json_ms(r.decide_tpc_ms)},'
+        if with_timings
+        else ""
+    )
+    return (
+        f'{{"alpha":{"null" if r.alpha_index is None else r.alpha_index},'
+        f'"alpha_preserves_subgroup":{const[r.alpha_preserves_subgroup]},'
+        f'{timings}"group":{text(r.group_id)},'
+        f'"is_pc":{const[r.is_pc]},"is_tpc":{const[r.is_tpc]},'
+        f'"note":{"null" if note is None else text(note)},"order":{r.group_order},'
+        f'"pc_refutation":{"null" if pc_ref is None else text(pc_ref)},'
+        f'"pc_witness":{_json_ints(pcw)},'
+        f'"pc_witness_size":{"null" if pcw is None else len(pcw)},'
+        f'"subgroup":{_json_ints(r.subgroup)},'
+        f'"tpc_refutation":{"null" if tpc_ref is None else text(tpc_ref)},'
+        f'"tpc_witness":{_json_ints(tpcw)},'
+        f'"tpc_witness_size":{"null" if tpcw is None else len(tpcw)}}}\n'
+    )
+
+
 def emit_report(records, fmt: str = "jsonl", with_timings: bool = False) -> str:
     """Serialize records deterministically as JSON lines or CSV."""
     if fmt == "jsonl":
-        lines = [
-            json.dumps(r.payload(with_timings), sort_keys=True, separators=(",", ":"))
-            for r in records
-        ]
-        return "".join(line + "\n" for line in lines)
+        return "".join([_jsonl_line(r, with_timings) for r in records])
     if fmt == "csv":
         columns = CSV_COLUMNS + (CSV_TIMING_COLUMNS if with_timings else [])
         buf = io.StringIO()

@@ -37,6 +37,8 @@ from .graphs import (
     GenCayleySubset,
     _as_mask,
     build_graph,
+    subset_violation,
+    validate_int_subset,
     validate_subset,
 )
 from .groups import (
@@ -196,7 +198,8 @@ class CodeWitness:
     alpha_preserves_subgroup: bool
 
     def __post_init__(self):
-        assert (self.subset is None) != (self.refutation is None)
+        if (self.subset is None) == (self.refutation is None):
+            raise GenCayleyError("a code witness has exactly one of a subset and a refutation")
 
     @property
     def success(self) -> bool:
@@ -213,39 +216,39 @@ def _search_transversal(
     its tau-moved ones (mho), each group in ascending order."""
     coset_of = dec.rep_of
     tau = ctx.tau_perm
-    cands: dict[int, list[int]] = {ci: [] for ci in required}
-    for x in ctx.big_omega + ctx.mho:
-        choices = cands.get(coset_of[x])
-        if choices is not None:
-            choices.append(x)
+    fixed, moved = ctx.big_omega_mask, ctx.mho_mask
+    wanted = set(required)
     reps: dict[int, int] = {}
+    last = len(required)
 
-    def extend() -> bool:
-        target = next((ci for ci in required if ci not in reps), None)
-        if target is None:
+    def extend(pos: int) -> bool:
+        # every coset before position pos is assigned; skip the ones a
+        # tau-partner filled in since
+        while pos < last and required[pos] in reps:
+            pos += 1
+        if pos == last:
             return True
-        for x in cands[target]:
+        target = required[pos]
+        coset = dec.cosets[target]
+        for x in [x for x in coset if fixed >> x & 1]:
+            reps[target] = x
+            if extend(pos + 1):
+                return True
+            del reps[target]
+        for x in [x for x in coset if moved >> x & 1]:
             y = tau[x]
             cy = coset_of[y]
-            if cy == target:
-                if y != x:
-                    continue  # tau-partner would collide inside the coset
-                reps[target] = x
-                if extend():
-                    return True
-                del reps[target]
-            else:
-                if cy not in cands or cy in reps:
-                    continue
-                reps[target] = x
-                reps[cy] = y
-                if extend():
-                    return True
-                del reps[target]
-                del reps[cy]
+            if cy == target or cy not in wanted or cy in reps:
+                continue  # the tau-partner needs a free coset of its own
+            reps[target] = x
+            reps[cy] = y
+            if extend(pos + 1):
+                return True
+            del reps[target]
+            del reps[cy]
         return False
 
-    return dict(reps) if extend() else None
+    return dict(reps) if extend(0) else None
 
 
 def _refutation_reason(ctx: AlphaContext, dec: CosetDecomposition, required) -> str:
@@ -266,7 +269,7 @@ def _certify_transversal(
     and S (with the identity when ``with_identity`` is set) meets every
     coset of ``dec`` exactly once. Costs O(|S|); raises
     :class:`GenCayleyError` when the certificate fails."""
-    subset = validate_subset(ctx, elements)
+    subset = validate_int_subset(ctx, elements)
     seen = 1 if with_identity else 0  # bit ci: coset ci already met
     for s in subset.elements:
         bit = 1 << dec.rep_of[s]
@@ -339,9 +342,7 @@ def is_gc_transversal(ctx: AlphaContext, sub: SubgroupHandle, T, side: str = "ri
     tset = sorted(set(int(x) for x in T))
     if 0 not in tset:
         return False
-    from .graphs import _sorted_violation
-
-    if _sorted_violation(ctx, [x for x in tset if x != 0]) is not None:
+    if subset_violation(ctx, [x for x in tset if x != 0]) is not None:
         return False
     dec = cosets(sub.parent, sub, side)
     return sorted(dec.rep_of[x] for x in tset) == list(range(dec.index))
@@ -479,9 +480,7 @@ def build_product_subset(
     """Pairwise products S1 x S2 as a connection set on the direct product."""
     n2 = s2.context.group.order
     elems_ = [a * n2 + b for a in s1.elements for b in s2.elements]
-    out = validate_subset(product_ctx, elems_)
-    assert out.size == s1.size * s2.size
-    return out
+    return _sized_subset(product_ctx, elems_, s1.size * s2.size)
 
 
 def build_product_subset_augmented(
@@ -492,8 +491,15 @@ def build_product_subset_augmented(
     elems_ = [a * n2 + b for a in s1.elements for b in s2.elements]
     elems_ += [b for b in s2.elements]
     elems_ += [a * n2 for a in s1.elements]
-    out = validate_subset(product_ctx, elems_)
-    assert out.size == s1.size * s2.size + s1.size + s2.size
+    return _sized_subset(product_ctx, elems_, s1.size * s2.size + s1.size + s2.size)
+
+
+def _sized_subset(ctx: AlphaContext, elements, size: int) -> GenCayleySubset:
+    """Validate a product connection set that must have exactly ``size``
+    distinct elements."""
+    out = validate_subset(ctx, elements)
+    if out.size != size:
+        raise GenCayleyError(f"product connection set has {out.size} elements, expected {size}")
     return out
 
 

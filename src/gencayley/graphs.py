@@ -50,35 +50,53 @@ class GenCayleySubset:
 
 def subset_violation(ctx: AlphaContext, elements: Iterable[int]):
     """First violated condition as (reason, witness element), or None."""
-    return _sorted_violation(ctx, sorted(set(int(x) for x in elements)))
+    return _violation(ctx, [int(x) for x in elements])[1]
 
 
-def _sorted_violation(ctx: AlphaContext, elems):
-    """:func:`subset_violation` for elements already sorted and distinct."""
-    for s in elems:
-        if not (0 <= s < ctx.group.order):
-            return ("out-of-range", s)
-    emask = mask_of(elems)
-    hit = emask & ctx.omega_mask
+def _violation(ctx: AlphaContext, elements: Iterable[int]):
+    """The mask of the in-range ``elements`` and the first violated
+    condition as (reason, witness element), or None. The conditions are
+    checked in the order out-of-range, omega-intersection, tau-closure, and
+    each witness is the smallest offending element."""
+    n = ctx.group.order
+    tau = ctx.tau_perm
+    mask = image = 0  # S and tau(S)
+    low = None
+    for s in elements:
+        if 0 <= s < n:
+            mask |= 1 << s
+            image |= 1 << tau[s]
+        elif low is None or s < low:
+            low = s
+    if low is not None:
+        return mask, ("out-of-range", low)
+    hit = mask & ctx.omega_mask
     if hit:
-        return ("omega-intersection", bits(hit)[0])
-    for s in elems:
-        if not (emask >> ctx.tau(s)) & 1:
-            return ("tau-closure", s)
-    return None
+        return mask, ("omega-intersection", bits(hit)[0])
+    # tau is an involution, so s has its partner in S exactly when s is in tau(S)
+    unpaired = mask & ~image
+    if unpaired:
+        return mask, ("tau-closure", bits(unpaired)[0])
+    return mask, None
 
 
 def validate_subset(ctx: AlphaContext, elements: Iterable[int]) -> GenCayleySubset:
     """Validate a connection set; the empty set is allowed.
 
     Raises :class:`SubsetInvalidError` naming the violated condition
-    (``omega-intersection`` or ``tau-closure``) and a witness element.
+    (``out-of-range``, ``omega-intersection`` or ``tau-closure``) and a
+    witness element.
     """
-    elems = tuple(sorted(set(int(x) for x in elements)))
-    bad = _sorted_violation(ctx, elems)
+    return validate_int_subset(ctx, [int(x) for x in elements])
+
+
+def validate_int_subset(ctx: AlphaContext, elements: Iterable[int]) -> GenCayleySubset:
+    """:func:`validate_subset` for elements that are already ints, such as
+    a search's own witness."""
+    mask, bad = _violation(ctx, elements)
     if bad is not None:
         raise SubsetInvalidError(*bad)
-    return GenCayleySubset(elems, ctx)
+    return GenCayleySubset(elems(mask), ctx)
 
 
 def count_subsets(ctx: AlphaContext) -> int:

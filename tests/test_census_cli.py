@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gencayley
+import gencayley.census as census_module
 from gencayley.census import catalog, census_records, emit_report
 from gencayley.cli import main
 
@@ -103,6 +106,92 @@ def test_optimize_flag_does_not_change_bytes():
     assert hashlib.sha256(outputs[0]).hexdigest() == (
         "fef5c695561dab7d796fa352af390781f31686d83e6f272fe0728a497b5a1088"
     )
+
+
+# ---------------------------------------------------------------------------
+# the report writer and the record transport
+
+
+def hand_built_records():
+    """Records whose strings need json's escaping (a quote, a backslash,
+    control characters, non-ASCII text) and whose timings json writes in
+    its own way."""
+    base = census_records(6)[-1]
+    cases = [
+        ('quo"te\\back', 0.0),
+        ("tab\tbell\x07nul\x00", 1e-05),
+        ("\u010daj \u2615 \U0001d11e", None),
+        ("line\nbreak\u2028", float("nan")),
+        ("plain", float("inf")),
+        ("plain", float("-inf")),
+    ]
+    return [
+        dataclasses.replace(
+            base, group_id=text, note=text, pc_refutation=text, decide_pc_ms=ms, decide_tpc_ms=1.5
+        )
+        for text, ms in cases
+    ]
+
+
+@pytest.mark.parametrize("with_timings", [False, True])
+def test_jsonl_lines_equal_json_dumps(with_timings):
+    records = census_records(12) + hand_built_records()
+    expected = [
+        json.dumps(r.payload(with_timings), sort_keys=True, separators=(",", ":")) + "\n"
+        for r in records
+    ]
+    lines = emit_report(records, with_timings=with_timings).split("\n")
+    assert lines.pop() == ""
+    assert [line + "\n" for line in lines] == expected
+
+
+def test_csv_report_unchanged():
+    text = emit_report(census_records(8), fmt="csv").encode()
+    assert len(text) == 36_904
+    assert hashlib.sha256(text).hexdigest() == (
+        "7e4e488b6a74580e2d7e2ecfb051c4ad56476b85ffb52268cfdad72a4a7fa6b4"
+    )
+
+
+def record_fields(record, skip=()):
+    return tuple(getattr(record, f.name) for f in dataclasses.fields(record) if f.name not in skip)
+
+
+def test_records_pickle_every_field():
+    records = census_records(8)
+    assert any(r.decide_pc_ms is not None for r in records)
+    back = pickle.loads(pickle.dumps(records))
+    assert [record_fields(r) for r in back] == [record_fields(r) for r in records]
+
+
+def test_pool_records_equal_serial_records():
+    timings = ("decide_pc_ms", "decide_tpc_ms")
+    serial = [record_fields(r, timings) for r in census_records(8, workers=1)]
+    assert [record_fields(r, timings) for r in census_records(8, workers=2)] == serial
+
+
+def test_pool_never_starts_idle_workers(monkeypatch):
+    # a stand-in pool that runs in this process; no worker is started
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(census_module, "ProcessPoolExecutor", InlinePool)
+    assert emit_report(census_records(2, workers=64)) == emit_report(census_records(2))
+    assert emit_report(census_records(6, workers=3)) == emit_report(census_records(6))
+    # order 2 is two tasks (Z1 and Z2, neither with an involution)
+    assert requested == [2, 3]
 
 
 def test_cli_decide_example(capsys):

@@ -8,10 +8,14 @@ from pathlib import Path
 import pytest
 
 from gencayley import (
+    CodeWitness,
     GenCayleyError,
+    GenCayleySubset,
     ThresholdError,
     abelian_pc_criterion,
+    alpha_context,
     alpha_preserves,
+    automorphism_from_perm,
     brute_force_codes,
     build_graph,
     build_group,
@@ -19,6 +23,7 @@ from gencayley import (
     build_product_subset_augmented,
     build_witness_abelian,
     coset_pairing,
+    cosets,
     decide_subgroup_pc,
     decide_subgroup_tpc,
     enumerate_involutory_automorphisms,
@@ -503,16 +508,7 @@ def test_checks_raise_under_optimize_flag():
                 print(exc)
         """
     )
-    package_root = Path(codes_module.__file__).parent.parent
-    path = os.pathsep.join([str(package_root), str(Path(__file__).parent)])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.splitlines()
-    assert out == [
+    assert run_optimized(code) == [
         "witness is not a transversal of the cosets",
         "witness is not a transversal of the cosets",
         "first pair is not a perfect code",
@@ -520,14 +516,105 @@ def test_checks_raise_under_optimize_flag():
     ]
 
 
+def run_optimized(code: str) -> list[str]:
+    """Run code under ``python -O`` with the package and this directory
+    importable; its output lines."""
+    package_root = Path(codes_module.__file__).parent.parent
+    path = os.pathsep.join([str(package_root), str(Path(__file__).parent)])
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+
+
+def witness_faults():
+    """One input per fault class of the witness certificate, and the two
+    malformed code witnesses, each with the message it must raise. On V4
+    with the coordinate swap the loop set is {0, 3} and tau exchanges 1
+    and 2."""
+    v4 = build_group("V4")
+    ctx = alpha_context(v4, automorphism_from_perm(v4, (0, 2, 1, 3)))
+    certify = codes_module._certify_transversal
+
+    def fault(elements, sub, with_identity):
+        dec = cosets(v4, subgroup(v4, sub), "right")
+        return lambda: certify(ctx, elements, dec, with_identity)
+
+    trivial = subgroup(v4, [0])
+    one_of_two = "a code witness has exactly one of a subset and a refutation"
+    return {
+        "out-of-range": (
+            fault([1, 2, 4], [0, 1], False),
+            "invalid connection set: out-of-range (witness element 4)",
+        ),
+        "loop-set": (
+            fault([1, 2, 3], [0, 1], False),
+            "invalid connection set: omega-intersection (witness element 3)",
+        ),
+        "not-tau-closed": (
+            fault([1], [0, 1], False),
+            "invalid connection set: tau-closure (witness element 1)",
+        ),
+        "coset-met-twice": (fault([1, 2], [0, 3], True), "witness meets coset 1 twice"),
+        "coset-missed": (fault([1, 2], [0], True), "witness is not a transversal of the cosets"),
+        "witness-both": (
+            lambda: CodeWitness(trivial, "perfect", GenCayleySubset((), ctx), "x", (), True),
+            one_of_two,
+        ),
+        "witness-neither": (
+            lambda: CodeWitness(trivial, "perfect", None, None, (), True),
+            one_of_two,
+        ),
+    }
+
+
+@pytest.mark.parametrize("fault", sorted(witness_faults()))
+def test_certificate_rejects_each_fault(fault):
+    call, message = witness_faults()[fault]
+    with pytest.raises(GenCayleyError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_certificate_accepts_a_transversal():
+    # the same context as the faults: S = {1, 2} meets both cosets of {0, 1}
+    v4 = build_group("V4")
+    ctx = alpha_context(v4, automorphism_from_perm(v4, (0, 2, 1, 3)))
+    dec = cosets(v4, subgroup(v4, [0, 1]), "right")
+    subset = codes_module._certify_transversal(ctx, [2, 1], dec, with_identity=False)
+    assert subset.elements == (1, 2) and subset.context is ctx
+
+
+def test_certificate_faults_raise_under_optimize_flag():
+    code = textwrap.dedent(
+        """
+        import gencayley
+        from test_codes import witness_faults
+        assert False, "assert statements must be stripped"
+        for name, (call, _) in sorted(witness_faults().items()):
+            try:
+                call()
+                print(name, "returned")
+            except gencayley.GenCayleyError as exc:
+                print(name, exc)
+        """
+    )
+    expected = [f"{name} {message}" for name, (_, message) in sorted(witness_faults().items())]
+    assert run_optimized(code) == expected
+
+
 def test_package_has_no_debug_only_code():
-    # code under __debug__ vanishes with -O, so a check there would not
-    # mean the same in both interpreters
+    # code under __debug__ and assert statements vanish with -O, so a check
+    # there would not mean the same in both interpreters
     src = Path(codes_module.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(src.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Name) and node.id == "__debug__"
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
     assert not found

@@ -1,8 +1,11 @@
 import dataclasses
+import random
 
 import pytest
 
+import gencayley.codes as codes_module
 from gencayley import (
+    GenCayleyError,
     SubsetInvalidError,
     ThresholdError,
     alpha_context,
@@ -12,10 +15,13 @@ from gencayley import (
     check_at_most_one,
     check_dominates,
     check_independent,
+    cosets,
     count_subsets,
     enumerate_involutory_automorphisms,
     enumerate_subsets,
     export_dot,
+    subgroup,
+    subset_violation,
     validate_subset,
 )
 from gencayley.verify import _contexts
@@ -36,6 +42,49 @@ def test_validate_subset_examples(z6_ctx, v4_swap_ctx):
         validate_subset(v4_swap_ctx, [2])  # one generator alone is not tau-closed
     assert err.value.reason == "tau-closure"
     assert validate_subset(z6_ctx, []).elements == ()
+
+
+def sorted_order_violation(ctx, elements):
+    """The validity rules read off the definition, checked in ascending
+    element order: the first out-of-range element, else the first loop-set
+    element, else the first element whose tau-partner is missing."""
+    elems = sorted(set(elements))
+    n = ctx.group.order
+    for reason, bad in (
+        ("out-of-range", lambda s: not 0 <= s < n),
+        ("omega-intersection", lambda s: s in ctx.omega),
+        ("tau-closure", lambda s: ctx.tau(s) not in elems),
+    ):
+        for s in elems:
+            if bad(s):
+                return (reason, s)
+    return None
+
+
+@pytest.mark.parametrize("spec", ["cyclic:6", "V4", "dihedral:4"])
+def test_validators_name_the_smallest_offender(spec):
+    # validate_subset, subset_violation and the witness certificate share one
+    # validator; unsorted, repeated and several out-of-range elements included
+    group = build_group(spec)
+    rng = random.Random(spec)
+    for _, ctx in _contexts(group):
+        dec = cosets(group, subgroup(group, [0]), "right")
+        for _ in range(300):
+            elements = [rng.randrange(-3, group.order + 3) for _ in range(rng.randrange(6))]
+            expected = sorted_order_violation(ctx, elements)
+            assert subset_violation(ctx, elements) == expected
+            for validate in (
+                validate_subset,
+                lambda c, xs: codes_module._certify_transversal(c, xs, dec, False),
+            ):
+                try:
+                    validate(ctx, elements)
+                except SubsetInvalidError as err:
+                    assert (err.reason, err.witness) == expected
+                except GenCayleyError:  # a valid set that is no transversal
+                    assert expected is None
+                else:
+                    assert expected is None
 
 
 def test_enumerate_subsets_counts(z6_ctx, v4_swap_ctx):
