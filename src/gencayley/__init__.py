@@ -11,6 +11,7 @@ from .automorphisms import (
     enumerate_automorphisms,
     enumerate_involutory_automorphisms,
     inversion_automorphism,
+    involution_contexts,
     load_automorphism,
     product_automorphism,
 )

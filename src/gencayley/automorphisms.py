@@ -212,28 +212,28 @@ def _search_automorphisms(group: FiniteGroup, involutive: bool) -> list[Automorp
     return [Automorphism(p, group) for p in results]
 
 
-def _check_limit(group: FiniteGroup, limit: int) -> None:
-    if group.order > limit:
+def _check_limit(group: FiniteGroup) -> None:
+    if group.order > AUT_ENUM_LIMIT:
         raise ThresholdError(
-            f"automorphism enumeration limited to order <= {limit}, got {group.order}"
+            f"automorphism enumeration limited to order <= {AUT_ENUM_LIMIT}, got {group.order}"
         )
 
 
-def enumerate_automorphisms(group: FiniteGroup, limit: int = AUT_ENUM_LIMIT) -> list[Automorphism]:
+def enumerate_automorphisms(group: FiniteGroup) -> list[Automorphism]:
     """Full automorphism group, sorted by permutation.
 
     The result is kept in ``group.cache.automorphisms``. The census and the
     involution listings never need it; see
     :func:`enumerate_involutory_automorphisms`.
     """
-    _check_limit(group, limit)
+    _check_limit(group)
     if group.cache.automorphisms is None:
         group.cache.automorphisms = _search_automorphisms(group, involutive=False)
     return group.cache.automorphisms
 
 
 def enumerate_involutory_automorphisms(
-    group: FiniteGroup, include_identity: bool = False, limit: int = AUT_ENUM_LIMIT
+    group: FiniteGroup, include_identity: bool = False
 ) -> list[Automorphism]:
     """All automorphisms squaring to the identity, sorted by permutation.
 
@@ -246,7 +246,7 @@ def enumerate_involutory_automorphisms(
     admit it (then generalized Cayley graphs degenerate to ordinary Cayley
     graphs, which is useful as a cross-check). It comes first.
     """
-    _check_limit(group, limit)
+    _check_limit(group)
     if group.cache.involutions is None:
         group.cache.involutions = _search_automorphisms(group, involutive=True)
     if include_identity:
@@ -412,3 +412,15 @@ def alpha_context(group: FiniteGroup, alpha: Automorphism) -> AlphaContext:
         fix=tuple(fix),
         k_set=tuple(k_set),
     )
+
+
+def involution_contexts(group: FiniteGroup) -> list[AlphaContext]:
+    """The context of every involution, indexed like
+    :func:`enumerate_involutory_automorphisms` (and the CLI's ``--alpha``).
+    The list is kept in ``group.cache.contexts``."""
+    cache = group.cache
+    if cache.contexts is None:
+        cache.contexts = [
+            alpha_context(group, a) for a in enumerate_involutory_automorphisms(group)
+        ]
+    return cache.contexts

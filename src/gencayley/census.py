@@ -3,9 +3,8 @@ subgroup) triple and serialize the results.
 
 Reports are deterministic: records are produced in (group order, group id,
 involution index, subgroup) order regardless of the worker count, and the
-default serialization excludes timings so that repeated runs are
-byte-identical. Pass ``with_timings`` to include the per-decision
-milliseconds (then reports are for human reading, not for diffing).
+serialization leaves out the per-decision timings that records carry, so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from operator import attrgetter
 
 from .automorphisms import Automorphism, alpha_context, enumerate_involutory_automorphisms
 from .codes import decide_subgroup_pc, decide_subgroup_tpc
-from .groups import FiniteGroup, build_group, enumerate_subgroups, subgroup
+from .groups import FiniteGroup, build_group, enumerate_subgroups
 
 DEFAULT_CENSUS_MAX_ORDER = 24
 
@@ -72,21 +71,22 @@ def _invariant_factor_chains(max_order: int) -> list[tuple[int, ...]]:
 class CensusRecord:
     group_id: str
     group_order: int
-    alpha_index: int | None
-    subgroup: tuple[int, ...] | None
-    alpha_preserves_subgroup: bool | None
-    is_pc: bool | None
-    pc_witness: tuple[int, ...] | None
-    pc_refutation: str | None
-    is_tpc: bool | None
-    tpc_witness: tuple[int, ...] | None
-    tpc_refutation: str | None
+    alpha_index: int | None = None
+    subgroup: tuple[int, ...] | None = None
+    alpha_preserves_subgroup: bool | None = None
+    is_pc: bool | None = None
+    pc_witness: tuple[int, ...] | None = None
+    pc_refutation: str | None = None
+    is_tpc: bool | None = None
+    tpc_witness: tuple[int, ...] | None = None
+    tpc_refutation: str | None = None
     decide_pc_ms: float | None = None
     decide_tpc_ms: float | None = None
     note: str | None = None
 
-    def payload(self, with_timings: bool = False) -> dict:
-        out = {
+    def payload(self) -> dict:
+        """The report fields: json keys, and CSV columns in this order."""
+        return {
             "group": self.group_id,
             "order": self.group_order,
             "alpha": self.alpha_index,
@@ -102,10 +102,6 @@ class CensusRecord:
             "tpc_refutation": self.tpc_refutation,
             "note": self.note,
         }
-        if with_timings:
-            out["decide_pc_ms"] = self.decide_pc_ms
-            out["decide_tpc_ms"] = self.decide_tpc_ms
-        return out
 
     def __reduce__(self):
         # pickle as the constructor and its field tuple: pool workers send
@@ -120,29 +116,13 @@ _record_fields = attrgetter(*(f.name for f in fields(CensusRecord)))
 def _task_records(args) -> list[CensusRecord]:
     """The records of one involution, or the placeholder record of a group
     without involutions (``perm`` is None)."""
-    group, alpha_index, perm, subgroup_sets = args
+    group, alpha_index, perm, subgroups = args
     if perm is None:
-        return [
-            CensusRecord(
-                group_id=group.id,
-                group_order=group.order,
-                alpha_index=None,
-                subgroup=None,
-                alpha_preserves_subgroup=None,
-                is_pc=None,
-                pc_witness=None,
-                pc_refutation=None,
-                is_tpc=None,
-                tpc_witness=None,
-                tpc_refutation=None,
-                note="no-involutory-automorphisms",
-            )
-        ]
+        return [CensusRecord(group.id, group.order, note="no-involutory-automorphisms")]
     alpha = Automorphism(perm, group)
     ctx = alpha_context(group, alpha)
     records = []
-    for elements in subgroup_sets:
-        sub = subgroup(group, elements)
+    for sub in subgroups:
         t0 = time.perf_counter()
         pc = decide_subgroup_pc(sub, ctx)
         t1 = time.perf_counter()
@@ -153,7 +133,7 @@ def _task_records(args) -> list[CensusRecord]:
                 group_id=group.id,
                 group_order=group.order,
                 alpha_index=alpha_index,
-                subgroup=elements,
+                subgroup=sub.elements,
                 alpha_preserves_subgroup=tpc.alpha_preserves_subgroup,
                 is_pc=pc.success,
                 pc_witness=pc.subset.elements if pc.success else None,
@@ -183,10 +163,8 @@ def census_records(
         if not alphas:
             tasks.append((group, None, None, ()))
             continue
-        subgroup_sets = tuple(s.elements for s in enumerate_subgroups(group))
-        tasks.extend(
-            (group, idx, alpha.perm, subgroup_sets) for idx, alpha in enumerate(alphas)
-        )
+        subgroups = enumerate_subgroups(group)
+        tasks.extend((group, idx, alpha.perm, subgroups) for idx, alpha in enumerate(alphas))
 
     # the pool starts all of its processes at once, so never ask it for
     # more than there are tasks
@@ -200,23 +178,7 @@ def census_records(
     return [record for records in task_results for record in records]
 
 
-CSV_COLUMNS = [
-    "group",
-    "order",
-    "alpha",
-    "subgroup",
-    "alpha_preserves_subgroup",
-    "is_pc",
-    "pc_witness",
-    "pc_witness_size",
-    "pc_refutation",
-    "is_tpc",
-    "tpc_witness",
-    "tpc_witness_size",
-    "tpc_refutation",
-    "note",
-]
-CSV_TIMING_COLUMNS = ["decide_pc_ms", "decide_tpc_ms"]
+CSV_COLUMNS = list(CensusRecord("", 0).payload())
 
 
 def _csv_cell(value) -> str:
@@ -226,45 +188,27 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, list):
         return ";".join(str(v) for v in value)
-    if isinstance(value, float):
-        return f"{value:.3f}"
     return str(value)
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-_JSON_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_ints(values) -> str:
     return "null" if values is None else "[" + ",".join(map(str, values)) + "]"
 
 
-def _json_ms(value) -> str:
-    """A timing as json writes a float: its repr, with NaN and the
-    infinities spelled out."""
-    if value is None:
-        return "null"
-    text = float.__repr__(value)
-    return _JSON_FLOAT_NAMES.get(text, text)
-
-
-def _jsonl_line(r: CensusRecord, with_timings: bool) -> str:
-    """``json.dumps(r.payload(with_timings), sort_keys=True,
-    separators=(",", ":"))`` plus a newline, written from one template whose
-    keys are already in sorted order; strings get json's own escaping."""
+def _jsonl_line(r: CensusRecord) -> str:
+    """``json.dumps(r.payload(), sort_keys=True, separators=(",", ":"))``
+    plus a newline, written from one template whose keys are already in
+    sorted order; strings get json's own escaping."""
     const, text = _JSON_CONSTANTS, encode_basestring_ascii
     pcw, tpcw, note = r.pc_witness, r.tpc_witness, r.note
     pc_ref, tpc_ref = r.pc_refutation, r.tpc_refutation
-    timings = (
-        f'"decide_pc_ms":{_json_ms(r.decide_pc_ms)},'
-        f'"decide_tpc_ms":{_json_ms(r.decide_tpc_ms)},'
-        if with_timings
-        else ""
-    )
     return (
         f'{{"alpha":{"null" if r.alpha_index is None else r.alpha_index},'
         f'"alpha_preserves_subgroup":{const[r.alpha_preserves_subgroup]},'
-        f'{timings}"group":{text(r.group_id)},'
+        f'"group":{text(r.group_id)},'
         f'"is_pc":{const[r.is_pc]},"is_tpc":{const[r.is_tpc]},'
         f'"note":{"null" if note is None else text(note)},"order":{r.group_order},'
         f'"pc_refutation":{"null" if pc_ref is None else text(pc_ref)},'
@@ -277,17 +221,15 @@ def _jsonl_line(r: CensusRecord, with_timings: bool) -> str:
     )
 
 
-def emit_report(records, fmt: str = "jsonl", with_timings: bool = False) -> str:
+def emit_report(records, fmt: str = "jsonl") -> str:
     """Serialize records deterministically as JSON lines or CSV."""
     if fmt == "jsonl":
-        return "".join([_jsonl_line(r, with_timings) for r in records])
+        return "".join([_jsonl_line(r) for r in records])
     if fmt == "csv":
-        columns = CSV_COLUMNS + (CSV_TIMING_COLUMNS if with_timings else [])
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(CSV_COLUMNS)
         for r in records:
-            payload = r.payload(with_timings)
-            writer.writerow([_csv_cell(payload[c]) for c in columns])
+            writer.writerow([_csv_cell(v) for v in r.payload().values()])
         return buf.getvalue()
     raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")

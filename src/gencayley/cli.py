@@ -15,16 +15,10 @@ from .automorphisms import (
     alpha_context,
     enumerate_involutory_automorphisms,
     inversion_automorphism,
+    involution_contexts,
     load_automorphism,
 )
-from .census import (
-    CSV_COLUMNS,
-    CSV_TIMING_COLUMNS,
-    DEFAULT_CENSUS_MAX_ORDER,
-    catalog,
-    census_records,
-    emit_report,
-)
+from .census import CSV_COLUMNS, DEFAULT_CENSUS_MAX_ORDER, catalog, census_records, emit_report
 from .codes import (
     brute_force_codes,
     decide_subgroup_pc,
@@ -32,7 +26,7 @@ from .codes import (
     is_perfect_code,
     is_total_perfect_code,
 )
-from .errors import GenCayleyError, GroupFileError, ThresholdError
+from .errors import GenCayleyError, ThresholdError
 from .graphs import build_graph, export_dot, validate_subset
 from .groups import build_group, enumerate_subgroups, load_group_file, subgroup
 from .verify import run_all
@@ -136,26 +130,25 @@ def cmd_aut_list(args) -> int:
     group = _resolve_group(args)
     alphas = enumerate_involutory_automorphisms(group, include_identity=args.include_identity)
     print(f"group={group.id} involutory_automorphisms={len(alphas)}")
-    for i, alpha in enumerate(alphas):
-        print(f"alpha[{i}] perm={list(alpha.perm)}")
+    # the identity comes first and has no --alpha index: alpha[k] is what
+    # --alpha k selects
+    for i, alpha in enumerate(alphas, -args.include_identity):
+        label = "identity" if i < 0 else f"alpha[{i}]"
+        print(f"{label} perm={list(alpha.perm)}")
     return 0
 
 
 def cmd_sets(args) -> int:
     group = _resolve_group(args)
     if args.alpha is not None:
-        picks = [(args.alpha, _resolve_alpha(args, group))]
+        picks = [(args.alpha, alpha_context(group, _resolve_alpha(args, group)))]
     else:
-        picks = [
-            (str(i), a)
-            for i, a in enumerate(enumerate_involutory_automorphisms(group))
-        ]
+        picks = [(str(i), ctx) for i, ctx in enumerate(involution_contexts(group))]
     print(f"group={group.id} order={group.order}")
     if not picks:
         print("no involutory automorphisms")
-    for label, alpha in picks:
-        ctx = alpha_context(group, alpha)
-        print(f"alpha[{label}] perm={list(alpha.perm)}")
+    for label, ctx in picks:
+        print(f"alpha[{label}] perm={list(ctx.alpha.perm)}")
         for field_name, gloss in SET_LABELS:
             value = getattr(ctx, field_name)
             print(f"  {field_name:9} = {fmt_set(value)}  ({gloss})")
@@ -242,7 +235,7 @@ def cmd_enumerate_codes(args) -> int:
 
 def cmd_census(args) -> int:
     records = census_records(args.max_order, workers=args.workers)
-    text = emit_report(records, fmt=args.format, with_timings=args.timings)
+    text = emit_report(records, fmt=args.format)
     _write_out(args, text)
     if args.out:
         print(f"census: {len(records)} records written to {args.out}")
@@ -283,11 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gencayley",
         description="Generalized Cayley graphs: build groups, inspect involutions, "
         "decide perfect and total perfect codes, sweep the catalog.",
-        epilog="census CSV columns: "
-        + ",".join(CSV_COLUMNS)
-        + " (with --timings also "
-        + ",".join(CSV_TIMING_COLUMNS)
-        + ")",
+        epilog="census CSV columns: " + ",".join(CSV_COLUMNS),
     )
     parser.add_argument(
         "--version", action="version", version=f"gencayley 0.1.0 (kernels: {kernels.backend()})"
@@ -353,11 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument(
-        "--timings",
-        action="store_true",
-        help="include per-decision milliseconds (reports stop being byte-reproducible)",
-    )
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run the verification suites")
@@ -376,7 +360,7 @@ def main(argv=None) -> int:
     except ThresholdError as exc:
         print(f"threshold exceeded: {exc}", file=sys.stderr)
         return 3
-    except (GenCayleyError, GroupFileError, ValueError) as exc:
+    except (GenCayleyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

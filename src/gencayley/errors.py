@@ -29,7 +29,7 @@ class GroupFileError(GenCayleyError):
 
 
 class ThresholdError(GenCayleyError):
-    """An enumeration would exceed its configured size threshold."""
+    """An enumeration would exceed its size bound (a module constant)."""
 
 
 class SubsetInvalidError(GenCayleyError):

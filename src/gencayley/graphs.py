@@ -103,34 +103,21 @@ def count_subsets(ctx: AlphaContext) -> int:
     return 1 << len(ctx.tau_orbits)
 
 
-def enumerate_subsets(
-    ctx: AlphaContext,
-    size_filter: int | None = None,
-    max_orbits: int = MAX_SUBSET_ORBITS,
-) -> Iterator[GenCayleySubset]:
+def enumerate_subsets(ctx: AlphaContext) -> Iterator[GenCayleySubset]:
     """Yield every connection set, as unions of tau-orbits.
 
     Orbits of the pairing map on the complement of the loop set have size 1
     (big_omega members) or 2 (mho pairs); the valid connection sets are
     exactly the unions of orbits, so the scan covers 2^(#orbits) sets, in
-    ascending orbit-mask order. ``size_filter`` keeps only sets of that
-    size.
+    ascending orbit-mask order. Refuses more than
+    :data:`MAX_SUBSET_ORBITS` orbits.
     """
     orbits = ctx.tau_orbits
-    if len(orbits) > max_orbits:
+    if len(orbits) > MAX_SUBSET_ORBITS:
         raise ThresholdError(
-            f"{len(orbits)} tau-orbits exceeds the enumeration bound {max_orbits}"
+            f"{len(orbits)} tau-orbits exceeds the enumeration bound {MAX_SUBSET_ORBITS}"
         )
-    sizes = [len(o) for o in orbits]
     for om in range(1 << len(orbits)):
-        if size_filter is not None:
-            total = 0
-            sm = om
-            while sm:
-                total += sizes[(sm & -sm).bit_length() - 1]
-                sm &= sm - 1
-            if total != size_filter:
-                continue
         yield subset_from_orbit_mask(ctx, om)
 
 

@@ -45,9 +45,9 @@ class GroupCache:
     # the non-identity involutions of Aut(G), sorted by permutation and found
     # without listing Aut(G), see automorphisms.enumerate_involutory_automorphisms
     involutions: list | None = None
-    # (index, AlphaContext) per involution, see verify._contexts
+    # the AlphaContext of each involution, see automorphisms.involution_contexts
     contexts: list | None = None
-    # the table flattened row by row, see verify._mul_flat
+    # the table flattened row by row, for kernels.scan_check_routes
     mul_flat: list[int] | None = None
 
 
@@ -553,17 +553,15 @@ def subgroup_closure(group: FiniteGroup, generators) -> tuple[int, ...]:
     return tuple(i for i in range(group.order) if seen[i])
 
 
-def enumerate_subgroups(
-    group: FiniteGroup, limit: int = SUBGROUP_ENUM_LIMIT
-) -> list[SubgroupHandle]:
+def enumerate_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
     """All subgroups, by breadth-first closure over growing generator sets.
 
     Results are sorted by (order, elements). Refuses groups larger than
-    ``limit``.
+    :data:`SUBGROUP_ENUM_LIMIT`.
     """
-    if group.order > limit:
+    if group.order > SUBGROUP_ENUM_LIMIT:
         raise ThresholdError(
-            f"subgroup enumeration limited to order <= {limit}, got {group.order}"
+            f"subgroup enumeration limited to order <= {SUBGROUP_ENUM_LIMIT}, got {group.order}"
         )
     trivial = (0,)
     seen = {mask_of(trivial)}

@@ -22,8 +22,8 @@ from .automorphisms import (
     alpha_context,
     Automorphism,
     enumerate_automorphisms,
-    enumerate_involutory_automorphisms,
     inversion_automorphism,
+    involution_contexts,
 )
 from .census import catalog, census_records
 from .codes import (
@@ -41,13 +41,12 @@ from .codes import (
     transport_conjugate,
     verify_product_codes,
 )
-from .errors import GenCayleyError
+from .errors import GenCayleyError, GroupValidationError
 from .graphs import (
     ROUTES,
     GenCayleyGraph,
     GenCayleySubset,
     build_graph,
-    count_subsets,
     enumerate_subsets,
     subset_from_orbit_mask,
 )
@@ -94,16 +93,6 @@ def _graph_of(graphs: dict, subset: GenCayleySubset) -> GenCayleyGraph:
     if graph is None:
         graph = graphs[subset.elements] = build_graph(subset)
     return graph
-
-
-def _contexts(group: FiniteGroup):
-    cache = group.cache
-    if cache.contexts is None:
-        cache.contexts = [
-            (idx, alpha_context(group, a))
-            for idx, a in enumerate(enumerate_involutory_automorphisms(group))
-        ]
-    return cache.contexts
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +166,10 @@ def subgroups_by_generators(group: FiniteGroup, max_generators: int) -> set[tupl
     return found
 
 
-def suite_subgroup_oracle(specs=TWO_GENERATED_SPECS) -> SuiteResult:
+def suite_subgroup_oracle() -> SuiteResult:
     violations = []
     cases = 0
-    for spec in specs:
+    for spec in TWO_GENERATED_SPECS:
         group = build_group(spec)
         cases += 1
         listed = {s.elements for s in enumerate_subgroups(group)}
@@ -255,20 +244,25 @@ def involutions_by_bijections(group: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def suite_alpha_invariants(max_order: int = 12, brute_limit: int = 8) -> SuiteResult:
+# the largest order the bijection oracle scans: (n-1)! bijections
+BIJECTION_ORACLE_ORDER = 8
+
+
+def suite_alpha_invariants(max_order: int = 12) -> SuiteResult:
     """The involution list equals Aut(G) filtered to its involutions (and,
-    up to ``brute_limit``, a bijection oracle), inversion is listed where
-    it applies, and the derived sets of every involution are consistent:
-    omega, big_omega and mho partition G, the identity lies in omega,
-    alpha maps omega onto itself, and tau is an involution that fixes omega
-    pointwise and maps its complement onto itself."""
+    up to order :data:`BIJECTION_ORACLE_ORDER`, a bijection oracle),
+    inversion is listed where it applies, and the derived sets of every
+    involution are consistent: omega, big_omega and mho partition G, the
+    identity lies in omega, alpha maps omega onto itself, and tau is an
+    involution that fixes omega pointwise and maps its complement onto
+    itself."""
     violations = []
     cases = 0
     for group in catalog(max_order):
         n = group.order
         full = (1 << n) - 1
         cases += 1
-        listed = [ctx.alpha.perm for _, ctx in _contexts(group)]
+        listed = [ctx.alpha.perm for ctx in involution_contexts(group)]
         filtered = [
             a.perm
             for a in enumerate_automorphisms(group)
@@ -279,7 +273,7 @@ def suite_alpha_invariants(max_order: int = 12, brute_limit: int = 8) -> SuiteRe
                 f"group={group.id}: involution list {len(listed)} != filtered Aut(G)"
                 f" {len(filtered)} or differs in order"
             )
-        if n <= brute_limit:
+        if n <= BIJECTION_ORACLE_ORDER:
             cases += 1
             oracle = involutions_by_bijections(group)
             if sorted(listed) != oracle:
@@ -295,7 +289,7 @@ def suite_alpha_invariants(max_order: int = 12, brute_limit: int = 8) -> SuiteRe
                 violations.append(f"group={group.id}: inversion missing from enumeration")
         elif reason != "nonabelian":
             violations.append(f"group={group.id}: inversion reason {reason!r}")
-        for ai, ctx in _contexts(group):
+        for ai, ctx in enumerate(involution_contexts(group)):
             cases += 1
             ok = (
                 ctx.omega_mask | ctx.big_omega_mask | ctx.mho_mask == full
@@ -334,10 +328,7 @@ def suite_graph_laws(max_order: int = 12) -> SuiteResult:
     cases = 0
     for group in catalog(max_order):
         n = group.order
-        for ai, ctx in _contexts(group):
-            if count_subsets(ctx) > (1 << 20):
-                violations.append(f"group={group.id} alpha={ai}: subset space too large")
-                continue
+        for ai, ctx in enumerate(involution_contexts(group)):
             for subset in enumerate_subsets(ctx):
                 cases += 1
                 graph = build_graph(subset)  # which does not check the laws itself
@@ -380,18 +371,18 @@ def _reference_verdict(graph, xmask: int) -> int:
     return verdict
 
 
+MODE_SAMPLES = 1000  # X per connection set above the exhaustive limit
+REFERENCE_STRIDE = 97  # every 97th verdict is recomputed from the route table
+
+
 def suite_mode_agreement(
-    max_order: int = 12,
-    seed: int = 0,
-    samples: int = 1000,
-    exhaustive_limit: int = 8,
-    reference_stride: int = 97,
+    max_order: int = 12, seed: int = 0, exhaustive_limit: int = 8
 ) -> SuiteResult:
     """Every evaluation route of every check agrees on every tested X.
 
     Exhaustive over X for groups up to ``exhaustive_limit``; above that,
-    every subgroup and then seeded random X, ``samples`` in all. A
-    deterministic subsample is recomputed from the route table in
+    every subgroup and then seeded random X, :data:`MODE_SAMPLES` in all.
+    A deterministic subsample is recomputed from the route table in
     :mod:`graphs` to keep the batch kernel honest.
     """
     violations = []
@@ -402,14 +393,15 @@ def suite_mode_agreement(
             continue
         mul_flat = _mul_flat(group)
         h_masks = [h.mask for h in enumerate_subgroups(group)]
-        for ai, ctx in _contexts(group):
+        for ai, ctx in enumerate(involution_contexts(group)):
             for subset in enumerate_subsets(ctx):
                 graph = build_graph(subset)
                 if n <= exhaustive_limit:
                     xms = list(range(1 << n))
                 else:
                     rng = random.Random(_mix_seed(seed, group.id, ai, subset.mask))
-                    xms = (h_masks + [rng.getrandbits(n) for _ in range(samples)])[:samples]
+                    xms = [rng.getrandbits(n) for _ in range(MODE_SAMPLES)]
+                    xms = (h_masks + xms)[:MODE_SAMPLES]
                 verdicts = kernels.scan_check_routes(
                     n,
                     mul_flat,
@@ -422,7 +414,7 @@ def suite_mode_agreement(
                 for j, (xm, verdict) in enumerate(zip(xms, verdicts)):
                     cases += 1
                     bad = verdict not in CONSISTENT_VERDICTS
-                    if not bad and j % reference_stride == 0:
+                    if not bad and j % REFERENCE_STRIDE == 0:
                         bad = _reference_verdict(graph, xm) != verdict
                     if bad:
                         violations.append(
@@ -460,7 +452,7 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
     for group in catalog(max_order):
         subs = enumerate_subgroups(group)
         h_masks = [s.mask for s in subs]
-        for ai, ctx in _contexts(group):
+        for ai, ctx in enumerate(involution_contexts(group)):
             graphs = {}
             trans = _orbit_translate_masks(ctx)
             found = kernels.scan_subgroup_codes(
@@ -520,7 +512,7 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
         if not group.is_abelian:
             continue
         subs = enumerate_subgroups(group)
-        for ai, ctx in _contexts(group):
+        for ai, ctx in enumerate(involution_contexts(group)):
             graphs = {}
             for sub in subs:
                 cases += 1
@@ -548,7 +540,7 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
     return SuiteResult("abelian-criterion", cases, violations)
 
 
-def suite_census_audits(max_order: int = 24, workers: int = 1) -> SuiteResult:
+def suite_census_audits(max_order: int = 24) -> SuiteResult:
     """Census booleans re-validate, the census witnesses are the deciders'
     and pass the graph definition, every perfect-code hit passes the
     subgroup-code audits (alpha-invariance, transversal on both sides,
@@ -558,7 +550,7 @@ def suite_census_audits(max_order: int = 24, workers: int = 1) -> SuiteResult:
     cases = 0
     groups = {g.id: g for g in catalog(max_order)}
     key = None
-    records = census_records(max_order, workers=workers)
+    records = census_records(max_order)
     # the records of one involution context are contiguous
     for rec in records:
         if rec.alpha_index is None:
@@ -567,7 +559,7 @@ def suite_census_audits(max_order: int = 24, workers: int = 1) -> SuiteResult:
         group = groups[rec.group_id]
         if key != (rec.group_id, rec.alpha_index):
             key = (rec.group_id, rec.alpha_index)
-            ctx = _contexts(group)[rec.alpha_index][1]
+            ctx = involution_contexts(group)[rec.alpha_index]
             graphs = {}
         sub = subgroup(group, rec.subgroup)
         pc = decide_subgroup_pc(sub, ctx)
@@ -622,7 +614,7 @@ def suite_transports(max_order: int = 12) -> SuiteResult:
     for group in catalog(max_order):
         subs = enumerate_subgroups(group)
         autos = enumerate_automorphisms(group)
-        for ai, ctx in _contexts(group):
+        for ai, ctx in enumerate(involution_contexts(group)):
             for sub in subs:
                 for kind, witness in (
                     ("perfect", decide_subgroup_pc(sub, ctx)),
@@ -670,10 +662,10 @@ def suite_product_identities(max_factor_order: int = 8) -> SuiteResult:
     cases = 0
     factor_groups = [g for g in catalog(max_factor_order)]
     for g1 in factor_groups:
-        ctxs1 = [ctx for _, ctx in _contexts(g1)]
+        ctxs1 = involution_contexts(g1)
         ids1 = [None] + ctxs1
         for g2 in factor_groups:
-            ctxs2 = [ctx for _, ctx in _contexts(g2)]
+            ctxs2 = involution_contexts(g2)
             ids2 = [None] + ctxs2
             prod = build_group(f"{g1.id}x{g2.id}")
             n2 = g2.order
@@ -710,14 +702,14 @@ def _derived_sets(group: FiniteGroup, alpha: Automorphism):
     return omega, k_set
 
 
-def collect_code_pairs(max_order: int = 8, kind: str = "perfect", limit: int = 8):
-    """First few (subgroup, subset) code hits over the small catalog, in
-    deterministic scan order."""
+def collect_code_pairs(kind: str, limit: int):
+    """The first ``limit`` (subgroup, subset) code hits over the catalog up
+    to order 8, in deterministic scan order."""
     out = []
-    for group in catalog(max_order):
+    for group in catalog(8):
         if group.order < 2:
             continue
-        for ai, ctx in _contexts(group):
+        for ai, ctx in enumerate(involution_contexts(group)):
             for sub in enumerate_subgroups(group):
                 witness = (
                     decide_subgroup_pc(sub, ctx)
@@ -731,19 +723,25 @@ def collect_code_pairs(max_order: int = 8, kind: str = "perfect", limit: int = 8
     return out
 
 
-def suite_product_codes(min_pc_pairs: int = 5, min_tpc_pairs: int = 3) -> SuiteResult:
-    """Product constructions: the augmented set keeps perfect codes, the
-    plain product set fails the total-code counting under perfect-code
-    inputs, and keeps total codes under total-code inputs."""
+PRODUCT_PC_PAIRS = 5
+PRODUCT_TPC_PAIRS = 3
+
+
+def suite_product_codes() -> SuiteResult:
+    """Product constructions over the first :data:`PRODUCT_PC_PAIRS`
+    perfect-code and :data:`PRODUCT_TPC_PAIRS` total-code pairs: the
+    augmented set keeps perfect codes, the plain product set fails the
+    total-code counting under perfect-code inputs, and keeps total codes
+    under total-code inputs."""
     violations = []
     cases = 0
-    pc_pairs = collect_code_pairs(8, "perfect", limit=max(min_pc_pairs, 5))
-    tpc_pairs = collect_code_pairs(8, "total", limit=max(min_tpc_pairs, 3))
-    if len(pc_pairs) < min_pc_pairs:
+    pc_pairs = collect_code_pairs("perfect", PRODUCT_PC_PAIRS)
+    tpc_pairs = collect_code_pairs("total", PRODUCT_TPC_PAIRS)
+    if len(pc_pairs) < PRODUCT_PC_PAIRS:
         violations.append(f"only {len(pc_pairs)} perfect-code pairs available")
-    if len(tpc_pairs) < min_tpc_pairs:
+    if len(tpc_pairs) < PRODUCT_TPC_PAIRS:
         violations.append(f"only {len(tpc_pairs)} total-code pairs available")
-    for i in range(min(len(pc_pairs), min_pc_pairs)):
+    for i in range(len(pc_pairs)):
         pair1 = pc_pairs[i]
         pair2 = pc_pairs[(i + 1) % len(pc_pairs)]
         tpair1 = tpc_pairs[i % len(tpc_pairs)] if tpc_pairs else None
@@ -758,7 +756,7 @@ def suite_product_codes(min_pc_pairs: int = 5, min_tpc_pairs: int = 3) -> SuiteR
             violations.append(f"{where}: augmented product set loses the perfect code")
         if report.tpc_plain_counting_ok or report.tpc_plain_holds:
             violations.append(f"{where}: plain product set passed under perfect-code inputs")
-        if i < min_tpc_pairs:
+        if i < PRODUCT_TPC_PAIRS:
             if not (report.tpc_amended_evaluated and report.tpc_amended_holds):
                 violations.append(f"{where}: total-code product form failed")
     return SuiteResult("product-codes", cases, violations)
@@ -773,11 +771,11 @@ def suite_odd_order_in_omega(max_order: int = 24) -> SuiteResult:
         if not group.is_abelian:
             continue
         subs = enumerate_subgroups(group)
-        for ai, ctx in _contexts(group):
+        for ai, ctx in enumerate(involution_contexts(group)):
             # the loop set is a subgroup in the abelian case
             try:
                 subgroup(group, ctx.omega)
-            except Exception:
+            except GroupValidationError:
                 violations.append(f"group={group.id} alpha={ai}: loop set not a subgroup")
                 continue
             for sub in subs:
@@ -810,7 +808,7 @@ def suite_characteristic_criterion(max_order: int = 24) -> SuiteResult:
             for sub in subs
             if all(perm_mask(b.perm, sub.mask) == sub.mask for b in autos)
         ]
-        for ai, ctx in _contexts(group):
+        for ai, ctx in enumerate(involution_contexts(group)):
             t = group.table
             a = ctx.alpha.perm
             for sub in characteristic:

@@ -39,7 +39,7 @@ def test_criterion_01_graph_laws():
 
 def test_criterion_02_mode_agreement():
     t0 = time.time()
-    res = suite_mode_agreement(max_order=12, seed=0, samples=1000, exhaustive_limit=8)
+    res = suite_mode_agreement(max_order=12, seed=0, exhaustive_limit=8)
     _report(2, res, t0)
     assert res.ok, res.violations[:3]
 
@@ -75,7 +75,7 @@ def test_criterion_06_transports():
 def test_criterion_07_products():
     t0 = time.time()
     identities = suite_product_identities(max_factor_order=8)
-    codes = suite_product_codes(min_pc_pairs=5, min_tpc_pairs=3)
+    codes = suite_product_codes()
     _report(7, identities, t0)
     _report(7, codes, t0)
     assert identities.ok, identities.violations[:3]

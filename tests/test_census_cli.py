@@ -12,8 +12,8 @@ import pytest
 
 import gencayley
 import gencayley.census as census_module
-from gencayley.census import catalog, census_records, emit_report
-from gencayley.cli import main
+from gencayley.census import CSV_COLUMNS, CensusRecord, catalog, census_records, emit_report
+from gencayley.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -73,8 +73,6 @@ def test_emit_report_jsonl_fields():
         "is_pc", "pc_witness", "pc_witness_size", "pc_refutation",
         "is_tpc", "tpc_witness", "tpc_witness_size", "tpc_refutation", "note",
     }
-    with_timing = emit_report(records, fmt="jsonl", with_timings=True).splitlines()
-    assert "decide_pc_ms" in json.loads(with_timing[-1])
 
 
 def test_workers_do_not_change_bytes():
@@ -113,34 +111,28 @@ def test_optimize_flag_does_not_change_bytes():
 
 
 def hand_built_records():
-    """Records whose strings need json's escaping (a quote, a backslash,
-    control characters, non-ASCII text) and whose timings json writes in
-    its own way."""
+    """Records whose strings need json's escaping: a quote, a backslash,
+    control characters, non-ASCII text."""
     base = census_records(6)[-1]
-    cases = [
-        ('quo"te\\back', 0.0),
-        ("tab\tbell\x07nul\x00", 1e-05),
-        ("\u010daj \u2615 \U0001d11e", None),
-        ("line\nbreak\u2028", float("nan")),
-        ("plain", float("inf")),
-        ("plain", float("-inf")),
+    texts = [
+        'quo"te\\back',
+        "tab\tbell\x07nul\x00",
+        "\u010daj \u2615 \U0001d11e",
+        "line\nbreak\u2028",
     ]
     return [
-        dataclasses.replace(
-            base, group_id=text, note=text, pc_refutation=text, decide_pc_ms=ms, decide_tpc_ms=1.5
-        )
-        for text, ms in cases
+        dataclasses.replace(base, group_id=text, note=text, pc_refutation=text)
+        for text in texts
     ]
 
 
-@pytest.mark.parametrize("with_timings", [False, True])
-def test_jsonl_lines_equal_json_dumps(with_timings):
+def test_jsonl_lines_equal_json_dumps():
     records = census_records(12) + hand_built_records()
     expected = [
-        json.dumps(r.payload(with_timings), sort_keys=True, separators=(",", ":")) + "\n"
+        json.dumps(r.payload(), sort_keys=True, separators=(",", ":")) + "\n"
         for r in records
     ]
-    lines = emit_report(records, with_timings=with_timings).split("\n")
+    lines = emit_report(records).split("\n")
     assert lines.pop() == ""
     assert [line + "\n" for line in lines] == expected
 
@@ -327,6 +319,34 @@ def test_cli_rejects_duplicate_element_names(tmp_path, capsys):
     )
     assert code == 2 and out == ""
     assert "field 'names' repeats 'a' at indexes 1 and 2" in err
+
+
+def test_cli_census_has_no_timings_flag(capsys):
+    # reports never carry timings, so no flag can make them non-reproducible
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--max-order", "1", "--timings"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --timings" in capsys.readouterr().err
+
+
+def test_report_columns_are_the_payload_keys():
+    keys = list(CensusRecord("", 0).payload())
+    assert CSV_COLUMNS == keys
+    assert build_parser().epilog == "census CSV columns: " + ",".join(keys)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:6", "V4"])
+@pytest.mark.parametrize("flag", [[], ["--include-identity"]], ids=["plain", "with-identity"])
+def test_aut_list_indexes_are_alpha_indexes(capsys, spec, flag):
+    code, out, _ = run_cli(capsys, "aut", "list", "--group", spec, *flag)
+    assert code == 0
+    listed = re.findall(r"^alpha\[(\d+)\] (perm=\[.*\])$", out, re.M)
+    assert [int(k) for k, _ in listed] == list(range(len(listed))) and listed
+    assert bool(flag) == ("\nidentity perm=" in out)
+    for k, perm in listed:
+        code, sets_out, _ = run_cli(capsys, "sets", "--group", spec, "--alpha", k)
+        assert code == 0
+        assert f"alpha[{k}] {perm}\n" in sets_out
 
 
 def test_cli_census_csv_out(tmp_path, capsys):

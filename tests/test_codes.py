@@ -29,6 +29,7 @@ from gencayley import (
     enumerate_involutory_automorphisms,
     enumerate_subgroups,
     image_subgroup,
+    involution_contexts,
     is_gc_transversal,
     is_perfect_code,
     is_total_perfect_code,
@@ -43,7 +44,6 @@ from gencayley import (
 import gencayley.codes as codes_module
 import gencayley.verify as verify_module
 from gencayley.codes import _product_context
-from gencayley.verify import _contexts
 
 from oracles import codes_by_definition, exists_pc_connection_set
 
@@ -103,7 +103,7 @@ def test_brute_force_threshold():
     from gencayley import enumerate_subsets
 
     g24 = build_group("symmetric:4")
-    ctx = _contexts(g24)[0][1]
+    ctx = involution_contexts(g24)[0]
     graph = build_graph(next(iter(enumerate_subsets(ctx))))
     with pytest.raises(ThresholdError):
         brute_force_codes(graph)
@@ -134,7 +134,7 @@ def test_coset_pairing_requires_preservation(v4, v4_swap_ctx):
 
 def test_coset_pairing_mixed_case():
     s3 = build_group("symmetric:3")
-    for _, ctx in _contexts(s3):
+    for ctx in involution_contexts(s3):
         for sub in enumerate_subgroups(s3):
             if sub.order == 2 and alpha_preserves(ctx.alpha, sub):
                 pairing = coset_pairing(sub, ctx)
@@ -174,7 +174,7 @@ def test_decide_pc_whole_group(z6, z6_ctx):
 @pytest.mark.parametrize("spec", ["cyclic:4", "cyclic:6", "cyclic:8", "V4", "dihedral:3", "dihedral:4"])
 def test_decide_pc_matches_exhaustive_search(spec):
     group = build_group(spec)
-    for _, ctx in _contexts(group):
+    for ctx in involution_contexts(group):
         for sub in enumerate_subgroups(group):
             decided = decide_subgroup_pc(sub, ctx).success
             assert decided == exists_pc_connection_set(ctx, sub)
@@ -199,7 +199,7 @@ def test_abelian_criterion_examples(z6, z6_ctx, z4, z4_ctx):
     with pytest.raises(GenCayleyError):
         abelian_pc_criterion(
             subgroup(build_group("dihedral:3"), [0]),
-            _contexts(build_group("dihedral:3"))[0][1],
+            involution_contexts(build_group("dihedral:3"))[0],
         )
 
 
@@ -277,7 +277,7 @@ def test_transport_requires_fixed_element(z6, z6_ctx):
 def test_transport_nonabelian_hit():
     d4 = build_group("dihedral:4")
     hits = []
-    for _, ctx in _contexts(d4):
+    for ctx in involution_contexts(d4):
         for sub in enumerate_subgroups(d4):
             w = decide_subgroup_pc(sub, ctx)
             if w.success and 0 < sub.order < d4.order:
@@ -386,7 +386,7 @@ def test_restrict_witness_normalizer_abelian(z6, z6_ctx):
 
 def test_restrict_witness_nonabelian_proper_normalizer():
     d4 = build_group("dihedral:4")
-    for _, ctx in _contexts(d4):
+    for ctx in involution_contexts(d4):
         for sub in enumerate_subgroups(d4):
             w = decide_subgroup_pc(sub, ctx)
             if not w.success:
@@ -418,7 +418,7 @@ def test_restrict_witness_requires_invariance(v4, v4_swap_ctx):
 def test_pc_hits_preserve_subgroup_and_miss_image():
     for spec in ("cyclic:8", "dihedral:4", "abelian:2,4"):
         group = build_group(spec)
-        for _, ctx in _contexts(group):
+        for ctx in involution_contexts(group):
             for sub in enumerate_subgroups(group):
                 w = decide_subgroup_pc(sub, ctx)
                 if w.success:

@@ -20,11 +20,11 @@ from gencayley import (
     enumerate_involutory_automorphisms,
     enumerate_subsets,
     export_dot,
+    involution_contexts,
     subgroup,
     subset_violation,
     validate_subset,
 )
-from gencayley.verify import _contexts
 
 from oracles import cayley_edges, connection_sets_by_filter, gc_edges_by_rule
 
@@ -67,7 +67,7 @@ def test_validators_name_the_smallest_offender(spec):
     # validator; unsorted, repeated and several out-of-range elements included
     group = build_group(spec)
     rng = random.Random(spec)
-    for _, ctx in _contexts(group):
+    for ctx in involution_contexts(group):
         dec = cosets(group, subgroup(group, [0]), "right")
         for _ in range(300):
             elements = [rng.randrange(-3, group.order + 3) for _ in range(rng.randrange(6))]
@@ -91,20 +91,25 @@ def test_enumerate_subsets_counts(z6_ctx, v4_swap_ctx):
     subsets = [s.elements for s in enumerate_subsets(z6_ctx)]
     assert len(subsets) == 8 and count_subsets(z6_ctx) == 8
     assert [s.elements for s in enumerate_subsets(v4_swap_ctx)] == [(), (1, 2)]
-    assert [s.elements for s in enumerate_subsets(z6_ctx, size_filter=0)] == [()]
 
 
 @pytest.mark.parametrize("spec", ["cyclic:4", "cyclic:6", "V4", "cyclic:8", "dihedral:3"])
 def test_enumerate_subsets_matches_filter_oracle(spec):
     group = build_group(spec)
-    for _, ctx in _contexts(group):
+    for ctx in involution_contexts(group):
         listed = {s.elements for s in enumerate_subsets(ctx)}
         assert listed == connection_sets_by_filter(ctx)
 
 
-def test_enumerate_subsets_threshold(z6_ctx):
-    with pytest.raises(ThresholdError):
-        list(enumerate_subsets(z6_ctx, max_orbits=2))
+def test_enumerate_subsets_threshold():
+    # under the identity map every element of Z2^5 but e is its own
+    # tau-orbit: 31 orbits, over the bound of 20
+    group = build_group("abelian:2,2,2,2,2")
+    identity = enumerate_involutory_automorphisms(group, include_identity=True)[0]
+    ctx = alpha_context(group, identity)
+    assert len(ctx.tau_orbits) == 31
+    with pytest.raises(ThresholdError, match="31 tau-orbits exceeds the enumeration bound 20"):
+        next(enumerate_subsets(ctx))
 
 
 def test_matching_graph(z6_ctx):
@@ -132,7 +137,7 @@ def test_v4_four_cycle(v4_swap_ctx):
 @pytest.mark.parametrize("spec", ["cyclic:6", "cyclic:8", "dihedral:4", "V4", "abelian:2,4"])
 def test_graphs_match_edge_rule_oracle(spec):
     group = build_group(spec)
-    for _, ctx in _contexts(group):
+    for ctx in involution_contexts(group):
         for subset in enumerate_subsets(ctx):
             graph = build_graph(subset)
             assert edges(graph) == gc_edges_by_rule(group, ctx.alpha.perm, subset.elements)
@@ -141,7 +146,7 @@ def test_graphs_match_edge_rule_oracle(spec):
 def test_graph_masks_and_adjacency_follow_the_definition():
     # vertex g is joined to alpha(g) * s for every s in S
     for group in catalog(8):
-        for _, ctx in _contexts(group):
+        for ctx in involution_contexts(group):
             for subset in enumerate_subsets(ctx):
                 graph = build_graph(subset)
                 for g in range(group.order):

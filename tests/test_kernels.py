@@ -18,12 +18,12 @@ from gencayley import (
     enumerate_subgroups,
     enumerate_subsets,
     inversion_automorphism,
+    involution_contexts,
     kernels,
     subset_from_orbit_mask,
 )
 from gencayley.verify import (
     CONSISTENT_VERDICTS,
-    _contexts,
     _mul_flat,
     _orbit_translate_masks,
     _reference_verdict,
@@ -38,7 +38,7 @@ def _instances(max_order=8):
         group = build_group(spec)
         if group.order > max_order:
             continue
-        for _, ctx in _contexts(group):
+        for ctx in involution_contexts(group):
             for subset in enumerate_subsets(ctx):
                 out.append((group, ctx, subset))
     return out
@@ -122,7 +122,7 @@ def test_scan_subgroup_codes_matches_bruteforce_on_random_translates():
 def test_kernels_match_bruteforce_on_catalog_to_order_8():
     for group in catalog(8):
         h_masks = [s.mask for s in enumerate_subgroups(group)]
-        for _, ctx in _contexts(group):
+        for ctx in involution_contexts(group):
             trans = _orbit_translate_masks(ctx)
             m = len(ctx.tau_orbits)
             for kind in (0, 1):
@@ -156,7 +156,7 @@ def test_scan_check_routes_matches_table_on_catalog_to_order_8():
     calls = masks = 0
     for group in catalog(8):
         x_masks = list(range(1 << group.order))
-        for _, ctx in _contexts(group):
+        for ctx in involution_contexts(group):
             for subset in enumerate_subsets(ctx):
                 graph = build_graph(subset)
                 assert _kernel_verdicts(graph, x_masks) == _table_verdicts(graph, x_masks), (

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import gencayley.verify as verify
+from gencayley import GroupValidationError
 
 
 @pytest.mark.parametrize(
@@ -42,3 +43,20 @@ def test_graph_reuse_keeps_every_check(monkeypatch, suite, cases, pc_calls, tpc_
     assert calls["is_total_perfect_code"] == tpc_calls
     # one build per distinct (context, connection set), never one per witness
     assert calls["build_graph"] == len(built) == builds
+
+
+def test_odd_order_suite_catches_only_subgroup_failures(monkeypatch):
+    def broken(group, elements):
+        raise TypeError("a bug, not a verdict")
+
+    monkeypatch.setattr(verify, "subgroup", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        verify.suite_odd_order_in_omega(6)
+
+    def rejected(group, elements):
+        raise GroupValidationError("subgroup-closure", (1, 1, 2))
+
+    monkeypatch.setattr(verify, "subgroup", rejected)
+    result = verify.suite_odd_order_in_omega(6)
+    assert result.violations
+    assert all(v.endswith(": loop set not a subgroup") for v in result.violations)
