@@ -13,6 +13,7 @@ from .automorphisms import (
     inversion_automorphism,
     involution_contexts,
     load_automorphism,
+    orbit_translate_masks,
     product_automorphism,
 )
 from .census import CensusRecord, catalog, census_records, emit_report
@@ -72,6 +73,7 @@ from .groups import (
     enumerate_subgroups,
     group_from_table,
     load_group_file,
+    mul_flat,
     noncommuting_pair,
     normalizer,
     subgroup,

@@ -21,12 +21,12 @@ and pairs (inside ``mho``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._bits import mask_of
 from .errors import GenCayleyError, GroupFileError, ThresholdError
-from .groups import FiniteGroup, _right_generators
+from .groups import FiniteGroup, SubgroupHandle, _right_generators
 
 AUT_ENUM_LIMIT = 48
 
@@ -340,6 +340,12 @@ class AlphaContext:
     mho: tuple[int, ...]
     fix: tuple[int, ...]
     k_set: tuple[int, ...]
+    # subgroup mask -> a handle of alpha(H), H itself when alpha preserves
+    # it: the perfect and total perfect code decisions of a pair share one
+    # evaluation. Made by codes._decide on first use, or up front by the
+    # census from its task's own handles. None until then, so building a
+    # context allocates nothing for it.
+    images: dict[int, SubgroupHandle] | None = field(default=None, init=False, repr=False)
 
     @property
     def group(self) -> FiniteGroup:
@@ -424,3 +430,22 @@ def involution_contexts(group: FiniteGroup) -> list[AlphaContext]:
             alpha_context(group, a) for a in enumerate_involutory_automorphisms(group)
         ]
     return cache.contexts
+
+
+def orbit_translate_masks(ctx: AlphaContext) -> list[int]:
+    """For each tau-orbit o and each element g, the mask of alpha(g)*o: the
+    neighbors g gains when o joins the connection set. Flattened orbit by
+    orbit, as ``kernels.scan_subgroup_codes`` takes them."""
+    group = ctx.group
+    n = group.order
+    table = group.table
+    alpha = ctx.alpha.perm
+    trans = []
+    for orbit in ctx.tau_orbits:
+        for g in range(n):
+            row = table[alpha[g]]
+            m = 0
+            for s in orbit:
+                m |= 1 << row[s]
+            trans.append(m)
+    return trans

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
+from ._bits import perm_mask
 from .automorphisms import Automorphism, alpha_context, enumerate_involutory_automorphisms
 from .codes import decide_subgroup_pc, decide_subgroup_tpc
 from .groups import FiniteGroup, build_group, enumerate_subgroups
@@ -121,6 +122,11 @@ def _task_records(args) -> list[CensusRecord]:
         return [CensusRecord(group.id, group.order, note="no-involutory-automorphisms")]
     alpha = Automorphism(perm, group)
     ctx = alpha_context(group, alpha)
+    # alpha(H) is one of the task's own subgroups: hand the deciders that
+    # handle, so neither builds one (a pool worker's handles are unpickled
+    # copies, and their cosets are decomposed once for the whole chunk)
+    by_mask = {s.mask: s for s in subgroups}
+    ctx.images = {m: by_mask[perm_mask(perm, m)] for m in by_mask}
     records = []
     for sub in subgroups:
         t0 = time.perf_counter()

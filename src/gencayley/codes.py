@@ -207,57 +207,70 @@ class CodeWitness:
 
 
 def _search_transversal(
-    ctx: AlphaContext, dec: CosetDecomposition, required: list[int]
+    ctx: AlphaContext, dec: CosetDecomposition, first: int
 ) -> dict[int, int] | None:
-    """One representative per required coset, avoiding the loop set, with
-    the whole choice closed under tau. Deterministic depth-first search:
-    lowest unassigned coset first; each coset's candidates are its
-    tau-fixed non-loop elements (big_omega), which need no partner, then
-    its tau-moved ones (mho), each group in ascending order."""
+    """One representative for each coset with index ``first`` to
+    ``dec.index - 1``, avoiding the loop set, with the whole choice closed
+    under tau; the result maps coset index to representative. Deterministic
+    depth-first search: lowest unassigned coset first; each coset's
+    candidates are its tau-fixed non-loop elements (big_omega), which need
+    no partner, then its tau-moved ones (mho), each group in ascending
+    order. A tau-moved candidate also fills the coset of its tau-partner,
+    which must be a required one other than its own and still free."""
     coset_of = dec.rep_of
+    blocks = dec.cosets
     tau = ctx.tau_perm
     fixed, moved = ctx.big_omega_mask, ctx.mho_mask
-    wanted = set(required)
+    last = dec.index
     reps: dict[int, int] = {}
-    last = len(required)
 
     def extend(pos: int) -> bool:
-        # every coset before position pos is assigned; skip the ones a
-        # tau-partner filled in since
-        while pos < last and required[pos] in reps:
+        # every coset before pos is assigned; skip the ones a tau-partner
+        # filled in since
+        while pos < last and pos in reps:
             pos += 1
         if pos == last:
             return True
-        target = required[pos]
-        coset = dec.cosets[target]
-        for x in [x for x in coset if fixed >> x & 1]:
-            reps[target] = x
-            if extend(pos + 1):
-                return True
-            del reps[target]
-        for x in [x for x in coset if moved >> x & 1]:
+        coset = blocks[pos]
+        for x in coset:
+            if fixed >> x & 1:
+                reps[pos] = x
+                if extend(pos + 1):
+                    return True
+                del reps[pos]
+        for x in coset:
+            if not moved >> x & 1:
+                continue
             y = tau[x]
             cy = coset_of[y]
-            if cy == target or cy not in wanted or cy in reps:
+            if cy < first or cy == pos or cy in reps:
                 continue  # the tau-partner needs a free coset of its own
-            reps[target] = x
+            reps[pos] = x
             reps[cy] = y
             if extend(pos + 1):
                 return True
-            del reps[target]
+            del reps[pos]
             del reps[cy]
         return False
 
-    return dict(reps) if extend(0) else None
+    return reps if extend(first) else None
 
 
-def _refutation_reason(ctx: AlphaContext, dec: CosetDecomposition, required) -> str:
+def _refutation_reason(ctx: AlphaContext, dec: CosetDecomposition, first: int) -> str:
+    """Why the search from coset ``first`` on failed: the first required
+    coset lying wholly in the loop set, else the first one whose non-loop
+    elements are all tau-moved with their partner in the same coset (it
+    can be covered neither alone nor by a pair), else plain exhaustion."""
+    omega, tau, coset_of = ctx.omega_mask, ctx.tau_perm, dec.rep_of
+    required = range(first, dec.index)
     for ci in required:
-        if all(ctx.omega_mask >> x & 1 for x in dec.cosets[ci]):
+        if all(omega >> x & 1 for x in dec.cosets[ci]):
             return REFUTATION_OMEGA_COSET
     for ci in required:
-        non_loop = [x for x in dec.cosets[ci] if not ctx.omega_mask >> x & 1]
-        if all(ctx.tau(x) != x and dec.rep_of[ctx.tau(x)] == ci for x in non_loop):
+        if all(
+            omega >> x & 1 or (tau[x] != x and coset_of[tau[x]] == ci)
+            for x in dec.cosets[ci]
+        ):
             return REFUTATION_SELF_PAIRED
     return REFUTATION_EXHAUSTED
 
@@ -287,26 +300,38 @@ def _decide(sub: SubgroupHandle, ctx: AlphaContext, kind: str) -> CodeWitness:
     A witness for ``kind`` is a connection set S such that T is a right
     transversal of alpha(H), where T = {e} union S for a perfect code and
     T = S for a total perfect code. A perfect code also needs alpha(H) = H,
-    so its search runs on the cosets of H itself, with coset 0 covered by e.
+    so its search runs on the cosets of H itself from coset 1 on, coset 0
+    being covered by e; a total perfect code's search starts at coset 0.
+
+    The handle of alpha(H) comes from ``ctx.images``, computed on the first
+    decision of the pair and kept there, so the two kinds share it. Whether
+    alpha preserves H is read from the masks, so any handle of the same
+    element set gives the same answer.
     """
     group = sub.parent
     if ctx.group is not group:
         raise GenCayleyError("context group does not match the subgroup's parent")
-    preserved = alpha_preserves(ctx.alpha, sub)
+    images = ctx.images
+    if images is None:
+        images = ctx.images = {}
+    image = images.get(sub.mask)
+    if image is None:
+        image = images[sub.mask] = (
+            sub if alpha_preserves(ctx.alpha, sub) else image_subgroup(ctx.alpha, sub)
+        )
+    preserved = image.mask == sub.mask
     perfect = kind == "perfect"
     if perfect and not preserved:
         return CodeWitness(sub, kind, None, REFUTATION_ALPHA, (), False)
-    image = sub if preserved else image_subgroup(ctx.alpha, sub)
     dec = cosets(group, image, "right")
-    required = list(range(1 if perfect else 0, dec.index))
-    reps = _search_transversal(ctx, dec, required)
+    first = 1 if perfect else 0
+    reps = _search_transversal(ctx, dec, first)
     if reps is None:
-        reason = _refutation_reason(ctx, dec, required)
+        reason = _refutation_reason(ctx, dec, first)
         return CodeWitness(sub, kind, None, reason, (), preserved)
     subset = _certify_transversal(ctx, reps.values(), dec, with_identity=perfect)
-    classification = tuple(
-        (ci, dec.rep_of[ctx.tau(reps[ci])], reps[ci]) for ci in sorted(reps)
-    )
+    tau, coset_of = ctx.tau_perm, dec.rep_of
+    classification = tuple((ci, coset_of[tau[x]], x) for ci, x in sorted(reps.items()))
     return CodeWitness(sub, kind, subset, None, classification, preserved)
 
 

@@ -47,7 +47,7 @@ class GroupCache:
     involutions: list | None = None
     # the AlphaContext of each involution, see automorphisms.involution_contexts
     contexts: list | None = None
-    # the table flattened row by row, for kernels.scan_check_routes
+    # the table flattened row by row, see :func:`mul_flat`
     mul_flat: list[int] | None = None
 
 
@@ -119,6 +119,16 @@ class FiniteGroup:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteGroup({self.id}, order={self.order})"
+
+
+def mul_flat(group: FiniteGroup) -> list[int]:
+    """The multiplication table flattened row by row, entry ``a*n + b``
+    holding a*b: the input of ``kernels.scan_check_routes``. Kept in
+    ``group.cache.mul_flat``."""
+    cache = group.cache
+    if cache.mul_flat is None:
+        cache.mul_flat = [v for row in group.table for v in row]
+    return cache.mul_flat
 
 
 def _lcm(a: int, b: int) -> int:

@@ -24,6 +24,7 @@ from .automorphisms import (
     enumerate_automorphisms,
     inversion_automorphism,
     involution_contexts,
+    orbit_translate_masks,
 )
 from .census import catalog, census_records
 from .codes import (
@@ -56,6 +57,7 @@ from .groups import (
     build_group,
     cosets,
     enumerate_subgroups,
+    mul_flat,
     normalizer,
     subgroup,
     subgroup_closure,
@@ -77,13 +79,6 @@ class SuiteResult:
 def _mix_seed(seed: int, *parts) -> int:
     text = "|".join(str(p) for p in parts)
     return seed ^ zlib.crc32(text.encode())
-
-
-def _mul_flat(group: FiniteGroup) -> list[int]:
-    cache = group.cache
-    if cache.mul_flat is None:
-        cache.mul_flat = [v for row in group.table for v in row]
-    return cache.mul_flat
 
 
 def _graph_of(graphs: dict, subset: GenCayleySubset) -> GenCayleyGraph:
@@ -391,7 +386,7 @@ def suite_mode_agreement(
         n = group.order
         if n < 2:
             continue
-        mul_flat = _mul_flat(group)
+        flat = mul_flat(group)
         h_masks = [h.mask for h in enumerate_subgroups(group)]
         for ai, ctx in enumerate(involution_contexts(group)):
             for subset in enumerate_subsets(ctx):
@@ -404,7 +399,7 @@ def suite_mode_agreement(
                     xms = (h_masks + xms)[:MODE_SAMPLES]
                 verdicts = kernels.scan_check_routes(
                     n,
-                    mul_flat,
+                    flat,
                     group.inv,
                     ctx.alpha.perm,
                     subset.elements,
@@ -428,22 +423,6 @@ def suite_mode_agreement(
 # subgroup decision suites
 
 
-def _orbit_translate_masks(ctx) -> list[int]:
-    group = ctx.group
-    n = group.order
-    table = group.table
-    alpha = ctx.alpha.perm
-    trans = []
-    for orbit in ctx.tau_orbits:
-        for g in range(n):
-            row = table[alpha[g]]
-            m = 0
-            for s in orbit:
-                m |= 1 << row[s]
-            trans.append(m)
-    return trans
-
-
 def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
     violations = []
     cases = 0
@@ -454,7 +433,7 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
         h_masks = [s.mask for s in subs]
         for ai, ctx in enumerate(involution_contexts(group)):
             graphs = {}
-            trans = _orbit_translate_masks(ctx)
+            trans = orbit_translate_masks(ctx)
             found = kernels.scan_subgroup_codes(
                 trans, len(ctx.tau_orbits), h_masks, group.order, kind
             )

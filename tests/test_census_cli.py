@@ -12,6 +12,10 @@ import pytest
 
 import gencayley
 import gencayley.census as census_module
+import gencayley.codes as codes_module
+import gencayley.groups as groups_module
+from gencayley import enumerate_involutory_automorphisms, enumerate_subgroups
+from gencayley.groups import abelian_group
 from gencayley.census import CSV_COLUMNS, CensusRecord, catalog, census_records, emit_report
 from gencayley.cli import build_parser, main
 
@@ -106,6 +110,16 @@ def test_optimize_flag_does_not_change_bytes():
     )
 
 
+def test_census_24_report_is_pinned():
+    # census-12 never reaches order 16, where Z2^4 gives most records
+    data = emit_report(census_records(24)).encode()
+    assert len(data.splitlines()) == 27_483
+    assert len(data) == 8_203_955
+    assert hashlib.sha256(data).hexdigest() == (
+        "407d4f3bd15f9c34eccef12b2c2d81b72fe8e97af4edc5b74b5c4eb6031ec91d"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the report writer and the record transport
 
@@ -160,6 +174,38 @@ def test_pool_records_equal_serial_records():
     timings = ("decide_pc_ms", "decide_tpc_ms")
     serial = [record_fields(r, timings) for r in census_records(8, workers=1)]
     assert [record_fields(r, timings) for r in census_records(8, workers=2)] == serial
+
+
+def test_pool_chunk_reuses_task_handles(monkeypatch):
+    # a pool worker receives a chunk of tasks as one pickle, so its tasks
+    # share one group and one list of subgroup handles, outside the
+    # unpickled group's subgroup cache; alpha(H) must come from that list
+    group = abelian_group([2, 2, 2, 2])
+    subgroups = enumerate_subgroups(group)
+    alphas = enumerate_involutory_automorphisms(group)[:40]
+    chunk = pickle.loads(
+        pickle.dumps([(group, i, a.perm, subgroups) for i, a in enumerate(alphas)])
+    )
+    calls = {}
+
+    def counting(name, fn):
+        calls[name] = 0
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module, name in (
+        (groups_module, "_decompose"),
+        (codes_module, "image_subgroup"),
+        (codes_module, "alpha_preserves"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    records = [r for task in chunk for r in census_module._task_records(task)]
+    assert len(subgroups) == 67 and len(records) == 40 * 67
+    assert calls == {"_decompose": 67, "image_subgroup": 0, "alpha_preserves": 0}
 
 
 def test_pool_never_starts_idle_workers(monkeypatch):

@@ -1,5 +1,7 @@
 import ast
+import io
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -425,6 +427,39 @@ def test_pc_hits_preserve_subgroup_and_miss_image():
                     assert alpha_preserves(ctx.alpha, sub)
                     image = image_subgroup(ctx.alpha, sub)
                     assert not set(w.subset.elements) & set(image.elements)
+
+
+def pickled_copy(sub):
+    """A pickle round trip of a subgroup handle that keeps its parent group:
+    a second handle of the same element set."""
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf)
+    pickler.persistent_id = lambda obj: "parent" if obj is sub.parent else None
+    pickler.dump(sub)
+    unpickler = pickle.Unpickler(io.BytesIO(buf.getvalue()))
+    unpickler.persistent_load = lambda pid: sub.parent
+    return unpickler.load()
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "symmetric:4"])
+def test_handle_identity_does_not_change_decisions(spec):
+    # a context keeps the alpha(H) handle of the first decision of H, made
+    # through either handle; the other handle must get the same answers
+    group = build_group(spec)
+    pairs = [(sub, pickled_copy(sub)) for sub in enumerate_subgroups(group)]
+    assert all(a is not b and a.elements == b.elements for a, b in pairs)
+    for alpha in enumerate_involutory_automorphisms(group):
+        for decide in (decide_subgroup_pc, decide_subgroup_tpc):
+            for flip in (False, True):
+                ctx = alpha_context(group, alpha)
+                for cached, copied in pairs:
+                    first, second = (copied, cached) if flip else (cached, copied)
+                    a, b = decide(first, ctx), decide(second, ctx)
+                    assert a.success == b.success
+                    assert (a.subset and a.subset.elements) == (b.subset and b.subset.elements)
+                    assert a.refutation == b.refutation
+                    assert a.coset_classification == b.coset_classification
+                    assert a.alpha_preserves_subgroup == b.alpha_preserves_subgroup
 
 
 def drop_one_pair(search):

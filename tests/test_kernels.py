@@ -20,14 +20,11 @@ from gencayley import (
     inversion_automorphism,
     involution_contexts,
     kernels,
+    mul_flat,
+    orbit_translate_masks,
     subset_from_orbit_mask,
 )
-from gencayley.verify import (
-    CONSISTENT_VERDICTS,
-    _mul_flat,
-    _orbit_translate_masks,
-    _reference_verdict,
-)
+from gencayley.verify import CONSISTENT_VERDICTS, _reference_verdict
 
 from oracles import codes_by_definition, scan_codes_bruteforce, scan_subgroup_codes_bruteforce
 
@@ -123,7 +120,7 @@ def test_kernels_match_bruteforce_on_catalog_to_order_8():
     for group in catalog(8):
         h_masks = [s.mask for s in enumerate_subgroups(group)]
         for ctx in involution_contexts(group):
-            trans = _orbit_translate_masks(ctx)
+            trans = orbit_translate_masks(ctx)
             m = len(ctx.tau_orbits)
             for kind in (0, 1):
                 assert kernels.scan_subgroup_codes(
@@ -139,7 +136,7 @@ def _kernel_verdicts(graph, x_masks):
     group = graph.group
     return kernels.scan_check_routes(
         group.order,
-        _mul_flat(group),
+        mul_flat(group),
         group.inv,
         graph.context.alpha.perm,
         graph.subset.elements,
