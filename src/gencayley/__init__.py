@@ -7,7 +7,6 @@ from .automorphisms import (
     alpha_context,
     automorphism_from_perm,
     conjugate_automorphism,
-    compose_automorphisms,
     enumerate_automorphisms,
     enumerate_involutory_automorphisms,
     inversion_automorphism,
@@ -55,7 +54,6 @@ from .graphs import (
     check_at_most_one,
     check_dominates,
     check_independent,
-    count_subsets,
     enumerate_subsets,
     export_dot,
     subset_from_orbit_mask,
@@ -73,7 +71,6 @@ from .groups import (
     enumerate_subgroups,
     group_from_table,
     load_group_file,
-    mul_flat,
     noncommuting_pair,
     normalizer,
     subgroup,

@@ -38,18 +38,9 @@ class Automorphism:
     perm: tuple[int, ...]
     parent: FiniteGroup
 
-    def __call__(self, x: int) -> int:
-        return self.perm[x]
-
     @cached_property
     def is_identity(self) -> bool:
         return all(self.perm[i] == i for i in range(len(self.perm)))
-
-    @cached_property
-    def is_involution(self) -> bool:
-        """a*a = id and a != id."""
-        p = self.perm
-        return not self.is_identity and all(p[p[i]] == i for i in range(len(p)))
 
     @cached_property
     def squares_to_identity(self) -> bool:
@@ -267,13 +258,6 @@ def inversion_automorphism(group: FiniteGroup):
     if all(perm[i] == i for i in range(group.order)):
         return None, "equals-identity"
     return Automorphism(tuple(perm), group), None
-
-
-def compose_automorphisms(a: Automorphism, b: Automorphism) -> Automorphism:
-    """a after b."""
-    if a.parent is not b.parent:
-        raise GenCayleyError("automorphism composition across different groups")
-    return Automorphism(tuple(a.perm[x] for x in b.perm), a.parent)
 
 
 def conjugate_automorphism(beta: Automorphism, alpha: Automorphism) -> Automorphism:

@@ -258,6 +258,17 @@ def cmd_verify(args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for sizes and counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_group_args(p):
     p.add_argument("--group", help="catalog group spec, e.g. cyclic:6, D4, Z2xZ4")
     p.add_argument("--group-file", help="JSON group table file")
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", help="catalog groups")
     gsub = p.add_subparsers(dest="group_command", required=True)
     p_list = gsub.add_parser("list", help="list the catalog")
-    p_list.add_argument("--max-order", type=int, default=DEFAULT_CENSUS_MAX_ORDER)
+    p_list.add_argument("--max-order", type=_positive_int, default=DEFAULT_CENSUS_MAX_ORDER)
     p_list.set_defaults(func=cmd_group_list)
     p_desc = gsub.add_parser("describe", help="order, elements, subgroups")
     _add_group_args(p_desc)
@@ -338,14 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_codes.set_defaults(func=cmd_enumerate_codes)
 
     p = sub.add_parser("census", help="sweep the catalog and emit records")
-    p.add_argument("--max-order", type=int, default=DEFAULT_CENSUS_MAX_ORDER)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-order", type=_positive_int, default=DEFAULT_CENSUS_MAX_ORDER)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

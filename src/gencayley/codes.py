@@ -159,7 +159,7 @@ def coset_pairing(sub: SubgroupHandle, ctx: AlphaContext) -> CosetPairing:
         raise GenCayleyError("context group does not match the subgroup's parent")
     if not alpha_preserves(ctx.alpha, sub):
         raise GenCayleyError("alpha does not preserve the subgroup")
-    dec = cosets(group, sub, "right")
+    dec = cosets(sub, "right")
     entries = []
     well_defined = True
     for ci in range(1, dec.index):
@@ -185,16 +185,12 @@ def coset_pairing(sub: SubgroupHandle, ctx: AlphaContext) -> CosetPairing:
 
 @dataclass(eq=False)
 class CodeWitness:
-    """Decision result for one subgroup: a witness connection set or a
-    refutation reason, plus the coset assignment behind a witness."""
+    """Decision result for one subgroup and involution: exactly one of a
+    witness connection set and a refutation reason, plus whether alpha
+    maps the subgroup onto itself."""
 
-    subgroup: SubgroupHandle
-    kind: str  # "perfect" | "total"
     subset: GenCayleySubset | None
     refutation: str | None
-    # (coset index, partner coset index, chosen representative); partner ==
-    # coset for self-paired representatives
-    coset_classification: tuple[tuple[int, int, int], ...]
     alpha_preserves_subgroup: bool
 
     def __post_init__(self):
@@ -308,8 +304,7 @@ def _decide(sub: SubgroupHandle, ctx: AlphaContext, kind: str) -> CodeWitness:
     alpha preserves H is read from the masks, so any handle of the same
     element set gives the same answer.
     """
-    group = sub.parent
-    if ctx.group is not group:
+    if ctx.group is not sub.parent:
         raise GenCayleyError("context group does not match the subgroup's parent")
     images = ctx.images
     if images is None:
@@ -322,17 +317,14 @@ def _decide(sub: SubgroupHandle, ctx: AlphaContext, kind: str) -> CodeWitness:
     preserved = image.mask == sub.mask
     perfect = kind == "perfect"
     if perfect and not preserved:
-        return CodeWitness(sub, kind, None, REFUTATION_ALPHA, (), False)
-    dec = cosets(group, image, "right")
+        return CodeWitness(None, REFUTATION_ALPHA, False)
+    dec = cosets(image, "right")
     first = 1 if perfect else 0
     reps = _search_transversal(ctx, dec, first)
     if reps is None:
-        reason = _refutation_reason(ctx, dec, first)
-        return CodeWitness(sub, kind, None, reason, (), preserved)
+        return CodeWitness(None, _refutation_reason(ctx, dec, first), preserved)
     subset = _certify_transversal(ctx, reps.values(), dec, with_identity=perfect)
-    tau, coset_of = ctx.tau_perm, dec.rep_of
-    classification = tuple((ci, coset_of[tau[x]], x) for ci, x in sorted(reps.items()))
-    return CodeWitness(sub, kind, subset, None, classification, preserved)
+    return CodeWitness(subset, None, preserved)
 
 
 def decide_subgroup_pc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
@@ -369,7 +361,7 @@ def is_gc_transversal(ctx: AlphaContext, sub: SubgroupHandle, T, side: str = "ri
         return False
     if subset_violation(ctx, [x for x in tset if x != 0]) is not None:
         return False
-    dec = cosets(sub.parent, sub, side)
+    dec = cosets(sub, side)
     return sorted(dec.rep_of[x] for x in tset) == list(range(dec.index))
 
 
@@ -419,7 +411,7 @@ def build_witness_abelian(sub: SubgroupHandle, ctx: AlphaContext) -> GenCayleySu
     if not abelian_pc_criterion(sub, ctx):
         raise GenCayleyError("abelian perfect-code criterion not satisfied")
     group = sub.parent
-    dec = cosets(group, sub, "right")
+    dec = cosets(sub, "right")
     chosen: list[int] = []
     done: set[int] = set()
     for ci in range(1, dec.index):
@@ -635,7 +627,7 @@ def restrict_witness(
         raise GenCayleyError("intermediate subgroup has a different parent group")
     if sub.mask & ~inter.mask:
         raise GenCayleyError("code subgroup is not contained in the intermediate one")
-    if perm_mask(ctx.alpha.perm, inter.mask) != inter.mask:
+    if not alpha_preserves(ctx.alpha, inter):
         raise GenCayleyError("alpha does not preserve the intermediate subgroup")
     _require_code_pair(sub, subset, "perfect", "input")
 
@@ -670,4 +662,4 @@ def restrict_to_normalizer(
     When alpha preserves the code subgroup it automatically preserves the
     normalizer; :func:`restrict_witness` checks that rather than assuming it.
     """
-    return restrict_witness(sub, subset, normalizer(sub.parent, sub))
+    return restrict_witness(sub, subset, normalizer(sub))

@@ -99,10 +99,6 @@ def validate_int_subset(ctx: AlphaContext, elements: Iterable[int]) -> GenCayley
     return GenCayleySubset(elems(mask), ctx)
 
 
-def count_subsets(ctx: AlphaContext) -> int:
-    return 1 << len(ctx.tau_orbits)
-
-
 def enumerate_subsets(ctx: AlphaContext) -> Iterator[GenCayleySubset]:
     """Yield every connection set, as unions of tau-orbits.
 
@@ -310,11 +306,13 @@ def check_independent(graph: GenCayleyGraph, X: Iterable[int]) -> bool:
 
 
 def export_dot(graph: GenCayleyGraph) -> str:
-    """Deterministic DOT rendering, vertices labeled by element names."""
+    """Deterministic DOT rendering, vertices labeled by element names, with
+    ``\\`` and ``"`` escaped inside the quoted labels."""
     group = graph.group
     lines = ["graph gencayley {"]
     for v in range(group.order):
-        lines.append(f'  {v} [label="{group.name_of(v)}"];')
+        label = group.name_of(v).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {v} [label="{label}"];')
     for g, h in graph.edges():
         lines.append(f"  {g} -- {h};")
     lines.append("}")

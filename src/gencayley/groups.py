@@ -35,7 +35,8 @@ class GroupCache:
     pickled: a worker process that receives a group starts with an empty
     one and fills it as it goes. ``involutions`` is searched for directly,
     so a run that needs only the involutions (the census, for one) leaves
-    ``automorphisms`` empty.
+    ``automorphisms`` empty. Coset decompositions are kept on each
+    subgroup's own handle, see :func:`cosets`.
     """
 
     # sorted element tuple -> its validated handle, see :func:`subgroup`
@@ -47,8 +48,6 @@ class GroupCache:
     involutions: list | None = None
     # the AlphaContext of each involution, see automorphisms.involution_contexts
     contexts: list | None = None
-    # the table flattened row by row, see :func:`mul_flat`
-    mul_flat: list[int] | None = None
 
 
 @dataclass(eq=False)
@@ -67,15 +66,6 @@ class FiniteGroup:
     id: str
     names: tuple[str, ...] | None = None
     cache: GroupCache = field(default_factory=GroupCache, init=False, repr=False)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names is not None else str(a)
@@ -119,16 +109,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteGroup({self.id}, order={self.order})"
-
-
-def mul_flat(group: FiniteGroup) -> list[int]:
-    """The multiplication table flattened row by row, entry ``a*n + b``
-    holding a*b: the input of ``kernels.scan_check_routes``. Kept in
-    ``group.cache.mul_flat``."""
-    cache = group.cache
-    if cache.mul_flat is None:
-        cache.mul_flat = [v for row in group.table for v in row]
-    return cache.mul_flat
 
 
 def _lcm(a: int, b: int) -> int:
@@ -521,9 +501,6 @@ class SubgroupHandle:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SubgroupHandle({list(self.elements)} of {self.parent.id})"
 
@@ -613,19 +590,19 @@ class CosetDecomposition:
         return len(self.cosets)
 
 
-def cosets(group: FiniteGroup, sub: SubgroupHandle, side: str = "right") -> CosetDecomposition:
-    """The decomposition on one side, computed once per handle and side."""
+def cosets(sub: SubgroupHandle, side: str = "right") -> CosetDecomposition:
+    """The decomposition of ``sub.parent`` on one side, computed once per
+    handle and side."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if sub.parent is not group:
-        raise GroupValidationError("subgroup-parent", (sub.elements,), "wrong parent group")
     dec = sub.decompositions.get(side)
     if dec is None:
-        dec = sub.decompositions[side] = _decompose(group, sub, side)
+        dec = sub.decompositions[side] = _decompose(sub, side)
     return dec
 
 
-def _decompose(group: FiniteGroup, sub: SubgroupHandle, side: str) -> CosetDecomposition:
+def _decompose(sub: SubgroupHandle, side: str) -> CosetDecomposition:
+    group = sub.parent
     table = group.table
     assigned = [-1] * group.order
     blocks: list[tuple[int, ...]] = []
@@ -643,8 +620,9 @@ def _decompose(group: FiniteGroup, sub: SubgroupHandle, side: str) -> CosetDecom
     return CosetDecomposition(sub, side, tuple(blocks), tuple(assigned))
 
 
-def normalizer(group: FiniteGroup, sub: SubgroupHandle) -> SubgroupHandle:
-    """N_G(H) = {g : g^-1 H g = H}."""
+def normalizer(sub: SubgroupHandle) -> SubgroupHandle:
+    """N_G(H) = {g : g^-1 H g = H}, with G the subgroup's parent."""
+    group = sub.parent
     hmask = sub.mask
     members = []
     for g in range(group.order):

@@ -173,8 +173,10 @@ TPC_PARTITION = 1 << 11
 TPC_ALGEBRAIC = 1 << 12
 
 
-def scan_check_routes(n, mul_flat, inv_perm, alpha_perm, s_elems, nbr_masks, x_masks) -> list[int]:
+def scan_check_routes(n, table, inv_perm, alpha_perm, s_elems, nbr_masks, x_masks) -> list[int]:
     """Evaluate every route of the code criteria for a batch of subsets X.
+
+    ``table`` is the group's multiplication table (``table[a][b]`` = a*b).
 
     Returns one verdict int per X mask, with the bit layout of the
     ``*_GRAPH`` / ``*_PARTITION`` / ... constants above; bit b must equal
@@ -202,9 +204,9 @@ def scan_check_routes(n, mul_flat, inv_perm, alpha_perm, s_elems, nbr_masks, x_m
     smask = mask_of(s_elems)
     ss_inv = 0
     for s1 in s_elems:
-        row = s1 * n
+        row = table[s1]
         for s2 in s_elems:
-            ss_inv |= 1 << mul_flat[row + inv_perm[s2]]
+            ss_inv |= 1 << row[inv_perm[s2]]
     ss_inv &= ~1  # without the identity, element 0
 
     col = [0] * n
@@ -213,14 +215,14 @@ def scan_check_routes(n, mul_flat, inv_perm, alpha_perm, s_elems, nbr_masks, x_m
             col[x] |= 1 << v
     tables = []  # per element a: (col, tr, ps, ind)
     for a in verts:
-        row = alpha_perm[a] * n
+        row = table[alpha_perm[a]]
         tr = 0
         for s in s_elems:
-            tr |= 1 << mul_flat[row + s]
-        row = inv_perm[a] * n
-        ps = sum(1 << b for b in verts if ss_inv >> alpha_perm[mul_flat[row + b]] & 1)
-        row = alpha_perm[inv_perm[a]] * n
-        ind = sum(1 << b for b in verts if smask >> mul_flat[row + b] & 1)
+            tr |= 1 << row[s]
+        row = table[inv_perm[a]]
+        ps = sum(1 << b for b in verts if ss_inv >> alpha_perm[row[b]] & 1)
+        row = table[alpha_perm[inv_perm[a]]]
+        ind = sum(1 << b for b in verts if smask >> row[b] & 1)
         tables.append((col[a], tr, ps, ind))
 
     out = []

@@ -57,7 +57,6 @@ from .groups import (
     build_group,
     cosets,
     enumerate_subgroups,
-    mul_flat,
     normalizer,
     subgroup,
     subgroup_closure,
@@ -184,7 +183,7 @@ def suite_coset_partitions(max_order: int = 12) -> SuiteResult:
         for sub in enumerate_subgroups(group):
             for side in ("left", "right"):
                 cases += 1
-                dec = cosets(group, sub, side)
+                dec = cosets(sub, side)
                 union = 0
                 total = 0
                 ok = True
@@ -208,7 +207,7 @@ def suite_coset_partitions(max_order: int = 12) -> SuiteResult:
                     violations.append(
                         f"group={group.id} H={fmt_set(sub.elements)} side={side}: bad partition"
                     )
-            norm = normalizer(group, sub)
+            norm = normalizer(sub)
             if sub.mask & ~norm.mask:
                 violations.append(
                     f"group={group.id} H={fmt_set(sub.elements)}: H not inside its normalizer"
@@ -386,7 +385,6 @@ def suite_mode_agreement(
         n = group.order
         if n < 2:
             continue
-        flat = mul_flat(group)
         h_masks = [h.mask for h in enumerate_subgroups(group)]
         for ai, ctx in enumerate(involution_contexts(group)):
             for subset in enumerate_subsets(ctx):
@@ -399,7 +397,7 @@ def suite_mode_agreement(
                     xms = (h_masks + xms)[:MODE_SAMPLES]
                 verdicts = kernels.scan_check_routes(
                     n,
-                    flat,
+                    group.table,
                     group.inv,
                     ctx.alpha.perm,
                     subset.elements,
@@ -563,7 +561,7 @@ def suite_census_audits(max_order: int = 24) -> SuiteResult:
                 violations.append(f"{where}: witness not a right transversal")
             if not is_gc_transversal(ctx, sub, rec.pc_witness + (0,), "left"):
                 violations.append(f"{where}: witness not a left transversal")
-            dec = cosets(group, sub, "right")
+            dec = cosets(sub, "right")
             for s in rec.pc_witness:
                 if ctx.tau(s) == s:
                     continue
@@ -574,7 +572,7 @@ def suite_census_audits(max_order: int = 24) -> SuiteResult:
         if rec.is_tpc:
             if not is_total_perfect_code(_graph_of(graphs, tpc.subset), rec.subgroup):
                 violations.append(f"{where}: total witness fails re-validation")
-            left = cosets(group, image_subgroup(ctx.alpha, sub), "left")
+            left = cosets(image_subgroup(ctx.alpha, sub), "left")
             if sorted(left.rep_of[group.inv[s]] for s in rec.tpc_witness) != list(
                 range(left.index)
             ):
@@ -631,15 +629,16 @@ def suite_transports(max_order: int = 12) -> SuiteResult:
     return SuiteResult("transports", cases, violations)
 
 
-def suite_product_identities(max_factor_order: int = 8) -> SuiteResult:
+def suite_product_identities(max_order: int = 8) -> SuiteResult:
     """The derived sets of a componentwise involution factor through the
     product: omega multiplies, and the tau-fixed set is the product of the
-    factor tau-fixed sets minus omega."""
+    factor tau-fixed sets minus omega. Both factors range over the catalog
+    up to ``max_order``."""
     from .automorphisms import product_automorphism
 
     violations = []
     cases = 0
-    factor_groups = [g for g in catalog(max_factor_order)]
+    factor_groups = catalog(max_order)
     for g1 in factor_groups:
         ctxs1 = involution_contexts(g1)
         ids1 = [None] + ctxs1
@@ -785,7 +784,7 @@ def suite_characteristic_criterion(max_order: int = 24) -> SuiteResult:
         characteristic = [
             sub
             for sub in subs
-            if all(perm_mask(b.perm, sub.mask) == sub.mask for b in autos)
+            if all(alpha_preserves(b, sub) for b in autos)
         ]
         for ai, ctx in enumerate(involution_contexts(group)):
             t = group.table
@@ -834,11 +833,9 @@ def run_all(max_order: int | None = None, seed: int = 0) -> list[SuiteResult]:
     for name, fn, default_order in SUITES:
         kwargs = {}
         if default_order is not None:
-            order = default_order if max_order is None else min(default_order, max_order)
-            if name == "product-identities":
-                kwargs["max_factor_order"] = order
-            else:
-                kwargs["max_order"] = order
+            kwargs["max_order"] = (
+                default_order if max_order is None else min(default_order, max_order)
+            )
         if name == "mode-agreement":
             kwargs["seed"] = seed
             # the full run extends the exhaustive-X window to order 10, which

@@ -74,7 +74,7 @@ def test_criterion_06_transports():
 
 def test_criterion_07_products():
     t0 = time.time()
-    identities = suite_product_identities(max_factor_order=8)
+    identities = suite_product_identities(max_order=8)
     codes = suite_product_codes()
     _report(7, identities, t0)
     _report(7, codes, t0)

@@ -257,6 +257,25 @@ def test_cli_census_max_order_one(capsys):
     assert json.loads(lines[0])["note"] == "no-involutory-automorphisms"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-order", "0"],
+        ["census", "--max-order", "0"],
+        ["census", "--workers", "0"],
+        ["census", "--workers", "-2"],
+        ["group", "list", "--max-order", "-3"],
+    ],
+    ids=" ".join,
+)
+def test_cli_rejects_sizes_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
+
+
 def test_cli_element_names(capsys):
     code, out, _ = run_cli(
         capsys, "decide", "pc", "--group", "dihedral:3", "--alpha", "0",

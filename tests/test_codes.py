@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import io
 import os
 import pickle
@@ -28,6 +29,7 @@ from gencayley import (
     cosets,
     decide_subgroup_pc,
     decide_subgroup_tpc,
+    direct_product,
     enumerate_involutory_automorphisms,
     enumerate_subgroups,
     image_subgroup,
@@ -35,6 +37,8 @@ from gencayley import (
     is_gc_transversal,
     is_perfect_code,
     is_total_perfect_code,
+    normalizer,
+    product_automorphism,
     restrict_to_normalizer,
     restrict_witness,
     subgroup,
@@ -45,7 +49,6 @@ from gencayley import (
 )
 import gencayley.codes as codes_module
 import gencayley.verify as verify_module
-from gencayley.codes import _product_context
 
 from oracles import codes_by_definition, exists_pc_connection_set
 
@@ -150,10 +153,14 @@ def test_coset_pairing_mixed_case():
 # subgroup perfect codes
 
 
+def test_code_witness_keeps_only_the_read_fields():
+    names = [f.name for f in dataclasses.fields(CodeWitness)]
+    assert names == ["subset", "refutation", "alpha_preserves_subgroup"]
+
+
 def test_decide_pc_z6(z6, z6_ctx):
     w = decide_subgroup_pc(subgroup(z6, [0, 3]), z6_ctx)
     assert w.success and w.subset.elements == (1, 5)
-    assert w.coset_classification == ((1, 1, 1), (2, 2, 5))
     w = decide_subgroup_pc(subgroup(z6, [0, 2, 4]), z6_ctx)
     assert w.success and w.subset.elements == (1,)
 
@@ -309,7 +316,8 @@ def test_transport_total_codes(z6, z6_ctx):
 
 def test_product_subsets_z4(z4, z4_ctx):
     s = validate_subset(z4_ctx, [1])
-    _, prod_ctx = _product_context(z4_ctx, z4_ctx)
+    prod = direct_product(z4, z4)
+    prod_ctx = alpha_context(prod, product_automorphism(z4_ctx.alpha, z4_ctx.alpha, prod))
     plain = build_product_subset(s, s, prod_ctx)
     assert plain.elements == (5,)  # (1,1)
     augmented = build_product_subset_augmented(s, s, prod_ctx)
@@ -393,9 +401,7 @@ def test_restrict_witness_nonabelian_proper_normalizer():
             w = decide_subgroup_pc(sub, ctx)
             if not w.success:
                 continue
-            from gencayley import normalizer
-
-            norm = normalizer(d4, sub)
+            norm = normalizer(sub)
             if sub.order < norm.order < d4.order:
                 res = restrict_to_normalizer(sub, w.subset)
                 assert res.group.order == norm.order
@@ -458,7 +464,6 @@ def test_handle_identity_does_not_change_decisions(spec):
                     assert a.success == b.success
                     assert (a.subset and a.subset.elements) == (b.subset and b.subset.elements)
                     assert a.refutation == b.refutation
-                    assert a.coset_classification == b.coset_classification
                     assert a.alpha_preserves_subgroup == b.alpha_preserves_subgroup
 
 
@@ -575,10 +580,9 @@ def witness_faults():
     certify = codes_module._certify_transversal
 
     def fault(elements, sub, with_identity):
-        dec = cosets(v4, subgroup(v4, sub), "right")
+        dec = cosets(subgroup(v4, sub), "right")
         return lambda: certify(ctx, elements, dec, with_identity)
 
-    trivial = subgroup(v4, [0])
     one_of_two = "a code witness has exactly one of a subset and a refutation"
     return {
         "out-of-range": (
@@ -596,11 +600,11 @@ def witness_faults():
         "coset-met-twice": (fault([1, 2], [0, 3], True), "witness meets coset 1 twice"),
         "coset-missed": (fault([1, 2], [0], True), "witness is not a transversal of the cosets"),
         "witness-both": (
-            lambda: CodeWitness(trivial, "perfect", GenCayleySubset((), ctx), "x", (), True),
+            lambda: CodeWitness(GenCayleySubset((), ctx), "x", True),
             one_of_two,
         ),
         "witness-neither": (
-            lambda: CodeWitness(trivial, "perfect", None, None, (), True),
+            lambda: CodeWitness(None, None, True),
             one_of_two,
         ),
     }
@@ -618,7 +622,7 @@ def test_certificate_accepts_a_transversal():
     # the same context as the faults: S = {1, 2} meets both cosets of {0, 1}
     v4 = build_group("V4")
     ctx = alpha_context(v4, automorphism_from_perm(v4, (0, 2, 1, 3)))
-    dec = cosets(v4, subgroup(v4, [0, 1]), "right")
+    dec = cosets(subgroup(v4, [0, 1]), "right")
     subset = codes_module._certify_transversal(ctx, [2, 1], dec, with_identity=False)
     assert subset.elements == (1, 2) and subset.context is ctx
 

@@ -16,10 +16,11 @@ from gencayley import (
     check_dominates,
     check_independent,
     cosets,
-    count_subsets,
     enumerate_involutory_automorphisms,
     enumerate_subsets,
     export_dot,
+    group_from_table,
+    inversion_automorphism,
     involution_contexts,
     subgroup,
     subset_violation,
@@ -68,7 +69,7 @@ def test_validators_name_the_smallest_offender(spec):
     group = build_group(spec)
     rng = random.Random(spec)
     for ctx in involution_contexts(group):
-        dec = cosets(group, subgroup(group, [0]), "right")
+        dec = cosets(subgroup(group, [0]), "right")
         for _ in range(300):
             elements = [rng.randrange(-3, group.order + 3) for _ in range(rng.randrange(6))]
             expected = sorted_order_violation(ctx, elements)
@@ -89,7 +90,7 @@ def test_validators_name_the_smallest_offender(spec):
 
 def test_enumerate_subsets_counts(z6_ctx, v4_swap_ctx):
     subsets = [s.elements for s in enumerate_subsets(z6_ctx)]
-    assert len(subsets) == 8 and count_subsets(z6_ctx) == 8
+    assert len(subsets) == 8 and 1 << len(z6_ctx.tau_orbits) == 8
     assert [s.elements for s in enumerate_subsets(v4_swap_ctx)] == [(), (1, 2)]
 
 
@@ -206,3 +207,15 @@ def test_export_dot(v4_swap_ctx):
     assert '0 [label="(0,0)"];' in dot
     assert "  0 -- 1;" in dot
     assert dot.count("--") == 4
+
+
+def test_export_dot_escapes_names():
+    # a quote or a backslash in an element name must not end the DOT string
+    table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    names = ["e", 'a"b', "c\\d"]
+    z3 = group_from_table({"name": "Z3", "order": 3, "table": table, "names": names})
+    alpha, _ = inversion_automorphism(z3)
+    # inversion puts every element of Z3 in the loop set, so S is empty
+    dot = export_dot(build_graph(validate_subset(alpha_context(z3, alpha), [])))
+    assert '  1 [label="a\\"b"];' in dot
+    assert '  2 [label="c\\\\d"];' in dot

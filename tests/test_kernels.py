@@ -20,7 +20,6 @@ from gencayley import (
     inversion_automorphism,
     involution_contexts,
     kernels,
-    mul_flat,
     orbit_translate_masks,
     subset_from_orbit_mask,
 )
@@ -136,7 +135,7 @@ def _kernel_verdicts(graph, x_masks):
     group = graph.group
     return kernels.scan_check_routes(
         group.order,
-        mul_flat(group),
+        group.table,
         group.inv,
         graph.context.alpha.perm,
         graph.subset.elements,
