@@ -15,6 +15,22 @@ def mask_of(items: Iterable[int]) -> int:
     return m
 
 
+def element_mask(n: int, items: Iterable[int]) -> int:
+    """The mask of ``items``; :class:`ValueError` names the first item that
+    is not an int in 0..n-1. Nothing is cast: a float or a string fails
+    ``0 <= x < n`` or ``1 << x``, and a bool counts as 0 or 1."""
+    m = 0
+    for x in items:
+        try:
+            if 0 <= x < n:
+                m |= 1 << x
+                continue
+        except TypeError:
+            pass
+        raise ValueError(f"element {x!r} is not an int in 0..{n - 1}")
+    return m
+
+
 def bits(mask: int) -> list[int]:
     """The set bits of a mask in ascending order, one byte at a time."""
     out = []

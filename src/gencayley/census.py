@@ -30,8 +30,11 @@ def catalog(max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> list[FiniteGroup]:
 
     Cyclic and dihedral groups, every non-cyclic abelian group (by
     invariant-factor chains, so each isomorphism type appears once), and
-    the symmetric groups S3 and S4. Sorted by (order, id).
+    the symmetric groups S3 and S4. Sorted by (order, id). A
+    ``max_order`` below 1 raises :class:`ValueError`.
     """
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     specs: list[str] = []
     specs.extend(f"cyclic:{n}" for n in range(1, max_order + 1))
     specs.extend(f"dihedral:{n}" for n in range(3, max_order // 2 + 1))
@@ -161,8 +164,11 @@ def census_records(
 
     A group with no involutory automorphism contributes a single
     placeholder record noting the empty sweep. Results are merged in task
-    order, so the output is identical for any worker count.
+    order, so the output is identical for any worker count. A ``workers``
+    below 1 raises :class:`ValueError`.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tasks = []
     for group in catalog(max_order):
         alphas = enumerate_involutory_automorphisms(group)

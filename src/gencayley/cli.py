@@ -50,14 +50,14 @@ def _resolve_group(args):
     return build_group(args.group)
 
 
-def _resolve_alpha(args, group):
+def _resolve_context(args, group):
+    """The involution context of ``--alpha``."""
     spec = args.alpha
     if spec == "inv":
-        auto, reason = inversion_automorphism(group)
-        if auto is None:
+        alpha, reason = inversion_automorphism(group)
+        if alpha is None:
             raise GenCayleyError(f"inversion is not usable here: {reason}")
-        return auto
-    if spec.isdigit():
+    elif spec.isdigit():
         alphas = enumerate_involutory_automorphisms(group)
         idx = int(spec)
         if idx >= len(alphas):
@@ -65,8 +65,18 @@ def _resolve_alpha(args, group):
                 f"alpha index {idx} out of range; {group.id} has {len(alphas)}"
                 " involutory automorphisms"
             )
-        return alphas[idx]
-    return load_automorphism(spec, group)
+        alpha = alphas[idx]
+    else:
+        alpha = load_automorphism(spec, group)
+    return alpha_context(group, alpha)
+
+
+def _resolve_graph(args):
+    """The graph of the connection set ``--S`` in the group and involution
+    the other arguments name."""
+    group = _resolve_group(args)
+    ctx = _resolve_context(args, group)
+    return build_graph(validate_subset(ctx, _parse_elements(group, args.S)))
 
 
 def _parse_elements(group, text: str) -> tuple[int, ...]:
@@ -89,8 +99,6 @@ def _parse_elements(group, text: str) -> tuple[int, ...]:
             if token not in name_index:
                 raise GenCayleyError(f"unknown element {token!r} in {group.id}")
             value = name_index[token]
-        if not 0 <= value < group.order:
-            raise GenCayleyError(f"element {value} outside 0..{group.order - 1}")
         out.append(value)
     return tuple(sorted(set(out)))
 
@@ -141,7 +149,7 @@ def cmd_aut_list(args) -> int:
 def cmd_sets(args) -> int:
     group = _resolve_group(args)
     if args.alpha is not None:
-        picks = [(args.alpha, alpha_context(group, _resolve_alpha(args, group)))]
+        picks = [(args.alpha, _resolve_context(args, group))]
     else:
         picks = [(str(i), ctx) for i, ctx in enumerate(involution_contexts(group))]
     print(f"group={group.id} order={group.order}")
@@ -156,14 +164,11 @@ def cmd_sets(args) -> int:
 
 
 def cmd_graph_build(args) -> int:
-    group = _resolve_group(args)
-    alpha = _resolve_alpha(args, group)
-    ctx = alpha_context(group, alpha)
-    subset = validate_subset(ctx, _parse_elements(group, args.S))
-    graph = build_graph(subset)
+    graph = _resolve_graph(args)
+    group = graph.group
     edges = graph.edges()
     print(
-        f"group={group.id} alpha={args.alpha} S={fmt_set(subset.elements)}"
+        f"group={group.id} alpha={args.alpha} S={fmt_set(graph.subset.elements)}"
         f" regular={graph.degree} vertices={group.order} edges={len(edges)}"
     )
     print("edges: " + " ".join(fmt_set(e) for e in edges))
@@ -175,18 +180,15 @@ def cmd_graph_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    group = _resolve_group(args)
-    alpha = _resolve_alpha(args, group)
-    ctx = alpha_context(group, alpha)
-    subset = validate_subset(ctx, _parse_elements(group, args.S))
-    graph = build_graph(subset)
+    graph = _resolve_graph(args)
+    group = graph.group
     x = _parse_elements(group, args.X)
     if args.kind == "pc":
         value = is_perfect_code(graph, x)
     else:
         value = is_total_perfect_code(graph, x)
     print(
-        f"group={group.id} alpha={args.alpha} S={fmt_set(subset.elements)}"
+        f"group={group.id} alpha={args.alpha} S={fmt_set(graph.subset.elements)}"
         f" X={fmt_set(x)} kind={args.kind}"
     )
     print(f"result={str(value).lower()}")
@@ -195,8 +197,7 @@ def cmd_check(args) -> int:
 
 def cmd_decide(args) -> int:
     group = _resolve_group(args)
-    alpha = _resolve_alpha(args, group)
-    ctx = alpha_context(group, alpha)
+    ctx = _resolve_context(args, group)
     sub = subgroup(group, _parse_elements(group, args.subgroup))
     if args.kind == "pc":
         witness = decide_subgroup_pc(sub, ctx)
@@ -217,15 +218,11 @@ def cmd_decide(args) -> int:
 
 
 def cmd_enumerate_codes(args) -> int:
-    group = _resolve_group(args)
-    alpha = _resolve_alpha(args, group)
-    ctx = alpha_context(group, alpha)
-    subset = validate_subset(ctx, _parse_elements(group, args.S))
-    graph = build_graph(subset)
+    graph = _resolve_graph(args)
     kind = "perfect" if args.kind == "pc" else "total"
     codes = brute_force_codes(graph, kind)
     print(
-        f"group={group.id} alpha={args.alpha} S={fmt_set(subset.elements)}"
+        f"group={graph.group.id} alpha={args.alpha} S={fmt_set(graph.subset.elements)}"
         f" kind={args.kind} codes={len(codes)}"
     )
     for code in codes:

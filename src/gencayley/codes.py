@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from ._bits import elems, fmt_set, perm_mask
+from ._bits import bits, element_mask, elems, fmt_set, perm_mask
 from .automorphisms import (
     AlphaContext,
     Automorphism,
@@ -35,10 +35,8 @@ from .graphs import (
     ROUTES,
     GenCayleyGraph,
     GenCayleySubset,
-    _as_mask,
     build_graph,
     subset_violation,
-    validate_int_subset,
     validate_subset,
 )
 from .groups import (
@@ -54,6 +52,9 @@ from .groups import (
 BRUTE_FORCE_LIMIT = 20
 
 PC_MODES = ("graph", "partition", "algebraic")
+
+# the two code kinds, in the order of the kernels' 0/1 kind index
+CODE_KINDS = ("perfect", "total")
 
 REFUTATION_ALPHA = "alpha-not-preserving"
 REFUTATION_SELF_PAIRED = "self-paired-coset-without-big-omega-element"
@@ -92,7 +93,7 @@ def is_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool:
     translates alpha(X)s partitions the vertices), ``algebraic`` (counting
     plus the two product-set conditions).
     """
-    return _route(_PC_ROUTES, mode)(graph, _as_mask(graph, X))
+    return _route(_PC_ROUTES, mode)(graph, element_mask(graph.group.order, X))
 
 
 def is_total_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool:
@@ -104,7 +105,15 @@ def is_total_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool
     (no vertex has neighbors at all), so the result is then False in every
     mode.
     """
-    return _route(_TPC_ROUTES, mode)(graph, _as_mask(graph, X))
+    return _route(_TPC_ROUTES, mode)(graph, element_mask(graph.group.order, X))
+
+
+def _kind_index(kind: str) -> int:
+    """The kernels' index of a code kind; :class:`ValueError` for any kind
+    not in :data:`CODE_KINDS`."""
+    if kind not in CODE_KINDS:
+        raise ValueError(f"kind must be one of {CODE_KINDS}, got {kind!r}")
+    return CODE_KINDS.index(kind)
 
 
 def brute_force_codes(graph: GenCayleyGraph, kind: str = "perfect") -> list[tuple[int, ...]]:
@@ -119,10 +128,7 @@ def brute_force_codes(graph: GenCayleyGraph, kind: str = "perfect") -> list[tupl
         raise ThresholdError(
             f"brute-force code scan limited to order <= {BRUTE_FORCE_LIMIT}, got {n}"
         )
-    kinds = {"perfect": 0, "total": 1}
-    if kind not in kinds:
-        raise ValueError(f"kind must be 'perfect' or 'total', got {kind!r}")
-    masks = kernels.scan_codes(graph.nbr_masks, kinds[kind])
+    masks = kernels.scan_codes(graph.nbr_masks, _kind_index(kind))
     return [elems(m) for m in masks]
 
 
@@ -278,7 +284,7 @@ def _certify_transversal(
     and S (with the identity when ``with_identity`` is set) meets every
     coset of ``dec`` exactly once. Costs O(|S|); raises
     :class:`GenCayleyError` when the certificate fails."""
-    subset = validate_int_subset(ctx, elements)
+    subset = validate_subset(ctx, elements)
     seen = 1 if with_identity else 0  # bit ci: coset ci already met
     for s in subset.elements:
         bit = 1 << dec.rep_of[s]
@@ -355,14 +361,15 @@ def decide_subgroup_tpc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
 
 def is_gc_transversal(ctx: AlphaContext, sub: SubgroupHandle, T, side: str = "right") -> bool:
     """Is T a transversal of the subgroup containing the identity whose
-    other members form a valid connection set?"""
-    tset = sorted(set(int(x) for x in T))
-    if 0 not in tset:
+    other members form a valid connection set? An element of T that is not
+    an int in 0..order-1 raises :class:`ValueError`."""
+    tmask = element_mask(ctx.group.order, T)
+    if not tmask & 1:
         return False
-    if subset_violation(ctx, [x for x in tset if x != 0]) is not None:
+    if subset_violation(ctx, bits(tmask & ~1)) is not None:
         return False
     dec = cosets(sub, side)
-    return sorted(dec.rep_of[x] for x in tset) == list(range(dec.index))
+    return sorted(dec.rep_of[x] for x in bits(tmask)) == list(range(dec.index))
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +442,8 @@ def build_witness_abelian(sub: SubgroupHandle, ctx: AlphaContext) -> GenCayleySu
 
 
 def _code_pair_holds(sub: SubgroupHandle, subset: GenCayleySubset, kind: str) -> bool:
-    graph = build_graph(subset)
-    if kind == "perfect":
-        return is_perfect_code(graph, sub.elements)
-    return is_total_perfect_code(graph, sub.elements)
+    check = (is_perfect_code, is_total_perfect_code)[_kind_index(kind)]
+    return check(build_graph(subset), sub.elements)
 
 
 def _require_code_pair(sub: SubgroupHandle, subset: GenCayleySubset, kind: str, which: str):
@@ -454,9 +459,11 @@ def transport_conjugate(
 
     Returns (g^-1 H g, g^-1 S g) for the same involution; the transported
     pair is re-validated, and :class:`GenCayleyError` is raised if it fails.
+    A ``g`` that is not an int in 0..order-1 raises :class:`ValueError`.
     """
     ctx = subset.context
     group = sub.parent
+    element_mask(group.order, (g,))
     if ctx.alpha.perm[g] != g:
         raise GenCayleyError(f"element {g} is not fixed by alpha")
     conj_sub = subgroup(group, (group.conjugate(h, g) for h in sub.elements))

@@ -35,7 +35,7 @@ class ThresholdError(GenCayleyError):
 class SubsetInvalidError(GenCayleyError):
     """A candidate connection set fails a validity condition."""
 
-    def __init__(self, reason: str, witness: int):
+    def __init__(self, reason: str, witness):
         self.reason = reason
         self.witness = witness
-        super().__init__(f"invalid connection set: {reason} (witness element {witness})")
+        super().__init__(f"invalid connection set: {reason} (witness element {witness!r})")

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from . import kernels
-from ._bits import bits, elems, fmt_set, mask_of, perm_mask, product_mask
+from ._bits import bits, element_mask, elems, fmt_set, mask_of, perm_mask, product_mask
 from .automorphisms import AlphaContext
 from .errors import SubsetInvalidError, ThresholdError
 from .groups import FiniteGroup
@@ -50,24 +50,29 @@ class GenCayleySubset:
 
 def subset_violation(ctx: AlphaContext, elements: Iterable[int]):
     """First violated condition as (reason, witness element), or None."""
-    return _violation(ctx, [int(x) for x in elements])[1]
+    return _violation(ctx, elements)[1]
 
 
 def _violation(ctx: AlphaContext, elements: Iterable[int]):
     """The mask of the in-range ``elements`` and the first violated
     condition as (reason, witness element), or None. The conditions are
-    checked in the order out-of-range, omega-intersection, tau-closure, and
-    each witness is the smallest offending element."""
+    checked in the order not-an-integer, out-of-range, omega-intersection,
+    tau-closure. Nothing is cast: the not-an-integer witness is the first
+    string or in-range float, a bool counts as 0 or 1, and every other
+    witness is the smallest offending element."""
     n = ctx.group.order
     tau = ctx.tau_perm
     mask = image = 0  # S and tau(S)
     low = None
     for s in elements:
-        if 0 <= s < n:
-            mask |= 1 << s
-            image |= 1 << tau[s]
-        elif low is None or s < low:
-            low = s
+        try:
+            if 0 <= s < n:
+                mask |= 1 << s
+                image |= 1 << tau[s]
+            elif low is None or s < low:
+                low = s
+        except TypeError:
+            return mask, ("not-an-integer", s)
     if low is not None:
         return mask, ("out-of-range", low)
     hit = mask & ctx.omega_mask
@@ -84,15 +89,9 @@ def validate_subset(ctx: AlphaContext, elements: Iterable[int]) -> GenCayleySubs
     """Validate a connection set; the empty set is allowed.
 
     Raises :class:`SubsetInvalidError` naming the violated condition
-    (``out-of-range``, ``omega-intersection`` or ``tau-closure``) and a
-    witness element.
+    (``not-an-integer``, ``out-of-range``, ``omega-intersection`` or
+    ``tau-closure``) and a witness element.
     """
-    return validate_int_subset(ctx, [int(x) for x in elements])
-
-
-def validate_int_subset(ctx: AlphaContext, elements: Iterable[int]) -> GenCayleySubset:
-    """:func:`validate_subset` for elements that are already ints, such as
-    a search's own witness."""
     mask, bad = _violation(ctx, elements)
     if bad is not None:
         raise SubsetInvalidError(*bad)
@@ -171,13 +170,6 @@ def build_graph(subset: GenCayleySubset) -> GenCayleyGraph:
             m |= 1 << row[s]
         nbr_masks.append(m)
     return GenCayleyGraph(ctx.group, subset, tuple(nbr_masks))
-
-
-def _as_mask(graph: GenCayleyGraph, X: Iterable[int]) -> int:
-    m = mask_of(int(x) for x in X)
-    if m >> graph.group.order:
-        raise ValueError("X contains elements outside the group")
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +280,18 @@ def check_at_most_one(graph: GenCayleyGraph, X: Iterable[int], mode: str = "grap
     """
     if mode not in AMO_MODES:
         raise ValueError(f"mode must be one of {AMO_MODES}, got {mode!r}")
-    return ROUTES[_AMO_ROUTES[AMO_MODES.index(mode)]](graph, _as_mask(graph, X))
+    xmask = element_mask(graph.group.order, X)
+    return ROUTES[_AMO_ROUTES[AMO_MODES.index(mode)]](graph, xmask)
 
 
 def check_dominates(graph: GenCayleyGraph, X: Iterable[int]) -> bool:
     """Is every vertex outside X adjacent to at least one member of X?"""
-    return _dom_graph(graph, _as_mask(graph, X))
+    return _dom_graph(graph, element_mask(graph.group.order, X))
 
 
 def check_independent(graph: GenCayleyGraph, X: Iterable[int]) -> bool:
     """Does X span no edge?"""
-    return _ind_graph(graph, _as_mask(graph, X))
+    return _ind_graph(graph, element_mask(graph.group.order, X))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import permutations
 
-from ._bits import mask_of
+from ._bits import element_mask, elems, mask_of
 from .errors import GroupFileError, GroupValidationError, ThresholdError
 
 SUBGROUP_ENUM_LIMIT = 64
@@ -509,13 +509,14 @@ def subgroup(group: FiniteGroup, elements) -> SubgroupHandle:
     """Validate a set of element indices as a subgroup of ``group``.
 
     Each set is validated once per group and later calls return the same
-    handle; a set that fails validation raises on every call.
+    handle; a set that fails validation raises on every call. An element
+    that is not an int in 0..order-1 raises :class:`ValueError`.
     """
-    elems = tuple(sorted(set(map(int, elements))))
-    handle = group.cache.subgroups.get(elems)
+    members = elems(element_mask(group.order, elements))
+    handle = group.cache.subgroups.get(members)
     if handle is None:
-        _validate_subgroup(group, elems)
-        handle = group.cache.subgroups[elems] = SubgroupHandle(elems, group)
+        _validate_subgroup(group, members)
+        handle = group.cache.subgroups[members] = SubgroupHandle(members, group)
     return handle
 
 
@@ -535,8 +536,10 @@ def _validate_subgroup(group: FiniteGroup, elems: tuple[int, ...]) -> None:
 
 
 def subgroup_closure(group: FiniteGroup, generators) -> tuple[int, ...]:
-    """Subgroup generated by the given elements, as a sorted tuple."""
-    seen = _right_closure(group.table, group.order, sorted(set(generators)))
+    """Subgroup generated by the given elements, as a sorted tuple. An
+    element that is not an int in 0..order-1 raises :class:`ValueError`."""
+    gens = elems(element_mask(group.order, generators))
+    seen = _right_closure(group.table, group.order, gens)
     return tuple(i for i in range(group.order) if seen[i])
 
 

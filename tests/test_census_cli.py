@@ -18,6 +18,7 @@ from gencayley import enumerate_involutory_automorphisms, enumerate_subgroups
 from gencayley.groups import abelian_group
 from gencayley.census import CSV_COLUMNS, CensusRecord, catalog, census_records, emit_report
 from gencayley.cli import build_parser, main
+from gencayley.verify import run_all
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +275,23 @@ def test_cli_rejects_sizes_below_one(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: must be at least 1, got {argv[-1]}" in err
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: catalog(0),
+        lambda: catalog(-3),
+        lambda: census_records(0),
+        lambda: census_records(4, workers=0),
+        lambda: census_records(4, workers=-2),
+        lambda: run_all(max_order=0),
+    ],
+    ids=["catalog-0", "catalog-neg", "census-0", "workers-0", "workers-neg", "run_all-0"],
+)
+def test_library_rejects_sizes_below_one(call):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        call()
 
 
 def test_cli_element_names(capsys):

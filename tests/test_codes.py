@@ -14,6 +14,7 @@ from gencayley import (
     CodeWitness,
     GenCayleyError,
     GenCayleySubset,
+    SubsetInvalidError,
     ThresholdError,
     abelian_pc_criterion,
     alpha_context,
@@ -25,6 +26,9 @@ from gencayley import (
     build_product_subset,
     build_product_subset_augmented,
     build_witness_abelian,
+    check_at_most_one,
+    check_dominates,
+    check_independent,
     coset_pairing,
     cosets,
     decide_subgroup_pc,
@@ -33,6 +37,7 @@ from gencayley import (
     enumerate_involutory_automorphisms,
     enumerate_subgroups,
     image_subgroup,
+    inversion_automorphism,
     involution_contexts,
     is_gc_transversal,
     is_perfect_code,
@@ -42,6 +47,8 @@ from gencayley import (
     restrict_to_normalizer,
     restrict_witness,
     subgroup,
+    subgroup_closure,
+    subset_violation,
     transport_automorphism,
     transport_conjugate,
     validate_subset,
@@ -657,3 +664,97 @@ def test_package_has_no_debug_only_code():
         or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
     assert not found
+
+
+def test_package_casts_no_element_with_int():
+    # element indices are checked and never truncated or parsed: int() (or
+    # map(int, ...)) turns text into numbers in the CLI and in the group
+    # spec atoms, and nowhere else
+    def is_int(node):
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    src = Path(codes_module.__file__).parent
+    found = [
+        f"{path.name}:{getattr(top, 'name', None)}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "cli.py"
+        for top in ast.parse(path.read_text()).body
+        if (path.name, getattr(top, "name", None)) != ("groups.py", "_build_atom")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (
+            is_int(node.func)
+            or (isinstance(node.func, ast.Name) and node.func.id == "map" and is_int(node.args[0]))
+        )
+    ]
+    assert not found
+
+
+# ---------------------------------------------------------------------------
+# element indices and code kinds: one check each, nothing cast
+
+# on Z6: two values that are not ints and two ints outside 0..5, with the
+# connection set validator's reason for each
+BAD_ELEMENTS = {2.5: "not-an-integer", "1": "not-an-integer", 6: "out-of-range", -1: "out-of-range"}
+
+
+def element_entry_points():
+    """Every public entry point that takes element indices other than a
+    connection set, on Z6 with inversion; each puts its argument where an
+    element index goes."""
+    z6 = build_group("cyclic:6")
+    ctx = alpha_context(z6, inversion_automorphism(z6)[0])
+    graph = graph_for(ctx, [1, 5])
+    sub = subgroup(z6, [0, 3])
+    subset = decide_subgroup_pc(sub, ctx).subset
+    return {
+        "subgroup": lambda x: subgroup(z6, [0, x]),
+        "subgroup_closure": lambda x: subgroup_closure(z6, [x]),
+        "is_perfect_code": lambda x: is_perfect_code(graph, [0, x]),
+        "is_total_perfect_code": lambda x: is_total_perfect_code(graph, [0, x]),
+        "check_at_most_one": lambda x: check_at_most_one(graph, [0, x]),
+        "check_dominates": lambda x: check_dominates(graph, [0, x]),
+        "check_independent": lambda x: check_independent(graph, [0, x]),
+        "is_gc_transversal": lambda x: is_gc_transversal(ctx, sub, [0, x]),
+        "transport_conjugate": lambda x: transport_conjugate(sub, subset, x),
+    }
+
+
+@pytest.mark.parametrize("value", list(BAD_ELEMENTS))
+@pytest.mark.parametrize("entry", sorted(element_entry_points()))
+def test_element_indices_are_checked_never_cast(entry, value):
+    with pytest.raises(ValueError) as err:
+        element_entry_points()[entry](value)
+    assert repr(value) in str(err.value).split()
+
+
+@pytest.mark.parametrize("value", list(BAD_ELEMENTS))
+def test_connection_set_elements_are_checked_never_cast(z6_ctx, value):
+    expected = (BAD_ELEMENTS[value], value)
+    assert subset_violation(z6_ctx, [1, value, 5]) == expected
+    with pytest.raises(SubsetInvalidError) as err:
+        validate_subset(z6_ctx, [1, value, 5])
+    assert (err.value.reason, err.value.witness) == expected
+
+
+def test_connection_set_integer_rule(z6_ctx):
+    # not-an-integer comes before out-of-range, a float past the range is
+    # out of range, and a bool is the int it equals
+    assert subset_violation(z6_ctx, [7, 2.5]) == ("not-an-integer", 2.5)
+    assert subset_violation(z6_ctx, [7.5, 9]) == ("out-of-range", 7.5)
+    assert subset_violation(z6_ctx, [2.0]) == ("not-an-integer", 2.0)
+    assert validate_subset(z6_ctx, [True, 5]).elements == (1, 5)
+
+
+@pytest.mark.parametrize("transport", ["conjugate", "automorphism"])
+def test_transports_reject_unknown_code_kinds(z6_ctx, transport):
+    # a valid perfect-code pair; "pc" is no kind, not a total code
+    sub = subgroup(z6_ctx.group, [0, 3])
+    subset = decide_subgroup_pc(sub, z6_ctx).subset
+    move = {
+        "conjugate": lambda kind: transport_conjugate(sub, subset, 0, kind),
+        "automorphism": lambda kind: transport_automorphism(sub, subset, z6_ctx.alpha, kind),
+    }[transport]
+    assert move("perfect")
+    with pytest.raises(ValueError, match="kind must be one of"):
+        move("pc")
