@@ -57,16 +57,5 @@ def perm_mask(perm, mask: int) -> int:
     return m
 
 
-def product_mask(table, amask: int, bmask: int) -> int:
-    """Pointwise product set {a*b} as a mask."""
-    bs = bits(bmask)
-    m = 0
-    for a in bits(amask):
-        row = table[a]
-        for b in bs:
-            m |= 1 << row[b]
-    return m
-
-
 def fmt_set(items: Iterable[int]) -> str:
     return "{" + ",".join(str(x) for x in sorted(items)) + "}"

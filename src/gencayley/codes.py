@@ -263,16 +263,13 @@ def _refutation_reason(ctx: AlphaContext, dec: CosetDecomposition, first: int) -
     coset lying wholly in the loop set, else the first one whose non-loop
     elements are all tau-moved with their partner in the same coset (it
     can be covered neither alone nor by a pair), else plain exhaustion."""
-    omega, tau, coset_of = ctx.omega_mask, ctx.tau_perm, dec.rep_of
-    required = range(first, dec.index)
-    for ci in required:
-        if all(omega >> x & 1 for x in dec.cosets[ci]):
+    omega, big_omega, moved, tau = ctx.omega_mask, ctx.big_omega_mask, ctx.mho_mask, ctx.tau_perm
+    required = dec.masks[first:]
+    for cm in required:
+        if not cm & ~omega:
             return REFUTATION_OMEGA_COSET
-    for ci in required:
-        if all(
-            omega >> x & 1 or (tau[x] != x and coset_of[tau[x]] == ci)
-            for x in dec.cosets[ci]
-        ):
+    for cm in required:
+        if not cm & big_omega and all(cm >> tau[x] & 1 for x in bits(cm & moved)):
             return REFUTATION_SELF_PAIRED
     return REFUTATION_EXHAUSTED
 
@@ -441,6 +438,18 @@ def build_witness_abelian(sub: SubgroupHandle, ctx: AlphaContext) -> GenCayleySu
 # transport constructions
 
 
+def _pair_group(sub: SubgroupHandle, subset: GenCayleySubset) -> FiniteGroup:
+    """The group of a (subgroup, connection set) pair; raises
+    :class:`GenCayleyError` when the two live in different groups."""
+    group = sub.parent
+    if subset.context.group is not group:
+        raise GenCayleyError(
+            f"subgroup of group {group.id} paired with a connection set of group"
+            f" {subset.context.group.id}"
+        )
+    return group
+
+
 def _code_pair_holds(sub: SubgroupHandle, subset: GenCayleySubset, kind: str) -> bool:
     check = (is_perfect_code, is_total_perfect_code)[_kind_index(kind)]
     return check(build_graph(subset), sub.elements)
@@ -448,6 +457,7 @@ def _code_pair_holds(sub: SubgroupHandle, subset: GenCayleySubset, kind: str) ->
 
 def _require_code_pair(sub: SubgroupHandle, subset: GenCayleySubset, kind: str, which: str):
     """Input check: raise :class:`GenCayleyError` unless the pair is a code."""
+    _pair_group(sub, subset)
     if not _code_pair_holds(sub, subset, kind):
         raise GenCayleyError(f"{which} pair is not a {kind} code")
 
@@ -462,7 +472,7 @@ def transport_conjugate(
     A ``g`` that is not an int in 0..order-1 raises :class:`ValueError`.
     """
     ctx = subset.context
-    group = sub.parent
+    group = _pair_group(sub, subset)
     element_mask(group.order, (g,))
     if ctx.alpha.perm[g] != g:
         raise GenCayleyError(f"element {g} is not fixed by alpha")
@@ -483,7 +493,7 @@ def transport_automorphism(
     :class:`GenCayleyError` is raised if it fails.
     """
     ctx = subset.context
-    group = sub.parent
+    group = _pair_group(sub, subset)
     if beta.parent is not group:
         raise GenCayleyError("beta acts on a different group")
     new_ctx = alpha_context(group, conjugate_automorphism(beta, ctx.alpha))
@@ -629,7 +639,7 @@ def restrict_witness(
     the input pair is not a perfect code or the restricted pair fails.
     """
     ctx = subset.context
-    group = sub.parent
+    group = _pair_group(sub, subset)
     if inter.parent is not group:
         raise GenCayleyError("intermediate subgroup has a different parent group")
     if sub.mask & ~inter.mask:

@@ -11,7 +11,11 @@ symmetric and loop-free, and every vertex has exactly |S| neighbors
 :data:`ROUTES` defines every evaluation route of the five checks (at most
 one neighbor, domination, independence, perfect and total perfect code)
 once; the checks here and in :mod:`codes`, the verification suites and the
-kernel tests all read it.
+kernel tests all read it. Each route reads only its own data, so the
+routes of one check stay independent evaluations: the graph routes read
+the neighbor masks, and the translate and algebraic routes read the group
+table, ``inv``, alpha and S, including the cached SS^-1 of
+:attr:`GenCayleyGraph.ss_inv`, and never the neighbor masks.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from . import kernels
-from ._bits import bits, element_mask, elems, fmt_set, mask_of, perm_mask, product_mask
+from ._bits import bits, element_mask, elems, fmt_set, mask_of
 from .automorphisms import AlphaContext
 from .errors import SubsetInvalidError, ThresholdError
 from .groups import FiniteGroup
@@ -142,6 +146,19 @@ class GenCayleyGraph:
         return self.subset.context
 
     @cached_property
+    def ss_inv(self) -> int:
+        """SS^-1 as a mask for the product-set route, computed once per graph
+        from the connection set alone."""
+        table, inv = self.group.table, self.group.inv
+        elements = self.subset.elements
+        m = 0
+        for s in elements:
+            row = table[s]
+            for t in elements:
+                m |= 1 << row[inv[t]]
+        return m
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """The neighbors of each vertex in ascending order, from the masks."""
         return tuple([elems(m) for m in self.nbr_masks])
@@ -182,23 +199,37 @@ def build_graph(subset: GenCayleySubset) -> GenCayleyGraph:
 
 def _translates(graph: GenCayleyGraph, xmask: int) -> int:
     """alpha(X)S, the union of the translates alpha(X)s over s in S."""
-    ax = perm_mask(graph.context.alpha.perm, xmask)
-    return product_mask(graph.group.table, ax, graph.subset.mask)
+    table, alpha = graph.group.table, graph.context.alpha.perm
+    elements = graph.subset.elements
+    union = 0
+    for x in bits(xmask):
+        row = table[alpha[x]]
+        for s in elements:
+            union |= 1 << row[s]
+    return union
 
 
 def _amo_graph(graph: GenCayleyGraph, xmask: int) -> bool:
-    return all((nm & xmask).bit_count() <= 1 for nm in graph.nbr_masks)
+    for nm in graph.nbr_masks:
+        hit = nm & xmask
+        if hit & (hit - 1):
+            return False
+    return True
 
 
 def _amo_translates(graph: GenCayleyGraph, xmask: int) -> bool:
-    # the translates alpha(X)s are pairwise disjoint for distinct s
-    ax = perm_mask(graph.context.alpha.perm, xmask)
+    # the translates alpha(X)s are pairwise disjoint for distinct s; alpha(x)s
+    # is one-to-one in x and in s, so an element met twice lies in two of them
+    table, alpha = graph.group.table, graph.context.alpha.perm
+    elements = graph.subset.elements
     union = 0
-    for s in graph.subset.elements:
-        t = product_mask(graph.group.table, ax, 1 << s)
-        if union & t:
-            return False
-        union |= t
+    for x in bits(xmask):
+        row = table[alpha[x]]
+        for s in elements:
+            bit = 1 << row[s]
+            if union & bit:
+                return False
+            union |= bit
     return True
 
 
@@ -206,12 +237,15 @@ def _amo_productset(graph: GenCayleyGraph, xmask: int) -> bool:
     # alpha(X^-1)alpha(X) meets SS^-1 only in the identity; both products
     # contain e whenever X and S are nonempty, so "subset of {e}" is the
     # reading that stays consistent with the graph route on empty inputs
-    group = graph.group
-    sm = graph.subset.mask
-    xinv = perm_mask(group.inv, xmask)
-    p1 = perm_mask(graph.context.alpha.perm, product_mask(group.table, xinv, xmask))
-    ss_inv = product_mask(group.table, sm, perm_mask(group.inv, sm))
-    return not p1 & ss_inv & ~1
+    table, inv, alpha = graph.group.table, graph.group.inv, graph.context.alpha.perm
+    xs = bits(xmask)
+    ax = [alpha[y] for y in xs]
+    products = 0
+    for x in xs:
+        row = table[alpha[inv[x]]]
+        for y in ax:
+            products |= 1 << row[y]
+    return not products & graph.ss_inv & ~1
 
 
 def _dom_graph(graph: GenCayleyGraph, xmask: int) -> bool:
@@ -230,9 +264,23 @@ def _ind_graph(graph: GenCayleyGraph, xmask: int) -> bool:
 
 def _ind_algebraic(graph: GenCayleyGraph, xmask: int) -> bool:
     # alpha(X^-1)X is disjoint from S
-    group = graph.group
-    ax_inv = perm_mask(graph.context.alpha.perm, perm_mask(group.inv, xmask))
-    return not product_mask(group.table, ax_inv, xmask) & graph.subset.mask
+    table, inv, alpha = graph.group.table, graph.group.inv, graph.context.alpha.perm
+    xs = bits(xmask)
+    products = 0
+    for x in xs:
+        row = table[alpha[inv[x]]]
+        for y in xs:
+            products |= 1 << row[y]
+    return not products & graph.subset.mask
+
+
+def _tpc_graph(graph: GenCayleyGraph, xmask: int) -> bool:
+    # every vertex has exactly one neighbor in X
+    for nm in graph.nbr_masks:
+        hit = nm & xmask
+        if not hit or hit & (hit - 1):
+            return False
+    return True
 
 
 def _blocks(graph: GenCayleyGraph, xmask: int, k: int) -> bool:
@@ -257,7 +305,7 @@ ROUTES = {
     ),
     # total perfect code: every vertex has exactly one neighbor in X;
     # equivalently the r translates partition G
-    kernels.TPC_GRAPH: lambda g, x: _amo_graph(g, x) and all(nm & x for nm in g.nbr_masks),
+    kernels.TPC_GRAPH: _tpc_graph,
     kernels.TPC_PARTITION: lambda g, x: (
         _blocks(g, x, g.degree) and _translates(g, x) == (1 << g.group.order) - 1
     ),

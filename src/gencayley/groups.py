@@ -592,6 +592,11 @@ class CosetDecomposition:
     def index(self) -> int:
         return len(self.cosets)
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The mask of each coset, in the order of ``cosets``."""
+        return tuple([mask_of(block) for block in self.cosets])
+
 
 def cosets(sub: SubgroupHandle, side: str = "right") -> CosetDecomposition:
     """The decomposition of ``sub.parent`` on one side, computed once per

@@ -404,21 +404,30 @@ def suite_mode_agreement(
                     graph.nbr_masks,
                     xms,
                 )
-                for j, (xm, verdict) in enumerate(zip(xms, verdicts)):
-                    cases += 1
-                    bad = verdict not in CONSISTENT_VERDICTS
-                    if not bad and j % REFERENCE_STRIDE == 0:
-                        bad = _reference_verdict(graph, xm) != verdict
-                    if bad:
-                        violations.append(
-                            f"group={group.id} alpha={ai} S={fmt_set(subset.elements)}"
-                            f" X={fmt_set(elems(xm))}: verdict {verdict:013b}"
-                        )
+                cases += len(xms)
+                bad = [j for j, v in enumerate(verdicts) if v not in CONSISTENT_VERDICTS]
+                bad += [
+                    j
+                    for j in range(0, len(xms), REFERENCE_STRIDE)
+                    if verdicts[j] in CONSISTENT_VERDICTS
+                    and _reference_verdict(graph, xms[j]) != verdicts[j]
+                ]
+                for j in sorted(bad):  # in scan order, as the X were tested
+                    violations.append(
+                        f"group={group.id} alpha={ai} S={fmt_set(subset.elements)}"
+                        f" X={fmt_set(elems(xms[j]))}: verdict {verdicts[j]:013b}"
+                    )
     return SuiteResult("mode-agreement", cases, violations)
 
 
 # ---------------------------------------------------------------------------
 # subgroup decision suites
+
+
+def _where(group_id: str, ai: int, elements) -> str:
+    """The ``group=... alpha=... H=...`` head of a violation, formatted only
+    when one is reported."""
+    return f"group={group_id} alpha={ai} H={fmt_set(elements)}"
 
 
 def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
@@ -438,22 +447,24 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
             for sub, orbit_mask in zip(subs, found):
                 cases += 1
                 witness = decide(sub, ctx)
-                where = f"group={group.id} alpha={ai} H={fmt_set(sub.elements)}:"
                 if witness.success != (orbit_mask != -1):
                     violations.append(
-                        f"{where} decide={witness.success} oracle={orbit_mask != -1}"
+                        f"{_where(group.id, ai, sub.elements)}:"
+                        f" decide={witness.success} oracle={orbit_mask != -1}"
                     )
                     continue
                 if orbit_mask != -1:
                     if not is_code(_graph_of(graphs, witness.subset), sub.elements):
                         violations.append(
-                            f"{where} decider witness S={fmt_set(witness.subset.elements)} fails"
+                            f"{_where(group.id, ai, sub.elements)}:"
+                            f" decider witness S={fmt_set(witness.subset.elements)} fails"
                         )
                     subset = subset_from_orbit_mask(ctx, orbit_mask)
                     graph = _graph_of(graphs, subset)
                     if not all(is_code(graph, sub.elements, mode) for mode in PC_MODES):
                         violations.append(
-                            f"{where} oracle witness S={fmt_set(subset.elements)} fails"
+                            f"{_where(group.id, ai, sub.elements)}:"
+                            f" oracle witness S={fmt_set(subset.elements)} fails"
                         )
                     elif kind == 0:
                         # every perfect-code pair forces alpha-invariance of
@@ -462,7 +473,8 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
                             subset.mask & image_subgroup(ctx.alpha, sub).mask
                         ):
                             violations.append(
-                                f"{where} oracle witness breaks the invariance audit"
+                                f"{_where(group.id, ai, sub.elements)}:"
+                                " oracle witness breaks the invariance audit"
                             )
     return SuiteResult(name, cases, violations)
 
@@ -538,46 +550,53 @@ def suite_census_audits(max_order: int = 24) -> SuiteResult:
             key = (rec.group_id, rec.alpha_index)
             ctx = involution_contexts(group)[rec.alpha_index]
             graphs = {}
-        sub = subgroup(group, rec.subgroup)
-        pc = decide_subgroup_pc(sub, ctx)
-        tpc = decide_subgroup_tpc(sub, ctx)
-        where = f"group={rec.group_id} alpha={rec.alpha_index} H={fmt_set(rec.subgroup)}"
-        if pc.success != rec.is_pc or tpc.success != rec.is_tpc:
-            violations.append(f"{where}: census booleans do not re-validate")
-            continue
-        if (pc.success and rec.pc_witness != pc.subset.elements) or (
-            tpc.success and rec.tpc_witness != tpc.subset.elements
-        ):
-            violations.append(f"{where}: census witness differs from decider")
-            continue
-        if rec.is_pc:
-            if not is_perfect_code(_graph_of(graphs, pc.subset), rec.subgroup):
-                violations.append(f"{where}: witness fails re-validation")
-            if not alpha_preserves(ctx.alpha, sub):
-                violations.append(f"{where}: perfect-code hit without alpha(H)=H")
-            if pc.subset.mask & image_subgroup(ctx.alpha, sub).mask:
-                violations.append(f"{where}: witness meets alpha(H)")
-            if not is_gc_transversal(ctx, sub, rec.pc_witness + (0,), "right"):
-                violations.append(f"{where}: witness not a right transversal")
-            if not is_gc_transversal(ctx, sub, rec.pc_witness + (0,), "left"):
-                violations.append(f"{where}: witness not a left transversal")
-            dec = cosets(sub, "right")
-            for s in rec.pc_witness:
-                if ctx.tau(s) == s:
-                    continue
-                if sub.mask >> group.table[ctx.alpha.perm[s]][s] & 1:
-                    violations.append(f"{where}: alpha(s)*s inside H for s={s}")
-                if dec.rep_of[ctx.tau(s)] == dec.rep_of[s]:
-                    violations.append(f"{where}: tau(s) shares the coset of s={s}")
-        if rec.is_tpc:
-            if not is_total_perfect_code(_graph_of(graphs, tpc.subset), rec.subgroup):
-                violations.append(f"{where}: total witness fails re-validation")
-            left = cosets(image_subgroup(ctx.alpha, sub), "left")
-            if sorted(left.rep_of[group.inv[s]] for s in rec.tpc_witness) != list(
-                range(left.index)
-            ):
-                violations.append(f"{where}: inverse total witness not a left transversal")
+        problems = _census_record_problems(rec, group, ctx, graphs)
+        if problems:
+            where = _where(rec.group_id, rec.alpha_index, rec.subgroup)
+            violations += [f"{where}: {p}" for p in problems]
     return SuiteResult("census-audits", cases, violations)
+
+
+def _census_record_problems(rec, group: FiniteGroup, ctx, graphs: dict) -> list[str]:
+    """The audits of :func:`suite_census_audits` failed by one record."""
+    sub = subgroup(group, rec.subgroup)
+    pc = decide_subgroup_pc(sub, ctx)
+    tpc = decide_subgroup_tpc(sub, ctx)
+    if pc.success != rec.is_pc or tpc.success != rec.is_tpc:
+        return ["census booleans do not re-validate"]
+    if (pc.success and rec.pc_witness != pc.subset.elements) or (
+        tpc.success and rec.tpc_witness != tpc.subset.elements
+    ):
+        return ["census witness differs from decider"]
+    problems = []
+    if rec.is_pc:
+        if not is_perfect_code(_graph_of(graphs, pc.subset), rec.subgroup):
+            problems.append("witness fails re-validation")
+        if not alpha_preserves(ctx.alpha, sub):
+            problems.append("perfect-code hit without alpha(H)=H")
+        if pc.subset.mask & image_subgroup(ctx.alpha, sub).mask:
+            problems.append("witness meets alpha(H)")
+        if not is_gc_transversal(ctx, sub, rec.pc_witness + (0,), "right"):
+            problems.append("witness not a right transversal")
+        if not is_gc_transversal(ctx, sub, rec.pc_witness + (0,), "left"):
+            problems.append("witness not a left transversal")
+        dec = cosets(sub, "right")
+        for s in rec.pc_witness:
+            if ctx.tau(s) == s:
+                continue
+            if sub.mask >> group.table[ctx.alpha.perm[s]][s] & 1:
+                problems.append(f"alpha(s)*s inside H for s={s}")
+            if dec.rep_of[ctx.tau(s)] == dec.rep_of[s]:
+                problems.append(f"tau(s) shares the coset of s={s}")
+    if rec.is_tpc:
+        if not is_total_perfect_code(_graph_of(graphs, tpc.subset), rec.subgroup):
+            problems.append("total witness fails re-validation")
+        left = cosets(image_subgroup(ctx.alpha, sub), "left")
+        if sorted(left.rep_of[group.inv[s]] for s in rec.tpc_witness) != list(
+            range(left.index)
+        ):
+            problems.append("inverse total witness not a left transversal")
+    return problems
 
 
 def suite_transports(max_order: int = 12) -> SuiteResult:
@@ -600,21 +619,19 @@ def suite_transports(max_order: int = 12) -> SuiteResult:
                     if not witness.success:
                         continue
                     subset = witness.subset
-                    where = (
-                        f"group={group.id} alpha={ai} H={fmt_set(sub.elements)} kind={kind}"
-                    )
+                    failed = []
                     for g in ctx.fix:
                         cases += 1
                         try:
                             transport_conjugate(sub, subset, g, kind)
                         except GenCayleyError:
-                            violations.append(f"{where}: conjugation by {g} fails")
+                            failed.append(f"conjugation by {g} fails")
                     for beta in autos:
                         cases += 1
                         try:
                             tsub, tset, tctx = transport_automorphism(sub, subset, beta, kind)
                         except GenCayleyError:
-                            violations.append(f"{where}: transport by beta fails")
+                            failed.append("transport by beta fails")
                             continue
                         # combined form: conjugate the transported pair by
                         # every element fixed under the conjugated involution
@@ -623,9 +640,10 @@ def suite_transports(max_order: int = 12) -> SuiteResult:
                             try:
                                 transport_conjugate(tsub, tset, g, kind)
                             except GenCayleyError:
-                                violations.append(
-                                    f"{where}: combined transport (beta, g={g}) fails"
-                                )
+                                failed.append(f"combined transport (beta, g={g}) fails")
+                    if failed:
+                        where = _where(group.id, ai, sub.elements)
+                        violations += [f"{where} kind={kind}: {f}" for f in failed]
     return SuiteResult("transports", cases, violations)
 
 

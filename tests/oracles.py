@@ -8,6 +8,8 @@ oracles live in :mod:`gencayley.verify`, which runs them too.
 
 from __future__ import annotations
 
+from gencayley import kernels
+
 
 def gc_edges_by_rule(group, alpha_perm, S) -> set[frozenset[int]]:
     """Edges straight from the rule: {g, h} whenever alpha(g^-1)*h is in S."""
@@ -54,6 +56,46 @@ def codes_by_definition(adjacency, kind: str) -> list[frozenset[int]]:
         if ok:
             out.append(frozenset(X))
     return out
+
+
+def route_verdicts_by_sets(group, alpha_perm, S, neighborhoods, X) -> dict[int, bool]:
+    """Every route of ``graphs.ROUTES`` from its definition with Python
+    sets, keyed by its verdict bit. The graph routes count N(v) & X over
+    ``neighborhoods``; the others read only the table, ``inv``, alpha and S,
+    through the translates alpha(X)s, alpha(X^-1)alpha(X), alpha(X^-1)X
+    and SS^-1."""
+    n = group.order
+    t, inv = group.table, group.inv
+    G, X, S = set(range(n)), set(X), set(S)
+    outside = G - X
+    hits = [len(set(neighborhoods[v]) & X) for v in range(n)]
+    translates = {s: {t[alpha_perm[x]][s] for x in X} for s in S}
+    union = set().union(*translates.values())
+    ss_inv = {t[s][inv[u]] for s in S for u in S}
+    x_inv_x = {t[alpha_perm[inv[x]]][alpha_perm[y]] for x in X for y in X}
+    amo_productset = x_inv_x & ss_inv <= {0}
+    ind_algebraic = not {t[alpha_perm[inv[x]]][y] for x in X for y in X} & S
+    dom_translates = X | union == G
+    ind_graph = all(hits[v] == 0 for v in X)
+    pc_size = len(X) * (len(S) + 1) == n
+    tpc_size = len(X) * len(S) == n
+    return {
+        kernels.AMO_GRAPH: all(h <= 1 for h in hits),
+        kernels.AMO_TRANSLATES: all(
+            translates[s].isdisjoint(translates[u]) for s in S for u in S if s != u
+        ),
+        kernels.AMO_PRODUCTSET: amo_productset,
+        kernels.DOM_GRAPH: all(hits[v] >= 1 for v in outside),
+        kernels.DOM_TRANSLATES: dom_translates,
+        kernels.IND_GRAPH: ind_graph,
+        kernels.IND_ALGEBRAIC: ind_algebraic,
+        kernels.PC_GRAPH: ind_graph and all(hits[v] == 1 for v in outside),
+        kernels.PC_PARTITION: pc_size and dom_translates,
+        kernels.PC_ALGEBRAIC: pc_size and ind_algebraic and amo_productset,
+        kernels.TPC_GRAPH: all(h == 1 for h in hits),
+        kernels.TPC_PARTITION: tpc_size and union == G,
+        kernels.TPC_ALGEBRAIC: tpc_size and amo_productset,
+    }
 
 
 def connection_sets_by_filter(ctx) -> set[tuple[int, ...]]:

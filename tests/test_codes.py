@@ -366,6 +366,30 @@ def test_non_code_pairs_are_refused(z6, z6_ctx):
         restrict_to_normalizer(*edgeless)
 
 
+@pytest.mark.parametrize(
+    "entry", ["conjugate", "automorphism", "product-first", "product-total", "restrict"]
+)
+def test_code_pairs_from_two_groups_are_refused(z6, z6_ctx, z4_ctx, entry):
+    # {1} and {1, 3} are connection sets of Z4 under inversion; paired with
+    # the Z6 subgroup {0, 3} they are no code of any one graph
+    sub = subgroup(z6, [0, 3])
+    code = (sub, decide_subgroup_pc(sub, z6_ctx).subset)
+    total = (sub, decide_subgroup_tpc(sub, z6_ctx).subset)
+    foreign = (sub, validate_subset(z4_ctx, [1]))
+    foreign_total = (sub, validate_subset(z4_ctx, [1, 3]))
+    run = {
+        "conjugate": lambda: transport_conjugate(*foreign, 0, "perfect"),
+        "automorphism": lambda: transport_automorphism(*foreign, z6_ctx.alpha, "perfect"),
+        "product-first": lambda: verify_product_codes(foreign, code),
+        "product-total": lambda: verify_product_codes(code, code, total, foreign_total),
+        "restrict": lambda: restrict_witness(*foreign, subgroup(z6, range(6))),
+    }[entry]
+    with pytest.raises(
+        GenCayleyError, match="subgroup of group Z6 paired with a connection set of group Z4"
+    ):
+        run()
+
+
 def test_verify_product_codes_amended(z6, z6_ctx, z4, z4_ctx):
     pc_pair = (subgroup(z4, [0, 2]), decide_subgroup_pc(subgroup(z4, [0, 2]), z4_ctx).subset)
     tpc_sub = subgroup(z6, [0, 3])

@@ -27,7 +27,14 @@ from gencayley import (
     validate_subset,
 )
 
-from oracles import cayley_edges, connection_sets_by_filter, gc_edges_by_rule
+from gencayley.graphs import ROUTES
+
+from oracles import (
+    cayley_edges,
+    connection_sets_by_filter,
+    gc_edges_by_rule,
+    route_verdicts_by_sets,
+)
 
 
 def edges(graph):
@@ -219,3 +226,32 @@ def test_export_dot_escapes_names():
     dot = export_dot(build_graph(validate_subset(alpha_context(z3, alpha), [])))
     assert '  1 [label="a\\"b"];' in dot
     assert '  2 [label="c\\\\d"];' in dot
+
+
+def test_routes_match_set_reference_on_catalog_to_order_6():
+    # every X over every connection set; the noisy copy has neighbor masks
+    # unrelated to S, so a route that reads another route's data disagrees
+    rng = random.Random(6)
+    seen = set()
+    cases = 0
+    for group in catalog(6):
+        n = group.order
+        for ctx in involution_contexts(group):
+            for subset in enumerate_subsets(ctx):
+                graph = build_graph(subset)
+                noise = tuple(rng.getrandbits(n) for _ in range(n))
+                for g in (graph, dataclasses.replace(graph, nbr_masks=noise)):
+                    nbhd = [[w for w in range(n) if m >> w & 1] for m in g.nbr_masks]
+                    for xm in range(1 << n):
+                        X = [x for x in range(n) if xm >> x & 1]
+                        expect = route_verdicts_by_sets(
+                            group, ctx.alpha.perm, subset.elements, nbhd, X
+                        )
+                        got = {bit: route(g, xm) for bit, route in ROUTES.items()}
+                        assert got == expect, (
+                            group.id, ctx.alpha.perm, subset.elements, g.nbr_masks, X,
+                        )
+                        seen.update(expect.items())
+                        cases += 1
+    assert cases == 4496
+    assert len(seen) == 2 * len(ROUTES)  # every route both holds and fails

@@ -1,12 +1,13 @@
 """The witness re-checks build each graph once per (involution, connection
-set) and still run every check on every witness."""
+set) and still run every check on every witness, and the suites report
+every violation they find, in scan order."""
 
 from collections import Counter
 
 import pytest
 
 import gencayley.verify as verify
-from gencayley import GroupValidationError
+from gencayley import GroupValidationError, catalog, involution_contexts, kernels
 
 
 @pytest.mark.parametrize(
@@ -60,3 +61,39 @@ def test_odd_order_suite_catches_only_subgroup_failures(monkeypatch):
     result = verify.suite_odd_order_in_omega(6)
     assert result.violations
     assert all(v.endswith(": loop set not a subgroup") for v in result.violations)
+
+
+def test_mode_agreement_reports_tampered_verdicts_in_scan_order(monkeypatch):
+    clean = verify.suite_mode_agreement(7)
+    real = kernels.scan_check_routes
+    stride = verify.REFERENCE_STRIDE
+    dom = kernels.DOM_GRAPH | kernels.DOM_TRANSLATES
+    tampered = {}
+
+    def fake(n, table, inv, alpha_perm, s_elems, nbr_masks, xms):
+        verdicts = real(n, table, inv, alpha_perm, s_elems, nbr_masks, xms)
+        if len(xms) > stride + 3 and not tampered:
+            verdicts[stride + 3] ^= kernels.AMO_GRAPH  # inconsistent: reported
+            verdicts[0] ^= dom  # consistent but wrong, recomputed: reported
+            verdicts[stride] ^= dom  # the same at the next recomputed position
+            verdicts[stride - 1] ^= dom  # consistent but wrong, never recomputed
+            tampered.update(n=n, alpha=alpha_perm, S=s_elems, xms=xms, verdicts=verdicts)
+        return verdicts
+
+    monkeypatch.setattr(kernels, "scan_check_routes", fake)
+    result = verify.suite_mode_agreement(7)
+    group = next(g for g in catalog(7) if g.order == tampered["n"])
+    ai = [c.alpha.perm for c in involution_contexts(group)].index(tampered["alpha"])
+    xms, verdicts = tampered["xms"], tampered["verdicts"]
+
+    def braces(items):
+        return "{" + ",".join(str(x) for x in items) + "}"
+
+    head = f"group={group.id} alpha={ai} S={braces(tampered['S'])}"
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert result.violations == [
+        f"{head} X={braces(x for x in range(group.order) if xms[j] >> x & 1)}:"
+        f" verdict {verdicts[j]:013b}"
+        for j in (0, stride, stride + 3)
+    ]
