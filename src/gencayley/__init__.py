@@ -18,7 +18,6 @@ from .automorphisms import (
 from .census import CensusRecord, catalog, census_records, emit_report
 from .codes import (
     CodeWitness,
-    CosetPairing,
     ProductCodesReport,
     RestrictionResult,
     abelian_pc_criterion,
@@ -27,7 +26,6 @@ from .codes import (
     build_product_subset,
     build_product_subset_augmented,
     build_witness_abelian,
-    coset_pairing,
     decide_subgroup_pc,
     decide_subgroup_tpc,
     image_subgroup,

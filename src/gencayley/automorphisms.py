@@ -353,10 +353,6 @@ class AlphaContext:
         alpha = self.alpha.perm
         return tuple([alpha[x] for x in self.group.inv])
 
-    def tau(self, x: int) -> int:
-        """The pairing map s -> alpha(s^-1)."""
-        return self.tau_perm[x]
-
     @cached_property
     def tau_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of tau on the complement of omega, sorted by least element.
@@ -367,10 +363,11 @@ class AlphaContext:
         out = []
         seen = 0
         avoid = self.omega_mask
+        tau = self.tau_perm
         for x in range(self.group.order):
             if avoid >> x & 1 or seen >> x & 1:
                 continue
-            y = self.tau(x)
+            y = tau[x]
             orbit = (x,) if y == x else (x, y)
             for z in orbit:
                 seen |= 1 << z

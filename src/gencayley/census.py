@@ -117,7 +117,7 @@ class CensusRecord:
 _record_fields = attrgetter(*(f.name for f in fields(CensusRecord)))
 
 
-def _task_records(args) -> list[CensusRecord]:
+def task_records(args) -> list[CensusRecord]:
     """The records of one involution, or the placeholder record of a group
     without involutions (``perm`` is None)."""
     group, alpha_index, perm, subgroups = args
@@ -182,11 +182,11 @@ def census_records(
     # more than there are tasks
     workers = min(workers, len(tasks))
     if workers <= 1:
-        task_results = [_task_records(t) for t in tasks]
+        task_results = [task_records(t) for t in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            task_results = list(pool.map(_task_records, tasks, chunksize=chunk))
+            task_results = list(pool.map(task_records, tasks, chunksize=chunk))
     return [record for records in task_results for record in records]
 
 

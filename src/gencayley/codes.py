@@ -32,10 +32,10 @@ from .automorphisms import (
 )
 from .errors import GenCayleyError, ThresholdError
 from .graphs import (
-    ROUTES,
     GenCayleyGraph,
     GenCayleySubset,
     build_graph,
+    evaluate,
     subset_violation,
     validate_subset,
 )
@@ -50,8 +50,6 @@ from .groups import (
 )
 
 BRUTE_FORCE_LIMIT = 20
-
-PC_MODES = ("graph", "partition", "algebraic")
 
 # the two code kinds, in the order of the kernels' 0/1 kind index
 CODE_KINDS = ("perfect", "total")
@@ -75,16 +73,6 @@ def image_subgroup(alpha: Automorphism, sub: SubgroupHandle) -> SubgroupHandle:
 # subset-level deciders
 
 
-_PC_ROUTES = (kernels.PC_GRAPH, kernels.PC_PARTITION, kernels.PC_ALGEBRAIC)
-_TPC_ROUTES = (kernels.TPC_GRAPH, kernels.TPC_PARTITION, kernels.TPC_ALGEBRAIC)
-
-
-def _route(routes: tuple[int, int, int], mode: str):
-    if mode not in PC_MODES:
-        raise ValueError(f"mode must be one of {PC_MODES}, got {mode!r}")
-    return ROUTES[routes[PC_MODES.index(mode)]]
-
-
 def is_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool:
     """Is X an independent set with every outside vertex adjacent to exactly
     one member?
@@ -93,7 +81,7 @@ def is_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool:
     translates alpha(X)s partitions the vertices), ``algebraic`` (counting
     plus the two product-set conditions).
     """
-    return _route(_PC_ROUTES, mode)(graph, element_mask(graph.group.order, X))
+    return evaluate("perfect", graph, X, mode)
 
 
 def is_total_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool:
@@ -105,7 +93,7 @@ def is_total_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool
     (no vertex has neighbors at all), so the result is then False in every
     mode.
     """
-    return _route(_TPC_ROUTES, mode)(graph, element_mask(graph.group.order, X))
+    return evaluate("total", graph, X, mode)
 
 
 def _kind_index(kind: str) -> int:
@@ -130,59 +118,6 @@ def brute_force_codes(graph: GenCayleyGraph, kind: str = "perfect") -> list[tupl
         )
     masks = kernels.scan_codes(graph.nbr_masks, _kind_index(kind))
     return [elems(m) for m in masks]
-
-
-# ---------------------------------------------------------------------------
-# coset pairing
-
-
-@dataclass(eq=False)
-class CosetPairEntry:
-    coset: int
-    kind: str  # "self" | "paired" | "mixed"
-    partner: int | None  # coset index; None when mixed
-
-
-@dataclass(eq=False)
-class CosetPairing:
-    decomposition: CosetDecomposition
-    entries: tuple[CosetPairEntry, ...]
-    well_defined: bool
-
-
-def coset_pairing(sub: SubgroupHandle, ctx: AlphaContext) -> CosetPairing:
-    """Classify nontrivial right cosets under the pairing map.
-
-    Requires alpha to preserve the subgroup. Each coset Hg is sent towards
-    H*tau(g); when that target does not depend on the representative the
-    coset is self-paired or paired and the induced map is an involution
-    (checked; :class:`GenCayleyError` otherwise). Representative-dependent
-    targets can occur for non-normal subgroups; such cosets are reported
-    as ``mixed`` and ``well_defined`` is False.
-    """
-    group = sub.parent
-    if ctx.group is not group:
-        raise GenCayleyError("context group does not match the subgroup's parent")
-    if not alpha_preserves(ctx.alpha, sub):
-        raise GenCayleyError("alpha does not preserve the subgroup")
-    dec = cosets(sub, "right")
-    entries = []
-    well_defined = True
-    for ci in range(1, dec.index):
-        targets = {dec.rep_of[ctx.tau(x)] for x in dec.cosets[ci]}
-        if len(targets) > 1:
-            entries.append(CosetPairEntry(ci, "mixed", None))
-            well_defined = False
-        else:
-            target = next(iter(targets))
-            kind = "self" if target == ci else "paired"
-            entries.append(CosetPairEntry(ci, kind, target))
-    if well_defined:
-        by_index = {e.coset: e for e in entries}
-        for e in entries:
-            if by_index[e.partner].partner != e.coset:
-                raise GenCayleyError("coset pairing is not an involution")
-    return CosetPairing(dec, tuple(entries), well_defined)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +363,7 @@ def build_witness_abelian(sub: SubgroupHandle, ctx: AlphaContext) -> GenCayleySu
             chosen.append(min(x for x in coset if ctx.big_omega_mask >> x & 1))
         else:
             y = min(x for x in coset if not ctx.omega_mask >> x & 1)
-            t = ctx.tau(y)
+            t = ctx.tau_perm[y]
             done.add(dec.rep_of[t])
             chosen.extend((y, t))
     return _certify_transversal(ctx, chosen, dec, with_identity=True)

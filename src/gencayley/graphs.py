@@ -10,8 +10,9 @@ symmetric and loop-free, and every vertex has exactly |S| neighbors
 
 :data:`ROUTES` defines every evaluation route of the five checks (at most
 one neighbor, domination, independence, perfect and total perfect code)
-once; the checks here and in :mod:`codes`, the verification suites and the
-kernel tests all read it. Each route reads only its own data, so the
+once, and :data:`CHECKS` names the routes of each check by mode; the
+checks here and in :mod:`codes`, the verification suites and the kernel
+tests all read them. Each route reads only its own data, so the
 routes of one check stay independent evaluations: the graph routes read
 the neighbor masks, and the translate and algebraic routes read the group
 table, ``inv``, alpha and S, including the cached SS^-1 of
@@ -313,11 +314,39 @@ ROUTES = {
 }
 
 # ---------------------------------------------------------------------------
-# the three elementary checks
+# the five checks: each check's modes with the verdict bit of their route,
+# the graph route first. The public checks, the oracle suites and the
+# mode-agreement suite read which routes belong to which check here only.
+
+CHECKS = {
+    "at-most-one": {
+        "graph": kernels.AMO_GRAPH,
+        "cosets": kernels.AMO_TRANSLATES,
+        "product-set": kernels.AMO_PRODUCTSET,
+    },
+    "dominates": {"graph": kernels.DOM_GRAPH, "translates": kernels.DOM_TRANSLATES},
+    "independent": {"graph": kernels.IND_GRAPH, "algebraic": kernels.IND_ALGEBRAIC},
+    "perfect": {
+        "graph": kernels.PC_GRAPH,
+        "partition": kernels.PC_PARTITION,
+        "algebraic": kernels.PC_ALGEBRAIC,
+    },
+    "total": {
+        "graph": kernels.TPC_GRAPH,
+        "partition": kernels.TPC_PARTITION,
+        "algebraic": kernels.TPC_ALGEBRAIC,
+    },
+}
 
 
-AMO_MODES = ("graph", "cosets", "product-set")
-_AMO_ROUTES = (kernels.AMO_GRAPH, kernels.AMO_TRANSLATES, kernels.AMO_PRODUCTSET)
+def evaluate(check: str, graph: GenCayleyGraph, X: Iterable[int], mode: str = "graph") -> bool:
+    """Evaluate ``check`` on X by the route of ``mode``, one of the modes
+    :data:`CHECKS` lists for it; any other mode raises :class:`ValueError`."""
+    modes = CHECKS[check]
+    bit = modes.get(mode) if isinstance(mode, str) else None
+    if bit is None:
+        raise ValueError(f"mode must be one of {tuple(modes)}, got {mode!r}")
+    return ROUTES[bit](graph, element_mask(graph.group.order, X))
 
 
 def check_at_most_one(graph: GenCayleyGraph, X: Iterable[int], mode: str = "graph") -> bool:
@@ -326,20 +355,17 @@ def check_at_most_one(graph: GenCayleyGraph, X: Iterable[int], mode: str = "grap
     Three interchangeable evaluations: neighbor counting, pairwise
     disjointness of the translates alpha(X)s, and the product-set test.
     """
-    if mode not in AMO_MODES:
-        raise ValueError(f"mode must be one of {AMO_MODES}, got {mode!r}")
-    xmask = element_mask(graph.group.order, X)
-    return ROUTES[_AMO_ROUTES[AMO_MODES.index(mode)]](graph, xmask)
+    return evaluate("at-most-one", graph, X, mode)
 
 
 def check_dominates(graph: GenCayleyGraph, X: Iterable[int]) -> bool:
     """Is every vertex outside X adjacent to at least one member of X?"""
-    return _dom_graph(graph, element_mask(graph.group.order, X))
+    return evaluate("dominates", graph, X)
 
 
 def check_independent(graph: GenCayleyGraph, X: Iterable[int]) -> bool:
     """Does X span no edge?"""
-    return _ind_graph(graph, element_mask(graph.group.order, X))
+    return evaluate("independent", graph, X)
 
 
 # ---------------------------------------------------------------------------

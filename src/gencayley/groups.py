@@ -132,7 +132,7 @@ def noncommuting_pair(group: FiniteGroup) -> tuple[int, int] | None:
 # validation
 
 
-def _first_axiom_violation(table, order: int):
+def first_axiom_violation(table, order: int):
     """First violated group axiom as (axiom, witness), or None.
 
     Associativity is decided exactly by Light's test: greedily pick a set
@@ -220,7 +220,7 @@ def _finish_group(table, gid: str, names=None) -> FiniteGroup:
     order = len(table)
     if order == 0:
         raise GroupValidationError("shape", (0,), "empty table")
-    violation = _first_axiom_violation(table, order)
+    violation = first_axiom_violation(table, order)
     if violation is not None:
         raise GroupValidationError(violation[0], violation[1])
     inv = []
@@ -583,8 +583,6 @@ class CosetDecomposition:
     coset containing x.
     """
 
-    subgroup: SubgroupHandle
-    side: str  # "left" | "right"
     cosets: tuple[tuple[int, ...], ...]
     rep_of: tuple[int, ...]
 
@@ -625,7 +623,7 @@ def _decompose(sub: SubgroupHandle, side: str) -> CosetDecomposition:
         for x in block:
             assigned[x] = idx
         blocks.append(tuple(block))
-    return CosetDecomposition(sub, side, tuple(blocks), tuple(assigned))
+    return CosetDecomposition(tuple(blocks), tuple(assigned))
 
 
 def normalizer(sub: SubgroupHandle) -> SubgroupHandle:

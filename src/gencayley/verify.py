@@ -20,15 +20,16 @@ from . import kernels
 from ._bits import bits, elems, fmt_set, mask_of, perm_mask
 from .automorphisms import (
     alpha_context,
-    Automorphism,
     enumerate_automorphisms,
+    enumerate_involutory_automorphisms,
     inversion_automorphism,
     involution_contexts,
     orbit_translate_masks,
+    product_automorphism,
 )
 from .census import catalog, census_records
 from .codes import (
-    PC_MODES,
+    CODE_KINDS,
     abelian_pc_criterion,
     alpha_preserves,
     build_witness_abelian,
@@ -36,14 +37,13 @@ from .codes import (
     decide_subgroup_tpc,
     image_subgroup,
     is_gc_transversal,
-    is_perfect_code,
-    is_total_perfect_code,
     transport_automorphism,
     transport_conjugate,
     verify_product_codes,
 )
 from .errors import GenCayleyError, GroupValidationError
 from .graphs import (
+    CHECKS,
     ROUTES,
     GenCayleyGraph,
     GenCayleySubset,
@@ -53,10 +53,10 @@ from .graphs import (
 )
 from .groups import (
     FiniteGroup,
-    _first_axiom_violation,
     build_group,
     cosets,
     enumerate_subgroups,
+    first_axiom_violation,
     normalizer,
     subgroup,
     subgroup_closure,
@@ -118,7 +118,7 @@ def suite_group_axioms(max_order: int = 24) -> SuiteResult:
         n = group.order
         t = group.table
         bad = None
-        checker = _first_axiom_violation(t, n)
+        checker = first_axiom_violation(t, n)
         if checker is not None:
             bad = f"{checker[0]} at {checker[1]}"
         elif any(t[0][b] != b for b in range(n)) or any(t[a][0] != a for a in range(n)):
@@ -294,13 +294,14 @@ def suite_alpha_invariants(max_order: int = 12) -> SuiteResult:
             )
             # tau is an involution, fixes omega pointwise and maps the
             # complement of omega onto itself
+            tau = ctx.tau_perm
             for x in range(n):
-                if ctx.tau(ctx.tau(x)) != x:
+                if tau[tau[x]] != x:
                     ok = False
                 if ctx.omega_mask >> x & 1:
-                    if ctx.tau(x) != x:
+                    if tau[x] != x:
                         ok = False
-                elif ctx.omega_mask >> ctx.tau(x) & 1:
+                elif ctx.omega_mask >> tau[x] & 1:
                     ok = False
             if mask_of(ctx.k_set) != ctx.omega_mask | ctx.big_omega_mask:
                 ok = False
@@ -341,13 +342,8 @@ def suite_graph_laws(max_order: int = 12) -> SuiteResult:
     return SuiteResult("graph-laws", cases, violations)
 
 
-_VERDICT_GROUPS = (
-    kernels.AMO_GRAPH | kernels.AMO_TRANSLATES | kernels.AMO_PRODUCTSET,
-    kernels.DOM_GRAPH | kernels.DOM_TRANSLATES,
-    kernels.IND_GRAPH | kernels.IND_ALGEBRAIC,
-    kernels.PC_GRAPH | kernels.PC_PARTITION | kernels.PC_ALGEBRAIC,
-    kernels.TPC_GRAPH | kernels.TPC_PARTITION | kernels.TPC_ALGEBRAIC,
-)
+# the verdict bits of each check's routes
+_VERDICT_GROUPS = tuple(sum(modes.values()) for modes in CHECKS.values())
 
 # the 32 verdicts in which every check's routes agree: each group all on or all off
 CONSISTENT_VERDICTS = frozenset(
@@ -356,7 +352,7 @@ CONSISTENT_VERDICTS = frozenset(
 )
 
 
-def _reference_verdict(graph, xmask: int) -> int:
+def reference_verdict(graph, xmask: int) -> int:
     """Recompute one verdict from the route table, one predicate per bit."""
     verdict = 0
     for bit, route in ROUTES.items():
@@ -410,7 +406,7 @@ def suite_mode_agreement(
                     j
                     for j in range(0, len(xms), REFERENCE_STRIDE)
                     if verdicts[j] in CONSISTENT_VERDICTS
-                    and _reference_verdict(graph, xms[j]) != verdicts[j]
+                    and reference_verdict(graph, xms[j]) != verdicts[j]
                 ]
                 for j in sorted(bad):  # in scan order, as the X were tested
                     violations.append(
@@ -434,7 +430,7 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
     violations = []
     cases = 0
     decide = decide_subgroup_pc if kind == 0 else decide_subgroup_tpc
-    is_code = is_perfect_code if kind == 0 else is_total_perfect_code
+    routes = [ROUTES[bit] for bit in CHECKS[CODE_KINDS[kind]].values()]  # graph first
     for group in catalog(max_order):
         subs = enumerate_subgroups(group)
         h_masks = [s.mask for s in subs]
@@ -454,14 +450,14 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
                     )
                     continue
                 if orbit_mask != -1:
-                    if not is_code(_graph_of(graphs, witness.subset), sub.elements):
+                    if not routes[0](_graph_of(graphs, witness.subset), sub.mask):
                         violations.append(
                             f"{_where(group.id, ai, sub.elements)}:"
                             f" decider witness S={fmt_set(witness.subset.elements)} fails"
                         )
                     subset = subset_from_orbit_mask(ctx, orbit_mask)
                     graph = _graph_of(graphs, subset)
-                    if not all(is_code(graph, sub.elements, mode) for mode in PC_MODES):
+                    if not all(route(graph, sub.mask) for route in routes):
                         violations.append(
                             f"{_where(group.id, ai, sub.elements)}:"
                             f" oracle witness S={fmt_set(subset.elements)} fails"
@@ -519,7 +515,7 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
                     except GenCayleyError:  # its own transversal certificate
                         subset = None
                     if subset is None or not (
-                        is_perfect_code(_graph_of(graphs, subset), sub.elements)
+                        ROUTES[CHECKS["perfect"]["graph"]](_graph_of(graphs, subset), sub.mask)
                         and is_gc_transversal(ctx, sub, subset.elements + (0,))
                     ):
                         violations.append(
@@ -570,7 +566,7 @@ def _census_record_problems(rec, group: FiniteGroup, ctx, graphs: dict) -> list[
         return ["census witness differs from decider"]
     problems = []
     if rec.is_pc:
-        if not is_perfect_code(_graph_of(graphs, pc.subset), rec.subgroup):
+        if not ROUTES[CHECKS["perfect"]["graph"]](_graph_of(graphs, pc.subset), sub.mask):
             problems.append("witness fails re-validation")
         if not alpha_preserves(ctx.alpha, sub):
             problems.append("perfect-code hit without alpha(H)=H")
@@ -581,15 +577,16 @@ def _census_record_problems(rec, group: FiniteGroup, ctx, graphs: dict) -> list[
         if not is_gc_transversal(ctx, sub, rec.pc_witness + (0,), "left"):
             problems.append("witness not a left transversal")
         dec = cosets(sub, "right")
+        tau = ctx.tau_perm
         for s in rec.pc_witness:
-            if ctx.tau(s) == s:
+            if tau[s] == s:
                 continue
             if sub.mask >> group.table[ctx.alpha.perm[s]][s] & 1:
                 problems.append(f"alpha(s)*s inside H for s={s}")
-            if dec.rep_of[ctx.tau(s)] == dec.rep_of[s]:
+            if dec.rep_of[tau[s]] == dec.rep_of[s]:
                 problems.append(f"tau(s) shares the coset of s={s}")
     if rec.is_tpc:
-        if not is_total_perfect_code(_graph_of(graphs, tpc.subset), rec.subgroup):
+        if not ROUTES[CHECKS["total"]["graph"]](_graph_of(graphs, tpc.subset), sub.mask):
             problems.append("total witness fails re-validation")
         left = cosets(image_subgroup(ctx.alpha, sub), "left")
         if sorted(left.rep_of[group.inv[s]] for s in rec.tpc_witness) != list(
@@ -651,35 +648,26 @@ def suite_product_identities(max_order: int = 8) -> SuiteResult:
     """The derived sets of a componentwise involution factor through the
     product: omega multiplies, and the tau-fixed set is the product of the
     factor tau-fixed sets minus omega. Both factors range over the catalog
-    up to ``max_order``."""
-    from .automorphisms import product_automorphism
-
+    up to ``max_order``, each with its involutions and the identity."""
     violations = []
     cases = 0
-    factor_groups = catalog(max_order)
-    for g1 in factor_groups:
-        ctxs1 = involution_contexts(g1)
-        ids1 = [None] + ctxs1
-        for g2 in factor_groups:
-            ctxs2 = involution_contexts(g2)
-            ids2 = [None] + ctxs2
+    factors = []
+    for g in catalog(max_order):
+        alphas = enumerate_involutory_automorphisms(g, include_identity=True)
+        factors.append((g, [alpha_context(g, a) for a in alphas]))
+    for g1, ctxs1 in factors:
+        for g2, ctxs2 in factors:
             prod = build_group(f"{g1.id}x{g2.id}")
             n2 = g2.order
-            for c1 in ids1:
-                for c2 in ids2:
-                    a1 = c1.alpha if c1 else Automorphism(tuple(range(g1.order)), g1)
-                    a2 = c2.alpha if c2 else Automorphism(tuple(range(g2.order)), g2)
+            for c1 in ctxs1:
+                for c2 in ctxs2:
+                    a1, a2 = c1.alpha, c2.alpha
                     if a1.is_identity and a2.is_identity:
                         continue
                     cases += 1
-                    bar = product_automorphism(a1, a2, prod)
-                    bar_ctx = alpha_context(prod, bar)
-                    omega1 = _derived_sets(g1, a1)
-                    omega2 = _derived_sets(g2, a2)
-                    want_omega = mask_of(
-                        a * n2 + b for a in omega1[0] for b in omega2[0]
-                    )
-                    want_k = mask_of(a * n2 + b for a in omega1[1] for b in omega2[1])
+                    bar_ctx = alpha_context(prod, product_automorphism(a1, a2, prod))
+                    want_omega = mask_of(a * n2 + b for a in c1.omega for b in c2.omega)
+                    want_k = mask_of(a * n2 + b for a in c1.k_set for b in c2.k_set)
                     got_omega = bar_ctx.omega_mask
                     got_big = bar_ctx.big_omega_mask
                     if got_omega != want_omega or got_big != want_k & ~want_omega:
@@ -687,15 +675,6 @@ def suite_product_identities(max_order: int = 8) -> SuiteResult:
                             f"product={prod.id} a1={a1.perm} a2={a2.perm}: set identity fails"
                         )
     return SuiteResult("product-identities", cases, violations)
-
-
-def _derived_sets(group: FiniteGroup, alpha: Automorphism):
-    """(omega, k_set) for any involution-or-identity, by direct enumeration."""
-    n = group.order
-    t = group.table
-    omega = sorted({t[alpha.perm[group.inv[g]]][g] for g in range(n)})
-    k_set = [g for g in range(n) if alpha.perm[g] == group.inv[g]]
-    return omega, k_set
 
 
 def collect_code_pairs(kind: str, limit: int):

@@ -12,13 +12,14 @@ import pytest
 
 import gencayley
 import gencayley.census as census_module
+import gencayley.cli as cli_module
 import gencayley.codes as codes_module
 import gencayley.groups as groups_module
 from gencayley import enumerate_involutory_automorphisms, enumerate_subgroups
 from gencayley.groups import abelian_group
 from gencayley.census import CSV_COLUMNS, CensusRecord, catalog, census_records, emit_report
 from gencayley.cli import build_parser, main
-from gencayley.verify import run_all
+from gencayley.verify import SuiteResult, run_all
 
 
 def run_cli(capsys, *argv):
@@ -204,7 +205,7 @@ def test_pool_chunk_reuses_task_handles(monkeypatch):
         (codes_module, "alpha_preserves"),
     ):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    records = [r for task in chunk for r in census_module._task_records(task)]
+    records = [r for task in chunk for r in census_module.task_records(task)]
     assert len(subgroups) == 67 and len(records) == 40 * 67
     assert calls == {"_decompose": 67, "image_subgroup": 0, "alpha_preserves": 0}
 
@@ -455,3 +456,68 @@ def test_cli_verify_times_every_suite(capsys):
     lines = out.splitlines()
     assert len(lines) == 15
     assert all(re.fullmatch(r"ok   [a-z-]+ \(\d+ cases, \d+\.\d\d s\)", line) for line in lines), out
+
+
+def test_cli_group_list(capsys):
+    code, out, _ = run_cli(capsys, "group", "list", "--max-order", "6")
+    assert code == 0
+    assert out.splitlines() == [
+        "Z1 order=1 abelian",
+        "Z2 order=2 abelian",
+        "Z3 order=3 abelian",
+        "Z2xZ2 order=4 abelian",
+        "Z4 order=4 abelian",
+        "Z5 order=5 abelian",
+        "D3 order=6 nonabelian",
+        "S3 order=6 nonabelian",
+        "Z6 order=6 abelian",
+    ]
+
+
+def test_cli_group_describe(capsys):
+    code, out, _ = run_cli(capsys, "group", "describe", "--group", "symmetric:3")
+    assert code == 0
+    assert out.splitlines() == [
+        "group=S3 order=6 abelian=false",
+        "elements: 0=() 1=(1 2) 2=(0 1) 3=(0 1 2) 4=(0 2 1) 5=(0 2)",
+        "subgroups: 6",
+        "  {0}",
+        "  {0,1}",
+        "  {0,2}",
+        "  {0,5}",
+        "  {0,3,4}",
+        "  {0,1,2,3,4,5}",
+    ]
+
+
+def test_cli_enumerate_total_codes(capsys):
+    code, out, _ = run_cli(
+        capsys, "enumerate", "codes", "--group", "cyclic:6", "--alpha", "inv",
+        "--S", "1,3,5", "--kind", "tpc",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "group=Z6 alpha=inv S={1,3,5} kind=tpc codes=9"
+    assert lines[1:] == [
+        "{0,1}", "{1,2}", "{0,3}", "{2,3}", "{1,4}", "{3,4}", "{0,5}", "{2,5}", "{4,5}"
+    ]
+
+
+def test_cli_check_total_code(capsys):
+    code, out, _ = run_cli(
+        capsys, "check", "tpc", "--group", "cyclic:6", "--alpha", "inv",
+        "--S", "1,3,5", "--X", "0,3",
+    )
+    assert code == 0
+    assert out.splitlines() == ["group=Z6 alpha=inv S={1,3,5} X={0,3} kind=tpc", "result=true"]
+
+
+def test_cli_verify_reports_a_failed_suite(monkeypatch, capsys):
+    failed = SuiteResult("pc-oracle", 3, ["group=Z2 alpha=0 H={0}: decide=True oracle=False"])
+    monkeypatch.setattr(cli_module, "run_all", lambda max_order, seed: [failed])
+    code, out, _ = run_cli(capsys, "verify", "--max-order", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL pc-oracle (3 cases, 0.00 s)",
+        "     counterexample: group=Z2 alpha=0 H={0}: decide=True oracle=False",
+    ]

@@ -29,7 +29,6 @@ from gencayley import (
     check_at_most_one,
     check_dominates,
     check_independent,
-    coset_pairing,
     cosets,
     decide_subgroup_pc,
     decide_subgroup_tpc,
@@ -119,41 +118,6 @@ def test_brute_force_threshold():
     graph = build_graph(next(iter(enumerate_subsets(ctx))))
     with pytest.raises(ThresholdError):
         brute_force_codes(graph)
-
-
-# ---------------------------------------------------------------------------
-# coset pairing
-
-
-def test_coset_pairing_z6(z6, z6_ctx):
-    pairing = coset_pairing(subgroup(z6, [0, 3]), z6_ctx)
-    assert pairing.well_defined
-    assert [(e.coset, e.kind) for e in pairing.entries] == [(1, "self"), (2, "self")]
-    pairing = coset_pairing(subgroup(z6, [0, 2, 4]), z6_ctx)
-    assert [(e.coset, e.kind) for e in pairing.entries] == [(1, "self")]
-
-
-def test_coset_pairing_v4(v4, v4_swap_ctx):
-    pairing = coset_pairing(subgroup(v4, [0, 3]), v4_swap_ctx)
-    assert pairing.well_defined
-    assert [(e.coset, e.kind) for e in pairing.entries] == [(1, "self")]
-
-
-def test_coset_pairing_requires_preservation(v4, v4_swap_ctx):
-    with pytest.raises(GenCayleyError):
-        coset_pairing(subgroup(v4, [0, 1]), v4_swap_ctx)  # alpha swaps the generators
-
-
-def test_coset_pairing_mixed_case():
-    s3 = build_group("symmetric:3")
-    for ctx in involution_contexts(s3):
-        for sub in enumerate_subgroups(s3):
-            if sub.order == 2 and alpha_preserves(ctx.alpha, sub):
-                pairing = coset_pairing(sub, ctx)
-                assert not pairing.well_defined
-                assert {e.kind for e in pairing.entries} == {"mixed"}
-                return
-    pytest.fail("expected a representative-dependent pairing in S3")
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +469,7 @@ def drop_one_pair(search):
     def corrupted(ctx, dec, required):
         reps = search(ctx, dec, required)
         x = reps.pop(max(reps))
-        reps.pop(dec.rep_of[ctx.tau(x)], None)
+        reps.pop(dec.rep_of[ctx.tau_perm[x]], None)
         return reps
 
     return corrupted
@@ -687,6 +651,26 @@ def test_package_has_no_debug_only_code():
         if isinstance(node, ast.Assert)
         or (isinstance(node, ast.Name) and node.id == "__debug__")
     ]
+    assert not found
+
+
+def test_package_modules_use_every_import():
+    # a name a module imports and never reads is left over from a deletion;
+    # the package __init__ is exempt, since it imports to re-export
+    src = Path(codes_module.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line}:{name}" for name, line in imported.items() if name not in read]
     assert not found
 
 

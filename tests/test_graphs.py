@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -22,12 +23,14 @@ from gencayley import (
     group_from_table,
     inversion_automorphism,
     involution_contexts,
+    is_perfect_code,
+    is_total_perfect_code,
     subgroup,
     subset_violation,
     validate_subset,
 )
 
-from gencayley.graphs import ROUTES
+from gencayley.graphs import CHECKS, ROUTES, evaluate
 
 from oracles import (
     cayley_edges,
@@ -61,7 +64,7 @@ def sorted_order_violation(ctx, elements):
     for reason, bad in (
         ("out-of-range", lambda s: not 0 <= s < n),
         ("omega-intersection", lambda s: s in ctx.omega),
-        ("tau-closure", lambda s: ctx.tau(s) not in elems),
+        ("tau-closure", lambda s: ctx.tau_perm[s] not in elems),
     ):
         for s in elems:
             if bad(s):
@@ -205,6 +208,34 @@ def test_check_independent(z6_ctx):
     assert check_independent(g1, [0, 2, 4])
     assert check_independent(g1, [3])
     assert not check_independent(g1, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "check, modes",
+    [
+        ("at-most-one", "('graph', 'cosets', 'product-set')"),
+        ("dominates", "('graph', 'translates')"),
+        ("independent", "('graph', 'algebraic')"),
+        ("perfect", "('graph', 'partition', 'algebraic')"),
+        ("total", "('graph', 'partition', 'algebraic')"),
+    ],
+)
+def test_unknown_mode_names_the_modes_of_its_check(z6_ctx, check, modes):
+    graph = build_graph(validate_subset(z6_ctx, [1]))
+    public = {
+        "at-most-one": check_at_most_one,
+        "perfect": is_perfect_code,
+        "total": is_total_perfect_code,
+    }
+    for mode in ("sets", ["graph"]):
+        message = re.escape(f"mode must be one of {modes}, got {mode!r}")
+        with pytest.raises(ValueError, match=message):
+            evaluate(check, graph, [0, 3], mode)
+        if check in public:
+            with pytest.raises(ValueError, match=message):
+                public[check](graph, [0, 3], mode)
+    # the graph route is every check's default
+    assert evaluate(check, graph, [0, 3]) == ROUTES[CHECKS[check]["graph"]](graph, 0b1001)
 
 
 def test_export_dot(v4_swap_ctx):

@@ -23,7 +23,7 @@ from gencayley import (
     orbit_translate_masks,
     subset_from_orbit_mask,
 )
-from gencayley.verify import CONSISTENT_VERDICTS, _reference_verdict
+from gencayley.verify import CONSISTENT_VERDICTS, reference_verdict
 
 from oracles import codes_by_definition, scan_codes_bruteforce, scan_subgroup_codes_bruteforce
 
@@ -145,7 +145,7 @@ def _kernel_verdicts(graph, x_masks):
 
 
 def _table_verdicts(graph, x_masks):
-    return [_reference_verdict(graph, xm) for xm in x_masks]
+    return [reference_verdict(graph, xm) for xm in x_masks]
 
 
 def test_scan_check_routes_matches_table_on_catalog_to_order_8():

@@ -2,12 +2,23 @@
 set) and still run every check on every witness, and the suites report
 every violation they find, in scan order."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
 import gencayley.verify as verify
-from gencayley import GroupValidationError, catalog, involution_contexts, kernels
+from gencayley import (
+    CodeWitness,
+    GenCayleySubset,
+    GroupValidationError,
+    catalog,
+    census_records,
+    involution_contexts,
+    kernels,
+    subgroup,
+)
+from gencayley.graphs import CHECKS, ROUTES
 
 
 @pytest.mark.parametrize(
@@ -21,27 +32,33 @@ from gencayley import GroupValidationError, catalog, involution_contexts, kernel
     ],
 )
 def test_graph_reuse_keeps_every_check(monkeypatch, suite, cases, pc_calls, tpc_calls, builds):
+    # the witness re-checks run the code routes on the subgroup's mask, so
+    # they are counted at the route table
     calls = Counter()
     built = set()
+    build = verify.build_graph
 
-    def counted(name):
-        fn = getattr(verify, name)
+    def counted_build(subset):
+        ctx = subset.context
+        built.add((ctx.group.id, ctx.alpha.perm, subset.elements))
+        calls["build_graph"] += 1
+        return build(subset)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            if name == "build_graph":
-                ctx = args[0].context
-                built.add((ctx.group.id, ctx.alpha.perm, args[0].elements))
-            return fn(*args, **kwargs)
+    def counted_route(kind, route):
+        def wrapper(graph, xmask):
+            calls[kind] += 1
+            return route(graph, xmask)
 
-        monkeypatch.setattr(verify, name, wrapper)
+        return wrapper
 
-    for name in ("build_graph", "is_perfect_code", "is_total_perfect_code"):
-        counted(name)
+    monkeypatch.setattr(verify, "build_graph", counted_build)
+    for kind in ("perfect", "total"):
+        for bit in CHECKS[kind].values():
+            monkeypatch.setitem(ROUTES, bit, counted_route(kind, ROUTES[bit]))
     result = getattr(verify, suite)(8)
     assert result.ok and result.cases == cases
-    assert calls["is_perfect_code"] == pc_calls
-    assert calls["is_total_perfect_code"] == tpc_calls
+    assert calls["perfect"] == pc_calls
+    assert calls["total"] == tpc_calls
     # one build per distinct (context, connection set), never one per witness
     assert calls["build_graph"] == len(built) == builds
 
@@ -96,4 +113,94 @@ def test_mode_agreement_reports_tampered_verdicts_in_scan_order(monkeypatch):
         f"{head} X={braces(x for x in range(group.order) if xms[j] >> x & 1)}:"
         f" verdict {verdicts[j]:013b}"
         for j in (0, stride, stride + 3)
+    ]
+
+
+def test_code_oracle_reports_every_disagreement(monkeypatch):
+    # on Z4 with inversion (orbits {1} and {3}) the perfect codes are
+    # H={0,2} with S={1} and H=G with S={}; each tamper breaks one of them
+    z4 = next(g for g in catalog(4) if g.id == "Z4")
+    ctx = involution_contexts(z4)[0]
+    real_decide, real_scan = verify.decide_subgroup_pc, kernels.scan_subgroup_codes
+
+    def decide(sub, c):
+        if c is ctx and sub.elements == (0,):  # a code the oracle does not find
+            return CodeWitness(GenCayleySubset((1,), ctx), None, True)
+        if c is ctx and sub.elements == (0, 2):  # a witness that is no code
+            return CodeWitness(GenCayleySubset((1, 3), ctx), None, True)
+        return real_decide(sub, c)
+
+    def scan(trans, n_orbits, h_masks, n, kind):
+        found = real_scan(trans, n_orbits, h_masks, n, kind)
+        if n == 4 and n_orbits == 2:
+            found[-1] = 0b01  # S={1} for H=G: X=G is not independent
+        return found
+
+    monkeypatch.setattr(verify, "decide_subgroup_pc", decide)
+    monkeypatch.setattr(kernels, "scan_subgroup_codes", scan)
+    # an alpha(H) that is the whole group meets every nonempty witness
+    # elsewhere alpha(H) stays H, which alpha preserves on every perfect code
+    whole = subgroup(z4, range(4))
+    monkeypatch.setattr(
+        verify, "image_subgroup", lambda alpha, sub: whole if sub.parent is z4 else sub
+    )
+    result = verify.suite_pc_oracle(4)
+    assert result.cases == 20
+    assert result.violations == [
+        "group=Z4 alpha=0 H={0}: decide=True oracle=False",
+        "group=Z4 alpha=0 H={0,2}: decider witness S={1,3} fails",
+        "group=Z4 alpha=0 H={0,2}: oracle witness breaks the invariance audit",
+        "group=Z4 alpha=0 H={0,1,2,3}: oracle witness S={1} fails",
+    ]
+
+
+def test_census_audits_report_every_problem(monkeypatch):
+    # Z2xZ2 with the swap 1 <-> 2 (tau swaps 1 and 2, the loop set is {0,3});
+    # S={1,2} is a valid connection set but a code of none of the subgroups
+    v4 = next(g for g in catalog(4) if g.id == "Z2xZ2")
+    ctx = involution_contexts(v4)[1]
+    assert ctx.alpha.perm == (0, 2, 1, 3)
+    real = {r.subgroup: r for r in census_records(4) if r.group_id == v4.id and r.alpha_index == 1}
+    crafted = {(0, 1): (1, 2), (0, 3): (1, 2)}  # H -> the S claimed for it
+    records = [
+        # claims a code the deciders refute
+        dataclasses.replace(real[(0,)], is_pc=True, pc_witness=(1, 2)),
+        dataclasses.replace(real[(0, 1)], is_pc=True, pc_witness=(1, 2)),
+        dataclasses.replace(
+            real[(0, 3)], is_pc=True, pc_witness=(1, 2), is_tpc=True, tpc_witness=(1, 2)
+        ),
+        # H=G is a perfect code with S={}, not with the recorded S
+        dataclasses.replace(real[(0, 1, 2, 3)], pc_witness=(1, 2)),
+    ]
+
+    def deciding(real_decide):
+        def decide(sub, c):
+            if c is ctx and sub.elements in crafted:
+                return CodeWitness(GenCayleySubset(crafted[sub.elements], ctx), None, True)
+            return real_decide(sub, c)
+
+        return decide
+
+    monkeypatch.setattr(verify, "census_records", lambda max_order: records)
+    for name in ("decide_subgroup_pc", "decide_subgroup_tpc"):
+        monkeypatch.setattr(verify, name, deciding(getattr(verify, name)))
+    result = verify.suite_census_audits(4)
+    assert result.cases == 4
+    assert result.violations == [
+        "group=Z2xZ2 alpha=1 H={0}: census booleans do not re-validate",
+        "group=Z2xZ2 alpha=1 H={0,1}: witness fails re-validation",
+        "group=Z2xZ2 alpha=1 H={0,1}: perfect-code hit without alpha(H)=H",
+        "group=Z2xZ2 alpha=1 H={0,1}: witness meets alpha(H)",
+        "group=Z2xZ2 alpha=1 H={0,1}: witness not a right transversal",
+        "group=Z2xZ2 alpha=1 H={0,1}: witness not a left transversal",
+        "group=Z2xZ2 alpha=1 H={0,3}: witness fails re-validation",
+        "group=Z2xZ2 alpha=1 H={0,3}: witness not a right transversal",
+        "group=Z2xZ2 alpha=1 H={0,3}: witness not a left transversal",
+        "group=Z2xZ2 alpha=1 H={0,3}: alpha(s)*s inside H for s=1",
+        "group=Z2xZ2 alpha=1 H={0,3}: tau(s) shares the coset of s=1",
+        "group=Z2xZ2 alpha=1 H={0,3}: alpha(s)*s inside H for s=2",
+        "group=Z2xZ2 alpha=1 H={0,3}: tau(s) shares the coset of s=2",
+        "group=Z2xZ2 alpha=1 H={0,3}: total witness fails re-validation",
+        "group=Z2xZ2 alpha=1 H={0,3}: inverse total witness not a left transversal",
+        "group=Z2xZ2 alpha=1 H={0,1,2,3}: census witness differs from decider",
     ]
