@@ -196,9 +196,15 @@ def scan_check_routes(n, table, inv_perm, alpha_perm, s_elems, nbr_masks, x_mask
       ``ps[a]`` over a in X iff alpha(X^-1 X) meets SS^-1 - {e}, and
       likewise ``ind`` for alpha(X^-1)X and S.
 
-    Each X then costs O(|X|) big-int operations.
+    Each X then costs one lookup per byte of its mask, after 256 table
+    entries per byte of the element range. An X that is negative or has a
+    bit at or above n raises :class:`ValueError` before anything is
+    evaluated.
     """
     full = (1 << n) - 1
+    if x_masks and (min(x_masks) < 0 or max(x_masks) > full):
+        bad = next(xm for xm in x_masks if not 0 <= xm <= full)
+        raise ValueError(f"X mask {bad:#x} has an element outside 0..{n - 1}")
     r = len(s_elems)
     verts = range(n)
     smask = mask_of(s_elems)
@@ -225,19 +231,31 @@ def scan_check_routes(n, table, inv_perm, alpha_perm, s_elems, nbr_masks, x_mask
         ind = sum(1 << b for b in verts if smask >> row[b] & 1)
         tables.append((col[a], tr, ps, ind))
 
+    # chunks[k][b]: (once, twice, union, ps_hit, ind_hit) of the subset b of
+    # elements 8k..8k+7; each element doubles the table, its second half
+    # being the first with that element added
+    chunks = []
+    for k in range(0, n or 1, 8):
+        acc = [(0, 0, 0, 0, 0)]
+        for c, tr, ps, ind in tables[k : k + 8]:
+            acc += [(o | c, t | (o & c), u | tr, p | ps, i | ind) for o, t, u, p, i in acc]
+        chunks.append(acc)
+    low_byte = chunks[0]
+
     out = []
     for xm in x_masks:
-        once = twice = union = ps_hit = ind_hit = 0
-        mm = xm
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            c, tr, ps, ind = tables[low.bit_length() - 1]
-            twice |= once & c
-            once |= c
-            union |= tr
-            ps_hit |= ps
-            ind_hit |= ind
+        once, twice, union, ps_hit, ind_hit = low_byte[xm & 255]
+        rest = xm >> 8
+        k = 1
+        while rest:
+            o, t, u, p, i = chunks[k][rest & 255]
+            twice |= t | (once & o)
+            once |= o
+            union |= u
+            ps_hit |= p
+            ind_hit |= i
+            rest >>= 8
+            k += 1
         size = xm.bit_count()
         outside = full ^ xm
         pc_size = size * (r + 1) == n

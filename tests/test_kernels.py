@@ -199,6 +199,47 @@ def test_scan_check_routes_matches_table_on_random_sets(spec):
     assert len(verdicts) >= 6  # the X masks pass and fail several checks
 
 
+# the kernel reads X a byte at a time, so orders 9 and 10 are the smallest
+# whose X straddle a byte edge; every X is compared, on a few connection sets
+@pytest.mark.parametrize("spec", ["abelian:3,3", "dihedral:5"])
+def test_scan_check_routes_matches_table_on_every_x_across_a_byte(spec):
+    group = build_group(spec)
+    x_masks = list(range(1 << group.order))
+    for ctx in involution_contexts(group)[:2]:
+        subsets = list(enumerate_subsets(ctx))
+        for subset in (subsets[len(subsets) // 2], subsets[-1]):
+            graph = build_graph(subset)
+            assert _kernel_verdicts(graph, x_masks) == _table_verdicts(graph, x_masks), (
+                ctx.alpha.perm, subset.elements,
+            )
+
+
+def test_scan_check_routes_matches_table_with_bits_7_and_8_set():
+    group = build_group("dihedral:8")
+    n = group.order
+    rng = random.Random(16)
+    edge = 1 << 7 | 1 << 8
+    x_masks = [edge, edge | 0x7F, edge | 0xFE00] + [edge | rng.getrandbits(n) for _ in range(40)]
+    for ctx in involution_contexts(group)[:3]:
+        subset = subset_from_orbit_mask(ctx, rng.getrandbits(len(ctx.tau_orbits)))
+        graph = build_graph(subset)
+        assert _kernel_verdicts(graph, x_masks) == _table_verdicts(graph, x_masks), (
+            ctx.alpha.perm, subset.elements,
+        )
+        noise = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+        noisy = dataclasses.replace(graph, nbr_masks=tuple(noise))
+        assert _kernel_verdicts(noisy, x_masks) == _table_verdicts(noisy, x_masks), (
+            ctx.alpha.perm, subset.elements, noise,
+        )
+
+
+@pytest.mark.parametrize("bad", [1 << 6, 1 << 40, -1])
+def test_scan_check_routes_rejects_x_outside_the_group(bad):
+    graph = build_graph(next(enumerate_subsets(involution_contexts(build_group("cyclic:6"))[0])))
+    with pytest.raises(ValueError, match=f"X mask {bad:#x} has an element outside 0..5"):
+        _kernel_verdicts(graph, [0, 3, bad, 1 << 7])
+
+
 def test_verdict_lookup_matches_group_check():
     def verdict_consistent(verdict: int) -> bool:
         """The per-check set comparison the lookup replaced."""
