@@ -89,70 +89,106 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
     For one subgroup H, a vertex v sees ``trans & H`` from each orbit; it
     needs none of H (kind 0 and v in H) or exactly one element of H. An
     orbit that shows v two elements, or any element when v needs none, can
-    never be chosen and is dropped. The search decides the orbits from the
-    highest index down, leaving each out before putting it in, so the
-    first leaf reached is the least mask. It keeps per vertex the single
-    element reached so far (two orbits reaching v at the same element
-    count once), and prunes when a vertex still short of its element is
-    touched by none of the undecided orbits. Pure neighbor counting, as in
-    :func:`scan_codes`.
+    never be chosen and is dropped.
+
+    Every orbit is one n-bit field of a packed int: ``lanes[e]`` has bit
+    ``o*n + v`` when orbit o shows vertex v the element e. So one pass over
+    the elements of H, OR-ing their lanes, finds for all orbits at once the
+    vertices each touches and those it touches twice, and a carry into the
+    top bit of every field marks the orbits left. The reach of orbit o
+    packs what it shows by element, bit ``e*n + v``, whatever H is.
+
+    The search decides the orbits from the highest index down, leaving
+    each out before putting it in, so the first leaf reached is the least
+    mask. Its state is two ints: the vertices reached so far, and ``seen``,
+    the OR of the chosen orbits' reaches. An orbit clashes when it shows a
+    reached vertex an element of H that ``seen`` lacks there (two orbits
+    reaching v at the same element count once). The search prunes when a
+    vertex still short of its element is touched by none of the undecided
+    orbits. Pure neighbor counting, as in :func:`scan_codes`.
+
+    A translate mask among the first ``num_orbits * n``, or an H mask, that
+    is negative or has a bit at or above n raises :class:`ValueError`
+    before anything is searched.
     """
     m = num_orbits
-    width = max((t.bit_length() for t in trans_masks[: m * n]), default=0)
-    hits = []  # hits[o][e]: the vertices that orbit o shows element e
+    full = (1 << n) - 1
+    trans = trans_masks[: m * n]
+    for what, masks in (("translate", trans), ("H", h_masks)):
+        if masks and (min(masks) < 0 or max(masks) > full):
+            bad = next(x for x in masks if not 0 <= x <= full)
+            raise ValueError(f"{what} mask {bad:#x} has an element outside 0..{n - 1}")
+    lanes = [0] * n
+    reach = {}  # the offset o*n of orbit o's field -> (o, its reach)
+    i = 0
     for o in range(m):
-        he = [0] * width
+        r = 0
         for v in range(n):
-            for e in bits(trans_masks[o * n + v]):
-                he[e] |= 1 << v
-        hits.append(he)
+            t = trans[i]
+            while t:
+                low = t & -t
+                e = low.bit_length() - 1
+                lanes[e] |= 1 << i
+                r |= 1 << e * n + v
+                t ^= low
+            i += 1
+        reach[o * n] = (o, r)
+    # per element bit: its lane, and the low bit of its field in reach
+    lane_of = {1 << e: (lanes[e], 1 << e * n) for e in range(n)}
+    orep = sum(1 << o * n for o in range(m))  # the low bit of every orbit field
+    low_bits = orep * (full >> 1)  # all but the top bit of every field
+    top_bits = low_bits + orep
+
+    def search(k: int, reached: int, seen: int) -> int:
+        # needy is inside reached | reachable[k]; leave orbits out while
+        # that stays so, then put in the lowest that must be, or a later one
+        j = k
+        while j and not needy & ~(reached | reachable[j - 1]):
+            j -= 1
+        if not j:
+            return 0
+        clash = reached * hrep  # reached, in the field of every element of H
+        while j <= k:
+            o, t, r = usable[j - 1]
+            if not r & ~seen & clash:
+                found = search(j - 1, reached | t, seen | r)
+                if found != -1:
+                    return found | 1 << o
+            j += 1
+        return -1
+
     res = []
     for hm in h_masks:
-        hbits = bits(hm & ((1 << width) - 1))
-        needy = (1 << n) - 1  # the vertices that need exactly one element of H
+        touch = twice = hrep = 0
+        h = hm
+        while h:
+            low = h & -h
+            lane, rep = lane_of[low]
+            twice |= touch & lane
+            touch |= lane
+            hrep |= rep
+            h ^= low
+        needy = full  # the vertices that need exactly one element of H
         if kind != 1:
-            needy &= ~hm
-        usable = []  # (orbit, touched vertices, [(element, its vertices), ...])
-        for o, he in enumerate(hits):
-            touch = twice = 0
-            reach = []
-            for e in hbits:
-                r = he[e]
-                if r:
-                    twice |= touch & r
-                    touch |= r
-                    reach.append((e, r))
-            # an orbit that touches nothing is never in the least mask
-            if touch and not twice and not touch & ~needy:
-                usable.append((o, touch, reach))
-        # reachable[k]: the vertices touched by some orbit in usable[:k]
-        reachable = [0]
-        for _, touch, _ in usable:
-            reachable.append(reachable[-1] | touch)
-        seen = [0] * width  # seen[e]: the vertices reached at element e so far
-
-        def search(k: int, reached: int) -> int:
-            if needy & ~(reached | reachable[k]):
-                return -1
-            if not k:
-                return 0
-            k -= 1
-            found = search(k, reached)
-            if found != -1:
-                return found
-            o, touch, reach = usable[k]
-            for e, r in reach:
-                if r & reached & ~seen[e]:
-                    return -1  # some vertex already reached at another element
-            saved = [seen[e] for e, _ in reach]
-            for e, r in reach:
-                seen[e] |= r
-            found = search(k, reached | touch)
-            for (e, _), old in zip(reach, saved):
-                seen[e] = old
-            return -1 if found == -1 else found | 1 << o
-
-        res.append(search(len(usable), 0))
+            needy ^= hm
+            twice |= touch & hm * orep  # a member touched counts as twice
+        # adding low_bits carries into the top bit of every non-zero field:
+        # keep the orbits that touch some vertex (one that touches nothing
+        # is never in the least mask) and none twice
+        left = ((touch & low_bits) + low_bits | touch) & ~(
+            (twice & low_bits) + low_bits | twice
+        ) & top_bits
+        usable = []  # (orbit, touched vertices, reach), by orbit
+        reachable = [0]  # reachable[k]: the vertices touched by usable[:k]
+        while left:
+            low = left & -left
+            base = low.bit_length() - n
+            o, r = reach[base]
+            t = touch >> base & full
+            usable.append((o, t, r))
+            reachable.append(reachable[-1] | t)
+            left ^= low
+        res.append(-1 if needy & ~reachable[-1] else search(len(usable), 0, 0))
     return res
 
 

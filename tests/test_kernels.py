@@ -85,6 +85,23 @@ def test_scan_codes_matches_bruteforce_on_random_graphs():
     assert found > 500
 
 
+def _random_translates(rng, n, m, width):
+    """m orbits of n translate masks: asymmetric, up to ``width`` elements
+    per vertex, and some orbits repeating the one before."""
+    trans = []
+    for o in range(m):
+        if o and rng.random() < 0.2:
+            trans.extend(trans[(o - 1) * n : o * n])
+            continue
+        for _ in range(n):
+            t = 0
+            if n and rng.random() < 0.7:
+                for _ in range(rng.randint(1, width)):
+                    t |= 1 << rng.randrange(n)
+            trans.append(t)
+    return trans
+
+
 def test_scan_subgroup_codes_matches_bruteforce_on_random_translates():
     # arbitrary translate masks: asymmetric, several elements per vertex,
     # orbits that overlap or repeat each other, the empty H and all of G
@@ -93,18 +110,7 @@ def test_scan_subgroup_codes_matches_bruteforce_on_random_translates():
     for _ in range(800):
         n = rng.randint(0, 9)
         m = rng.randint(0, 6)
-        width = rng.choice((1, 2, 3))
-        trans = []
-        for o in range(m):
-            if o and rng.random() < 0.2:
-                trans.extend(trans[(o - 1) * n : o * n])
-                continue
-            for _ in range(n):
-                t = 0
-                if n and rng.random() < 0.7:
-                    for _ in range(rng.randint(1, width)):
-                        t |= 1 << rng.randrange(n)
-                trans.append(t)
+        trans = _random_translates(rng, n, m, rng.choice((1, 2, 3)))
         h_masks = [0, (1 << n) - 1] + [_random_mask(rng, n, 0.4) for _ in range(4)]
         for kind in (0, 1):
             got = kernels.scan_subgroup_codes(trans, m, h_masks, n, kind)
@@ -113,6 +119,91 @@ def test_scan_subgroup_codes_matches_bruteforce_on_random_translates():
             )
             found += sum(r > 0 for r in got)
     assert found > 500
+
+
+def test_scan_subgroup_codes_matches_bruteforce_on_wide_layouts():
+    # n up to 17 and m up to 10: the orbit lanes hold m*n bits, past 64,
+    # and each orbit's reach n*n bits. One case in two plants a code for a
+    # random H in four orbits: the last vertex in the top bit of the
+    # fourth's field alone, every other needy vertex from one or two of
+    # the first three at the same element. Every case has an empty orbit,
+    # one orbit repeating another, the empty H and all of G.
+    rng = random.Random(3)
+    found = planted = widest = 0
+    for case in range(40):
+        n = rng.randint(10, 17)
+        m = rng.randint(7, 10)
+        widest = max(widest, m * n)
+        full = (1 << n) - 1
+        trans = _random_translates(rng, n, m, 2)
+        hm = _random_mask(rng, n, 0.3) or 1
+        orbits = rng.sample(range(m), m)
+        if case % 4 < 2:
+            planted += 1
+            needy = full if case % 2 else full & ~hm  # planted for each kind in turn
+            for v in range(n):
+                chosen = rng.sample(orbits[:3], rng.randint(1, 2)) if v < n - 1 else orbits[3:4]
+                e = rng.choice([e for e in range(n) if hm >> e & 1])
+                for o in orbits[:4]:
+                    t = _random_mask(rng, n, 0.1) & ~hm
+                    if needy >> v & 1 and o in chosen:
+                        t |= 1 << e
+                    trans[o * n + v] = t
+        empty, copy, source = orbits[4:7]
+        trans[empty * n : empty * n + n] = [0] * n
+        trans[copy * n : copy * n + n] = trans[source * n : source * n + n]
+        h_masks = [0, full, hm] + [_random_mask(rng, n, 0.3) for _ in range(3)]
+        for kind in (0, 1):
+            got = kernels.scan_subgroup_codes(trans, m, h_masks, n, kind)
+            assert got == scan_subgroup_codes_bruteforce(trans, m, h_masks, n, kind), (
+                trans, m, h_masks, n, kind,
+            )
+            found += sum(r > 0 for r in got)
+    assert widest > 64 and planted == 20
+    assert found >= planted
+
+
+def test_scan_subgroup_codes_matches_bruteforce_on_order_16_contexts():
+    # each order-16 catalog group with its involution of the most orbits
+    # (14 for Z2xZ2xZ4, 10 for Z2^4), and two more of Z2^4's with 10
+    cases = 0
+    for group in catalog(16):
+        if group.order != 16:
+            continue
+        h_masks = [s.mask for s in enumerate_subgroups(group)]
+        contexts = involution_contexts(group)
+        most = max(len(ctx.tau_orbits) for ctx in contexts)
+        tops = [ctx for ctx in contexts if len(ctx.tau_orbits) == most]
+        for ctx in tops[:3] if group.id == "Z2xZ2xZ2xZ2" else tops[:1]:
+            trans = orbit_translate_masks(ctx)
+            for kind in (0, 1):
+                assert kernels.scan_subgroup_codes(
+                    trans, most, h_masks, 16, kind
+                ) == scan_subgroup_codes_bruteforce(trans, most, h_masks, 16, kind), (
+                    group.id, ctx.alpha.perm, kind,
+                )
+                cases += 1
+    assert cases == 16
+
+
+@pytest.mark.parametrize(
+    "trans_bad, h_masks, message",
+    [
+        (-1, [0b0101], "translate mask -0x1 has an element outside 0..3"),
+        (1 << 4, [0b0101], "translate mask 0x10 has an element outside 0..3"),
+        (None, [0b0101, 1 << 6, -1], "H mask 0x40 has an element outside 0..3"),
+        (None, [0b0101, -1], "H mask -0x1 has an element outside 0..3"),
+    ],
+    ids=["negative-translate", "translate-above-n", "H-above-n", "negative-H"],
+)
+def test_scan_subgroup_codes_rejects_masks_outside_the_group(trans_bad, h_masks, message):
+    # a negative translate mask once sent the bit loop on forever, and
+    # out-of-range H masks gave answers; nothing is searched now
+    trans = [0b0001, 0b0010, 0b0100, 0b1000] * 2
+    if trans_bad is not None:
+        trans[5] = trans_bad
+    with pytest.raises(ValueError, match=message):
+        kernels.scan_subgroup_codes(trans, 2, h_masks, 4, 0)
 
 
 def test_kernels_match_bruteforce_on_catalog_to_order_8():
