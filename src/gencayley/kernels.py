@@ -140,6 +140,7 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
     top_bits = low_bits + orep
 
     def search(k: int, reached: int, seen: int) -> int:
+        # reads needy, hrep, usable and reachable of the current subgroup.
         # needy is inside reached | reachable[k]; leave orbits out while
         # that stays so, then put in the lowest that must be, or a later one
         j = k
