@@ -9,9 +9,10 @@ Subgroup-level deciders evaluate one criterion in two forms. Take S
 closed under tau and disjoint from the loop set. A subgroup H is a perfect
 code of some graph GC(G, S, alpha) exactly when alpha(H) = H and
 {e} union S is a right transversal of H; it is a total perfect code
-exactly when S is a right transversal of alpha(H). One backtracking search
-over coset representatives decides both; each witness passes an explicit
-transversal certificate before it is returned, and the package's
+exactly when S is a right transversal of alpha(H). One search over coset
+representatives decides both; it backtracks only when its first descent
+dead-ends and no coset refutes the pair outright. Each witness passes an
+explicit transversal certificate before it is returned, and the package's
 verification suites re-validate witnesses against the graph definition and
 compare every decision against an exact search over all connection sets.
 """
@@ -145,68 +146,99 @@ class CodeWitness:
 
 def _search_transversal(
     ctx: AlphaContext, dec: CosetDecomposition, first: int
-) -> dict[int, int] | None:
+) -> tuple[list[int] | None, str | None]:
     """One representative for each coset with index ``first`` to
     ``dec.index - 1``, avoiding the loop set, with the whole choice closed
-    under tau; the result maps coset index to representative. Deterministic
-    depth-first search: lowest unassigned coset first; each coset's
-    candidates are its tau-fixed non-loop elements (big_omega), which need
-    no partner, then its tau-moved ones (mho), each group in ascending
-    order. A tau-moved candidate also fills the coset of its tau-partner,
-    which must be a required one other than its own and still free."""
-    coset_of = dec.rep_of
-    blocks = dec.cosets
-    tau = ctx.tau_perm
-    fixed, moved = ctx.big_omega_mask, ctx.mho_mask
-    last = dec.index
-    reps: dict[int, int] = {}
-
-    def extend(pos: int) -> bool:
-        # every coset before pos is assigned; skip the ones a tau-partner
-        # filled in since
-        while pos < last and pos in reps:
-            pos += 1
-        if pos == last:
-            return True
-        coset = blocks[pos]
-        for x in coset:
-            if fixed >> x & 1:
-                reps[pos] = x
-                if extend(pos + 1):
-                    return True
-                del reps[pos]
-        for x in coset:
-            if not moved >> x & 1:
-                continue
+    under tau: the representatives and None, or None and the refutation.
+    The answer is the lowest-first depth-first one: lowest free coset
+    first, its tau-fixed non-loop elements (big_omega) before its tau-moved
+    ones (mho), each ascending; a tau-moved one also fills its partner's
+    coset, which must be a later free one. The first descent takes each
+    coset's first candidate in one loop over the coset masks, and most
+    decisions end there. If it dead-ends, the structural refutations of
+    :func:`_refutation_reason` are tested, and only when neither holds
+    does the search backtrack from the start. A choice decides which
+    cosets are filled and nothing else, so backtracking tries one
+    big_omega element per coset and never re-enters a failed set of
+    filled cosets: what it skips would fail the same way."""
+    fixed, moved, tau = ctx.big_omega_mask, ctx.mho_mask, ctx.tau_perm
+    masks, rep_of = dec.masks, dec.rep_of
+    start = (1 << first) - 1  # bit ci: coset ci is filled or not required
+    full = (1 << dec.index) - 1
+    taken, reps = start, []
+    while taken != full:
+        low = ~taken & taken + 1  # the lowest free coset
+        taken |= low
+        cm = masks[low.bit_length() - 1]
+        f = cm & fixed
+        if f:
+            reps.append((f & -f).bit_length() - 1)
+            continue
+        m = cm & moved
+        while m:
+            b = m & -m
+            x = b.bit_length() - 1
             y = tau[x]
-            cy = coset_of[y]
-            if cy < first or cy == pos or cy in reps:
-                continue  # the tau-partner needs a free coset of its own
-            reps[pos] = x
-            reps[cy] = y
-            if extend(pos + 1):
-                return True
-            del reps[pos]
-            del reps[cy]
-        return False
+            cy = 1 << rep_of[y]
+            if not taken & cy:
+                taken |= cy
+                reps += (x, y)
+                break
+            m ^= b
+        else:
+            break  # the first descent dead-ends
+    else:
+        return reps, None
+    reason = _refutation_reason(ctx, dec, first)
+    if reason is not None:
+        return None, reason
+    failed = set()
 
-    return reps if extend(first) else None
+    def extend(taken: int) -> list[int] | None:
+        # the depth-first search on from this set of filled cosets
+        if taken == full:
+            return []
+        if taken in failed:
+            return None
+        low = ~taken & taken + 1
+        now = taken | low
+        cm = masks[low.bit_length() - 1]
+        f = cm & fixed
+        steps = [(now, ((f & -f).bit_length() - 1,))] if f else []
+        for x in bits(cm & moved):
+            cy = 1 << rep_of[tau[x]]
+            if not now & cy:
+                steps.append((now | cy, (x, tau[x])))
+        for after, added in steps:
+            rest = extend(after)
+            if rest is not None:
+                return [*added, *rest]
+        failed.add(taken)
+        return None
+
+    reps = extend(start)
+    return (reps, None) if reps is not None else (None, REFUTATION_EXHAUSTED)
 
 
-def _refutation_reason(ctx: AlphaContext, dec: CosetDecomposition, first: int) -> str:
-    """Why the search from coset ``first`` on failed: the first required
-    coset lying wholly in the loop set, else the first one whose non-loop
+def _refutation_reason(ctx: AlphaContext, dec: CosetDecomposition, first: int) -> str | None:
+    """Why no transversal from coset ``first`` on can exist, or None: a
+    required coset lies wholly in the loop set, else one's non-loop
     elements are all tau-moved with their partner in the same coset (it
-    can be covered neither alone nor by a pair), else plain exhaustion."""
+    can be covered neither alone nor by a pair)."""
     omega, big_omega, moved, tau = ctx.omega_mask, ctx.big_omega_mask, ctx.mho_mask, ctx.tau_perm
     required = dec.masks[first:]
     for cm in required:
-        if not cm & ~omega:
+        if cm & omega == cm:
             return REFUTATION_OMEGA_COSET
     for cm in required:
-        if not cm & big_omega and all(cm >> tau[x] & 1 for x in bits(cm & moved)):
+        if cm & big_omega:
+            continue
+        m = cm & moved
+        while m and cm >> tau[(m & -m).bit_length() - 1] & 1:
+            m &= m - 1  # the lowest one's partner is in the coset too
+        if not m:
             return REFUTATION_SELF_PAIRED
-    return REFUTATION_EXHAUSTED
+    return None
 
 
 def _certify_transversal(
@@ -258,10 +290,10 @@ def _decide(sub: SubgroupHandle, ctx: AlphaContext, kind: str) -> CodeWitness:
         return CodeWitness(None, REFUTATION_ALPHA, False)
     dec = cosets(image, "right")
     first = 1 if perfect else 0
-    reps = _search_transversal(ctx, dec, first)
+    reps, reason = _search_transversal(ctx, dec, first)
     if reps is None:
-        return CodeWitness(None, _refutation_reason(ctx, dec, first), preserved)
-    subset = _certify_transversal(ctx, reps.values(), dec, with_identity=perfect)
+        return CodeWitness(None, reason, preserved)
+    subset = _certify_transversal(ctx, reps, dec, with_identity=perfect)
     return CodeWitness(subset, None, preserved)
 
 
@@ -273,8 +305,10 @@ def decide_subgroup_pc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
     {e} union S a right transversal of H: S avoids the loop set, is closed
     under tau, and meets each nontrivial right coset once. The search is
     deterministic (lowest coset first, tau-fixed candidates before tau-moved
-    ones, each in ascending element order) and every witness passes
-    :func:`_certify_transversal`.
+    ones, each in ascending element order): a first descent takes each
+    coset's first candidate, and backtracking runs only when it dead-ends
+    and no coset lies in the loop set or is self-paired without a
+    big_omega element. Every witness passes :func:`_certify_transversal`.
     """
     return _decide(sub, ctx, "perfect")
 

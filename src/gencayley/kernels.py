@@ -12,21 +12,29 @@ from __future__ import annotations
 from ._bits import bits, mask_of
 
 
+def _check_kind(kind) -> None:
+    """Input check: :class:`ValueError` unless ``kind`` is 0 (perfect) or
+    1 (total)."""
+    if kind not in (0, 1):
+        raise ValueError(f"kind must be 0 (perfect) or 1 (total), got {kind!r}")
+
+
 def scan_codes(nbr_masks, kind: int) -> list[int]:
     """All vertex subsets that are codes, as ascending masks.
 
     kind 1: total perfect codes (every vertex has exactly one neighbor in
-    the set); any other kind: perfect codes (members have no neighbor in
-    the set, everyone else exactly one). Both are exact hitting: X is a
-    code iff every vertex v has exactly one member of X in C_v, where C_v
-    is N(v) for total codes and N(v) + {v} for perfect codes (a vertex
-    with a self-loop can then never be a member). The search branches on
-    the lowest vertex whose C_v is not hit yet, over the members of C_v
-    still allowed; choosing x hits every C_v containing x and disallows
-    all of their members. A vertex in no C_v is free and doubles every
-    solution. Pure neighbor counting; no algebraic shortcuts, so this
-    stays an independent oracle.
+    the set); kind 0: perfect codes (members have no neighbor in the set,
+    everyone else exactly one); any other kind raises :class:`ValueError`.
+    Both are exact hitting: X is a code iff every vertex v has exactly one
+    member of X in C_v, where C_v is N(v) for total codes and N(v) + {v}
+    for perfect codes (a vertex with a self-loop can then never be a
+    member). The search branches on the lowest vertex whose C_v is not hit
+    yet, over the members of C_v still allowed; choosing x hits every C_v
+    containing x and disallows all of their members. A vertex in no C_v is
+    free and doubles every solution. Pure neighbor counting; no algebraic
+    shortcuts, so this stays an independent oracle.
     """
+    _check_kind(kind)
     n = len(nbr_masks)
     full = (1 << n) - 1
     total = kind == 1
@@ -107,14 +115,21 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
     vertex still short of its element is touched by none of the undecided
     orbits. Pure neighbor counting, as in :func:`scan_codes`.
 
-    A translate mask among the first ``num_orbits * n``, or an H mask, that
-    is negative or has a bit at or above n raises :class:`ValueError`
-    before anything is searched.
+    A ``num_orbits`` below 0, a ``trans_masks`` whose length is not
+    ``num_orbits * n``, a ``kind`` other than 0 or 1, and a translate or H
+    mask that is negative or has a bit at or above n each raise
+    :class:`ValueError` before anything is searched.
     """
     m = num_orbits
+    if m < 0:
+        raise ValueError(f"num_orbits must be at least 0, got {m}")
+    if len(trans_masks) != m * n:
+        raise ValueError(
+            f"trans_masks holds {len(trans_masks)} masks, expected num_orbits * n = {m * n}"
+        )
+    _check_kind(kind)
     full = (1 << n) - 1
-    trans = trans_masks[: m * n]
-    for what, masks in (("translate", trans), ("H", h_masks)):
+    for what, masks in (("translate", trans_masks), ("H", h_masks)):
         if masks and (min(masks) < 0 or max(masks) > full):
             bad = next(x for x in masks if not 0 <= x <= full)
             raise ValueError(f"{what} mask {bad:#x} has an element outside 0..{n - 1}")
@@ -124,7 +139,7 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
     for o in range(m):
         r = 0
         for v in range(n):
-            t = trans[i]
+            t = trans_masks[i]
             while t:
                 low = t & -t
                 e = low.bit_length() - 1

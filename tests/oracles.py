@@ -199,3 +199,68 @@ def scan_subgroup_codes_bruteforce(trans_masks, num_orbits: int, h_masks, n: int
             break
     return res
 
+
+
+def transversal_by_dfs(ctx, dec, first: int):
+    """Literal reference for ``codes._search_transversal``: a recursive
+    depth-first search that fills the lowest unassigned coset first, trying
+    its tau-fixed non-loop elements, then its tau-moved ones whose partner
+    lies in another free required coset, each in ascending order. Returns
+    the representatives by coset index, or None, and the number of choices
+    undone on the way."""
+    coset_of = dec.rep_of
+    blocks = dec.cosets
+    tau = ctx.tau_perm
+    fixed, moved = ctx.big_omega_mask, ctx.mho_mask
+    last = dec.index
+    reps: dict[int, int] = {}
+    undone = 0
+
+    def extend(pos: int) -> bool:
+        nonlocal undone
+        while pos < last and pos in reps:
+            pos += 1
+        if pos == last:
+            return True
+        coset = blocks[pos]
+        for x in coset:
+            if fixed >> x & 1:
+                reps[pos] = x
+                if extend(pos + 1):
+                    return True
+                del reps[pos]
+                undone += 1
+        for x in coset:
+            if not moved >> x & 1:
+                continue
+            y = tau[x]
+            cy = coset_of[y]
+            if cy < first or cy == pos or cy in reps:
+                continue
+            reps[pos] = x
+            reps[cy] = y
+            if extend(pos + 1):
+                return True
+            del reps[pos]
+            del reps[cy]
+            undone += 1
+        return False
+
+    return (reps if extend(first) else None), undone
+
+
+def refutation_reason_by_scan(ctx, dec, first: int) -> str:
+    """Literal reference for the reason of a failed search: the first
+    required coset lying wholly in the loop set, else the first one whose
+    non-loop elements are all tau-moved with their partner in the same
+    coset, else plain exhaustion."""
+    required = dec.cosets[first:]
+    for coset in required:
+        if all(x in ctx.omega for x in coset):
+            return "coset-inside-omega"
+    for coset in required:
+        if not any(x in ctx.big_omega for x in coset) and all(
+            ctx.tau_perm[x] in coset for x in coset if x in ctx.mho
+        ):
+            return "self-paired-coset-without-big-omega-element"
+    return "search-exhausted"

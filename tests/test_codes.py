@@ -3,10 +3,13 @@ import dataclasses
 import io
 import os
 import pickle
+import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +29,7 @@ from gencayley import (
     build_product_subset,
     build_product_subset_augmented,
     build_witness_abelian,
+    catalog,
     check_at_most_one,
     check_dominates,
     check_independent,
@@ -56,7 +60,12 @@ from gencayley import (
 import gencayley.codes as codes_module
 import gencayley.verify as verify_module
 
-from oracles import codes_by_definition, exists_pc_connection_set
+from oracles import (
+    codes_by_definition,
+    exists_pc_connection_set,
+    refutation_reason_by_scan,
+    transversal_by_dfs,
+)
 
 
 def graph_for(ctx, elems):
@@ -462,15 +471,151 @@ def test_handle_identity_does_not_change_decisions(spec):
                     assert a.alpha_preserves_subgroup == b.alpha_preserves_subgroup
 
 
+# ---------------------------------------------------------------------------
+# the transversal search against the reference depth-first search
+
+
+def search_matches_reference(ctx, dec, first):
+    """Run the search and the reference on one input and require the same
+    representatives, or the same refutation reason; the reference's reason
+    (None on success) and how many choices it undid."""
+    reps, reason = codes_module._search_transversal(ctx, dec, first)
+    ref, undone = transversal_by_dfs(ctx, dec, first)
+    if ref is None:
+        ref_reason = refutation_reason_by_scan(ctx, dec, first)
+        assert (reps, reason) == (None, ref_reason)
+        return ref_reason, undone
+    assert reason is None and sorted(reps) == sorted(ref.values())
+    return None, undone
+
+
+def test_search_matches_reference_on_catalog_16():
+    cases = Counter()
+    for group in catalog(16):
+        subs = enumerate_subgroups(group)
+        for ctx in involution_contexts(group):
+            for sub in subs:
+                image = image_subgroup(ctx.alpha, sub)
+                dec = cosets(image, "right")
+                perfect = image.mask == sub.mask
+                for first in (1, 0) if perfect else (0,):
+                    reason, _ = search_matches_reference(ctx, dec, first)
+                    cases[reason] += 1
+                    if reason is None:
+                        reps, _ = codes_module._search_transversal(ctx, dec, first)
+                        codes_module._certify_transversal(ctx, reps, dec, first == 1)
+    # a total code search for each of the 24,009 pairs, and a perfect code
+    # search for the 7,685 whose subgroup alpha preserves
+    assert sum(cases.values()) == 24009 + 7685
+    assert set(cases) == {
+        None,
+        codes_module.REFUTATION_OMEGA_COSET,
+        codes_module.REFUTATION_SELF_PAIRED,
+        codes_module.REFUTATION_EXHAUSTED,
+    }
+
+
+def stand_in(n, blocks, pairs, loops):
+    """A stand-in context and coset decomposition with all the search
+    reads: tau exchanges each pair and fixes every other point, the loops
+    (fixed points) form the loop set, and the blocks, ordered by their
+    least point, are the cosets."""
+    tau = list(range(n))
+    for a, b in pairs:
+        tau[a], tau[b] = b, a
+    omega = sorted(loops)
+    big_omega = [x for x in range(n) if tau[x] == x and x not in loops]
+    mho = [x for x in range(n) if tau[x] != x]
+    blocks = sorted(tuple(sorted(block)) for block in blocks)
+    rep_of = [0] * n
+    for ci, block in enumerate(blocks):
+        for x in block:
+            rep_of[x] = ci
+    mask = lambda xs: sum(1 << x for x in xs)  # noqa: E731
+    ctx = SimpleNamespace(
+        tau_perm=tuple(tau),
+        omega=tuple(omega),
+        big_omega=tuple(big_omega),
+        mho=tuple(mho),
+        omega_mask=mask(omega),
+        big_omega_mask=mask(big_omega),
+        mho_mask=mask(mho),
+    )
+    dec = SimpleNamespace(
+        cosets=tuple(blocks),
+        rep_of=tuple(rep_of),
+        index=len(blocks),
+        masks=tuple(mask(block) for block in blocks),
+    )
+    return ctx, dec
+
+
+def random_stand_in(rng):
+    """A random involution on n <= 24 points with at least one fixed
+    point, about 30% of the fixed points loops, and a random partition
+    into equal blocks."""
+    n = rng.randint(2, 24)
+    size = rng.choice([d for d in range(1, n) if n % d == 0])
+    points = rng.sample(range(n), n)
+    k = rng.randint(0, (n - 1) // 2)
+    pairs = [points[2 * i : 2 * i + 2] for i in range(k)]
+    loops = {x for x in points[2 * k :] if rng.random() < 0.3}
+    points = rng.sample(range(n), n)
+    blocks = [points[i : i + size] for i in range(0, n, size)]
+    return stand_in(n, blocks, pairs, loops)
+
+
+def test_search_matches_reference_on_random_stand_ins():
+    # no catalog input to order 24 backtracks to a transversal, so only
+    # these reach the backtracking's success path
+    rng = random.Random(0)
+    cases = Counter()
+    for _ in range(2000):
+        ctx, dec = random_stand_in(rng)
+        reason, undone = search_matches_reference(ctx, dec, rng.randint(0, 1))
+        cases[reason, undone > 0] += 1
+    # the first descent dead-ended and backtracking then succeeded
+    assert cases[None, True] >= 50
+    assert cases[codes_module.REFUTATION_EXHAUSTED, True] >= 50
+    assert cases[codes_module.REFUTATION_SELF_PAIRED, True] >= 10
+
+
+@pytest.mark.parametrize(
+    "blocked, last, reason",
+    [
+        (False, "loops", codes_module.REFUTATION_OMEGA_COSET),
+        (False, "pair", codes_module.REFUTATION_SELF_PAIRED),
+        (True, "loops", codes_module.REFUTATION_OMEGA_COSET),
+        (True, "pair", codes_module.REFUTATION_SELF_PAIRED),
+    ],
+)
+def test_refutation_behind_a_long_first_descent(blocked, last, reason):
+    # cosets {2c, 2c+1} for c < 10 each hold a tau-fixed non-loop 2c, so
+    # the first descent fills ten cosets before it stops. Coset 10 either
+    # has one too, or (blocked) holds two tau-moved points whose partners
+    # 1 and 3 sit in the filled cosets 0 and 1: the descent dead-ends
+    # there, yet the reason is that of coset 11, two loops or a tau-pair
+    blocks = [(2 * c, 2 * c + 1) for c in range(12)]
+    pairs = [(1, 20), (3, 21)] if blocked else []
+    loops = {2 * c + 1 for c in range(10) if not (blocked and c < 2)}
+    loops |= {21} if not blocked else set()
+    if last == "loops":
+        loops |= {22, 23}
+    else:
+        pairs.append((22, 23))
+    ctx, dec = stand_in(24, blocks, pairs, loops)
+    assert search_matches_reference(ctx, dec, 0)[0] == reason
+
+
 def drop_one_pair(search):
     """A transversal search whose answers are valid connection sets that no
-    longer meet every coset."""
+    longer meet every coset: the representative of the highest coset and
+    its tau-partner are dropped."""
 
-    def corrupted(ctx, dec, required):
-        reps = search(ctx, dec, required)
-        x = reps.pop(max(reps))
-        reps.pop(dec.rep_of[ctx.tau_perm[x]], None)
-        return reps
+    def corrupted(ctx, dec, first):
+        reps, reason = search(ctx, dec, first)
+        x = max(reps, key=dec.rep_of.__getitem__)
+        return [r for r in reps if r not in (x, ctx.tau_perm[x])], reason
 
     return corrupted
 

@@ -206,6 +206,35 @@ def test_scan_subgroup_codes_rejects_masks_outside_the_group(trans_bad, h_masks,
         kernels.scan_subgroup_codes(trans, 2, h_masks, 4, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: kernels.scan_subgroup_codes([1, 2, 4], 1, [0b0011], 4, 0),
+            "trans_masks holds 3 masks, expected num_orbits \\* n = 4",
+        ),
+        (
+            lambda: kernels.scan_subgroup_codes([], -1, [0b0011], 4, 0),
+            "num_orbits must be at least 0, got -1",
+        ),
+        (
+            lambda: kernels.scan_subgroup_codes([1, 2, 4, 8], 1, [0b0011], 4, 7),
+            "kind must be 0 \\(perfect\\) or 1 \\(total\\), got 7",
+        ),
+        (
+            lambda: kernels.scan_codes([0b10, 0b01], 5),
+            "kind must be 0 \\(perfect\\) or 1 \\(total\\), got 5",
+        ),
+    ],
+    ids=["short-translates", "negative-orbit-count", "subgroup-scan-kind", "code-scan-kind"],
+)
+def test_kernels_reject_bad_shapes_and_kinds(call, message):
+    # these once raised a bare IndexError, returned [-1], or were decided
+    # as perfect codes
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_kernels_match_bruteforce_on_catalog_to_order_8():
     for group in catalog(8):
         h_masks = [s.mask for s in enumerate_subgroups(group)]
