@@ -200,7 +200,6 @@ def scan_subgroup_codes_bruteforce(trans_masks, num_orbits: int, h_masks, n: int
     return res
 
 
-
 def transversal_by_dfs(ctx, dec, first: int):
     """Literal reference for ``codes._search_transversal``: a recursive
     depth-first search that fills the lowest unassigned coset first, trying

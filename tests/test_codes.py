@@ -477,16 +477,15 @@ def test_handle_identity_does_not_change_decisions(spec):
 
 def search_matches_reference(ctx, dec, first):
     """Run the search and the reference on one input and require the same
-    representatives, or the same refutation reason; the reference's reason
-    (None on success) and how many choices it undid."""
+    representatives, or the same refutation reason. Returns the search's
+    answer and how many choices the reference undid."""
     reps, reason = codes_module._search_transversal(ctx, dec, first)
     ref, undone = transversal_by_dfs(ctx, dec, first)
     if ref is None:
-        ref_reason = refutation_reason_by_scan(ctx, dec, first)
-        assert (reps, reason) == (None, ref_reason)
-        return ref_reason, undone
-    assert reason is None and sorted(reps) == sorted(ref.values())
-    return None, undone
+        assert (reps, reason) == (None, refutation_reason_by_scan(ctx, dec, first))
+    else:
+        assert reason is None and sorted(reps) == sorted(ref.values())
+    return reps, reason, undone
 
 
 def test_search_matches_reference_on_catalog_16():
@@ -499,10 +498,9 @@ def test_search_matches_reference_on_catalog_16():
                 dec = cosets(image, "right")
                 perfect = image.mask == sub.mask
                 for first in (1, 0) if perfect else (0,):
-                    reason, _ = search_matches_reference(ctx, dec, first)
+                    reps, reason, _ = search_matches_reference(ctx, dec, first)
                     cases[reason] += 1
                     if reason is None:
-                        reps, _ = codes_module._search_transversal(ctx, dec, first)
                         codes_module._certify_transversal(ctx, reps, dec, first == 1)
     # a total code search for each of the 24,009 pairs, and a perfect code
     # search for the 7,685 whose subgroup alpha preserves
@@ -531,7 +529,10 @@ def stand_in(n, blocks, pairs, loops):
     for ci, block in enumerate(blocks):
         for x in block:
             rep_of[x] = ci
-    mask = lambda xs: sum(1 << x for x in xs)  # noqa: E731
+
+    def mask(xs):
+        return sum(1 << x for x in xs)
+
     ctx = SimpleNamespace(
         tau_perm=tuple(tau),
         omega=tuple(omega),
@@ -572,7 +573,7 @@ def test_search_matches_reference_on_random_stand_ins():
     cases = Counter()
     for _ in range(2000):
         ctx, dec = random_stand_in(rng)
-        reason, undone = search_matches_reference(ctx, dec, rng.randint(0, 1))
+        _, reason, undone = search_matches_reference(ctx, dec, rng.randint(0, 1))
         cases[reason, undone > 0] += 1
     # the first descent dead-ended and backtracking then succeeded
     assert cases[None, True] >= 50
@@ -590,21 +591,21 @@ def test_search_matches_reference_on_random_stand_ins():
     ],
 )
 def test_refutation_behind_a_long_first_descent(blocked, last, reason):
-    # cosets {2c, 2c+1} for c < 10 each hold a tau-fixed non-loop 2c, so
-    # the first descent fills ten cosets before it stops. Coset 10 either
-    # has one too, or (blocked) holds two tau-moved points whose partners
-    # 1 and 3 sit in the filled cosets 0 and 1: the descent dead-ends
-    # there, yet the reason is that of coset 11, two loops or a tau-pair
+    # cosets {2c, 2c+1} for c < 10 each hold a tau-fixed non-loop point
+    # 2c, so the first descent fills all ten. Coset 10 holds one too, and
+    # the descent stops at coset 11; or, when blocked, it holds two
+    # tau-moved points whose partners 1 and 3 lie in the filled cosets 0
+    # and 1, and the descent stops there. Either way the reason is that of
+    # coset 11: two loops, or a tau-pair inside it
     blocks = [(2 * c, 2 * c + 1) for c in range(12)]
     pairs = [(1, 20), (3, 21)] if blocked else []
-    loops = {2 * c + 1 for c in range(10) if not (blocked and c < 2)}
-    loops |= {21} if not blocked else set()
+    loops = {2 * c + 1 for c in range(11)} - {x for pair in pairs for x in pair}
     if last == "loops":
         loops |= {22, 23}
     else:
         pairs.append((22, 23))
     ctx, dec = stand_in(24, blocks, pairs, loops)
-    assert search_matches_reference(ctx, dec, 0)[0] == reason
+    assert search_matches_reference(ctx, dec, 0)[1] == reason
 
 
 def drop_one_pair(search):
