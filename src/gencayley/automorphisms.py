@@ -20,13 +20,12 @@ and pairs (inside ``mho``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._bits import mask_of
 from .errors import GenCayleyError, GroupFileError, ThresholdError
-from .groups import FiniteGroup, SubgroupHandle, _right_generators
+from .groups import FiniteGroup, SubgroupHandle, _read_json, _right_generators
 
 AUT_ENUM_LIMIT = 48
 
@@ -292,13 +291,7 @@ def product_automorphism(
 
 def load_automorphism(path, group: FiniteGroup) -> Automorphism:
     """Load an automorphism from a JSON object file with field ``perm``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise GroupFileError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GroupFileError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or "perm" not in data:
         raise GroupFileError(f"{path}: expected an object with field 'perm'")
     perm = data["perm"]

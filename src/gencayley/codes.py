@@ -45,6 +45,7 @@ from .groups import (
     FiniteGroup,
     SubgroupHandle,
     _finish_group,
+    _product_elements,
     cosets,
     normalizer,
     subgroup,
@@ -481,8 +482,7 @@ def build_product_subset(
     s1: GenCayleySubset, s2: GenCayleySubset, product_ctx: AlphaContext
 ) -> GenCayleySubset:
     """Pairwise products S1 x S2 as a connection set on the direct product."""
-    n2 = s2.context.group.order
-    elems_ = [a * n2 + b for a in s1.elements for b in s2.elements]
+    elems_ = _product_elements(s1.elements, s2.elements, s2.context.group.order)
     return _sized_subset(product_ctx, elems_, s1.size * s2.size)
 
 
@@ -491,9 +491,9 @@ def build_product_subset_augmented(
 ) -> GenCayleySubset:
     """S1 x S2 together with the two axis copies {e} x S2 and S1 x {e}."""
     n2 = s2.context.group.order
-    elems_ = [a * n2 + b for a in s1.elements for b in s2.elements]
-    elems_ += [b for b in s2.elements]
-    elems_ += [a * n2 for a in s1.elements]
+    elems_ = _product_elements(s1.elements, s2.elements, n2)
+    elems_ += _product_elements((0,), s2.elements, n2)
+    elems_ += _product_elements(s1.elements, (0,), n2)
     return _sized_subset(product_ctx, elems_, s1.size * s2.size + s1.size + s2.size)
 
 
@@ -537,10 +537,7 @@ def verify_product_codes(
     _require_code_pair(h2, s2, "perfect", "second")
 
     prod_group, prod_ctx = _product_context(s1.context, s2.context)
-    n2 = h2.parent.order
-    prod_sub = subgroup(
-        prod_group, (a * n2 + b for a in h1.elements for b in h2.elements)
-    )
+    prod_sub = subgroup(prod_group, _product_elements(h1.elements, h2.elements, h2.parent.order))
 
     augmented = build_product_subset_augmented(s1, s2, prod_ctx)
     pc_holds = is_perfect_code(build_graph(augmented), prod_sub.elements)
@@ -557,8 +554,7 @@ def verify_product_codes(
         _require_code_pair(th1, ts1, "total", "first")
         _require_code_pair(th2, ts2, "total", "second")
         tg, tctx = _product_context(ts1.context, ts2.context)
-        tn2 = th2.parent.order
-        tsub = subgroup(tg, (a * tn2 + b for a in th1.elements for b in th2.elements))
+        tsub = subgroup(tg, _product_elements(th1.elements, th2.elements, th2.parent.order))
         tplain = build_product_subset(ts1, ts2, tctx)
         amended_holds = is_total_perfect_code(build_graph(tplain), tsub.elements)
 

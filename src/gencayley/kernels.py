@@ -93,7 +93,10 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
 
     ``trans_masks`` is flattened ``num_orbits x n``: entry ``o*n + g`` holds
     the neighbors vertex g gains when pairing-orbit o joins the connection
-    set, and the neighbor mask of g is the OR over the chosen orbits.
+    set, and the neighbor mask of g is the OR over the chosen orbits. The
+    translates of different orbits at one vertex must be disjoint, as
+    ``orbit_translate_masks`` gives them (alpha(g)*o for disjoint orbits o),
+    so a vertex sees each element from at most one orbit.
     For one subgroup H, a vertex v sees ``trans & H`` from each orbit; it
     needs none of H (kind 0 and v in H) or exactly one element of H. An
     orbit that shows v two elements, or any element when v needs none, can
@@ -103,21 +106,20 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
     ``o*n + v`` when orbit o shows vertex v the element e. So one pass over
     the elements of H, OR-ing their lanes, finds for all orbits at once the
     vertices each touches and those it touches twice, and a carry into the
-    top bit of every field marks the orbits left. The reach of orbit o
-    packs what it shows by element, bit ``e*n + v``, whatever H is.
+    top bit of every field marks the orbits left.
 
     The search decides the orbits from the highest index down, leaving
     each out before putting it in, so the first leaf reached is the least
-    mask. Its state is two ints: the vertices reached so far, and ``seen``,
-    the OR of the chosen orbits' reaches. An orbit clashes when it shows a
-    reached vertex an element of H that ``seen`` lacks there (two orbits
-    reaching v at the same element count once). The search prunes when a
-    vertex still short of its element is touched by none of the undecided
-    orbits. Pure neighbor counting, as in :func:`scan_codes`.
+    mask. Its state is one int, the vertices reached so far: an orbit
+    clashes exactly when it touches one of them, since it would show that
+    vertex a second element of H. The search prunes when a vertex still
+    short of its element is touched by none of the undecided orbits. Pure
+    neighbor counting, as in :func:`scan_codes`.
 
     A ``num_orbits`` below 0, a ``trans_masks`` whose length is not
-    ``num_orbits * n``, a ``kind`` other than 0 or 1, and a translate or H
-    mask that is negative or has a bit at or above n each raise
+    ``num_orbits * n``, a ``kind`` other than 0 or 1, a translate or H
+    mask that is negative or has a bit at or above n, and, checked last,
+    two orbits whose translates at one vertex overlap each raise
     :class:`ValueError` before anything is searched.
     """
     m = num_orbits
@@ -134,28 +136,26 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
             bad = next(x for x in masks if not 0 <= x <= full)
             raise ValueError(f"{what} mask {bad:#x} has an element outside 0..{n - 1}")
     lanes = [0] * n
-    reach = {}  # the offset o*n of orbit o's field -> (o, its reach)
+    shown = [0] * n  # shown[v]: the elements the orbits so far show v
     i = 0
     for o in range(m):
-        r = 0
         for v in range(n):
             t = trans_masks[i]
+            if shown[v] & t:
+                first = next(p for p in range(o) if trans_masks[p * n + v] & t)
+                raise ValueError(f"translates of orbits {first} and {o} overlap at vertex {v}")
+            shown[v] |= t
             while t:
                 low = t & -t
-                e = low.bit_length() - 1
-                lanes[e] |= 1 << i
-                r |= 1 << e * n + v
+                lanes[low.bit_length() - 1] |= 1 << i
                 t ^= low
             i += 1
-        reach[o * n] = (o, r)
-    # per element bit: its lane, and the low bit of its field in reach
-    lane_of = {1 << e: (lanes[e], 1 << e * n) for e in range(n)}
     orep = sum(1 << o * n for o in range(m))  # the low bit of every orbit field
     low_bits = orep * (full >> 1)  # all but the top bit of every field
     top_bits = low_bits + orep
 
-    def search(k: int, reached: int, seen: int) -> int:
-        # reads needy, hrep, usable and reachable of the current subgroup.
+    def search(k: int, reached: int) -> int:
+        # reads needy, usable and reachable of the current subgroup.
         # needy is inside reached | reachable[k]; leave orbits out while
         # that stays so, then put in the lowest that must be, or a later one
         j = k
@@ -163,11 +163,10 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
             j -= 1
         if not j:
             return 0
-        clash = reached * hrep  # reached, in the field of every element of H
         while j <= k:
-            o, t, r = usable[j - 1]
-            if not r & ~seen & clash:
-                found = search(j - 1, reached | t, seen | r)
+            o, t = usable[j - 1]
+            if not t & reached:
+                found = search(j - 1, reached | t)
                 if found != -1:
                     return found | 1 << o
             j += 1
@@ -175,14 +174,13 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
 
     res = []
     for hm in h_masks:
-        touch = twice = hrep = 0
+        touch = twice = 0
         h = hm
         while h:
             low = h & -h
-            lane, rep = lane_of[low]
+            lane = lanes[low.bit_length() - 1]
             twice |= touch & lane
             touch |= lane
-            hrep |= rep
             h ^= low
         needy = full  # the vertices that need exactly one element of H
         if kind != 1:
@@ -194,17 +192,16 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
         left = ((touch & low_bits) + low_bits | touch) & ~(
             (twice & low_bits) + low_bits | twice
         ) & top_bits
-        usable = []  # (orbit, touched vertices, reach), by orbit
+        usable = []  # (orbit, touched vertices), by orbit
         reachable = [0]  # reachable[k]: the vertices touched by usable[:k]
         while left:
             low = left & -left
             base = low.bit_length() - n
-            o, r = reach[base]
             t = touch >> base & full
-            usable.append((o, t, r))
+            usable.append((base // n, t))
             reachable.append(reachable[-1] | t)
             left ^= low
-        res.append(-1 if needy & ~reachable[-1] else search(len(usable), 0, 0))
+        res.append(-1 if needy & ~reachable[-1] else search(len(usable), 0))
     return res
 
 

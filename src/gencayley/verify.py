@@ -53,6 +53,7 @@ from .graphs import (
 )
 from .groups import (
     FiniteGroup,
+    _product_elements,
     build_group,
     cosets,
     enumerate_subgroups,
@@ -108,9 +109,10 @@ def associativity_violations(table):
 
 def suite_group_axioms(max_order: int = 24) -> SuiteResult:
     """Every catalog group passes the package's axiom checker (identity,
-    Latin property, inverses, exact associativity), its identity and
-    ``inv`` agree with the table, and up to order 24 a literal triple scan
-    finds no associativity violation either."""
+    Latin property, exact associativity; a Latin row holds the identity,
+    so inverses need no check of their own), its identity and ``inv``
+    agree with the table, and up to order 24 a literal triple scan finds
+    no associativity violation either."""
     violations = []
     cases = 0
     for group in catalog(max_order):
@@ -379,8 +381,6 @@ def suite_mode_agreement(
     cases = 0
     for group in catalog(max_order):
         n = group.order
-        if n < 2:
-            continue
         h_masks = [h.mask for h in enumerate_subgroups(group)]
         for ai, ctx in enumerate(involution_contexts(group)):
             for subset in enumerate_subsets(ctx):
@@ -507,7 +507,7 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
                 witness = decide_subgroup_pc(sub, ctx)
                 if predicted != witness.success:
                     violations.append(
-                        f"group={group.id} alpha={ai} H={fmt_set(sub.elements)}:"
+                        f"{_where(group.id, ai, sub.elements)}:"
                         f" criterion={predicted} decide={witness.success}"
                     )
                     continue
@@ -521,7 +521,7 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
                         and is_gc_transversal(ctx, sub, subset.elements + (0,))
                     ):
                         violations.append(
-                            f"group={group.id} alpha={ai} H={fmt_set(sub.elements)}:"
+                            f"{_where(group.id, ai, sub.elements)}:"
                             " constructive witness failed"
                         )
     return SuiteResult("abelian-criterion", cases, violations)
@@ -668,8 +668,8 @@ def suite_product_identities(max_order: int = 8) -> SuiteResult:
                         continue
                     cases += 1
                     bar_ctx = alpha_context(prod, product_automorphism(a1, a2, prod))
-                    want_omega = mask_of(a * n2 + b for a in c1.omega for b in c2.omega)
-                    want_k = mask_of(a * n2 + b for a in c1.k_set for b in c2.k_set)
+                    want_omega = mask_of(_product_elements(c1.omega, c2.omega, n2))
+                    want_k = mask_of(_product_elements(c1.k_set, c2.k_set, n2))
                     got_omega = bar_ctx.omega_mask
                     got_big = bar_ctx.big_omega_mask
                     if got_omega != want_omega or got_big != want_k & ~want_omega:
@@ -684,8 +684,6 @@ def collect_code_pairs(kind: str, limit: int):
     to order 8, in deterministic scan order."""
     out = []
     for group in catalog(8):
-        if group.order < 2:
-            continue
         for ai, ctx in enumerate(involution_contexts(group)):
             for sub in enumerate_subgroups(group):
                 witness = (
@@ -763,7 +761,7 @@ def suite_odd_order_in_omega(max_order: int = 24) -> SuiteResult:
                 expected = sub.elements == ctx.omega
                 if success != expected:
                     violations.append(
-                        f"group={group.id} alpha={ai} H={fmt_set(sub.elements)}:"
+                        f"{_where(group.id, ai, sub.elements)}:"
                         f" decide={success} expected={expected}"
                     )
     return SuiteResult("odd-order-in-omega", cases, violations)
@@ -799,7 +797,7 @@ def suite_characteristic_criterion(max_order: int = 24) -> SuiteResult:
                 )
                 if success != expected:
                     violations.append(
-                        f"group={group.id} alpha={ai} H={fmt_set(sub.elements)}:"
+                        f"{_where(group.id, ai, sub.elements)}:"
                         f" decide={success} expected={expected}"
                     )
     return SuiteResult("characteristic-criterion", cases, violations)

@@ -389,6 +389,51 @@ def test_cli_rejects_non_integer_file_fields(tmp_path, capsys, flag, payload, fr
     assert fragment in err
 
 
+Z2_TABLE = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "payload, fragment",
+    [
+        # str() once made these group "['x']" with elements 'None' and 'True'
+        (
+            {"name": ["x"], "order": 2, "table": Z2_TABLE, "names": ["e", "a"]},
+            "field 'name' must be a string, got ['x']",
+        ),
+        (
+            {"name": "x", "order": 2, "table": Z2_TABLE, "names": [None, True]},
+            "field 'names' entry 0 = None is not a string",
+        ),
+        (
+            {"name": "x", "order": 2, "table": Z2_TABLE, "names": ["e", True]},
+            "field 'names' entry 1 = True is not a string",
+        ),
+    ],
+    ids=["name-list", "names-null", "names-bool"],
+)
+def test_cli_rejects_non_string_file_names(tmp_path, capsys, payload, fragment):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(
+        capsys, "graph", "build", "--group-file", str(path), "--alpha", "0", "--S", "True"
+    )
+    assert code == 2 and out == ""
+    assert fragment in err
+
+
+def test_cli_reports_malformed_and_missing_automorphism_files(tmp_path, capsys):
+    # the group loader's cases are in test_groups and test_cli_group_file
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"perm": [0, 5,')
+    code, out, err = run_cli(capsys, "sets", "--group", "cyclic:6", "--alpha", str(bad))
+    assert code == 2 and out == ""
+    assert f"{bad}: line 1, column 16:" in err
+    missing = tmp_path / "nope.json"
+    code, out, err = run_cli(capsys, "sets", "--group", "cyclic:6", "--alpha", str(missing))
+    assert code == 2 and out == ""
+    assert f"{missing}: " in err and "No such file" in err
+
+
 def test_cli_rejects_duplicate_element_names(tmp_path, capsys):
     # with the last name winning, --S a would parse as element 2
     path = tmp_path / "z3dup.json"

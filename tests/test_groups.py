@@ -225,8 +225,12 @@ def test_group_from_table_renumbers_identity():
 
 def test_duplicate_element_names_rejected():
     # the indexes are the file's, before the identity is renumbered to 0
-    data = {"name": "flipped", "order": 2, "table": [[1, 0], [0, 1]], "names": [7, "7"]}
+    data = {"name": "flipped", "order": 2, "table": [[1, 0], [0, 1]], "names": ["7", "7"]}
     with pytest.raises(GroupFileError, match="field 'names' repeats '7' at indexes 0 and 1"):
+        group_from_table(data)
+    # a name is a JSON string: 7 is not cast to "7"
+    data["names"] = [7, "a"]
+    with pytest.raises(GroupFileError, match="field 'names' entry 0 = 7 is not a string"):
         group_from_table(data)
     # the shared constructor refuses them too, so no name map is ambiguous
     with pytest.raises(GroupValidationError, match=r"names, witness \(0, 2\)"):

@@ -86,25 +86,23 @@ def test_scan_codes_matches_bruteforce_on_random_graphs():
 
 
 def _random_translates(rng, n, m, width):
-    """m orbits of n translate masks: asymmetric, up to ``width`` elements
-    per vertex, and some orbits repeating the one before."""
-    trans = []
-    for o in range(m):
-        if o and rng.random() < 0.2:
-            trans.extend(trans[(o - 1) * n : o * n])
-            continue
-        for _ in range(n):
-            t = 0
-            if n and rng.random() < 0.7:
-                for _ in range(rng.randint(1, width)):
-                    t |= 1 << rng.randrange(n)
-            trans.append(t)
+    """m orbits of n translate masks, disjoint at each vertex as
+    ``orbit_translate_masks`` gives them: asymmetric, up to ``width``
+    elements per vertex, and some orbits empty at some vertices."""
+    trans = [0] * (m * n)
+    for v in range(n):
+        free = rng.sample(range(n), n)  # the elements no orbit shows v yet
+        for o in rng.sample(range(m), m):
+            if free and rng.random() < 0.7:
+                k = rng.randint(1, width)
+                trans[o * n + v] = sum(1 << e for e in free[:k])
+                del free[:k]
     return trans
 
 
 def test_scan_subgroup_codes_matches_bruteforce_on_random_translates():
-    # arbitrary translate masks: asymmetric, several elements per vertex,
-    # orbits that overlap or repeat each other, the empty H and all of G
+    # arbitrary disjoint translate masks: asymmetric, several elements per
+    # vertex, the empty H and all of G
     rng = random.Random(2)
     found = 0
     for _ in range(800):
@@ -122,12 +120,11 @@ def test_scan_subgroup_codes_matches_bruteforce_on_random_translates():
 
 
 def test_scan_subgroup_codes_matches_bruteforce_on_wide_layouts():
-    # n up to 17 and m up to 10: the orbit lanes hold m*n bits, past 64,
-    # and each orbit's reach n*n bits. One case in two plants a code for a
-    # random H in four orbits: the last vertex in the top bit of the
-    # fourth's field alone, every other needy vertex from one or two of
-    # the first three at the same element. Every case has an empty orbit,
-    # one orbit repeating another, the empty H and all of G.
+    # n up to 17 and m up to 10: the orbit lanes hold m*n bits, past 64.
+    # One case in two plants a code for a random H in four orbits: the
+    # last vertex in the top bit of the fourth's field alone, every other
+    # needy vertex from exactly one of the first three. Every case has an
+    # empty orbit, the empty H and all of G.
     rng = random.Random(3)
     found = planted = widest = 0
     for case in range(40):
@@ -142,16 +139,20 @@ def test_scan_subgroup_codes_matches_bruteforce_on_wide_layouts():
             planted += 1
             needy = full if case % 2 else full & ~hm  # planted for each kind in turn
             for v in range(n):
-                chosen = rng.sample(orbits[:3], rng.randint(1, 2)) if v < n - 1 else orbits[3:4]
+                chosen = rng.choice(orbits[:3]) if v < n - 1 else orbits[3]
                 e = rng.choice([e for e in range(n) if hm >> e & 1])
+                used = 1 << e  # e is shown v by the chosen orbit, or by none
+                for o in orbits[4:]:
+                    trans[o * n + v] &= ~used
+                    used |= trans[o * n + v]
                 for o in orbits[:4]:
-                    t = _random_mask(rng, n, 0.1) & ~hm
-                    if needy >> v & 1 and o in chosen:
+                    t = _random_mask(rng, n, 0.1) & ~hm & ~used
+                    if needy >> v & 1 and o == chosen:
                         t |= 1 << e
                     trans[o * n + v] = t
-        empty, copy, source = orbits[4:7]
+                    used |= t
+        empty = orbits[4]
         trans[empty * n : empty * n + n] = [0] * n
-        trans[copy * n : copy * n + n] = trans[source * n : source * n + n]
         h_masks = [0, full, hm] + [_random_mask(rng, n, 0.3) for _ in range(3)]
         for kind in (0, 1):
             got = kernels.scan_subgroup_codes(trans, m, h_masks, n, kind)
@@ -159,8 +160,27 @@ def test_scan_subgroup_codes_matches_bruteforce_on_wide_layouts():
                 trans, m, h_masks, n, kind,
             )
             found += sum(r > 0 for r in got)
+            if case % 4 < 2 and kind == case % 2:
+                assert got[2] != -1, (trans, m, hm, n, kind)  # the planted code
     assert widest > 64 and planted == 20
     assert found >= planted
+
+
+def test_orbit_translate_masks_are_disjoint_at_every_vertex():
+    # alpha(g)*o for distinct tau-orbits o are disjoint, left multiplication
+    # being injective: the contract scan_subgroup_codes checks and relies on
+    contexts = 0
+    for group in catalog(24):
+        n = group.order
+        for ctx in involution_contexts(group):
+            contexts += 1
+            trans = orbit_translate_masks(ctx)
+            for v in range(n):
+                shown = 0
+                for t in trans[v::n]:  # orbit by orbit
+                    assert not shown & t, (group.id, ctx.alpha.perm, v)
+                    shown |= t
+    assert contexts == 667
 
 
 def test_scan_subgroup_codes_matches_bruteforce_on_order_16_contexts():
@@ -204,6 +224,21 @@ def test_scan_subgroup_codes_rejects_masks_outside_the_group(trans_bad, h_masks,
         trans[5] = trans_bad
     with pytest.raises(ValueError, match=message):
         kernels.scan_subgroup_codes(trans, 2, h_masks, 4, 0)
+
+
+@pytest.mark.parametrize(
+    "trans, m, n, message",
+    [
+        ([0b0001, 0b0010, 0b0100, 0b1000] * 2, 2, 4, "orbits 0 and 1 overlap at vertex 0"),
+        ([0b001, 0b010, 0b100, 0b100, 0, 0, 0, 0, 0b110], 3, 3, "orbits 0 and 2 overlap at vertex 2"),
+    ],
+    ids=["repeated-orbit", "one-shared-element"],
+)
+def test_scan_subgroup_codes_rejects_overlapping_translates(trans, m, n, message):
+    # two orbits showing one vertex the same element: the search's one-int
+    # state would count that element twice
+    with pytest.raises(ValueError, match=f"translates of {message}"):
+        kernels.scan_subgroup_codes(trans, m, [0b1], n, 0)
 
 
 @pytest.mark.parametrize(
