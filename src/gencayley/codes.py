@@ -5,16 +5,40 @@ neighborhoods, translate partitions or algebraic set conditions), taken
 from the route table in :mod:`graphs`; the mode-agreement suite checks
 that the formulations agree.
 
-Subgroup-level deciders evaluate one criterion in two forms. Take S
-closed under tau and disjoint from the loop set. A subgroup H is a perfect
-code of some graph GC(G, S, alpha) exactly when alpha(H) = H and
-{e} union S is a right transversal of H; it is a total perfect code
-exactly when S is a right transversal of alpha(H). One search over coset
-representatives decides both; it backtracks only when its first descent
-dead-ends and no coset refutes the pair outright. Each witness passes an
-explicit transversal certificate before it is returned, and the package's
-verification suites re-validate witnesses against the graph definition and
-compare every decision against an exact search over all connection sets.
+Subgroup-level deciders evaluate one criterion in two forms. Write
+tau(x) = alpha(x)^-1, Omega for the loop set and big_omega for the
+tau-fixed elements outside it, and take S closed under tau and disjoint
+from Omega. A subgroup H is a perfect code of some graph GC(G, S, alpha)
+exactly when alpha(H) = H and {e} union S is a right transversal of H; it
+is a total perfect code exactly when S is a right transversal of
+K = alpha(H). (For alpha = identity this is the Cayley-graph setting of
+Chen, Wang and Xia, "Characterizations of subgroup perfect codes in Cayley
+graphs", Discrete Math. 343, 2020.) One descent over the right K-cosets
+decides both without backtracking: it finds a transversal whenever one
+exists. Proof, for a (K, H)-double coset D = KxH, whose right K-cosets are
+the Kxh, and its image tau(D) = K alpha(x)^-1 H:
+(i) big_omega meets all or none of the right K-cosets of D. For x in
+    big_omega and h in H, y = alpha(h)^-1 x h lies in Kxh and is tau-fixed.
+    It lies outside Omega: y = alpha(g)^-1 g would put x in Omega, as
+    x = alpha(gh^-1)^-1 gh^-1.
+(ii) tau(Kx) = alpha(x)^-1 H is a left H-coset of tau(D), so it meets every
+    right K-coset of tau(D): each coset of D is tau-linked, through a
+    tau-moved element, to every other coset of tau(D), and to nothing else.
+    For a perfect code, coset 0 = H is a double coset on its own.
+(iii) Suppose a transversal exists. Then every self-paired D (tau(D) = D)
+    without big_omega has an even number r(D) of right K-cosets, which S
+    fills by tau-pairs; a paired D meets no big_omega (a tau-fixed element
+    of D lies in tau(D)). The descent fills the lowest free coset alone by
+    a big_omega element if it has one, else with a free coset of tau(D) by
+    a tau-pair. So it keeps the free count of a self-paired D without
+    big_omega even, and those of D and tau(D) equal for a paired D. By (ii)
+    the lowest free coset always has a candidate; by (i) taking a big_omega
+    element never strands a coset. The descent's answer is the lowest-first
+    depth-first one, with nothing undone.
+Each witness passes an explicit transversal certificate before it is
+returned, and the package's verification suites re-validate witnesses
+against the graph definition and compare every decision against an exact
+search over all connection sets.
 """
 
 from __future__ import annotations
@@ -151,22 +175,17 @@ def _search_transversal(
     """One representative for each coset with index ``first`` to
     ``dec.index - 1``, avoiding the loop set, with the whole choice closed
     under tau: the representatives and None, or None and the refutation.
-    The answer is the lowest-first depth-first one: lowest free coset
-    first, its tau-fixed non-loop elements (big_omega) before its tau-moved
-    ones (mho), each ascending; a tau-moved one also fills its partner's
-    coset, which must be a later free one. The first descent takes each
-    coset's first candidate in one loop over the coset masks, and most
-    decisions end there. If it dead-ends, the structural refutations of
-    :func:`_refutation_reason` are tested, and only when neither holds
-    does the search backtrack from the start. A choice decides which
-    cosets are filled and nothing else, so backtracking tries one
-    big_omega element per coset and never re-enters a failed set of
-    filled cosets: what it skips would fail the same way."""
+    One loop over the coset masks fills the lowest free coset by its least
+    tau-fixed non-loop element (big_omega), else with a later free coset by
+    its least tau-moved element (mho) whose partner lies there. On the
+    cosets of alpha(H) this descent is complete (module docstring): it
+    dead-ends only when no transversal exists, and it returns the
+    lowest-first depth-first answer with nothing undone. A dead end is
+    labelled by :func:`_refutation_reason`, else as exhausted."""
     fixed, moved, tau = ctx.big_omega_mask, ctx.mho_mask, ctx.tau_perm
     masks, rep_of = dec.masks, dec.rep_of
-    start = (1 << first) - 1  # bit ci: coset ci is filled or not required
     full = (1 << dec.index) - 1
-    taken, reps = start, []
+    taken, reps = (1 << first) - 1, []  # bit ci: coset ci is filled or not required
     while taken != full:
         low = ~taken & taken + 1  # the lowest free coset
         taken |= low
@@ -187,38 +206,8 @@ def _search_transversal(
                 break
             m ^= b
         else:
-            break  # the first descent dead-ends
-    else:
-        return reps, None
-    reason = _refutation_reason(ctx, dec, first)
-    if reason is not None:
-        return None, reason
-    failed = set()
-
-    def extend(taken: int) -> list[int] | None:
-        # the depth-first search on from this set of filled cosets
-        if taken == full:
-            return []
-        if taken in failed:
-            return None
-        low = ~taken & taken + 1
-        now = taken | low
-        cm = masks[low.bit_length() - 1]
-        f = cm & fixed
-        steps = [(now, ((f & -f).bit_length() - 1,))] if f else []
-        for x in bits(cm & moved):
-            cy = 1 << rep_of[tau[x]]
-            if not now & cy:
-                steps.append((now | cy, (x, tau[x])))
-        for after, added in steps:
-            rest = extend(after)
-            if rest is not None:
-                return [*added, *rest]
-        failed.add(taken)
-        return None
-
-    reps = extend(start)
-    return (reps, None) if reps is not None else (None, REFUTATION_EXHAUSTED)
+            return None, _refutation_reason(ctx, dec, first) or REFUTATION_EXHAUSTED
+    return reps, None
 
 
 def _refutation_reason(ctx: AlphaContext, dec: CosetDecomposition, first: int) -> str | None:
@@ -305,11 +294,12 @@ def decide_subgroup_pc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
     H is one exactly when alpha(H) = H and some connection set S makes
     {e} union S a right transversal of H: S avoids the loop set, is closed
     under tau, and meets each nontrivial right coset once. The search is
-    deterministic (lowest coset first, tau-fixed candidates before tau-moved
-    ones, each in ascending element order): a first descent takes each
-    coset's first candidate, and backtracking runs only when it dead-ends
-    and no coset lies in the loop set or is self-paired without a
-    big_omega element. Every witness passes :func:`_certify_transversal`.
+    one deterministic descent (lowest coset first, tau-fixed candidates
+    before tau-moved ones, each ascending) and needs no backtracking: on
+    each (H, H)-double coset big_omega meets all cosets or none, and tau
+    links every coset to every other coset of the paired double coset, so
+    the descent strands no coset while a transversal exists (proof in the
+    module docstring). Every witness passes :func:`_certify_transversal`.
     """
     return _decide(sub, ctx, "perfect")
 

@@ -27,7 +27,7 @@ from .automorphisms import (
     orbit_translate_masks,
     product_automorphism,
 )
-from .census import catalog, census_records
+from .census import DEFAULT_CENSUS_MAX_ORDER, catalog, census_records
 from .codes import (
     CODE_KINDS,
     abelian_pc_criterion,
@@ -477,14 +477,14 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
     return SuiteResult(name, cases, violations)
 
 
-def suite_pc_oracle(max_order: int = 16) -> SuiteResult:
+def suite_pc_oracle(max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> SuiteResult:
     """decide_subgroup_pc agrees with an exact search over every
     connection set; its witness re-validates by the graph route, and the
     search's witness by all three routes."""
     return _suite_code_oracle("pc-oracle", 0, max_order)
 
 
-def suite_tpc_oracle(max_order: int = 16) -> SuiteResult:
+def suite_tpc_oracle(max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> SuiteResult:
     """decide_subgroup_tpc agrees with an exact search over every
     connection set, with the witnesses re-validated as in the pc suite."""
     return _suite_code_oracle("tpc-oracle", 1, max_order)
@@ -813,13 +813,13 @@ SUITES = (
     ("alpha-invariants", suite_alpha_invariants, 12),
     ("graph-laws", suite_graph_laws, 12),
     ("mode-agreement", suite_mode_agreement, 12),
-    ("pc-oracle", suite_pc_oracle, 16),
+    ("pc-oracle", suite_pc_oracle, DEFAULT_CENSUS_MAX_ORDER),
     ("abelian-criterion", suite_abelian_criterion, 24),
     ("census-audits", suite_census_audits, 24),
     ("transports", suite_transports, 12),
     ("product-identities", suite_product_identities, 8),
     ("product-codes", suite_product_codes, None),
-    ("tpc-oracle", suite_tpc_oracle, 16),
+    ("tpc-oracle", suite_tpc_oracle, DEFAULT_CENSUS_MAX_ORDER),
     ("odd-order-in-omega", suite_odd_order_in_omega, 24),
     ("characteristic-criterion", suite_characteristic_criterion, 24),
 )

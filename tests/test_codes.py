@@ -3,7 +3,6 @@ import dataclasses
 import io
 import os
 import pickle
-import random
 import subprocess
 import sys
 import textwrap
@@ -488,29 +487,78 @@ def search_matches_reference(ctx, dec, first):
     return reps, reason, undone
 
 
-def test_search_matches_reference_on_catalog_16():
-    cases = Counter()
-    for group in catalog(16):
+def group_inputs(groups):
+    """For each group, its subgroups with the context of every involution
+    and of the identity."""
+    for group in groups:
         subs = enumerate_subgroups(group)
-        for ctx in involution_contexts(group):
+        for alpha in enumerate_involutory_automorphisms(group, include_identity=True):
+            yield subs, alpha_context(group, alpha)
+
+
+def test_search_matches_reference_on_group_inputs():
+    # the descent is complete on cosets of alpha(H), so the reference never
+    # undoes a choice on its way to a transversal
+    products = [build_group(spec) for spec in ("symmetric:3xsymmetric:3", "dihedral:3xcyclic:6")]
+    cases = Counter()
+    for label, groups in (("catalog", catalog(24)), ("products", products)):
+        for subs, ctx in group_inputs(groups):
             for sub in subs:
                 image = image_subgroup(ctx.alpha, sub)
                 dec = cosets(image, "right")
                 perfect = image.mask == sub.mask
                 for first in (1, 0) if perfect else (0,):
-                    reps, reason, _ = search_matches_reference(ctx, dec, first)
-                    cases[reason] += 1
+                    reps, reason, undone = search_matches_reference(ctx, dec, first)
+                    cases[label, reason] += 1
                     if reason is None:
+                        assert undone == 0
                         codes_module._certify_transversal(ctx, reps, dec, first == 1)
-    # a total code search for each of the 24,009 pairs, and a perfect code
-    # search for the 7,685 whose subgroup alpha preserves
-    assert sum(cases.values()) == 24009 + 7685
-    assert set(cases) == {
-        None,
-        codes_module.REFUTATION_OMEGA_COSET,
-        codes_module.REFUTATION_SELF_PAIRED,
-        codes_module.REFUTATION_EXHAUSTED,
+    # a total code search for each pair, and a perfect code search for each
+    # pair whose subgroup alpha preserves: 37,946 on catalog(24), 2,780 on
+    # the two products
+    assert cases == {
+        ("catalog", None): 26063,
+        ("catalog", codes_module.REFUTATION_OMEGA_COSET): 3909,
+        ("catalog", codes_module.REFUTATION_SELF_PAIRED): 7902,
+        ("catalog", codes_module.REFUTATION_EXHAUSTED): 72,
+        ("products", None): 1970,
+        ("products", codes_module.REFUTATION_OMEGA_COSET): 348,
+        ("products", codes_module.REFUTATION_SELF_PAIRED): 324,
+        ("products", codes_module.REFUTATION_EXHAUSTED): 138,
     }
+
+
+def double_coset(dec, sub, x):
+    """The right cosets K(xh), h in sub, of the double coset K x sub, by
+    their indices in ``dec``, the right cosets of K."""
+    table = sub.parent.table
+    return {dec.rep_of[table[x][h]] for h in sub.elements}
+
+
+def test_double_coset_lemmas_on_catalog_24():
+    # the two lemmas behind the descent's completeness (codes module
+    # docstring), on every (K, H)-double coset D with K = alpha(H): (i)
+    # big_omega meets all right K-cosets of D or none; (ii) tau maps each
+    # of them onto a set meeting every right K-coset of tau(D) and no other
+    doubles = 0
+    for subs, ctx in group_inputs(catalog(24)):
+        tau = ctx.tau_perm
+        for sub in subs:
+            dec = cosets(image_subgroup(ctx.alpha, sub), "right")
+            free = set(range(dec.index))
+            while free:
+                x = dec.cosets[min(free)][0]
+                d = double_coset(dec, sub, x)
+                free -= d
+                doubles += 1
+                assert len({dec.masks[c] & ctx.big_omega_mask == 0 for c in d}) == 1
+                image = double_coset(dec, sub, tau[x])
+                for c in d:
+                    assert {dec.rep_of[tau[z]] for z in dec.cosets[c]} == image
+            if dec.cosets[0] == sub.elements:
+                # a perfect code's coset 0 = H is a double coset on its own
+                assert double_coset(dec, sub, 0) == {0}
+    assert doubles == 91280
 
 
 def stand_in(n, blocks, pairs, loops):
@@ -551,36 +599,6 @@ def stand_in(n, blocks, pairs, loops):
     return ctx, dec
 
 
-def random_stand_in(rng):
-    """A random involution on n <= 24 points with at least one fixed
-    point, about 30% of the fixed points loops, and a random partition
-    into equal blocks."""
-    n = rng.randint(2, 24)
-    size = rng.choice([d for d in range(1, n) if n % d == 0])
-    points = rng.sample(range(n), n)
-    k = rng.randint(0, (n - 1) // 2)
-    pairs = [points[2 * i : 2 * i + 2] for i in range(k)]
-    loops = {x for x in points[2 * k :] if rng.random() < 0.3}
-    points = rng.sample(range(n), n)
-    blocks = [points[i : i + size] for i in range(0, n, size)]
-    return stand_in(n, blocks, pairs, loops)
-
-
-def test_search_matches_reference_on_random_stand_ins():
-    # no catalog input to order 24 backtracks to a transversal, so only
-    # these reach the backtracking's success path
-    rng = random.Random(0)
-    cases = Counter()
-    for _ in range(2000):
-        ctx, dec = random_stand_in(rng)
-        _, reason, undone = search_matches_reference(ctx, dec, rng.randint(0, 1))
-        cases[reason, undone > 0] += 1
-    # the first descent dead-ended and backtracking then succeeded
-    assert cases[None, True] >= 50
-    assert cases[codes_module.REFUTATION_EXHAUSTED, True] >= 50
-    assert cases[codes_module.REFUTATION_SELF_PAIRED, True] >= 10
-
-
 @pytest.mark.parametrize(
     "blocked, last, reason",
     [
@@ -592,7 +610,7 @@ def test_search_matches_reference_on_random_stand_ins():
 )
 def test_refutation_behind_a_long_first_descent(blocked, last, reason):
     # cosets {2c, 2c+1} for c < 10 each hold a tau-fixed non-loop point
-    # 2c, so the first descent fills all ten. Coset 10 holds one too, and
+    # 2c, so the descent fills all ten. Coset 10 holds one too, and
     # the descent stops at coset 11; or, when blocked, it holds two
     # tau-moved points whose partners 1 and 3 lie in the filled cosets 0
     # and 1, and the descent stops there. Either way the reason is that of
