@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 property violation (``verify``), 2 usage or input
-errors, 3 enumeration threshold exceeded.
+errors (an unwritable output path is one), 3 enumeration threshold exceeded.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     except ThresholdError as exc:
         print(f"threshold exceeded: {exc}", file=sys.stderr)
         return 3
-    except (GenCayleyError, ValueError) as exc:
+    except (GenCayleyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -71,6 +71,7 @@ from .groups import (
     _finish_group,
     _product_elements,
     cosets,
+    direct_product,
     normalizer,
     subgroup,
 )
@@ -558,8 +559,6 @@ def verify_product_codes(
 
 
 def _product_context(ctx1: AlphaContext, ctx2: AlphaContext):
-    from .groups import direct_product
-
     group = direct_product(ctx1.group, ctx2.group)
     bar = product_automorphism(ctx1.alpha, ctx2.alpha, group)
     return group, alpha_context(group, bar)

@@ -16,6 +16,7 @@ Conventions, fixed across the whole package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -102,19 +103,10 @@ class FiniteGroup:
 
     @cached_property
     def exponent(self) -> int:
-        e = 1
-        for k in self.element_orders:
-            e = _lcm(e, k)
-        return e
+        return math.lcm(*self.element_orders)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteGroup({self.id}, order={self.order})"
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def noncommuting_pair(group: FiniteGroup) -> tuple[int, int] | None:

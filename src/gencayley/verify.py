@@ -625,21 +625,16 @@ def suite_transports(max_order: int = 12) -> SuiteResult:
                             transport_conjugate(sub, subset, g, kind)
                         except GenCayleyError:
                             failed.append(f"conjugation by {g} fails")
+                    # no combined form: if a' = beta.alpha.beta^-1 fixes g,
+                    # i_g(x) = g^-1 x g commutes with a', so beta' = i_g.beta
+                    # has beta'.alpha.beta'^-1 = a', and g^-1 beta(H, S) g is
+                    # beta'(H, S), which the loop over all of Aut(G) checks
                     for beta in autos:
                         cases += 1
                         try:
-                            tsub, tset, tctx = transport_automorphism(sub, subset, beta, kind)
+                            transport_automorphism(sub, subset, beta, kind)
                         except GenCayleyError:
                             failed.append("transport by beta fails")
-                            continue
-                        # combined form: conjugate the transported pair by
-                        # every element fixed under the conjugated involution
-                        for g in tctx.fix:
-                            cases += 1
-                            try:
-                                transport_conjugate(tsub, tset, g, kind)
-                            except GenCayleyError:
-                                failed.append(f"combined transport (beta, g={g}) fails")
                     if failed:
                         where = _where(group.id, ai, sub.elements)
                         violations += [f"{where} kind={kind}: {f}" for f in failed]

@@ -434,6 +434,22 @@ def test_cli_reports_malformed_and_missing_automorphism_files(tmp_path, capsys):
     assert f"{missing}: " in err and "No such file" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("census", "--max-order", "4", "--out"), "x.jsonl"),
+        (("graph", "build", "--group", "cyclic:6", "--alpha", "inv", "--S", "1", "--export-dot"),
+         "x.dot"),
+    ],
+)
+def test_cli_unwritable_output_path_exits_2(tmp_path, capsys, argv, name):
+    path = tmp_path / "missing" / name
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and "written" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "No such file" in err
+
+
 def test_cli_rejects_duplicate_element_names(tmp_path, capsys):
     # with the last name winning, --S a would parse as element 2
     path = tmp_path / "z3dup.json"

@@ -9,11 +9,14 @@ import pytest
 
 import gencayley.verify as verify
 from gencayley import (
+    Automorphism,
     CodeWitness,
     GenCayleySubset,
     GroupValidationError,
     catalog,
     census_records,
+    conjugate_automorphism,
+    enumerate_automorphisms,
     involution_contexts,
     kernels,
     subgroup,
@@ -204,3 +207,27 @@ def test_census_audits_report_every_problem(monkeypatch):
         "group=Z2xZ2 alpha=1 H={0,3}: inverse total witness not a left transversal",
         "group=Z2xZ2 alpha=1 H={0,1,2,3}: census witness differs from decider",
     ]
+
+
+def test_conjugating_a_transport_is_an_automorphism_transport():
+    # why suite_transports has no combined form: if beta.alpha.beta^-1 fixes
+    # g, then beta' = (x -> g^-1 beta(x) g) is in Aut(G) and conjugates alpha
+    # to the same involution, so (g^-1 beta(H) g, g^-1 beta(S) g) is the
+    # automorphism transport by beta'
+    triples = 0
+    for group in catalog(12):
+        autos = enumerate_automorphisms(group)
+        perms = {beta.perm for beta in autos}
+        t, inv = group.table, group.inv
+        for ctx in involution_contexts(group):
+            for beta in autos:
+                conj = conjugate_automorphism(beta, ctx.alpha)
+                for g in range(group.order):
+                    if conj.perm[g] != g:
+                        continue
+                    triples += 1
+                    perm = tuple(t[t[inv[g]][beta.perm[x]]][g] for x in range(group.order))
+                    assert perm in perms
+                    twin = conjugate_automorphism(Automorphism(perm, group), ctx.alpha)
+                    assert twin.perm == conj.perm
+    assert triples == 17232
