@@ -206,11 +206,18 @@ def _csv_cell(value) -> str:
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_ints(values) -> str:
-    return "null" if values is None else "[" + ",".join(map(str, values)) + "]"
+def _json_ints(values, texts: dict) -> str:
+    """The JSON array of an element tuple, or ``null``; ``texts`` maps each
+    tuple already written to its text."""
+    if values is None:
+        return "null"
+    text = texts.get(values)
+    if text is None:
+        text = texts[values] = "[" + ",".join(map(str, values)) + "]"
+    return text
 
 
-def _jsonl_line(r: CensusRecord) -> str:
+def _jsonl_line(r: CensusRecord, texts: dict) -> str:
     """``json.dumps(r.payload(), sort_keys=True, separators=(",", ":"))``
     plus a newline, written from one template whose keys are already in
     sorted order; strings get json's own escaping."""
@@ -224,11 +231,11 @@ def _jsonl_line(r: CensusRecord) -> str:
         f'"is_pc":{const[r.is_pc]},"is_tpc":{const[r.is_tpc]},'
         f'"note":{"null" if note is None else text(note)},"order":{r.group_order},'
         f'"pc_refutation":{"null" if pc_ref is None else text(pc_ref)},'
-        f'"pc_witness":{_json_ints(pcw)},'
+        f'"pc_witness":{_json_ints(pcw, texts)},'
         f'"pc_witness_size":{"null" if pcw is None else len(pcw)},'
-        f'"subgroup":{_json_ints(r.subgroup)},'
+        f'"subgroup":{_json_ints(r.subgroup, texts)},'
         f'"tpc_refutation":{"null" if tpc_ref is None else text(tpc_ref)},'
-        f'"tpc_witness":{_json_ints(tpcw)},'
+        f'"tpc_witness":{_json_ints(tpcw, texts)},'
         f'"tpc_witness_size":{"null" if tpcw is None else len(tpcw)}}}\n'
     )
 
@@ -236,7 +243,10 @@ def _jsonl_line(r: CensusRecord) -> str:
 def emit_report(records, fmt: str = "jsonl") -> str:
     """Serialize records deterministically as JSON lines or CSV."""
     if fmt == "jsonl":
-        return "".join([_jsonl_line(r) for r in records])
+        # a census repeats few distinct element tuples across many lines,
+        # so each is written once per call
+        texts: dict = {}
+        return "".join([_jsonl_line(r, texts) for r in records])
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from . import kernels
 from ._bits import fmt_set
@@ -103,12 +104,11 @@ def _parse_elements(group, text: str) -> tuple[int, ...]:
     return tuple(sorted(set(out)))
 
 
-def _write_out(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(path):
+    """``path`` opened for writing, or a context of None without a path.
+    A command opens its output file before doing its work, so an
+    unwritable path fails before any of the work is done or printed."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext()
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +166,16 @@ def cmd_sets(args) -> int:
 def cmd_graph_build(args) -> int:
     graph = _resolve_graph(args)
     group = graph.group
-    edges = graph.edges()
-    print(
-        f"group={group.id} alpha={args.alpha} S={fmt_set(graph.subset.elements)}"
-        f" regular={graph.degree} vertices={group.order} edges={len(edges)}"
-    )
-    print("edges: " + " ".join(fmt_set(e) for e in edges))
+    with _open_out(args.export_dot) as dot:
+        edges = graph.edges()
+        print(
+            f"group={group.id} alpha={args.alpha} S={fmt_set(graph.subset.elements)}"
+            f" regular={graph.degree} vertices={group.order} edges={len(edges)}"
+        )
+        print("edges: " + " ".join(fmt_set(e) for e in edges))
+        if dot is not None:
+            dot.write(export_dot(graph))
     if args.export_dot:
-        with open(args.export_dot, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(graph))
         print(f"dot written to {args.export_dot}")
     return 0
 
@@ -231,9 +232,9 @@ def cmd_enumerate_codes(args) -> int:
 
 
 def cmd_census(args) -> int:
-    records = census_records(args.max_order, workers=args.workers)
-    text = emit_report(records, fmt=args.format)
-    _write_out(args, text)
+    with _open_out(args.out) as out:
+        records = census_records(args.max_order, workers=args.workers)
+        (out or sys.stdout).write(emit_report(records, fmt=args.format))
     if args.out:
         print(f"census: {len(records)} records written to {args.out}")
     return 0

@@ -561,13 +561,17 @@ def enumerate_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
     seen = {mask_of(trivial)}
     found = [trivial]
     frontier = [trivial]
+    table = group.table
     while frontier:
         nxt = []
         for base in frontier:
-            bset = set(base)
+            # <H, hg> = <H, g>, so close one g per right coset Hg
+            handled = mask_of(base)
             for g in range(1, group.order):
-                if g in bset:
+                if handled >> g & 1:
                     continue
+                for h in base:
+                    handled |= 1 << table[h][g]
                 closed = subgroup_closure(group, base + (g,))
                 key = mask_of(closed)
                 if key not in seen:

@@ -9,6 +9,8 @@ oracles live in :mod:`gencayley.verify`, which runs them too.
 from __future__ import annotations
 
 from gencayley import kernels
+from gencayley._bits import mask_of
+from gencayley.groups import subgroup_closure
 
 
 def gc_edges_by_rule(group, alpha_perm, S) -> set[frozenset[int]]:
@@ -263,3 +265,29 @@ def refutation_reason_by_scan(ctx, dec, first: int) -> str:
         ):
             return "self-paired-coset-without-big-omega-element"
     return "search-exhausted"
+
+
+def subgroups_by_bfs(group) -> list[tuple[int, ...]]:
+    """Literal reference for ``groups.enumerate_subgroups``: the
+    breadth-first search that closes <H, g> for every g outside each
+    subgroup H found, with the same (order, elements) sort."""
+    trivial = (0,)
+    seen = {mask_of(trivial)}
+    found = [trivial]
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for base in frontier:
+            bset = set(base)
+            for g in range(1, group.order):
+                if g in bset:
+                    continue
+                closed = subgroup_closure(group, base + (g,))
+                key = mask_of(closed)
+                if key not in seen:
+                    seen.add(key)
+                    found.append(closed)
+                    nxt.append(closed)
+        frontier = nxt
+    found.sort(key=lambda t: (len(t), t))
+    return found

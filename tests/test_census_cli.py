@@ -142,15 +142,46 @@ def hand_built_records():
     ]
 
 
+def expected_jsonl(records) -> str:
+    return "".join(
+        json.dumps(r.payload(), sort_keys=True, separators=(",", ":")) + "\n" for r in records
+    )
+
+
 def test_jsonl_lines_equal_json_dumps():
     records = census_records(12) + hand_built_records()
-    expected = [
-        json.dumps(r.payload(), sort_keys=True, separators=(",", ":")) + "\n"
-        for r in records
+    assert emit_report(records) == expected_jsonl(records)
+
+
+def test_jsonl_repeated_tuples_equal_json_dumps():
+    # the writer formats each distinct element tuple once per call: a tuple
+    # repeats across records and across the fields of one record
+    base = census_records(6)[-1]
+    a, b = (0, 2, 4), (0, 3)
+    first = [
+        dataclasses.replace(base, subgroup=a, pc_witness=b, tpc_witness=b),
+        dataclasses.replace(base, subgroup=b, pc_witness=a, tpc_witness=None),
+        dataclasses.replace(base, subgroup=a, pc_witness=a, tpc_witness=()),
+        dataclasses.replace(base, subgroup=(0,), pc_witness=(), tpc_witness=a),
     ]
-    lines = emit_report(records).split("\n")
-    assert lines.pop() == ""
-    assert [line + "\n" for line in lines] == expected
+    second = [
+        dataclasses.replace(base, subgroup=b, pc_witness=(1, 5), tpc_witness=(1, 3, 5)),
+        dataclasses.replace(base, subgroup=(1, 5), pc_witness=b, tpc_witness=None),
+    ]
+    # two calls in one process: nothing of the first shows in the second
+    text = emit_report(first)
+    assert text == expected_jsonl(first)
+    assert emit_report(second) == expected_jsonl(second)
+    assert emit_report(first) == text
+
+
+def test_jsonl_placeholder_record_unchanged():
+    assert emit_report(census_records(1)) == (
+        '{"alpha":null,"alpha_preserves_subgroup":null,"group":"Z1","is_pc":null,'
+        '"is_tpc":null,"note":"no-involutory-automorphisms","order":1,'
+        '"pc_refutation":null,"pc_witness":null,"pc_witness_size":null,'
+        '"subgroup":null,"tpc_refutation":null,"tpc_witness":null,"tpc_witness_size":null}\n'
+    )
 
 
 def test_csv_report_unchanged():
@@ -442,10 +473,15 @@ def test_cli_reports_malformed_and_missing_automorphism_files(tmp_path, capsys):
          "x.dot"),
     ],
 )
-def test_cli_unwritable_output_path_exits_2(tmp_path, capsys, argv, name):
+def test_cli_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, argv, name):
+    # the output is opened before the census sweeps or a graph is printed
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output was opened")
+
+    monkeypatch.setattr(cli_module, "census_records", no_sweep)
     path = tmp_path / "missing" / name
     code, out, err = run_cli(capsys, *argv, str(path))
-    assert code == 2 and "written" not in out
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err and "No such file" in err
 

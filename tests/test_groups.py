@@ -26,6 +26,7 @@ from gencayley import (
 import gencayley.groups as groups_module
 from gencayley.groups import cyclic_group, direct_product, first_axiom_violation, group_from_table
 from gencayley.verify import associativity_violations, subgroups_by_generators
+from oracles import subgroups_by_bfs
 
 
 def test_trivial_group():
@@ -116,6 +117,24 @@ def test_subgroup_oracle_three_generated():
     listed = {s.elements for s in enumerate_subgroups(g)}
     assert listed == subgroups_by_generators(g, 3)
     assert len(listed) == 16  # subgroup count of the rank-3 elementary abelian group
+
+
+def test_subgroups_match_the_closure_of_every_element():
+    # closing <H, g> for one g per right coset Hg lists the same subgroups,
+    # in the same order, as closing it for every g outside H
+    products = [
+        build_group(spec)
+        for spec in ("symmetric:3xsymmetric:3", "dihedral:3xcyclic:6", "dihedral:4xcyclic:2")
+    ]
+    larger = [g for g in catalog(48) if g.order > 24]
+    counts = {}
+    for label, groups in (("catalog", catalog(24)), ("products", products), ("larger", larger)):
+        counts[label] = 0
+        for group in groups:
+            listed = [s.elements for s in enumerate_subgroups(group)]
+            assert listed == subgroups_by_bfs(group), group.id
+            counts[label] += len(listed)
+    assert counts == {"catalog": 510, "products": 131, "larger": 1576}
 
 
 def test_subgroup_enumeration_threshold():
