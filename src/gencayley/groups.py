@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import permutations
 
-from ._bits import element_mask, elems, mask_of
+from ._bits import bits, element_mask, elems, mask_of
 from .errors import GroupFileError, GroupValidationError, ThresholdError
 
 SUBGROUP_ENUM_LIMIT = 64
@@ -170,30 +170,30 @@ def first_axiom_violation(table, order: int):
     return None
 
 
-def _right_closure(table, order: int, gens) -> bytearray:
-    """Flags of the elements reached from the identity by right
-    multiplication with ``gens``."""
-    seen = bytearray(order)
-    seen[0] = 1
-    queue = [0]
+def _right_closure(table, gens, reached: int = 1) -> int:
+    """Mask of the elements reached from the set ``reached`` (the identity
+    by default) by right multiplication with ``gens``. No group axiom is
+    assumed: every reached element is multiplied by every generator."""
+    queue = bits(reached)
     for x in queue:
         row = table[x]
         for g in gens:
             y = row[g]
-            if not seen[y]:
-                seen[y] = 1
+            if not reached >> y & 1:
+                reached |= 1 << y
                 queue.append(y)
-    return seen
+    return reached
 
 
 def _right_generators(table, order: int) -> list[int]:
     """Least unreached elements, added one at a time until every element
     is reached from the identity by right multiplication with them."""
     gens: list[int] = []
-    seen = _right_closure(table, order, gens)
-    while (g := seen.find(0)) != -1:
-        gens.append(g)
-        seen = _right_closure(table, order, gens)
+    reached = 1
+    while reached != (1 << order) - 1:
+        # the least unreached element; the last closure lies in the next
+        gens.append((~reached & (reached + 1)).bit_length() - 1)
+        reached = _right_closure(table, gens, reached)
     return gens
 
 
@@ -516,35 +516,33 @@ def subgroup(group: FiniteGroup, elements) -> SubgroupHandle:
     handle; a set that fails validation raises on every call. An element
     that is not an int in 0..order-1 raises :class:`ValueError`.
     """
-    members = elems(element_mask(group.order, elements))
+    mask = element_mask(group.order, elements)
+    members = elems(mask)
     handle = group.cache.subgroups.get(members)
     if handle is None:
-        _validate_subgroup(group, members)
+        _validate_subgroup(group, members, mask)
         handle = group.cache.subgroups[members] = SubgroupHandle(members, group)
     return handle
 
 
-def _validate_subgroup(group: FiniteGroup, elems: tuple[int, ...]) -> None:
-    if not elems or elems[0] != 0:
+def _validate_subgroup(group: FiniteGroup, elems: tuple[int, ...], mask: int) -> None:
+    # a set that holds e and is closed under the product is a subgroup
+    if not mask & 1:
         raise GroupValidationError("subgroup-identity", elems[:1] or (None,))
-    eset = set(elems)
     for a in elems:
-        if group.inv[a] not in eset:
+        if not mask >> group.inv[a] & 1:
             raise GroupValidationError("subgroup-inverse", (a,))
         row = group.table[a]
         for b in elems:
-            if row[b] not in eset:
+            if not mask >> row[b] & 1:
                 raise GroupValidationError("subgroup-closure", (a, b, row[b]))
-    if group.order % len(elems) != 0:
-        raise GroupValidationError("subgroup-lagrange", (len(elems), group.order))
 
 
 def subgroup_closure(group: FiniteGroup, generators) -> tuple[int, ...]:
     """Subgroup generated by the given elements, as a sorted tuple. An
     element that is not an int in 0..order-1 raises :class:`ValueError`."""
     gens = elems(element_mask(group.order, generators))
-    seen = _right_closure(group.table, group.order, gens)
-    return tuple(i for i in range(group.order) if seen[i])
+    return elems(_right_closure(group.table, gens))
 
 
 def enumerate_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
@@ -557,29 +555,24 @@ def enumerate_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
         raise ThresholdError(
             f"subgroup enumeration limited to order <= {SUBGROUP_ENUM_LIMIT}, got {group.order}"
         )
-    trivial = (0,)
-    seen = {mask_of(trivial)}
-    found = [trivial]
-    frontier = [trivial]
     table = group.table
-    while frontier:
-        nxt = []
-        for base in frontier:
-            # <H, hg> = <H, g>, so close one g per right coset Hg
-            handled = mask_of(base)
-            for g in range(1, group.order):
-                if handled >> g & 1:
-                    continue
-                for h in base:
-                    handled |= 1 << table[h][g]
-                closed = subgroup_closure(group, base + (g,))
-                key = mask_of(closed)
-                if key not in seen:
-                    seen.add(key)
-                    found.append(closed)
-                    nxt.append(closed)
-        frontier = nxt
-    found.sort(key=lambda t: (len(t), t))
+    gens_of = {1: ()}  # subgroup mask -> the generators it was closed from
+    queue = [1]
+    for base in queue:
+        gens = gens_of[base]
+        members = bits(base)
+        # <H, hg> = <H, g>, so close one g per right coset Hg, from H
+        handled = base
+        for g in range(1, group.order):
+            if handled >> g & 1:
+                continue
+            for h in members:
+                handled |= 1 << table[h][g]
+            closed = _right_closure(table, gens + (g,), base)
+            if closed not in gens_of:
+                gens_of[closed] = gens + (g,)
+                queue.append(closed)
+    found = sorted(map(elems, gens_of), key=lambda t: (len(t), t))
     return [subgroup(group, t) for t in found]
 
 

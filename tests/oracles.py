@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from gencayley import kernels
 from gencayley._bits import mask_of
-from gencayley.groups import subgroup_closure
 
 
 def gc_edges_by_rule(group, alpha_perm, S) -> set[frozenset[int]]:
@@ -267,10 +266,27 @@ def refutation_reason_by_scan(ctx, dec, first: int) -> str:
     return "search-exhausted"
 
 
+def _right_closure(table, order: int, gens) -> bytearray:
+    """Flags of the elements reached from the identity by right
+    multiplication with ``gens``."""
+    seen = bytearray(order)
+    seen[0] = 1
+    queue = [0]
+    for x in queue:
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if not seen[y]:
+                seen[y] = 1
+                queue.append(y)
+    return seen
+
+
 def subgroups_by_bfs(group) -> list[tuple[int, ...]]:
     """Literal reference for ``groups.enumerate_subgroups``: the
-    breadth-first search that closes <H, g> for every g outside each
-    subgroup H found, with the same (order, elements) sort."""
+    breadth-first search that closes <H, g> from the identity, with every
+    element of H and g as generators, for every g outside each subgroup H
+    found, with the same (order, elements) sort."""
     trivial = (0,)
     seen = {mask_of(trivial)}
     found = [trivial]
@@ -282,7 +298,8 @@ def subgroups_by_bfs(group) -> list[tuple[int, ...]]:
             for g in range(1, group.order):
                 if g in bset:
                     continue
-                closed = subgroup_closure(group, base + (g,))
+                flags = _right_closure(group.table, group.order, base + (g,))
+                closed = tuple(i for i in range(group.order) if flags[i])
                 key = mask_of(closed)
                 if key not in seen:
                     seen.add(key)

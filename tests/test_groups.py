@@ -137,6 +137,16 @@ def test_subgroups_match_the_closure_of_every_element():
     assert counts == {"catalog": 510, "products": 131, "larger": 1576}
 
 
+def test_elementary_abelian_subgroups_are_the_subspaces():
+    # Z2^k is the vector space F2^k and its subgroups are the subspaces;
+    # Z2^6 has order 64, the enumeration limit
+    for k, count in enumerate((2, 5, 16, 67, 374, 2825), start=1):
+        group = build_group("abelian:" + ",".join(["2"] * k))
+        listed = [s.elements for s in enumerate_subgroups(group)]
+        assert len(set(listed)) == len(listed) == count, k
+    assert group.order == groups_module.SUBGROUP_ENUM_LIMIT
+
+
 def test_subgroup_enumeration_threshold():
     with pytest.raises(ThresholdError):
         enumerate_subgroups(build_group("symmetric:5"))
