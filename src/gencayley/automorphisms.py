@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ._bits import mask_of
+from ._bits import elems
 from .errors import GenCayleyError, GroupFileError, ThresholdError
 from .groups import FiniteGroup, SubgroupHandle, _read_json, _right_generators
 
@@ -114,35 +114,32 @@ def _search_automorphisms(group: FiniteGroup, involutive: bool) -> list[Automorp
     used[0] = True
     known = [0]  # elements with assigned images, in discovery order
 
-    def bind(x: int, v: int) -> int:
+    def bind(x: int, v: int) -> bool:
         """Assign x -> v (and v -> x in involutive mode) to an unbound x.
 
-        Returns the number of elements bound, 0 when v is already used. In
-        involutive mode the bindings stay paired, so v unused means v
-        unbound and x unbound means x unused.
+        False when v is already used. In involutive mode the bindings stay
+        paired, so v unused means v unbound and x unbound means x unused.
         """
         if used[v]:
-            return 0
+            return False
         img[x] = v
         used[v] = True
         known.append(x)
-        if not involutive or v == x:
-            return 1
-        img[v] = x
-        used[x] = True
-        known.append(v)
-        return 2
+        if involutive and v != x:
+            img[v] = x
+            used[x] = True
+            known.append(v)
+        return True
 
-    def close_over(gen_count: int, start: int) -> tuple[bool, int]:
+    def close_over(gen_count: int, start: int) -> bool:
         """Propagate images through products with the first gen_count generators.
 
         Elements before known[start] are multiplied by the newest generator,
         the rest by all of them. Afterwards every known element has met
         every chosen generator, so the known set is closed under them and a
-        leaf has checked every edge of the Cayley graph. Returns (ok,
-        n_added); on failure the caller rolls back n_added bindings.
+        leaf has checked every edge of the Cayley graph. False on a
+        conflict; the caller undoes what was bound.
         """
-        added = 0
         i = 0
         while i < len(known):
             x = known[i]
@@ -153,26 +150,12 @@ def _search_automorphisms(group: FiniteGroup, involutive: bool) -> list[Automorp
                 y = row[g]
                 iy = irow[img[g]]
                 if img[y] == -1:
-                    bound = bind(y, iy)
-                    if not bound:
-                        return False, added
-                    added += bound
+                    if not bind(y, iy):
+                        return False
                 elif img[y] != iy:
-                    return False, added
+                    return False
             i += 1
-        return True, added
-
-    def rollback(count: int) -> None:
-        for _ in range(count):
-            y = known.pop()
-            used[img[y]] = False
-            img[y] = -1
-
-    def descend(level: int, restart: int, bound: int) -> None:
-        ok, added = close_over(level + 1, restart)
-        if ok:
-            assign(level + 1)
-        rollback(added + bound)
+        return True
 
     def assign(level: int) -> None:
         if level == len(gens):
@@ -180,15 +163,16 @@ def _search_automorphisms(group: FiniteGroup, involutive: bool) -> list[Automorp
                 results.append(tuple(img))
             return
         g = gens[level]
-        if img[g] != -1:
-            # involutive mode: g is already bound as the partner of an image
-            descend(level, len(known), 0)
-            return
-        for cand in by_order[orders[g]]:
-            restart = len(known)
-            bound = bind(g, cand)
-            if bound:
-                descend(level, restart, bound)
+        # involutive mode: g may already be bound as the partner of an image
+        bound = img[g] != -1
+        for cand in (img[g],) if bound else by_order[orders[g]]:
+            mark = len(known)
+            if (bound or bind(g, cand)) and close_over(level + 1, mark):
+                assign(level + 1)
+            for y in known[mark:]:
+                used[img[y]] = False
+                img[y] = -1
+            del known[mark:]
 
     assign(0)
     results.sort()
@@ -309,14 +293,14 @@ def load_automorphism(path, group: FiniteGroup) -> Automorphism:
 
 @dataclass(eq=False)
 class AlphaContext:
-    """An involution of Aut(G) bundled with its derived element sets."""
+    """An involution of Aut(G) with its derived sets as element masks."""
 
     alpha: Automorphism
-    omega: tuple[int, ...]
-    big_omega: tuple[int, ...]
-    mho: tuple[int, ...]
-    fix: tuple[int, ...]
-    k_set: tuple[int, ...]
+    omega_mask: int
+    big_omega_mask: int
+    mho_mask: int
+    # the pairing map s -> alpha(s^-1) as an index array
+    tau_perm: tuple[int, ...]
     # subgroup mask -> a handle of alpha(H), H itself when alpha preserves
     # it: the perfect and total perfect code decisions of a pair share one
     # evaluation. Made by codes._decide on first use, or up front by the
@@ -328,23 +312,27 @@ class AlphaContext:
     def group(self) -> FiniteGroup:
         return self.alpha.parent
 
-    @cached_property
-    def omega_mask(self) -> int:
-        return mask_of(self.omega)
+    @property
+    def omega(self) -> tuple[int, ...]:
+        return elems(self.omega_mask)
 
-    @cached_property
-    def big_omega_mask(self) -> int:
-        return mask_of(self.big_omega)
+    @property
+    def big_omega(self) -> tuple[int, ...]:
+        return elems(self.big_omega_mask)
 
-    @cached_property
-    def mho_mask(self) -> int:
-        return mask_of(self.mho)
+    @property
+    def mho(self) -> tuple[int, ...]:
+        return elems(self.mho_mask)
 
-    @cached_property
-    def tau_perm(self) -> tuple[int, ...]:
-        """The pairing map s -> alpha(s^-1) as an index array."""
-        alpha = self.alpha.perm
-        return tuple([alpha[x] for x in self.group.inv])
+    @property
+    def k_set(self) -> tuple[int, ...]:
+        # tau fixes every alpha(g^-1)*g, so omega lies inside k_set
+        return elems(self.omega_mask | self.big_omega_mask)
+
+    @property
+    def fix(self) -> tuple[int, ...]:
+        perm = self.alpha.perm
+        return tuple([g for g in range(len(perm)) if perm[g] == g])
 
     @cached_property
     def tau_orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -369,29 +357,22 @@ class AlphaContext:
 
 
 def alpha_context(group: FiniteGroup, alpha: Automorphism) -> AlphaContext:
-    """Compute the five derived sets of an involution by direct enumeration."""
+    """Derive the sets of an involution in one pass over the group: omega
+    from the products alpha(g^-1)*g, and k_set as the fixed points of tau."""
     if alpha.parent is not group:
         raise GenCayleyError("automorphism does not belong to this group")
     if not alpha.squares_to_identity:
         raise GenCayleyError("alpha must square to the identity")
     perm = alpha.perm
-    inv = group.inv
     table = group.table
-    n = group.order
-    omega = sorted({table[perm[inv[g]]][g] for g in range(n)})
-    k_set = [g for g in range(n) if perm[g] == inv[g]]
-    omega_set = set(omega)
-    big_omega = [g for g in k_set if g not in omega_set]
-    mho = [g for g in range(n) if perm[g] != inv[g]]
-    fix = [g for g in range(n) if perm[g] == g]
-    return AlphaContext(
-        alpha=alpha,
-        omega=tuple(omega),
-        big_omega=tuple(big_omega),
-        mho=tuple(mho),
-        fix=tuple(fix),
-        k_set=tuple(k_set),
-    )
+    tau = tuple([perm[x] for x in group.inv])
+    omega = k_set = 0
+    for g, t in enumerate(tau):
+        omega |= 1 << table[t][g]
+        if t == g:
+            k_set |= 1 << g
+    full = (1 << group.order) - 1
+    return AlphaContext(alpha, omega, k_set & ~omega, full & ~k_set, tau)
 
 
 def involution_contexts(group: FiniteGroup) -> list[AlphaContext]:

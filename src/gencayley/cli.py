@@ -241,7 +241,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(max_order=args.max_order, seed=args.seed)
+    results = run_all(max_order=args.max_order)
     failed = False
     for res in results:
         status = "ok" if res.ok else "FAIL"
@@ -355,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--max-order", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -305,7 +305,10 @@ def suite_alpha_invariants(max_order: int = 12) -> SuiteResult:
                         ok = False
                 elif ctx.omega_mask >> tau[x] & 1:
                     ok = False
-            if mask_of(ctx.k_set) != ctx.omega_mask | ctx.big_omega_mask:
+            # k_set from its definition, not from the context's own tau
+            perm = ctx.alpha.perm
+            k_set = mask_of(g for g in range(n) if perm[g] == group.inv[g])
+            if k_set != ctx.omega_mask | ctx.big_omega_mask:
                 ok = False
             if not ok:
                 violations.append(f"group={group.id} alpha={ai}: derived sets inconsistent")
@@ -822,16 +825,14 @@ SUITES = (
 )
 
 
-def run_all(max_order: int | None = None, seed: int = 0) -> list[SuiteResult]:
+def run_all(max_order: int | None = None) -> list[SuiteResult]:
     results = []
-    for name, fn, default_order in SUITES:
+    for _, fn, default_order in SUITES:
         kwargs = {}
         if default_order is not None:
             kwargs["max_order"] = (
                 default_order if max_order is None else min(default_order, max_order)
             )
-        if name == "mode-agreement":
-            kwargs["seed"] = seed
         started = time.perf_counter()
         result = fn(**kwargs)
         result.seconds = time.perf_counter() - started

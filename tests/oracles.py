@@ -34,6 +34,29 @@ def cayley_edges(group, S) -> set[frozenset[int]]:
     return edges
 
 
+def context_sets_by_definition(group, perm) -> dict[str, tuple[int, ...]]:
+    """The derived sets of the involution ``perm`` and its pairing map tau,
+    each from its definition, keyed like the attributes of a context."""
+    inv = group.inv
+    table = group.table
+    n = group.order
+    omega = sorted({table[perm[inv[g]]][g] for g in range(n)})
+    k_set = [g for g in range(n) if perm[g] == inv[g]]
+    omega_set = set(omega)
+    big_omega = [g for g in k_set if g not in omega_set]
+    mho = [g for g in range(n) if perm[g] != inv[g]]
+    fix = [g for g in range(n) if perm[g] == g]
+    tau = [perm[inv[g]] for g in range(n)]
+    return {
+        "omega": tuple(omega),
+        "big_omega": tuple(big_omega),
+        "mho": tuple(mho),
+        "fix": tuple(fix),
+        "k_set": tuple(k_set),
+        "tau_perm": tuple(tau),
+    }
+
+
 def codes_by_definition(adjacency, kind: str) -> list[frozenset[int]]:
     """All codes by checking the definition on every subset, with sets."""
     n = len(adjacency)
@@ -255,12 +278,13 @@ def refutation_reason_by_scan(ctx, dec, first: int) -> str:
     non-loop elements are all tau-moved with their partner in the same
     coset, else plain exhaustion."""
     required = dec.cosets[first:]
+    omega, big_omega, mho = ctx.omega, ctx.big_omega, ctx.mho
     for coset in required:
-        if all(x in ctx.omega for x in coset):
+        if all(x in omega for x in coset):
             return "coset-inside-omega"
     for coset in required:
-        if not any(x in ctx.big_omega for x in coset) and all(
-            ctx.tau_perm[x] in coset for x in coset if x in ctx.mho
+        if not any(x in big_omega for x in coset) and all(
+            ctx.tau_perm[x] in coset for x in coset if x in mho
         ):
             return "self-paired-coset-without-big-omega-element"
     return "search-exhausted"

@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 
 import pytest
@@ -19,6 +20,7 @@ from gencayley import (
 )
 import gencayley.automorphisms as automorphisms_module
 from gencayley.verify import involutions_by_bijections
+from oracles import context_sets_by_definition
 
 
 def _fresh(spec):
@@ -145,6 +147,19 @@ def test_alpha_context_v4_swap(v4_swap_ctx):
     assert v4_swap_ctx.tau_orbits == ((1, 2),)
 
 
+def test_contexts_match_definitions():
+    # every involution of catalog(24) and of three products, and the
+    # identity of each group, against the comprehensions of the definitions
+    groups = catalog(24)
+    assert sum(len(enumerate_involutory_automorphisms(g)) for g in groups) == 667
+    groups += [build_group(s) for s in ("S3xS3", "D3xZ6", "D4xZ2")]
+    for group in groups:
+        for alpha in enumerate_involutory_automorphisms(group, include_identity=True):
+            want = context_sets_by_definition(group, alpha.perm)
+            ctx = alpha_context(group, alpha)
+            assert {name: getattr(ctx, name) for name in want} == want, (group.id, alpha.perm)
+
+
 def test_alpha_context_rejects_non_involution():
     z5 = build_group("cyclic:5")
     doubling = automorphism_from_perm(z5, tuple((2 * g) % 5 for g in range(5)))
@@ -210,3 +225,27 @@ def test_full_aut_enumeration_counts():
     assert len(enumerate_automorphisms(build_group("symmetric:3"))) == 6
     assert len(enumerate_automorphisms(build_group("V4"))) == 6
     assert len(enumerate_automorphisms(build_group("cyclic:8"))) == 4
+
+
+def _phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    # every cyclic and dihedral group of catalog(24) against the closed
+    # forms |Aut(Z_n)| = phi(n) and |Aut(D_n)| = n*phi(n), then products
+    [(f"cyclic:{n}", _phi(n)) for n in range(1, 25)]
+    + [(f"dihedral:{n}", n * _phi(n)) for n in range(3, 13)]
+    + [
+        ("abelian:2,2,2", 168),  # |GL(3, 2)|
+        ("abelian:2,2,2,2", 20160),  # |GL(4, 2)|
+        ("abelian:3,3", 48),  # |GL(2, 3)|
+        ("abelian:2,4", 8),
+        ("symmetric:4", 24),
+        ("S3xS3", 72),
+        ("D4xZ2", 64),
+    ],
+)
+def test_full_aut_orders(spec, order):
+    assert len(enumerate_automorphisms(build_group(spec))) == order

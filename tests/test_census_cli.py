@@ -611,7 +611,7 @@ def test_cli_check_total_code(capsys):
 
 def test_cli_verify_reports_a_failed_suite(monkeypatch, capsys):
     failed = SuiteResult("pc-oracle", 3, ["group=Z2 alpha=0 H={0}: decide=True oracle=False"])
-    monkeypatch.setattr(cli_module, "run_all", lambda max_order, seed: [failed])
+    monkeypatch.setattr(cli_module, "run_all", lambda max_order: [failed])
     code, out, _ = run_cli(capsys, "verify", "--max-order", "2")
     assert code == 1
     assert out.splitlines() == [
