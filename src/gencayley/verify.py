@@ -758,7 +758,7 @@ def suite_odd_order_in_omega(max_order: int = 24) -> SuiteResult:
                     continue
                 cases += 1
                 success = decide_subgroup_pc(sub, ctx).success
-                expected = sub.elements == ctx.omega
+                expected = sub.mask == ctx.omega_mask
                 if success != expected:
                     violations.append(
                         f"{_where(group.id, ai, sub.elements)}:"
@@ -791,7 +791,7 @@ def suite_characteristic_criterion(max_order: int = 24) -> SuiteResult:
                     continue
                 cases += 1
                 success = decide_subgroup_pc(sub, ctx).success
-                expected = sub.elements == ctx.omega and all(
+                expected = sub.mask == ctx.omega_mask and all(
                     not sub.mask >> t[a[g]][g] & 1 or t[a[g]][g] == 0
                     for g in range(group.order)
                 )
