@@ -25,7 +25,7 @@ from functools import cached_property
 
 from ._bits import elems
 from .errors import GenCayleyError, GroupFileError, ThresholdError
-from .groups import FiniteGroup, SubgroupHandle, _read_json, _right_generators
+from .groups import FiniteGroup, SubgroupHandle, _product_elements, _read_json, _right_generators
 
 AUT_ENUM_LIMIT = 48
 
@@ -267,10 +267,7 @@ def product_automorphism(
         raise GenCayleyError(
             f"product group order {product_group.order} != {n1} * {n2}"
         )
-    perm = tuple(
-        a1.perm[x // n2] * n2 + a2.perm[x % n2] for x in range(n1 * n2)
-    )
-    return automorphism_from_perm(product_group, perm)
+    return automorphism_from_perm(product_group, _product_elements(a1.perm, a2.perm, n2))
 
 
 def load_automorphism(path, group: FiniteGroup) -> Automorphism:

@@ -300,29 +300,19 @@ def _cycle_notation(p: tuple[int, ...]) -> str:
 
 
 def _product_elements(first, second, n2: int) -> list[int]:
-    """The elements (a, b) of a direct product, a in ``first`` and b in
-    ``second``, numbered a * n2 + b as :func:`direct_product` numbers them
-    (n2 = the order of the second factor)."""
+    """The direct product numbering: the pair (a, b), a in ``first`` and b
+    in ``second``, is a * n2 + b (n2 = the order of the second factor),
+    listed with b fastest."""
     return [a * n2 + b for a in first for b in second]
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    n1, n2 = g1.order, g2.order
-    order = n1 * n2
-    t1, t2 = g1.table, g2.table
-    table = []
-    for a in range(order):
-        a1, a2 = divmod(a, n2)
-        row1 = t1[a1]
-        row2 = t2[a2]
-        table.append(
-            [row1[b // n2] * n2 + row2[b % n2] for b in range(order)]
-        )
+    n2 = g2.order
+    # row (a, b) maps column (c, d) to (ac, bd)
+    table = [_product_elements(row1, row2, n2) for row1 in g1.table for row2 in g2.table]
     names = None
     if g1.names is not None and g2.names is not None:
-        names = [
-            f"({g1.names[a // n2]},{g2.names[a % n2]})" for a in range(order)
-        ]
+        names = [f"({x},{y})" for x in g1.names for y in g2.names]
     return _finish_group(table, f"{g1.id}x{g2.id}", names)
 
 
@@ -573,7 +563,12 @@ def enumerate_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
                 gens_of[closed] = gens + (g,)
                 queue.append(closed)
     found = sorted(map(elems, gens_of), key=lambda t: (len(t), t))
-    return [subgroup(group, t) for t in found]
+    # each closed set is a subgroup: register it, keeping a handle made before
+    known = group.cache.subgroups
+    for t in found:
+        if t not in known:
+            known[t] = SubgroupHandle(t, group)
+    return [known[t] for t in found]
 
 
 @dataclass(eq=False)

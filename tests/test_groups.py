@@ -19,12 +19,19 @@ from gencayley import (
     load_group_file,
     noncommuting_pair,
     normalizer,
+    product_automorphism,
     restrict_witness,
     subgroup,
     subgroup_closure,
 )
 import gencayley.groups as groups_module
-from gencayley.groups import cyclic_group, direct_product, first_axiom_violation, group_from_table
+from gencayley.groups import (
+    abelian_group,
+    cyclic_group,
+    direct_product,
+    first_axiom_violation,
+    group_from_table,
+)
 from gencayley.verify import associativity_violations, subgroups_by_generators
 from oracles import subgroups_by_bfs
 
@@ -76,6 +83,29 @@ def test_direct_product_numbering():
     # (a1, b1) * (a2, b2) with index 3*a + b
     assert g.table[1 * 3 + 2][1 * 3 + 2] == ((1 + 1) % 2) * 3 + (2 + 2) % 3
     assert g.id == "Z2xZ3"
+    # the literal pair numbering x = x1 * n2 + x2 is the reference for the
+    # table, the names and componentwise automorphisms
+    pairs = 0
+    for g1 in catalog(6):
+        for g2 in catalog(6):
+            n2 = g2.order
+            t1, t2 = g1.table, g2.table
+            prod = direct_product(g1, g2)
+            assert prod.table == tuple(
+                tuple(t1[a // n2][b // n2] * n2 + t2[a % n2][b % n2] for b in range(prod.order))
+                for a in range(prod.order)
+            ), prod.id
+            assert prod.names == tuple(
+                f"({g1.names[a // n2]},{g2.names[a % n2]})" for a in range(prod.order)
+            )
+            for a1 in enumerate_involutory_automorphisms(g1, include_identity=True):
+                for a2 in enumerate_involutory_automorphisms(g2, include_identity=True):
+                    pairs += 1
+                    beta = product_automorphism(a1, a2, prod)
+                    assert beta.perm == tuple(
+                        a1.perm[x // n2] * n2 + a2.perm[x % n2] for x in range(prod.order)
+                    )
+    assert pairs == 484
 
 
 def test_symmetric_group_composition():
@@ -167,6 +197,19 @@ def test_subgroup_handle_shared_within_a_group(z6):
     # the cached decompositions are filled only by cosets(), never passed in
     with pytest.raises(TypeError):
         SubgroupHandle((0, 3), z6, {})
+
+
+def test_lattice_and_subgroup_share_handles():
+    # the lattice registers the subgroups it closes in the handle cache, so
+    # coset decompositions made through either route are kept once
+    group = abelian_group([2, 4])
+    assert group.cache.subgroups == {}
+    for h in enumerate_subgroups(group):
+        assert subgroup(group, h.elements) is h
+    group = abelian_group([2, 4])
+    early = subgroup(group, [0, 2])
+    (listed,) = [h for h in enumerate_subgroups(group) if h.elements == early.elements]
+    assert listed is early
 
 
 def test_subgroup_handles_distinct_across_groups(z6):

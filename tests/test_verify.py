@@ -16,10 +16,15 @@ from gencayley import (
     catalog,
     census_records,
     conjugate_automorphism,
+    decide_subgroup_pc,
+    decide_subgroup_tpc,
     enumerate_automorphisms,
+    enumerate_subgroups,
     involution_contexts,
     kernels,
     subgroup,
+    transport_automorphism,
+    transport_conjugate,
 )
 from gencayley.graphs import CHECKS, ROUTES
 
@@ -213,7 +218,8 @@ def test_conjugating_a_transport_is_an_automorphism_transport():
     # why suite_transports has no combined form: if beta.alpha.beta^-1 fixes
     # g, then beta' = (x -> g^-1 beta(x) g) is in Aut(G) and conjugates alpha
     # to the same involution, so (g^-1 beta(H) g, g^-1 beta(S) g) is the
-    # automorphism transport by beta'
+    # automorphism transport by beta'; beta = id is plain conjugation, see
+    # test_conjugation_is_the_inner_automorphism_transport
     triples = 0
     for group in catalog(12):
         autos = enumerate_automorphisms(group)
@@ -231,3 +237,31 @@ def test_conjugating_a_transport_is_an_automorphism_transport():
                     twin = conjugate_automorphism(Automorphism(perm, group), ctx.alpha)
                     assert twin.perm == conj.perm
     assert triples == 17232
+
+
+def test_conjugation_is_the_inner_automorphism_transport():
+    # why suite_transports has no conjugation loop: for g fixed by alpha,
+    # conjugating a code pair by g is transporting it by i_g(x) = g^-1 x g,
+    # which is in Aut(G) and leaves alpha as it is
+    cases = identities = 0
+    for group in catalog(12):
+        by_perm = {beta.perm: beta for beta in enumerate_automorphisms(group)}
+        subs = enumerate_subgroups(group)
+        for ctx in involution_contexts(group):
+            for sub in subs:
+                for kind, decide in (("perfect", decide_subgroup_pc), ("total", decide_subgroup_tpc)):
+                    witness = decide(sub, ctx)
+                    if not witness.success:
+                        continue
+                    for g in ctx.fix:
+                        cases += 1
+                        inner = by_perm[tuple(group.conjugate(x, g) for x in range(group.order))]
+                        identities += inner.perm == tuple(range(group.order))
+                        conj_sub, conj_set = transport_conjugate(sub, witness.subset, g, kind)
+                        new_sub, new_set, new_ctx = transport_automorphism(
+                            sub, witness.subset, inner, kind
+                        )
+                        assert new_sub is conj_sub
+                        assert new_set.elements == conj_set.elements
+                        assert new_ctx.alpha.perm == ctx.alpha.perm
+    assert (cases, identities) == (2640, 2305)
