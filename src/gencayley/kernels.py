@@ -4,12 +4,23 @@ the oracles, the verification suites and the sweeps.
 All set arguments are bitmasks (bit i = element i); neighbor masks are the
 adjacency rows of a generalized Cayley graph. The code searches prune, and
 return the same lists in the same order as the literal scans over all
-subsets kept in ``tests/oracles.py``.
+subsets kept in ``tests/oracles.py``. The route kernel evaluates a whole
+batch of X at once, one w-bit lane of a packed int per X, w being the
+narrowest of 16, 32 and 64 bits that holds an X of order n; a count of at
+most n elements then stays below the top bit of its lane, so no lane
+carries into the next.
 """
 
 from __future__ import annotations
 
-from ._bits import bits, mask_of
+import sys
+from array import array
+from functools import reduce
+from itertools import repeat
+from operator import and_, or_, sub
+
+from ._bits import bits
+from .errors import ThresholdError
 
 
 def _check_kind(kind) -> None:
@@ -221,128 +232,104 @@ TPC_GRAPH = 1 << 10
 TPC_PARTITION = 1 << 11
 TPC_ALGEBRAIC = 1 << 12
 
+# the lane layouts of scan_check_routes, narrowest first: (bits, array code)
+_LANES = sorted({array(c).itemsize * 8: c for c in "HILQ"}.items())
+
 
 def scan_check_routes(n, table, inv_perm, alpha_perm, s_elems, nbr_masks, x_masks) -> list[int]:
     """Evaluate every route of the code criteria for a batch of subsets X.
 
     ``table`` is the group's multiplication table (``table[a][b]`` = a*b).
+    Returns one verdict int per X mask in the layout of the constants
+    above, bit b equal to the predicate ``graphs.ROUTES[b]``, the one
+    definition of each route. The suites check that the routes of each
+    check agree, so each route counts X on its own table of rows, built
+    from its definition alone: the graph's row v is N(v), from
+    ``nbr_masks``; the translates' row g holds the a with g in alpha(a)S;
+    the product set's row a the b with alpha(a^-1 b) in SS^-1 - {e}, and
+    independence's the b with alpha(a^-1)b in S.
 
-    Returns one verdict int per X mask, with the bit layout of the
-    ``*_GRAPH`` / ``*_PARTITION`` / ... constants above; bit b must equal
-    the predicate ``graphs.ROUTES[b]``, which is the one definition of each
-    route. Callers check that the routes inside each group agree; that
-    agreement is the content of the equivalence suites, so each route has
-    its own per-element table, built from that route's definition and from
-    no other table:
-
-    * graph: ``col[x]``, the vertices v with x in N(v). OR-ing the columns
-      of X, and keeping the vertices hit a second time, tells for every v
-      whether |N(v) & X| is 0, 1 or more.
-    * translates: ``tr[a] = alpha(a)S``. The union over X is alpha(X)S;
-      the translates are disjoint iff it has r|X| elements.
-    * product set: ``ps[a] = {b : alpha(a^-1 b) in SS^-1 - {e}}`` and
-      ``ind[a] = {b : alpha(a^-1)b in S}``. X meets the union of
-      ``ps[a]`` over a in X iff alpha(X^-1 X) meets SS^-1 - {e}, and
-      likewise ``ind`` for alpha(X^-1)X and S.
-
-    Each X then costs one lookup per byte of its mask, after 256 table
-    entries per byte of the element range. An X that is negative or has a
-    bit at or above n raises :class:`ValueError` before anything is
-    evaluated.
+    X number i is lane i, bits i*w to i*w + w-1, of ``packed``, so summing
+    the marks ``lanes[a]`` over a row counts its elements in X for every X
+    at once. A count is at most n, and w >= n gives 2^(w-1) > n: adding
+    2^(w-1) - k keeps a lane below 2^w, carries into no other lane, and
+    sets its top bit iff the count is at least k. Each route is then the
+    top bits of the lanes that pass it, and 16 bits hold the 13 verdict
+    bits. That is O(n*|S| + n^2) big-int operations, none per X. An X that
+    is negative or has a bit at or above n raises :class:`ValueError`, and
+    an order above 64 :class:`~gencayley.errors.ThresholdError`.
     """
     full = (1 << n) - 1
     if x_masks and (min(x_masks) < 0 or max(x_masks) > full):
         bad = next(xm for xm in x_masks if not 0 <= xm <= full)
         raise ValueError(f"X mask {bad:#x} has an element outside 0..{n - 1}")
-    r = len(s_elems)
-    verts = range(n)
-    smask = mask_of(s_elems)
-    ss_inv = 0
-    for s1 in s_elems:
-        row = table[s1]
-        for s2 in s_elems:
-            ss_inv |= 1 << row[inv_perm[s2]]
-    ss_inv &= ~1  # without the identity, element 0
+    if n > _LANES[-1][0]:
+        raise ThresholdError(f"route kernel limited to order <= {_LANES[-1][0]}, got {n}")
+    w, code = next(lane for lane in _LANES if lane[0] >= n)
+    top = w - 1
+    ones = int.from_bytes((array(code, [1]) * len(x_masks)).tobytes(), sys.byteorder)
+    tops = ones << top
+    k1 = tops - ones  # added to a count, sets the top bit iff it is at least 1
+    packed = int.from_bytes(array(code, x_masks).tobytes(), sys.byteorder)
+    lanes = [packed >> a & ones for a in range(n)]
+    heads = [p << top for p in lanes]  # the same marks in the top bit
 
-    col = [0] * n
-    for v in verts:
-        for x in bits(nbr_masks[v] & full):
-            col[x] |= 1 << v
-    tables = []  # per element a: (col, tr, ps, ind)
-    for a in verts:
+    # each table as the counts of its rows, plus k1
+    graph = [sum([lanes[a] for a in bits(m & full)], k1) for m in nbr_masks]
+    translates = [[] for _ in range(n)]
+    for a in range(n):
         row = table[alpha_perm[a]]
-        tr = 0
         for s in s_elems:
-            tr |= 1 << row[s]
-        row = table[inv_perm[a]]
-        ps = sum(1 << b for b in verts if ss_inv >> alpha_perm[row[b]] & 1)
-        row = table[alpha_perm[inv_perm[a]]]
-        ind = sum(1 << b for b in verts if smask >> row[b] & 1)
-        tables.append((col[a], tr, ps, ind))
+            translates[row[s]].append(lanes[a])
+    translates = [sum(row, k1) for row in translates]
+    alpha_inv = sorted(range(n), key=alpha_perm.__getitem__)
+    ss_inv = {table[s1][inv_perm[s2]] for s1 in s_elems for s2 in s_elems} - {0}  # 0 is e
+    ts = [alpha_inv[t] for t in ss_inv]
+    pairs = [sum([lanes[row[t]] for t in ts], k1) for row in table]  # b = a alpha^-1(t)
+    indep = [table[inv_perm[alpha_perm[inv_perm[a]]]] for a in range(n)]
+    indep = [sum([lanes[row[s]] for s in s_elems], k1) for row in indep]  # b = alpha(a^-1)^-1 s
 
-    # chunks[k][b]: (once, twice, union, ps_hit, ind_hit) of the subset b of
-    # elements 8k..8k+7; each element doubles the table, its second half
-    # being the first with that element added
-    chunks = []
-    for k in range(0, n or 1, 8):
-        acc = [(0, 0, 0, 0, 0)]
-        for c, tr, ps, ind in tables[k : k + 8]:
-            acc += [(o | c, t | (o & c), u | tr, p | ps, i | ind) for o, t, u, p, i in acc]
-        chunks.append(acc)
-    low_byte = chunks[0]
+    def own(counts):  # the lanes where X meets the row of one of its elements
+        return reduce(or_, map(and_, heads, counts), 0)
 
-    out = []
-    for xm in x_masks:
-        once, twice, union, ps_hit, ind_hit = low_byte[xm & 255]
-        rest = xm >> 8
-        k = 1
-        while rest:
-            o, t, u, p, i = chunks[k][rest & 255]
-            twice |= t | (once & o)
-            once |= o
-            union |= u
-            ps_hit |= p
-            ind_hit |= i
-            rest >>= 8
-            k += 1
-        size = xm.bit_count()
-        outside = full ^ xm
-        pc_size = size * (r + 1) == n
-        tpc_size = size * r == n
-        amo_ps = not ps_hit & xm
-        ind_alg = not ind_hit & xm
-        ind_g = not once & xm
-        dom_g = not outside & ~once
+    def meet(counts):  # X meets every row outside X, every row, a row twice
+        return (
+            reduce(and_, map(or_, heads, counts), tops),
+            reduce(and_, counts, tops),
+            reduce(or_, map(sub, counts, repeat(ones)), 0) & tops,
+        )
 
-        verdict = 0
-        if not twice:
-            verdict |= AMO_GRAPH
-            if once == full:
-                verdict |= TPC_GRAPH
-        if r * size == union.bit_count():
-            verdict |= AMO_TRANSLATES
-        if amo_ps:
-            verdict |= AMO_PRODUCTSET
-            if tpc_size:
-                verdict |= TPC_ALGEBRAIC
-            if pc_size and ind_alg:
-                verdict |= PC_ALGEBRAIC
-        if dom_g:
-            verdict |= DOM_GRAPH
-            if ind_g and not outside & twice:
-                verdict |= PC_GRAPH
-        if not outside & ~union:
-            verdict |= DOM_TRANSLATES
-        if ind_g:
-            verdict |= IND_GRAPH
-        if ind_alg:
-            verdict |= IND_ALGEBRAIC
-        if pc_size and xm | union == full:
-            verdict |= PC_PARTITION
-        if tpc_size and union == full:
-            verdict |= TPC_PARTITION
-        out.append(verdict)
-    return out
+    size = sum(lanes)
+
+    def sized(m):  # |X| times m is n
+        k = next((k for k in range(n + 1) if k * m == n), None)
+        return 0 if k is None else tops & ~((size ^ k * ones) + k1)
+
+    dom_g, cover_g, twice_g = meet(graph)
+    dom_t, cover_t, twice_t = meet(translates)
+    amo_g = tops ^ twice_g
+    ind_g = tops ^ own(graph)
+    amo_ps = tops ^ own(pairs)
+    ind_alg = tops ^ own(indep)
+    pc_size = sized(len(s_elems) + 1)
+    tpc_size = sized(len(s_elems))
+    passed = {
+        AMO_GRAPH: amo_g,
+        AMO_TRANSLATES: tops ^ twice_t,
+        AMO_PRODUCTSET: amo_ps,
+        DOM_GRAPH: dom_g,
+        DOM_TRANSLATES: dom_t,
+        IND_GRAPH: ind_g,
+        IND_ALGEBRAIC: ind_alg,
+        PC_GRAPH: dom_g & ind_g & amo_g,
+        PC_PARTITION: pc_size & dom_t,
+        PC_ALGEBRAIC: pc_size & ind_alg & amo_ps,
+        TPC_GRAPH: cover_g & amo_g,
+        TPC_PARTITION: tpc_size & cover_t,
+        TPC_ALGEBRAIC: tpc_size & amo_ps,
+    }
+    verdicts = sum((ok >> top) * bit for bit, ok in passed.items())
+    return array(code, verdicts.to_bytes(len(x_masks) * w // 8, sys.byteorder)).tolist()
 
 
 def backend() -> str:

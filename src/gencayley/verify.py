@@ -377,7 +377,7 @@ def suite_mode_agreement(
     Exhaustive over X for groups up to ``exhaustive_limit``; above that,
     every subgroup and then seeded random X, :data:`MODE_SAMPLES` in all.
     The default window, order 10, covers the code-mode equivalence suite
-    at its stated scale, and is where X spans two bytes of the route kernel.
+    at its stated scale, with every X of 9 and 10 bits in 16-bit lanes.
     A deterministic subsample is recomputed from the route table in
     :mod:`graphs` to keep the batch kernel honest.
     """

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from gencayley import (
+    ThresholdError,
     alpha_context,
     automorphism_from_perm,
     build_graph,
@@ -318,8 +319,9 @@ def test_scan_check_routes_matches_table_on_catalog_to_order_8():
     assert (calls, masks) == (617, 148_808)
 
 
-# order 64 fills a 64-bit mask, so the all-vertices mask has no spare bit;
+# order 64 fills a 64-bit lane, so the all-vertices mask has no spare bit;
 # order 63 is the control just below it, and D16 (order 32) is non-abelian
+# and fills a 32-bit lane
 @pytest.mark.parametrize("spec", ["cyclic:63", "cyclic:64", "dihedral:16"])
 def test_scan_check_routes_matches_table_on_random_sets(spec):
     group = build_group(spec)
@@ -354,8 +356,9 @@ def test_scan_check_routes_matches_table_on_random_sets(spec):
     assert len(verdicts) >= 6  # the X masks pass and fail several checks
 
 
-# the kernel reads X a byte at a time, so orders 9 and 10 are the smallest
-# whose X straddle a byte edge; every X is compared, on a few connection sets
+# orders 9 and 10 are the largest the mode-agreement suite scans for every
+# X, each X in a 16-bit lane with spare bits; every X is compared, on a few
+# connection sets
 @pytest.mark.parametrize("spec", ["abelian:3,3", "dihedral:5"])
 def test_scan_check_routes_matches_table_on_every_x_across_a_byte(spec):
     group = build_group(spec)
@@ -369,6 +372,8 @@ def test_scan_check_routes_matches_table_on_every_x_across_a_byte(spec):
             )
 
 
+# elements 7 and 8 in every X, on either side of the lowest byte of its
+# lane, and D8 (order 16) filling its 16-bit lane
 def test_scan_check_routes_matches_table_with_bits_7_and_8_set():
     group = build_group("dihedral:8")
     n = group.order
@@ -386,6 +391,52 @@ def test_scan_check_routes_matches_table_with_bits_7_and_8_set():
         assert _kernel_verdicts(noisy, x_masks) == _table_verdicts(noisy, x_masks), (
             ctx.alpha.perm, subset.elements, noise,
         )
+
+
+def _all_ones_graph(spec):
+    """The graph of the largest connection set under the identity
+    automorphism, with every neighbor mask replaced by all ones: the full X
+    then counts n in every graph row."""
+    group = build_group(spec)
+    n = group.order
+    ctx = alpha_context(group, automorphism_from_perm(group, range(n)))
+    graph = build_graph(subset_from_orbit_mask(ctx, (1 << len(ctx.tau_orbits)) - 1))
+    return dataclasses.replace(graph, nbr_masks=((1 << n) - 1,) * n)
+
+
+# a lane is 16 bits up to order 16, 32 up to order 32 and 64 up to order
+# 64: an order on each side of each switch, every lane count reaching n
+@pytest.mark.parametrize("spec", ["cyclic:16", "cyclic:17", "dihedral:16", "cyclic:33", "cyclic:64"])
+def test_scan_check_routes_matches_table_at_the_lane_edges(spec):
+    graph = _all_ones_graph(spec)
+    n = graph.group.order
+    full = (1 << n) - 1
+    rng = random.Random(spec)
+    x_masks = [0, full, full ^ 1, full >> 1, 1, 1 << n - 1] + [rng.getrandbits(n) for _ in range(20)]
+    assert _kernel_verdicts(graph, x_masks) == _table_verdicts(graph, x_masks)
+    assert _kernel_verdicts(graph, [full]) == _table_verdicts(graph, [full])
+    assert _kernel_verdicts(graph, []) == []
+
+
+def test_scan_check_routes_keeps_lanes_apart():
+    # at order 64 an X fills its lane and the full X counts 64 in every
+    # graph row; a carry or borrow between lanes would make a verdict
+    # depend on the X beside it
+    graph = _all_ones_graph("cyclic:64")
+    full = (1 << 64) - 1
+    rng = random.Random(64)
+    x_masks = [full, 0, full, 1 << 63, full ^ 1 << 63, 1, full]
+    x_masks += [rng.getrandbits(64) for _ in range(10)] + [rng.getrandbits(64) & rng.getrandbits(64) for _ in range(10)]
+    batch = _kernel_verdicts(graph, x_masks)
+    assert batch == _table_verdicts(graph, x_masks)
+    assert _kernel_verdicts(graph, x_masks[::-1]) == batch[::-1]
+    assert [_kernel_verdicts(graph, [xm])[0] for xm in x_masks] == batch
+
+
+def test_scan_check_routes_refuses_orders_above_64():
+    group = build_group("cyclic:65")
+    with pytest.raises(ThresholdError, match="route kernel limited to order <= 64, got 65"):
+        kernels.scan_check_routes(65, group.table, group.inv, range(65), (1, 64), [0] * 65, [1])
 
 
 @pytest.mark.parametrize("bad", [1 << 6, 1 << 40, -1])
