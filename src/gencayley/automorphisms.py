@@ -375,13 +375,16 @@ def alpha_context(group: FiniteGroup, alpha: Automorphism) -> AlphaContext:
 def involution_contexts(group: FiniteGroup) -> list[AlphaContext]:
     """The context of every involution, indexed like
     :func:`enumerate_involutory_automorphisms` (and the CLI's ``--alpha``).
-    The list is kept in ``group.cache.contexts``."""
-    cache = group.cache
-    if cache.contexts is None:
-        cache.contexts = [
-            alpha_context(group, a) for a in enumerate_involutory_automorphisms(group)
-        ]
-    return cache.contexts
+    Each context is kept in ``group.cache.contexts`` under its perm, where
+    :func:`codes.transport_automorphism` finds it too."""
+    contexts = group.cache.contexts
+    out = []
+    for a in enumerate_involutory_automorphisms(group):
+        ctx = contexts.get(a.perm)
+        if ctx is None:
+            ctx = contexts[a.perm] = alpha_context(group, a)
+        out.append(ctx)
+    return out
 
 
 def orbit_translate_masks(ctx: AlphaContext) -> list[int]:

@@ -52,7 +52,6 @@ from .automorphisms import (
     Automorphism,
     alpha_context,
     automorphism_from_perm,
-    conjugate_automorphism,
     product_automorphism,
 )
 from .errors import GenCayleyError, ThresholdError
@@ -451,15 +450,21 @@ def transport_automorphism(
 
     Returns (beta(H), beta(S), context of beta.alpha.beta^-1); the
     transported pair is re-validated in the new context, and
-    :class:`GenCayleyError` is raised if it fails.
+    :class:`GenCayleyError` is raised if it fails. The context is the
+    group's one context of that involution, kept in ``group.cache.contexts``.
     """
-    ctx = subset.context
     group = _pair_group(sub, subset)
     if beta.parent is not group:
         raise GenCayleyError("beta acts on a different group")
-    new_ctx = alpha_context(group, conjugate_automorphism(beta, ctx.alpha))
-    new_sub = subgroup(group, (beta.perm[h] for h in sub.elements))
-    new_set = validate_subset(new_ctx, (beta.perm[s] for s in subset.elements))
+    b, a = beta.perm, subset.context.alpha.perm
+    perm = tuple([b[a[x]] for x in beta.inverse_perm])  # beta.alpha.beta^-1
+    contexts = group.cache.contexts
+    new_ctx = contexts.get(perm)
+    if new_ctx is None:
+        # a perm already stored passed alpha_context's checks in this group
+        new_ctx = contexts[perm] = alpha_context(group, Automorphism(perm, group))
+    new_sub = subgroup(group, (b[h] for h in sub.elements))
+    new_set = validate_subset(new_ctx, (b[s] for s in subset.elements))
     if not _code_pair_holds(new_sub, new_set, kind):
         raise GenCayleyError(f"transport by beta gives a pair that is not a {kind} code")
     return new_sub, new_set, new_ctx

@@ -122,8 +122,15 @@ def enumerate_subsets(ctx: AlphaContext) -> Iterator[GenCayleySubset]:
 
 
 def subset_from_orbit_mask(ctx: AlphaContext, orbit_mask: int) -> GenCayleySubset:
+    """The union of the tau-orbits whose bits are set in ``orbit_mask``;
+    :class:`ValueError` names a mask that is not an int in 0..2^k - 1 for
+    the context's k orbits."""
+    orbits = ctx.tau_orbits
+    top = (1 << len(orbits)) - 1
+    if not (isinstance(orbit_mask, int) and 0 <= orbit_mask <= top):
+        raise ValueError(f"orbit mask {orbit_mask!r} is not an int in 0..{top}")
     chosen: list[int] = []
-    for i, orbit in enumerate(ctx.tau_orbits):
+    for i, orbit in enumerate(orbits):
         if orbit_mask >> i & 1:
             chosen.extend(orbit)
     return GenCayleySubset(tuple(sorted(chosen)), ctx)

@@ -36,8 +36,12 @@ class GroupCache:
     pickled: a worker process that receives a group starts with an empty
     one and fills it as it goes. ``involutions`` is searched for directly,
     so a run that needs only the involutions (the census, for one) leaves
-    ``automorphisms`` empty. Coset decompositions are kept on each
-    subgroup's own handle, see :func:`cosets`.
+    ``automorphisms`` empty. ``contexts`` is filled by
+    :func:`automorphisms.involution_contexts` and by
+    :func:`codes.transport_automorphism`, one context per involution
+    however many transports reach it; the census builds each task's
+    context itself and leaves it empty. Coset decompositions are kept on
+    each subgroup's own handle, see :func:`cosets`.
     """
 
     # sorted element tuple -> its validated handle, see :func:`subgroup`
@@ -47,8 +51,8 @@ class GroupCache:
     # the non-identity involutions of Aut(G), sorted by permutation and found
     # without listing Aut(G), see automorphisms.enumerate_involutory_automorphisms
     involutions: list | None = None
-    # the AlphaContext of each involution, see automorphisms.involution_contexts
-    contexts: list | None = None
+    # an involution's perm -> its AlphaContext
+    contexts: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -170,11 +174,20 @@ def first_axiom_violation(table, order: int):
     return None
 
 
-def _right_closure(table, gens, reached: int = 1) -> int:
+def _right_closure(table, gens, reached: int = 1, closed: int = 0) -> int:
     """Mask of the elements reached from the set ``reached`` (the identity
     by default) by right multiplication with ``gens``. No group axiom is
-    assumed: every reached element is multiplied by every generator."""
-    queue = bits(reached)
+    assumed: ``closed``, a part of ``reached`` whose products with every
+    generator but the last lie in ``reached``, is multiplied by the last
+    generator alone, and every other element by every generator."""
+    queue = bits(reached & ~closed)
+    if closed:
+        last = gens[-1]
+        for x in bits(closed):
+            y = table[x][last]
+            if not reached >> y & 1:
+                reached |= 1 << y
+                queue.append(y)
     for x in queue:
         row = table[x]
         for g in gens:
@@ -193,7 +206,7 @@ def _right_generators(table, order: int) -> list[int]:
     while reached != (1 << order) - 1:
         # the least unreached element; the last closure lies in the next
         gens.append((~reached & (reached + 1)).bit_length() - 1)
-        reached = _right_closure(table, gens, reached)
+        reached = _right_closure(table, gens, reached, reached)
     return gens
 
 
@@ -558,7 +571,7 @@ def enumerate_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
                 continue
             for h in members:
                 handled |= 1 << table[h][g]
-            closed = _right_closure(table, gens + (g,), base)
+            closed = _right_closure(table, gens + (g,), base, base)
             if closed not in gens_of:
                 gens_of[closed] = gens + (g,)
                 queue.append(closed)

@@ -456,14 +456,17 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
                     )
                     continue
                 if orbit_mask != -1:
-                    if not routes[0](_graph_of(graphs, witness.subset), sub.mask):
+                    subset = subset_from_orbit_mask(ctx, orbit_mask)
+                    graph = _graph_of(graphs, subset)
+                    holds = routes[0](graph, sub.mask)
+                    # the same S gives the same graph object: one graph-route call
+                    decided = _graph_of(graphs, witness.subset)
+                    if not (holds if decided is graph else routes[0](decided, sub.mask)):
                         violations.append(
                             f"{_where(group.id, ai, sub.elements)}:"
                             f" decider witness S={fmt_set(witness.subset.elements)} fails"
                         )
-                    subset = subset_from_orbit_mask(ctx, orbit_mask)
-                    graph = _graph_of(graphs, subset)
-                    if not all(route(graph, sub.mask) for route in routes):
+                    if not (holds and all(route(graph, sub.mask) for route in routes[1:])):
                         violations.append(
                             f"{_where(group.id, ai, sub.elements)}:"
                             f" oracle witness S={fmt_set(subset.elements)} fails"
@@ -539,7 +542,7 @@ def suite_census_audits(max_order: int = 24) -> SuiteResult:
     every total-code witness is a left transversal of alpha(H)."""
     violations = []
     cases = 0
-    groups = {g.id: g for g in catalog(max_order)}
+    contexts = {g.id: involution_contexts(g) for g in catalog(max_order)}
     key = None
     records = census_records(max_order)
     # the records of one involution context are contiguous
@@ -547,10 +550,10 @@ def suite_census_audits(max_order: int = 24) -> SuiteResult:
         if rec.alpha_index is None:
             continue
         cases += 1
-        group = groups[rec.group_id]
         if key != (rec.group_id, rec.alpha_index):
             key = (rec.group_id, rec.alpha_index)
-            ctx = involution_contexts(group)[rec.alpha_index]
+            ctx = contexts[rec.group_id][rec.alpha_index]
+            group = ctx.group
             graphs = {}
         problems = _census_record_problems(rec, group, ctx, graphs)
         if problems:

@@ -52,6 +52,23 @@ def test_census_z6_records():
     assert by_sub[(0, 2, 4)].is_tpc is False
 
 
+def test_census_keeps_no_context(monkeypatch):
+    # fresh groups, so that no other test has filled their caches: the
+    # census builds each task's context itself and keeps none of them
+    built = {}
+
+    def fresh(spec):
+        if spec not in built:
+            built[spec] = groups_module.build_group.__wrapped__(spec)
+        return built[spec]
+
+    monkeypatch.setattr(census_module, "build_group", fresh)
+    assert census_records(8)
+    assert len(built) == 14
+    assert all(g.cache.involutions is not None for g in built.values())
+    assert all(g.cache.contexts == {} for g in built.values())
+
+
 def test_census_trivial_group_placeholder():
     records = census_records(1)
     assert len(records) == 1

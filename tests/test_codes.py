@@ -32,10 +32,12 @@ from gencayley import (
     check_at_most_one,
     check_dominates,
     check_independent,
+    conjugate_automorphism,
     cosets,
     decide_subgroup_pc,
     decide_subgroup_tpc,
     direct_product,
+    enumerate_automorphisms,
     enumerate_involutory_automorphisms,
     enumerate_subgroups,
     image_subgroup,
@@ -287,6 +289,59 @@ def test_transport_total_codes(z6, z6_ctx):
         transport_conjugate(sub, w.subset, g, kind="total")
     tsub, tset, _ = transport_automorphism(sub, w.subset, z6_ctx.alpha, kind="total")
     assert tset.elements == (1, 3, 5)
+
+
+def _code_hits(group):
+    for ctx in involution_contexts(group):
+        for sub in enumerate_subgroups(group):
+            for kind, w in (
+                ("perfect", decide_subgroup_pc(sub, ctx)),
+                ("total", decide_subgroup_tpc(sub, ctx)),
+            ):
+                if w.success:
+                    yield sub, w.subset, kind
+
+
+@pytest.mark.parametrize("spec", ["dihedral:4", "Z2xZ4", "S3"])
+def test_transports_share_one_context_per_involution(spec):
+    group = build_group(spec)
+    index = {a.perm: i for i, a in enumerate(enumerate_involutory_automorphisms(group))}
+    reached = {}
+    for sub, subset, kind in _code_hits(group):
+        for beta in enumerate_automorphisms(group):
+            tsub, tset, tctx = transport_automorphism(sub, subset, beta, kind)
+            # reference: a context of beta.alpha.beta^-1 built afresh
+            fresh = alpha_context(group, conjugate_automorphism(beta, subset.context.alpha))
+            assert tctx.alpha.perm == fresh.alpha.perm
+            assert (tctx.omega_mask, tctx.big_omega_mask, tctx.mho_mask, tctx.tau_perm) == (
+                fresh.omega_mask, fresh.big_omega_mask, fresh.mho_mask, fresh.tau_perm
+            )
+            assert tsub.elements == tuple(sorted(beta.perm[h] for h in sub.elements))
+            assert tset.elements == tuple(sorted(beta.perm[s] for s in subset.elements))
+            # one object per involution, the one involution_contexts lists
+            assert tctx is reached.setdefault(tctx.alpha.perm, tctx)
+            assert tctx is involution_contexts(group)[index[tctx.alpha.perm]]
+    assert len(reached) > 1
+
+
+def test_warm_context_cache_keeps_every_transport_check(z6, z6_ctx):
+    sub = subgroup(z6, [0, 3])
+    subset = decide_subgroup_pc(sub, z6_ctx).subset
+    transport_automorphism(sub, subset, z6_ctx.alpha)
+    warm = dict(z6.cache.contexts)
+    assert z6_ctx.alpha.perm in warm
+    # an isomorphic copy of Z6 has the same perms, hence the same cache keys
+    twin = build_group.__wrapped__("cyclic:6")
+    assert twin is not z6
+    beta = inversion_automorphism(twin)[0]
+    with pytest.raises(GenCayleyError, match="beta acts on a different group"):
+        transport_automorphism(sub, subset, beta)
+    edgeless = validate_subset(z6_ctx, [])  # no outside vertex is dominated
+    with pytest.raises(GenCayleyError, match="not a perfect code"):
+        transport_automorphism(sub, edgeless, z6_ctx.alpha)
+    with pytest.raises(GenCayleyError, match="not a total code"):
+        transport_automorphism(sub, subset, z6_ctx.alpha, "total")
+    assert z6.cache.contexts == warm
 
 
 # ---------------------------------------------------------------------------

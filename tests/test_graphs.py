@@ -26,6 +26,7 @@ from gencayley import (
     is_perfect_code,
     is_total_perfect_code,
     subgroup,
+    subset_from_orbit_mask,
     subset_violation,
     validate_subset,
 )
@@ -110,6 +111,15 @@ def test_enumerate_subsets_matches_filter_oracle(spec):
     for ctx in involution_contexts(group):
         listed = {s.elements for s in enumerate_subsets(ctx)}
         assert listed == connection_sets_by_filter(ctx)
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 10, 0b1000001, 0b1000, 1.0, 2.5])
+def test_orbit_masks_out_of_range_are_refused(z6_ctx, mask):
+    # three orbits, so the masks are 0..7: -1 read as all of them, 1 << 10
+    # as none and 0b1000001 as {1} before the range check
+    assert z6_ctx.tau_orbits == ((1,), (3,), (5,))
+    with pytest.raises(ValueError, match=re.escape(f"orbit mask {mask!r} is not an int in 0..7")):
+        subset_from_orbit_mask(z6_ctx, mask)
 
 
 def test_enumerate_subsets_threshold():
