@@ -25,16 +25,26 @@ from .groups import FiniteGroup, build_group, enumerate_subgroups
 DEFAULT_CENSUS_MAX_ORDER = 24
 
 
+def _check_size(name: str, value) -> None:
+    """Raise :class:`ValueError` naming ``name`` unless ``value`` is an int
+    of at least 1. Nothing is cast: a float or a string is refused, and a
+    bool counts as 0 or 1."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def catalog(max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> list[FiniteGroup]:
     """The default group catalog up to a maximum order.
 
     Cyclic and dihedral groups, every non-cyclic abelian group (by
     invariant-factor chains, so each isomorphism type appears once), and
     the symmetric groups S3 and S4. Sorted by (order, id). A
-    ``max_order`` below 1 raises :class:`ValueError`.
+    ``max_order`` that is not an int of at least 1 raises
+    :class:`ValueError`.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    _check_size("max_order", max_order)
     specs: list[str] = []
     specs.extend(f"cyclic:{n}" for n in range(1, max_order + 1))
     specs.extend(f"dihedral:{n}" for n in range(3, max_order // 2 + 1))
@@ -165,10 +175,9 @@ def census_records(
     A group with no involutory automorphism contributes a single
     placeholder record noting the empty sweep. Results are merged in task
     order, so the output is identical for any worker count. A ``workers``
-    below 1 raises :class:`ValueError`.
+    that is not an int of at least 1 raises :class:`ValueError`.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_size("workers", workers)
     tasks = []
     for group in catalog(max_order):
         alphas = enumerate_involutory_automorphisms(group)

@@ -3,9 +3,14 @@ between independent evaluation routes, runnable from the CLI and from the
 acceptance tests.
 
 Each suite scans its instances in a fixed ascending order (groups by order
-then id, involutions by index, connection sets by orbit mask), so the
-first reported violation is a smallest-style counterexample. Suites return
-a :class:`SuiteResult`; an empty violation list means the suite passed.
+then id, involutions by index, subgroups by order then elements,
+connection sets by orbit mask), so the first reported violation is a
+smallest-style counterexample. The suites that visit every (group,
+involution, subgroup) pair read it from one generator, :func:`_contexts`;
+the census audit walks the census records alongside that scan, so a
+record that is missing, extra or out of order is a violation too. Suites
+return a :class:`SuiteResult`; an empty violation list means the suite
+passed.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .automorphisms import (
     orbit_translate_masks,
     product_automorphism,
 )
-from .census import DEFAULT_CENSUS_MAX_ORDER, catalog, census_records
+from .census import DEFAULT_CENSUS_MAX_ORDER, _check_size, catalog, census_records
 from .codes import (
     CODE_KINDS,
     abelian_pc_criterion,
@@ -78,6 +83,18 @@ class SuiteResult:
 def _mix_seed(seed: int, *parts) -> int:
     text = "|".join(str(p) for p in parts)
     return seed ^ zlib.crc32(text.encode())
+
+
+def _contexts(max_order: int, abelian: bool = False):
+    """``(group, alpha index, context, subgroups)`` for every involution of
+    the catalog up to ``max_order`` (its abelian groups only if
+    ``abelian``), in scan order; a group's contexts share one subgroup list."""
+    for group in catalog(max_order):
+        if abelian and not group.is_abelian:
+            continue
+        subs = enumerate_subgroups(group)
+        for ai, ctx in enumerate(involution_contexts(group)):
+            yield group, ai, ctx, subs
 
 
 def _graph_of(graphs: dict, subset: GenCayleySubset) -> GenCayleyGraph:
@@ -325,24 +342,22 @@ def suite_graph_laws(max_order: int = 12) -> SuiteResult:
     every mask has |S| bits set, and every neighbor's mask has the vertex."""
     violations = []
     cases = 0
-    for group in catalog(max_order):
-        n = group.order
-        for ai, ctx in enumerate(involution_contexts(group)):
-            for subset in enumerate_subsets(ctx):
-                cases += 1
-                graph = build_graph(subset)  # which does not check the laws itself
-                ok = True
-                for g in range(n):
-                    nm = graph.nbr_masks[g]
-                    if nm >> g & 1 or nm.bit_count() != subset.size:
+    for group, ai, ctx, _ in _contexts(max_order):
+        for subset in enumerate_subsets(ctx):
+            cases += 1
+            graph = build_graph(subset)  # which does not check the laws itself
+            ok = True
+            for g in range(group.order):
+                nm = graph.nbr_masks[g]
+                if nm >> g & 1 or nm.bit_count() != subset.size:
+                    ok = False
+                for h in bits(nm):
+                    if not graph.nbr_masks[h] >> g & 1:
                         ok = False
-                    for h in bits(nm):
-                        if not graph.nbr_masks[h] >> g & 1:
-                            ok = False
-                if not ok:
-                    violations.append(
-                        f"group={group.id} alpha={ai} S={fmt_set(subset.elements)}: graph law broken"
-                    )
+            if not ok:
+                violations.append(
+                    f"group={group.id} alpha={ai} S={fmt_set(subset.elements)}: graph law broken"
+                )
     return SuiteResult("graph-laws", cases, violations)
 
 
@@ -383,42 +398,41 @@ def suite_mode_agreement(
     """
     violations = []
     cases = 0
-    for group in catalog(max_order):
+    for group, ai, ctx, subs in _contexts(max_order):
         n = group.order
-        h_masks = [h.mask for h in enumerate_subgroups(group)]
-        for ai, ctx in enumerate(involution_contexts(group)):
-            for subset in enumerate_subsets(ctx):
-                graph = build_graph(subset)
-                if n <= exhaustive_limit:
-                    xms = list(range(1 << n))
-                else:
-                    rng = random.Random(_mix_seed(seed, group.id, ai, subset.mask))
-                    xms = [rng.getrandbits(n) for _ in range(MODE_SAMPLES)]
-                    xms = (h_masks + xms)[:MODE_SAMPLES]
-                verdicts = kernels.scan_check_routes(
-                    n,
-                    group.table,
-                    group.inv,
-                    ctx.alpha.perm,
-                    subset.elements,
-                    graph.nbr_masks,
-                    xms,
+        h_masks = [h.mask for h in subs]
+        for subset in enumerate_subsets(ctx):
+            graph = build_graph(subset)
+            if n <= exhaustive_limit:
+                xms = list(range(1 << n))
+            else:
+                rng = random.Random(_mix_seed(seed, group.id, ai, subset.mask))
+                xms = [rng.getrandbits(n) for _ in range(MODE_SAMPLES)]
+                xms = (h_masks + xms)[:MODE_SAMPLES]
+            verdicts = kernels.scan_check_routes(
+                n,
+                group.table,
+                group.inv,
+                ctx.alpha.perm,
+                subset.elements,
+                graph.nbr_masks,
+                xms,
+            )
+            cases += len(xms)
+            bad = []
+            if not CONSISTENT_VERDICTS.issuperset(verdicts):  # one pass in C first
+                bad = [j for j, v in enumerate(verdicts) if v not in CONSISTENT_VERDICTS]
+            bad += [
+                j
+                for j in range(0, len(xms), REFERENCE_STRIDE)
+                if verdicts[j] in CONSISTENT_VERDICTS
+                and reference_verdict(graph, xms[j]) != verdicts[j]
+            ]
+            for j in sorted(bad):  # in scan order, as the X were tested
+                violations.append(
+                    f"group={group.id} alpha={ai} S={fmt_set(subset.elements)}"
+                    f" X={fmt_set(elems(xms[j]))}: verdict {verdicts[j]:013b}"
                 )
-                cases += len(xms)
-                bad = []
-                if not CONSISTENT_VERDICTS.issuperset(verdicts):  # one pass in C first
-                    bad = [j for j, v in enumerate(verdicts) if v not in CONSISTENT_VERDICTS]
-                bad += [
-                    j
-                    for j in range(0, len(xms), REFERENCE_STRIDE)
-                    if verdicts[j] in CONSISTENT_VERDICTS
-                    and reference_verdict(graph, xms[j]) != verdicts[j]
-                ]
-                for j in sorted(bad):  # in scan order, as the X were tested
-                    violations.append(
-                        f"group={group.id} alpha={ai} S={fmt_set(subset.elements)}"
-                        f" X={fmt_set(elems(xms[j]))}: verdict {verdicts[j]:013b}"
-                    )
     return SuiteResult("mode-agreement", cases, violations)
 
 
@@ -437,50 +451,47 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
     cases = 0
     decide = decide_subgroup_pc if kind == 0 else decide_subgroup_tpc
     routes = [ROUTES[bit] for bit in CHECKS[CODE_KINDS[kind]].values()]  # graph first
-    for group in catalog(max_order):
-        subs = enumerate_subgroups(group)
+    for group, ai, ctx, subs in _contexts(max_order):
+        graphs = {}
         h_masks = [s.mask for s in subs]
-        for ai, ctx in enumerate(involution_contexts(group)):
-            graphs = {}
-            trans = orbit_translate_masks(ctx)
-            found = kernels.scan_subgroup_codes(
-                trans, len(ctx.tau_orbits), h_masks, group.order, kind
-            )
-            for sub, orbit_mask in zip(subs, found):
-                cases += 1
-                witness = decide(sub, ctx)
-                if witness.success != (orbit_mask != -1):
+        found = kernels.scan_subgroup_codes(
+            orbit_translate_masks(ctx), len(ctx.tau_orbits), h_masks, group.order, kind
+        )
+        for sub, orbit_mask in zip(subs, found):
+            cases += 1
+            witness = decide(sub, ctx)
+            if witness.success != (orbit_mask != -1):
+                violations.append(
+                    f"{_where(group.id, ai, sub.elements)}:"
+                    f" decide={witness.success} oracle={orbit_mask != -1}"
+                )
+                continue
+            if orbit_mask != -1:
+                subset = subset_from_orbit_mask(ctx, orbit_mask)
+                graph = _graph_of(graphs, subset)
+                holds = routes[0](graph, sub.mask)
+                # the same S gives the same graph object: one graph-route call
+                decided = _graph_of(graphs, witness.subset)
+                if not (holds if decided is graph else routes[0](decided, sub.mask)):
                     violations.append(
                         f"{_where(group.id, ai, sub.elements)}:"
-                        f" decide={witness.success} oracle={orbit_mask != -1}"
+                        f" decider witness S={fmt_set(witness.subset.elements)} fails"
                     )
-                    continue
-                if orbit_mask != -1:
-                    subset = subset_from_orbit_mask(ctx, orbit_mask)
-                    graph = _graph_of(graphs, subset)
-                    holds = routes[0](graph, sub.mask)
-                    # the same S gives the same graph object: one graph-route call
-                    decided = _graph_of(graphs, witness.subset)
-                    if not (holds if decided is graph else routes[0](decided, sub.mask)):
+                if not (holds and all(route(graph, sub.mask) for route in routes[1:])):
+                    violations.append(
+                        f"{_where(group.id, ai, sub.elements)}:"
+                        f" oracle witness S={fmt_set(subset.elements)} fails"
+                    )
+                elif kind == 0:
+                    # every perfect-code pair forces alpha-invariance of
+                    # the subgroup and keeps the set off its image
+                    if not alpha_preserves(ctx.alpha, sub) or (
+                        subset.mask & image_subgroup(ctx.alpha, sub).mask
+                    ):
                         violations.append(
                             f"{_where(group.id, ai, sub.elements)}:"
-                            f" decider witness S={fmt_set(witness.subset.elements)} fails"
+                            " oracle witness breaks the invariance audit"
                         )
-                    if not (holds and all(route(graph, sub.mask) for route in routes[1:])):
-                        violations.append(
-                            f"{_where(group.id, ai, sub.elements)}:"
-                            f" oracle witness S={fmt_set(subset.elements)} fails"
-                        )
-                    elif kind == 0:
-                        # every perfect-code pair forces alpha-invariance of
-                        # the subgroup and keeps the set off its image
-                        if not alpha_preserves(ctx.alpha, sub) or (
-                            subset.mask & image_subgroup(ctx.alpha, sub).mask
-                        ):
-                            violations.append(
-                                f"{_where(group.id, ai, sub.elements)}:"
-                                " oracle witness breaks the invariance audit"
-                            )
     return SuiteResult(name, cases, violations)
 
 
@@ -502,69 +513,69 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
     the constructive witness all agree."""
     violations = []
     cases = 0
-    for group in catalog(max_order):
-        if not group.is_abelian:
-            continue
-        subs = enumerate_subgroups(group)
-        for ai, ctx in enumerate(involution_contexts(group)):
-            graphs = {}
-            for sub in subs:
-                cases += 1
-                predicted = abelian_pc_criterion(sub, ctx)
-                witness = decide_subgroup_pc(sub, ctx)
-                if predicted != witness.success:
+    for group, ai, ctx, subs in _contexts(max_order, abelian=True):
+        graphs = {}
+        for sub in subs:
+            cases += 1
+            predicted = abelian_pc_criterion(sub, ctx)
+            witness = decide_subgroup_pc(sub, ctx)
+            if predicted != witness.success:
+                violations.append(
+                    f"{_where(group.id, ai, sub.elements)}:"
+                    f" criterion={predicted} decide={witness.success}"
+                )
+                continue
+            if predicted:
+                try:
+                    subset = build_witness_abelian(sub, ctx)
+                except GenCayleyError:  # its own transversal certificate
+                    subset = None
+                if subset is None or not (
+                    ROUTES[CHECKS["perfect"]["graph"]](_graph_of(graphs, subset), sub.mask)
+                    and is_gc_transversal(ctx, sub, subset.elements + (0,))
+                ):
                     violations.append(
                         f"{_where(group.id, ai, sub.elements)}:"
-                        f" criterion={predicted} decide={witness.success}"
+                        " constructive witness failed"
                     )
-                    continue
-                if predicted:
-                    try:
-                        subset = build_witness_abelian(sub, ctx)
-                    except GenCayleyError:  # its own transversal certificate
-                        subset = None
-                    if subset is None or not (
-                        ROUTES[CHECKS["perfect"]["graph"]](_graph_of(graphs, subset), sub.mask)
-                        and is_gc_transversal(ctx, sub, subset.elements + (0,))
-                    ):
-                        violations.append(
-                            f"{_where(group.id, ai, sub.elements)}:"
-                            " constructive witness failed"
-                        )
     return SuiteResult("abelian-criterion", cases, violations)
 
 
 def suite_census_audits(max_order: int = 24) -> SuiteResult:
-    """Census booleans re-validate, the census witnesses are the deciders'
-    and pass the graph definition, every perfect-code hit passes the
-    subgroup-code audits (alpha-invariance, transversal on both sides,
+    """The census has one record per scanned (group, involution, subgroup)
+    pair, in scan order; its booleans re-validate, its witnesses are the
+    deciders' and pass the graph definition, every perfect-code hit passes
+    the subgroup-code audits (alpha-invariance, transversal on both sides,
     the exclusions for tau-moved connection elements), and the inverse of
     every total-code witness is a left transversal of alpha(H)."""
     violations = []
     cases = 0
-    contexts = {g.id: involution_contexts(g) for g in catalog(max_order)}
-    key = None
-    records = census_records(max_order)
-    # the records of one involution context are contiguous
+    # a group without involutions has one placeholder record and no pairs
+    records = (r for r in census_records(max_order) if r.alpha_index is not None)
+    for group, ai, ctx, subs in _contexts(max_order):
+        graphs = {}
+        for sub in subs:
+            cases += 1
+            rec = next(records, None)  # not zip: a short census must show
+            if rec is None:
+                problems = ["no census record"]
+            elif (rec.group_id, rec.alpha_index, rec.subgroup) != (group.id, ai, sub.elements):
+                other = _where(rec.group_id, rec.alpha_index, rec.subgroup)
+                problems = [f"census record out of order: {other}"]
+            else:
+                problems = _census_record_problems(rec, ctx, sub, graphs)
+            if problems:
+                where = _where(group.id, ai, sub.elements)
+                violations += [f"{where}: {p}" for p in problems]
     for rec in records:
-        if rec.alpha_index is None:
-            continue
-        cases += 1
-        if key != (rec.group_id, rec.alpha_index):
-            key = (rec.group_id, rec.alpha_index)
-            ctx = contexts[rec.group_id][rec.alpha_index]
-            group = ctx.group
-            graphs = {}
-        problems = _census_record_problems(rec, group, ctx, graphs)
-        if problems:
-            where = _where(rec.group_id, rec.alpha_index, rec.subgroup)
-            violations += [f"{where}: {p}" for p in problems]
+        violations.append(
+            f"{_where(rec.group_id, rec.alpha_index, rec.subgroup)}: census record past the scan"
+        )
     return SuiteResult("census-audits", cases, violations)
 
 
-def _census_record_problems(rec, group: FiniteGroup, ctx, graphs: dict) -> list[str]:
+def _census_record_problems(rec, ctx, sub, graphs: dict) -> list[str]:
     """The audits of :func:`suite_census_audits` failed by one record."""
-    sub = subgroup(group, rec.subgroup)
     pc = decide_subgroup_pc(sub, ctx)
     tpc = decide_subgroup_tpc(sub, ctx)
     if pc.success != rec.is_pc or tpc.success != rec.is_tpc:
@@ -590,7 +601,7 @@ def _census_record_problems(rec, group: FiniteGroup, ctx, graphs: dict) -> list[
         for s in rec.pc_witness:
             if tau[s] == s:
                 continue
-            if sub.mask >> group.table[ctx.alpha.perm[s]][s] & 1:
+            if sub.mask >> ctx.group.table[ctx.alpha.perm[s]][s] & 1:
                 problems.append(f"alpha(s)*s inside H for s={s}")
             if dec.rep_of[tau[s]] == dec.rep_of[s]:
                 problems.append(f"tau(s) shares the coset of s={s}")
@@ -598,7 +609,7 @@ def _census_record_problems(rec, group: FiniteGroup, ctx, graphs: dict) -> list[
         if not ROUTES[CHECKS["total"]["graph"]](_graph_of(graphs, tpc.subset), sub.mask):
             problems.append("total witness fails re-validation")
         left = cosets(image_subgroup(ctx.alpha, sub), "left")
-        if sorted(left.rep_of[group.inv[s]] for s in rec.tpc_witness) != list(
+        if sorted(left.rep_of[ctx.group.inv[s]] for s in rec.tpc_witness) != list(
             range(left.index)
         ):
             problems.append("inverse total witness not a left transversal")
@@ -613,33 +624,31 @@ def suite_transports(max_order: int = 12) -> SuiteResult:
     ``python -O``."""
     violations = []
     cases = 0
-    for group in catalog(max_order):
-        subs = enumerate_subgroups(group)
-        autos = enumerate_automorphisms(group)
-        for ai, ctx in enumerate(involution_contexts(group)):
-            for sub in subs:
-                for kind, witness in (
-                    ("perfect", decide_subgroup_pc(sub, ctx)),
-                    ("total", decide_subgroup_tpc(sub, ctx)),
-                ):
-                    if not witness.success:
-                        continue
-                    subset = witness.subset
-                    failed = []
-                    # no conjugation or combined form: if a' = beta.alpha.beta^-1
-                    # fixes g, i_g(x) = g^-1 x g commutes with a', so
-                    # beta' = i_g.beta has beta'.alpha.beta'^-1 = a', and
-                    # g^-1 beta(H, S) g is beta'(H, S), which the loop over
-                    # all of Aut(G) checks (beta = id: plain conjugation by g)
-                    for beta in autos:
-                        cases += 1
-                        try:
-                            transport_automorphism(sub, subset, beta, kind)
-                        except GenCayleyError:
-                            failed.append("transport by beta fails")
-                    if failed:
-                        where = _where(group.id, ai, sub.elements)
-                        violations += [f"{where} kind={kind}: {f}" for f in failed]
+    for group, ai, ctx, subs in _contexts(max_order):
+        autos = enumerate_automorphisms(group)  # kept in the group cache
+        for sub in subs:
+            for kind, witness in (
+                ("perfect", decide_subgroup_pc(sub, ctx)),
+                ("total", decide_subgroup_tpc(sub, ctx)),
+            ):
+                if not witness.success:
+                    continue
+                subset = witness.subset
+                failed = []
+                # no conjugation or combined form: if a' = beta.alpha.beta^-1
+                # fixes g, i_g(x) = g^-1 x g commutes with a', so
+                # beta' = i_g.beta has beta'.alpha.beta'^-1 = a', and
+                # g^-1 beta(H, S) g is beta'(H, S), which the loop over
+                # all of Aut(G) checks (beta = id: plain conjugation by g)
+                for beta in autos:
+                    cases += 1
+                    try:
+                        transport_automorphism(sub, subset, beta, kind)
+                    except GenCayleyError:
+                        failed.append("transport by beta fails")
+                if failed:
+                    where = _where(group.id, ai, sub.elements)
+                    violations += [f"{where} kind={kind}: {f}" for f in failed]
     return SuiteResult("transports", cases, violations)
 
 
@@ -680,18 +689,14 @@ def collect_code_pairs(kind: str, limit: int):
     """The first ``limit`` (subgroup, subset) code hits over the catalog up
     to order 8, in deterministic scan order."""
     out = []
-    for group in catalog(8):
-        for ai, ctx in enumerate(involution_contexts(group)):
-            for sub in enumerate_subgroups(group):
-                witness = (
-                    decide_subgroup_pc(sub, ctx)
-                    if kind == "perfect"
-                    else decide_subgroup_tpc(sub, ctx)
-                )
-                if witness.success and witness.subset.size > 0:
-                    out.append((sub, witness.subset))
-                    if len(out) >= limit:
-                        return out
+    decide = decide_subgroup_pc if kind == "perfect" else decide_subgroup_tpc
+    for _, _, ctx, subs in _contexts(8):
+        for sub in subs:
+            witness = decide(sub, ctx)
+            if witness.success and witness.subset.size > 0:
+                out.append((sub, witness.subset))
+                if len(out) >= limit:
+                    return out
     return out
 
 
@@ -734,33 +739,32 @@ def suite_product_codes() -> SuiteResult:
     return SuiteResult("product-codes", cases, violations)
 
 
+def _check_pc(violations: list, group, ai: int, ctx, sub, expected: bool) -> None:
+    """Decide a perfect-code claim and report it if the decider disagrees."""
+    success = decide_subgroup_pc(sub, ctx).success
+    if success != expected:
+        violations.append(
+            f"{_where(group.id, ai, sub.elements)}: decide={success} expected={expected}"
+        )
+
+
 def suite_odd_order_in_omega(max_order: int = 24) -> SuiteResult:
     """Abelian groups: an odd-order subgroup inside the loop set is a
     perfect code exactly when it is the whole loop set."""
     violations = []
     cases = 0
-    for group in catalog(max_order):
-        if not group.is_abelian:
+    for group, ai, ctx, subs in _contexts(max_order, abelian=True):
+        # the loop set is a subgroup in the abelian case
+        try:
+            subgroup(group, ctx.omega)
+        except GroupValidationError:
+            violations.append(f"group={group.id} alpha={ai}: loop set not a subgroup")
             continue
-        subs = enumerate_subgroups(group)
-        for ai, ctx in enumerate(involution_contexts(group)):
-            # the loop set is a subgroup in the abelian case
-            try:
-                subgroup(group, ctx.omega)
-            except GroupValidationError:
-                violations.append(f"group={group.id} alpha={ai}: loop set not a subgroup")
+        for sub in subs:
+            if sub.order % 2 == 0 or sub.mask & ~ctx.omega_mask:
                 continue
-            for sub in subs:
-                if sub.order % 2 == 0 or sub.mask & ~ctx.omega_mask:
-                    continue
-                cases += 1
-                success = decide_subgroup_pc(sub, ctx).success
-                expected = sub.mask == ctx.omega_mask
-                if success != expected:
-                    violations.append(
-                        f"{_where(group.id, ai, sub.elements)}:"
-                        f" decide={success} expected={expected}"
-                    )
+            cases += 1
+            _check_pc(violations, group, ai, ctx, sub, sub.mask == ctx.omega_mask)
     return SuiteResult("odd-order-in-omega", cases, violations)
 
 
@@ -770,33 +774,21 @@ def suite_characteristic_criterion(max_order: int = 24) -> SuiteResult:
     in it only as the identity."""
     violations = []
     cases = 0
-    for group in catalog(max_order):
-        if not group.is_abelian:
-            continue
-        autos = enumerate_automorphisms(group)
-        subs = enumerate_subgroups(group)
-        characteristic = [
-            sub
-            for sub in subs
-            if all(alpha_preserves(b, sub) for b in autos)
-        ]
-        for ai, ctx in enumerate(involution_contexts(group)):
-            t = group.table
-            a = ctx.alpha.perm
-            for sub in characteristic:
-                if sub.mask & ~ctx.omega_mask:
-                    continue
-                cases += 1
-                success = decide_subgroup_pc(sub, ctx).success
-                expected = sub.mask == ctx.omega_mask and all(
-                    not sub.mask >> t[a[g]][g] & 1 or t[a[g]][g] == 0
-                    for g in range(group.order)
-                )
-                if success != expected:
-                    violations.append(
-                        f"{_where(group.id, ai, sub.elements)}:"
-                        f" decide={success} expected={expected}"
-                    )
+    for group, ai, ctx, subs in _contexts(max_order, abelian=True):
+        if ai == 0:  # a new group
+            autos = enumerate_automorphisms(group)
+            characteristic = [s for s in subs if all(alpha_preserves(b, s) for b in autos)]
+        t = group.table
+        a = ctx.alpha.perm
+        for sub in characteristic:
+            if sub.mask & ~ctx.omega_mask:
+                continue
+            cases += 1
+            expected = sub.mask == ctx.omega_mask and all(
+                not sub.mask >> t[a[g]][g] & 1 or t[a[g]][g] == 0
+                for g in range(group.order)
+            )
+            _check_pc(violations, group, ai, ctx, sub, expected)
     return SuiteResult("characteristic-criterion", cases, violations)
 
 
@@ -804,32 +796,30 @@ def suite_characteristic_criterion(max_order: int = 24) -> SuiteResult:
 # runner
 
 SUITES = (
-    ("group-axioms", suite_group_axioms, 24),
-    ("subgroup-oracle", suite_subgroup_oracle, None),
-    ("coset-partitions", suite_coset_partitions, 12),
-    ("alpha-invariants", suite_alpha_invariants, 12),
-    ("graph-laws", suite_graph_laws, 12),
-    ("mode-agreement", suite_mode_agreement, 12),
-    ("pc-oracle", suite_pc_oracle, DEFAULT_CENSUS_MAX_ORDER),
-    ("abelian-criterion", suite_abelian_criterion, 24),
-    ("census-audits", suite_census_audits, 24),
-    ("transports", suite_transports, 12),
-    ("product-identities", suite_product_identities, 8),
-    ("product-codes", suite_product_codes, None),
-    ("tpc-oracle", suite_tpc_oracle, DEFAULT_CENSUS_MAX_ORDER),
-    ("odd-order-in-omega", suite_odd_order_in_omega, 24),
-    ("characteristic-criterion", suite_characteristic_criterion, 24),
+    (suite_group_axioms, 24),
+    (suite_subgroup_oracle, None),
+    (suite_coset_partitions, 12),
+    (suite_alpha_invariants, 12),
+    (suite_graph_laws, 12),
+    (suite_mode_agreement, 12),
+    (suite_pc_oracle, DEFAULT_CENSUS_MAX_ORDER),
+    (suite_abelian_criterion, 24),
+    (suite_census_audits, 24),
+    (suite_transports, 12),
+    (suite_product_identities, 8),
+    (suite_product_codes, None),
+    (suite_tpc_oracle, DEFAULT_CENSUS_MAX_ORDER),
+    (suite_odd_order_in_omega, 24),
+    (suite_characteristic_criterion, 24),
 )
 
 
 def run_all(max_order: int | None = None) -> list[SuiteResult]:
+    if max_order is not None:
+        _check_size("max_order", max_order)
     results = []
-    for _, fn, default_order in SUITES:
-        kwargs = {}
-        if default_order is not None:
-            kwargs["max_order"] = (
-                default_order if max_order is None else min(default_order, max_order)
-            )
+    for fn, bound in SUITES:
+        kwargs = {} if bound is None else {"max_order": min(bound, max_order or bound)}
         started = time.perf_counter()
         result = fn(**kwargs)
         result.seconds = time.perf_counter() - started

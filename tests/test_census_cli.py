@@ -19,7 +19,7 @@ from gencayley import enumerate_involutory_automorphisms, enumerate_subgroups
 from gencayley.groups import abelian_group
 from gencayley.census import CSV_COLUMNS, CensusRecord, catalog, census_records, emit_report
 from gencayley.cli import build_parser, main
-from gencayley.verify import SuiteResult, run_all
+from gencayley.verify import SUITES, SuiteResult, run_all
 
 
 def run_cli(capsys, *argv):
@@ -615,6 +615,57 @@ def test_cli_enumerate_total_codes(capsys):
     assert lines[1:] == [
         "{0,1}", "{1,2}", "{0,3}", "{2,3}", "{1,4}", "{3,4}", "{0,5}", "{2,5}", "{4,5}"
     ]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: catalog(24.0), "max_order must be an int, got 24.0"),
+        (lambda: catalog("8"), "max_order must be an int, got '8'"),
+        (lambda: census_records(4, workers=1.5), "workers must be an int, got 1.5"),
+        (lambda: census_records(4, workers="2"), "workers must be an int, got '2'"),
+        (lambda: census_records(4.5), "max_order must be an int, got 4.5"),
+        (lambda: run_all(max_order=30.5), "max_order must be an int, got 30.5"),
+        (lambda: run_all(max_order="8"), "max_order must be an int, got '8'"),
+        (lambda: catalog(False), "max_order must be at least 1, got False"),
+    ],
+    ids=[
+        "catalog-float", "catalog-str", "workers-float", "workers-str",
+        "census-float", "run_all-float", "run_all-str", "catalog-false",
+    ],
+)
+def test_library_rejects_sizes_that_are_not_ints(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_a_bool_size_counts_as_one():
+    assert [g.id for g in catalog(True)] == ["Z1"]
+    assert emit_report(census_records(2, workers=True)) == emit_report(census_records(2))
+
+
+def test_run_all_lists_every_suite_in_order():
+    results = run_all(max_order=4)
+    assert [r.name for r in results] == [
+        "group-axioms",
+        "subgroup-oracle",
+        "coset-partitions",
+        "alpha-invariants",
+        "graph-laws",
+        "mode-agreement",
+        "pc-oracle",
+        "abelian-criterion",
+        "census-audits",
+        "transports",
+        "product-identities",
+        "product-codes",
+        "tpc-oracle",
+        "odd-order-in-omega",
+        "characteristic-criterion",
+    ]
+    assert len(results) == len(SUITES)
+    assert all(r.ok and r.cases > 0 for r in results)
 
 
 def test_cli_check_total_code(capsys):

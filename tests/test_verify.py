@@ -170,9 +170,10 @@ def test_census_audits_report_every_problem(monkeypatch):
     v4 = next(g for g in catalog(4) if g.id == "Z2xZ2")
     ctx = involution_contexts(v4)[1]
     assert ctx.alpha.perm == (0, 2, 1, 3)
-    real = {r.subgroup: r for r in census_records(4) if r.group_id == v4.id and r.alpha_index == 1}
+    census = census_records(4)
+    real = {r.subgroup: r for r in census if r.group_id == v4.id and r.alpha_index == 1}
     crafted = {(0, 1): (1, 2), (0, 3): (1, 2)}  # H -> the S claimed for it
-    records = [
+    tampered = [
         # claims a code the deciders refute
         dataclasses.replace(real[(0,)], is_pc=True, pc_witness=(1, 2)),
         dataclasses.replace(real[(0, 1)], is_pc=True, pc_witness=(1, 2)),
@@ -182,6 +183,9 @@ def test_census_audits_report_every_problem(monkeypatch):
         # H=G is a perfect code with S={}, not with the recorded S
         dataclasses.replace(real[(0, 1, 2, 3)], pc_witness=(1, 2)),
     ]
+    # the whole census, these four records replaced in place
+    swap = {id(real[t.subgroup]): t for t in tampered}
+    records = [swap.get(id(r), r) for r in census]
 
     def deciding(real_decide):
         def decide(sub, c):
@@ -195,7 +199,7 @@ def test_census_audits_report_every_problem(monkeypatch):
     for name in ("decide_subgroup_pc", "decide_subgroup_tpc"):
         monkeypatch.setattr(verify, name, deciding(getattr(verify, name)))
     result = verify.suite_census_audits(4)
-    assert result.cases == 4
+    assert result.cases == 20
     assert result.violations == [
         "group=Z2xZ2 alpha=1 H={0}: census booleans do not re-validate",
         "group=Z2xZ2 alpha=1 H={0,1}: witness fails re-validation",
@@ -214,6 +218,45 @@ def test_census_audits_report_every_problem(monkeypatch):
         "group=Z2xZ2 alpha=1 H={0,3}: inverse total witness not a left transversal",
         "group=Z2xZ2 alpha=1 H={0,1,2,3}: census witness differs from decider",
     ]
+
+
+def _dropped_last(records):
+    return records[:-1]
+
+
+def _swapped(records):
+    # the census ends with Z4's H={0}, H={0,2} and H=G
+    records[-3], records[-2] = records[-2], records[-3]
+    return records
+
+
+def _extra(records):
+    return records + records[-1:]
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (_dropped_last, ["group=Z4 alpha=0 H={0,1,2,3}: no census record"]),
+        (
+            _swapped,
+            [
+                "group=Z4 alpha=0 H={0}: census record out of order: group=Z4 alpha=0 H={0,2}",
+                "group=Z4 alpha=0 H={0,2}: census record out of order: group=Z4 alpha=0 H={0}",
+            ],
+        ),
+        (_extra, ["group=Z4 alpha=0 H={0,1,2,3}: census record past the scan"]),
+    ],
+    ids=["dropped", "swapped", "extra"],
+)
+def test_census_audits_walk_the_scan(monkeypatch, edit, expected):
+    # one record per scanned pair, in scan order: 20 pairs up to order 4
+    census = census_records(4)
+    assert verify.suite_census_audits(4).violations == []
+    monkeypatch.setattr(verify, "census_records", lambda max_order: edit(list(census)))
+    result = verify.suite_census_audits(4)
+    assert result.cases == 20
+    assert result.violations == expected
 
 
 def test_conjugating_a_transport_is_an_automorphism_transport():
