@@ -372,19 +372,23 @@ def alpha_context(group: FiniteGroup, alpha: Automorphism) -> AlphaContext:
     return AlphaContext(alpha, omega, k_set & ~omega, full & ~k_set, tau)
 
 
+def _cached_context(group: FiniteGroup, perm: tuple[int, ...]) -> AlphaContext:
+    """The group's one context of the involution ``perm``, kept in
+    ``group.cache.contexts``; an :class:`Automorphism` and its context are
+    built only on a miss. ``perm`` must be an involutory automorphism of
+    ``group``, which :func:`alpha_context` checks only on that miss."""
+    ctx = group.cache.contexts.get(perm)
+    if ctx is None:
+        ctx = group.cache.contexts[perm] = alpha_context(group, Automorphism(perm, group))
+    return ctx
+
+
 def involution_contexts(group: FiniteGroup) -> list[AlphaContext]:
     """The context of every involution, indexed like
-    :func:`enumerate_involutory_automorphisms` (and the CLI's ``--alpha``).
-    Each context is kept in ``group.cache.contexts`` under its perm, where
-    :func:`codes.transport_automorphism` finds it too."""
-    contexts = group.cache.contexts
-    out = []
-    for a in enumerate_involutory_automorphisms(group):
-        ctx = contexts.get(a.perm)
-        if ctx is None:
-            ctx = contexts[a.perm] = alpha_context(group, a)
-        out.append(ctx)
-    return out
+    :func:`enumerate_involutory_automorphisms` (and the CLI's ``--alpha``),
+    each the group's one context of its perm, which
+    :func:`codes.transport_automorphism` reads too."""
+    return [_cached_context(group, a.perm) for a in enumerate_involutory_automorphisms(group)]
 
 
 def orbit_translate_masks(ctx: AlphaContext) -> list[int]:

@@ -50,6 +50,7 @@ from ._bits import bits, element_mask, elems, fmt_set, perm_mask
 from .automorphisms import (
     AlphaContext,
     Automorphism,
+    _cached_context,
     alpha_context,
     automorphism_from_perm,
     product_automorphism,
@@ -374,23 +375,23 @@ def build_witness_abelian(sub: SubgroupHandle, ctx: AlphaContext) -> GenCayleySu
     """
     if not abelian_pc_criterion(sub, ctx):
         raise GenCayleyError("abelian perfect-code criterion not satisfied")
-    group = sub.parent
+    table, alpha = sub.parent.table, ctx.alpha.perm
     dec = cosets(sub, "right")
     chosen: list[int] = []
-    done: set[int] = set()
-    for ci in range(1, dec.index):
-        if ci in done:
+    done = 1  # bit ci: coset ci is covered; coset 0 is the subgroup
+    for ci, cm in enumerate(dec.masks):
+        if done >> ci & 1:
             continue
-        done.add(ci)
-        coset = dec.cosets[ci]
-        g = coset[0]
-        if sub.mask >> group.table[ctx.alpha.perm[g]][g] & 1:
-            chosen.append(min(x for x in coset if ctx.big_omega_mask >> x & 1))
+        g = (cm & -cm).bit_length() - 1
+        if sub.mask >> table[alpha[g]][g] & 1:
+            f = cm & ctx.big_omega_mask
+            chosen.append((f & -f).bit_length() - 1)
         else:
-            y = min(x for x in coset if not ctx.omega_mask >> x & 1)
+            m = cm & ~ctx.omega_mask
+            y = (m & -m).bit_length() - 1
             t = ctx.tau_perm[y]
-            done.add(dec.rep_of[t])
-            chosen.extend((y, t))
+            done |= 1 << dec.rep_of[t]
+            chosen += (y, t)
     return _certify_transversal(ctx, chosen, dec, with_identity=True)
 
 
@@ -458,11 +459,7 @@ def transport_automorphism(
         raise GenCayleyError("beta acts on a different group")
     b, a = beta.perm, subset.context.alpha.perm
     perm = tuple([b[a[x]] for x in beta.inverse_perm])  # beta.alpha.beta^-1
-    contexts = group.cache.contexts
-    new_ctx = contexts.get(perm)
-    if new_ctx is None:
-        # a perm already stored passed alpha_context's checks in this group
-        new_ctx = contexts[perm] = alpha_context(group, Automorphism(perm, group))
+    new_ctx = _cached_context(group, perm)
     new_sub = subgroup(group, (b[h] for h in sub.elements))
     new_set = validate_subset(new_ctx, (b[s] for s in subset.elements))
     if not _code_pair_holds(new_sub, new_set, kind):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import permutations
 
-from ._bits import bits, element_mask, elems, mask_of
+from ._bits import bits, element_mask, elems
 from .errors import GroupFileError, GroupValidationError, ThresholdError
 
 SUBGROUP_ENUM_LIMIT = 64
@@ -40,12 +40,13 @@ class GroupCache:
     :func:`automorphisms.involution_contexts` and by
     :func:`codes.transport_automorphism`, one context per involution
     however many transports reach it; the census builds each task's
-    context itself and leaves it empty. Coset decompositions are kept on
-    each subgroup's own handle, see :func:`cosets`.
+    context itself and leaves it empty. ``subgroups`` is keyed by each
+    subgroup's element mask; coset decompositions are kept on each
+    subgroup's own handle, see :func:`cosets`.
     """
 
-    # sorted element tuple -> its validated handle, see :func:`subgroup`
-    subgroups: dict[tuple[int, ...], SubgroupHandle] = field(default_factory=dict)
+    # element mask -> its validated handle, see :func:`subgroup`
+    subgroups: dict[int, SubgroupHandle] = field(default_factory=dict)
     # Aut(G) sorted by permutation, see automorphisms.enumerate_automorphisms
     automorphisms: list | None = None
     # the non-identity involutions of Aut(G), sorted by permutation and found
@@ -487,7 +488,9 @@ def load_group_file(path) -> FiniteGroup:
 
 @dataclass(eq=False)
 class SubgroupHandle:
-    """A validated subgroup, stored as a sorted tuple of element indices.
+    """A validated subgroup: its element ``mask``, the key of the group's
+    handle registry, and its ``elements``, the sorted tuple derived from
+    the mask when the handle is built.
 
     Build through :func:`subgroup`, which returns one handle per element
     set and group; ``decompositions`` holds its cosets by side, filled by
@@ -496,13 +499,10 @@ class SubgroupHandle:
 
     elements: tuple[int, ...]
     parent: FiniteGroup
+    mask: int = field(kw_only=True)
     decompositions: dict[str, CosetDecomposition] = field(
         default_factory=dict, init=False, repr=False
     )
-
-    @cached_property
-    def mask(self) -> int:
-        return mask_of(self.elements)
 
     @property
     def order(self) -> int:
@@ -520,11 +520,11 @@ def subgroup(group: FiniteGroup, elements) -> SubgroupHandle:
     that is not an int in 0..order-1 raises :class:`ValueError`.
     """
     mask = element_mask(group.order, elements)
-    members = elems(mask)
-    handle = group.cache.subgroups.get(members)
+    handle = group.cache.subgroups.get(mask)
     if handle is None:
+        members = elems(mask)
         _validate_subgroup(group, members, mask)
-        handle = group.cache.subgroups[members] = SubgroupHandle(members, group)
+        handle = group.cache.subgroups[mask] = SubgroupHandle(members, group, mask=mask)
     return handle
 
 
@@ -575,34 +575,34 @@ def enumerate_subgroups(group: FiniteGroup) -> list[SubgroupHandle]:
             if closed not in gens_of:
                 gens_of[closed] = gens + (g,)
                 queue.append(closed)
-    found = sorted(map(elems, gens_of), key=lambda t: (len(t), t))
     # each closed set is a subgroup: register it, keeping a handle made before
     known = group.cache.subgroups
-    for t in found:
-        if t not in known:
-            known[t] = SubgroupHandle(t, group)
-    return [known[t] for t in found]
+    for m in gens_of:
+        if m not in known:
+            known[m] = SubgroupHandle(elems(m), group, mask=m)
+    return sorted([known[m] for m in gens_of], key=lambda h: (h.order, h.elements))
 
 
 @dataclass(eq=False)
 class CosetDecomposition:
     """Partition of a group into left or right cosets of a subgroup.
 
-    ``cosets[0]`` is the subgroup itself; ``rep_of[x]`` is the index of the
-    coset containing x.
+    ``masks`` holds the element mask of each coset by least element, so
+    ``masks[0]`` is the subgroup itself; ``rep_of[x]`` is the index of the
+    coset containing x. The element tuples, ``cosets``, are derived.
     """
 
-    cosets: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     rep_of: tuple[int, ...]
 
     @property
     def index(self) -> int:
-        return len(self.cosets)
+        return len(self.masks)
 
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """The mask of each coset, in the order of ``cosets``."""
-        return tuple([mask_of(block) for block in self.cosets])
+    @property
+    def cosets(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted elements of each coset, in the order of ``masks``."""
+        return tuple([elems(m) for m in self.masks])
 
 
 def cosets(sub: SubgroupHandle, side: str = "right") -> CosetDecomposition:
@@ -617,22 +617,23 @@ def cosets(sub: SubgroupHandle, side: str = "right") -> CosetDecomposition:
 
 
 def _decompose(sub: SubgroupHandle, side: str) -> CosetDecomposition:
-    group = sub.parent
-    table = group.table
-    assigned = [-1] * group.order
-    blocks: list[tuple[int, ...]] = []
-    for g in range(group.order):
+    table = sub.parent.table
+    assigned = [-1] * len(table)
+    masks: list[int] = []
+    for g, row in enumerate(table):
         if assigned[g] != -1:
             continue
+        # the least element of a new coset, so cosets come by least element
         if side == "right":
-            block = sorted(table[h][g] for h in sub.elements)
+            block = [table[h][g] for h in sub.elements]
         else:
-            block = sorted(table[g][h] for h in sub.elements)
-        idx = len(blocks)
+            block = [row[h] for h in sub.elements]
+        m = 0
         for x in block:
-            assigned[x] = idx
-        blocks.append(tuple(block))
-    return CosetDecomposition(tuple(blocks), tuple(assigned))
+            assigned[x] = len(masks)
+            m |= 1 << x
+        masks.append(m)
+    return CosetDecomposition(tuple(masks), tuple(assigned))
 
 
 def normalizer(sub: SubgroupHandle) -> SubgroupHandle:

@@ -60,6 +60,7 @@ from .groups import (
     _product_elements,
     build_group,
     cosets,
+    direct_product,
     enumerate_subgroups,
     first_axiom_violation,
     normalizer,
@@ -202,26 +203,11 @@ def suite_coset_partitions(max_order: int = 12) -> SuiteResult:
             for side in ("left", "right"):
                 cases += 1
                 dec = cosets(sub, side)
-                union = 0
-                total = 0
-                ok = True
-                for block in dec.cosets:
-                    bm = mask_of(block)
-                    if bm & union or len(block) != sub.order:
-                        ok = False
-                    union |= bm
-                    total += len(block)
-                if union != full or total != group.order:
-                    ok = False
-                if dec.cosets[0] != sub.elements:
-                    ok = False
-                if any(
-                    dec.rep_of[x] != ci
-                    for ci, block in enumerate(dec.cosets)
-                    for x in block
-                ):
-                    ok = False
-                if not ok:
+                union, ok = 0, dec.masks[0] == sub.mask
+                for ci, cm in enumerate(dec.masks):  # blocks that agree with rep_of are disjoint
+                    ok &= cm.bit_count() == sub.order and all(dec.rep_of[x] == ci for x in bits(cm))
+                    union |= cm
+                if union != full or not ok:
                     violations.append(
                         f"group={group.id} H={fmt_set(sub.elements)} side={side}: bad partition"
                     )
@@ -665,7 +651,7 @@ def suite_product_identities(max_order: int = 8) -> SuiteResult:
         factors.append((g, [alpha_context(g, a) for a in alphas]))
     for g1, ctxs1 in factors:
         for g2, ctxs2 in factors:
-            prod = build_group(f"{g1.id}x{g2.id}")
+            prod = direct_product(g1, g2)
             n2 = g2.order
             for c1 in ctxs1:
                 for c2 in ctxs2:

@@ -290,6 +290,32 @@ def refutation_reason_by_scan(ctx, dec, first: int) -> str:
     return "search-exhausted"
 
 
+def witness_abelian_by_scan(sub, ctx, dec) -> list[int]:
+    """Literal reference for ``codes.build_witness_abelian`` on a pair that
+    meets the abelian criterion, with ``dec`` the right cosets of ``sub``:
+    the chosen elements before certification, found by scanning each
+    coset's sorted elements. A self-paired coset gives its least tau-fixed
+    non-loop element, any other its least non-loop element y together
+    with tau(y), whose coset is then done."""
+    group = sub.parent
+    chosen: list[int] = []
+    done: set[int] = set()
+    for ci in range(1, dec.index):
+        if ci in done:
+            continue
+        done.add(ci)
+        coset = dec.cosets[ci]
+        g = coset[0]
+        if sub.mask >> group.table[ctx.alpha.perm[g]][g] & 1:
+            chosen.append(min(x for x in coset if ctx.big_omega_mask >> x & 1))
+        else:
+            y = min(x for x in coset if not ctx.omega_mask >> x & 1)
+            t = ctx.tau_perm[y]
+            done.add(dec.rep_of[t])
+            chosen.extend((y, t))
+    return chosen
+
+
 def _right_closure(table, order: int, gens) -> bytearray:
     """Flags of the elements reached from the identity by right
     multiplication with ``gens``."""

@@ -66,6 +66,7 @@ from oracles import (
     exists_pc_connection_set,
     refutation_reason_by_scan,
     transversal_by_dfs,
+    witness_abelian_by_scan,
 )
 
 
@@ -201,6 +202,23 @@ def test_build_witness_abelian(z6, z6_ctx):
     assert is_perfect_code(build_graph(s), [0, 3])
     with pytest.raises(GenCayleyError):
         build_witness_abelian(subgroup(z6, [0]), z6_ctx)
+
+
+def test_abelian_witness_matches_the_coset_scan():
+    # the mask picks take the least element of each coset's intersection,
+    # the same element the reference finds by scanning the sorted coset
+    pairs = 0
+    for group in catalog(24):
+        if not group.is_abelian:
+            continue
+        for ctx in involution_contexts(group):
+            for sub in enumerate_subgroups(group):
+                if not abelian_pc_criterion(sub, ctx):
+                    continue
+                pairs += 1
+                want = witness_abelian_by_scan(sub, ctx, cosets(sub, "right"))
+                assert build_witness_abelian(sub, ctx).elements == tuple(sorted(want))
+    assert pairs == 3707
 
 
 def test_z2_has_no_involutory_automorphism():

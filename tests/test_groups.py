@@ -197,6 +197,10 @@ def test_subgroup_handle_shared_within_a_group(z6):
     # the cached decompositions are filled only by cosets(), never passed in
     with pytest.raises(TypeError):
         SubgroupHandle((0, 3), z6, {})
+    # the mask is the registry key, passed by keyword when the handle is built
+    assert h.mask == 0b1001 and z6.cache.subgroups[0b1001] is h
+    with pytest.raises(TypeError):
+        SubgroupHandle((0, 3), z6, 0b1001)
 
 
 def test_lattice_and_subgroup_share_handles():
@@ -224,7 +228,7 @@ def test_failed_subgroup_raises_every_time(z6):
     for _ in range(2):
         with pytest.raises(GroupValidationError):
             subgroup(z6, [0, 1])
-    assert (0, 1) not in z6.cache.subgroups
+    assert 0b11 not in z6.cache.subgroups
 
 
 def _cosets_by_definition(group, elements, side):
@@ -238,12 +242,16 @@ def _cosets_by_definition(group, elements, side):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_cached_cosets_match_recomputation(side):
-    for group in catalog(12):
+    groups = catalog(24) + [build_group("S3xS3"), build_group("D4xZ2")]
+    for group in groups:
         for sub in enumerate_subgroups(group):
             dec = cosets(sub, side)
             assert cosets(sub, side) is dec
-            assert list(dec.cosets) == _cosets_by_definition(group, sub.elements, side)
-            for idx, block in enumerate(dec.cosets):
+            blocks = _cosets_by_definition(group, sub.elements, side)
+            assert list(dec.cosets) == blocks
+            assert dec.masks == tuple(sum(1 << x for x in block) for block in blocks)
+            assert len(dec.rep_of) == group.order
+            for idx, block in enumerate(blocks):
                 assert all(dec.rep_of[x] == idx for x in block)
 
 

@@ -11,6 +11,7 @@ import gencayley.verify as verify
 from gencayley import (
     Automorphism,
     CodeWitness,
+    CosetDecomposition,
     GenCayleySubset,
     GroupValidationError,
     catalog,
@@ -88,6 +89,50 @@ def test_odd_order_suite_catches_only_subgroup_failures(monkeypatch):
     result = verify.suite_odd_order_in_omega(6)
     assert result.violations
     assert all(v.endswith(": loop set not a subgroup") for v in result.violations)
+
+
+def _overlapping(masks, rep_of):
+    return masks + (masks[1],), rep_of  # coset 1 listed twice
+
+
+def _wrong_size(masks, rep_of):
+    # cosets 1 and 2 merged into one block, which rep_of follows
+    return (masks[0], masks[1] | masks[2]), tuple(min(r, 1) for r in rep_of)
+
+
+def _subgroup_not_first(masks, rep_of):
+    swap = {0: 1, 1: 0}
+    return (masks[1], masks[0]) + masks[2:], tuple(swap.get(r, r) for r in rep_of)
+
+
+def _wrong_rep(masks, rep_of):
+    return masks, (rep_of[0], rep_of[2], rep_of[1]) + rep_of[3:]
+
+
+def _short_union(masks, rep_of):
+    return masks[:-1], rep_of  # the last coset dropped
+
+
+@pytest.mark.parametrize(
+    "tamper", [_overlapping, _wrong_size, _subgroup_not_first, _wrong_rep, _short_union]
+)
+def test_coset_partitions_report_each_broken_decomposition(monkeypatch, tamper):
+    # one decomposition is broken in one way: Z6 by {0, 3} on the right,
+    # whose cosets {0,3}, {1,4}, {2,5} have rep_of (0, 1, 2, 0, 1, 2)
+    real = verify.cosets
+
+    def fake(sub, side):
+        dec = real(sub, side)
+        if sub.parent.id == "Z6" and sub.elements == (0, 3) and side == "right":
+            return CosetDecomposition(*tamper(dec.masks, dec.rep_of))
+        return dec
+
+    clean = verify.suite_coset_partitions(6)
+    monkeypatch.setattr(verify, "cosets", fake)
+    result = verify.suite_coset_partitions(6)
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert result.violations == ["group=Z6 H={0,3} side=right: bad partition"]
 
 
 def test_mode_agreement_reports_tampered_verdicts_in_scan_order(monkeypatch):
