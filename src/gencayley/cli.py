@@ -30,7 +30,7 @@ from .codes import (
 from .errors import GenCayleyError, ThresholdError
 from .graphs import build_graph, export_dot, validate_subset
 from .groups import build_group, enumerate_subgroups, load_group_file, subgroup
-from .verify import run_all
+from .verify import run_suites
 
 SET_LABELS = (
     ("omega", "loop set"),
@@ -241,14 +241,14 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(max_order=args.max_order)
     failed = False
-    for res in results:
+    for res in run_suites(max_order=args.max_order):
         status = "ok" if res.ok else "FAIL"
         print(f"{status:4} {res.name} ({res.cases} cases, {res.seconds:.2f} s)")
         if not res.ok:
             failed = True
             print(f"     counterexample: {res.violations[0]}")
+        sys.stdout.flush()
     return 1 if failed else 0
 
 

@@ -119,6 +119,12 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
     vertices each touches and those it touches twice, and a carry into the
     top bit of every field marks the orbits left.
 
+    Shift-ORs by n, 2n, 4n, ... fold the usable orbits' fields into
+    prefix unions, field o holding the vertices the usable orbits up to o
+    touch, in ceil(log2 m) steps. The top field is every vertex some
+    usable orbit touches: a subgroup with a needy vertex outside it is
+    answered -1 there, with nothing searched or listed.
+
     The search decides the orbits from the highest index down, leaving
     each out before putting it in, so the first leaf reached is the least
     mask. Its state is one int, the vertices reached so far: an orbit
@@ -131,7 +137,7 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
     ``num_orbits * n``, a ``kind`` other than 0 or 1, a translate or H
     mask that is negative or has a bit at or above n, and, checked last,
     two orbits whose translates at one vertex overlap each raise
-    :class:`ValueError` before anything is searched.
+    :class:`ValueError` before anything is folded or searched.
     """
     m = num_orbits
     if m < 0:
@@ -164,6 +170,11 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
     orep = sum(1 << o * n for o in range(m))  # the low bit of every orbit field
     low_bits = orep * (full >> 1)  # all but the top bit of every field
     top_bits = low_bits + orep
+    # shifting by n, 2n, 4n, ... ORs every field into all the fields above it
+    head = max(n - 1, 0)  # the top bit of a field
+    top = max(m - 1, 0)
+    shifts = [n << i for i in range(top.bit_length())]
+    last = top * n  # the base of the top field
 
     def search(k: int, reached: int) -> int:
         # reads needy, usable and reachable of the current subgroup.
@@ -203,16 +214,22 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
         left = ((touch & low_bits) + low_bits | touch) & ~(
             (twice & low_bits) + low_bits | twice
         ) & top_bits
+        # field o of prefix: the vertices the usable orbits up to o touch
+        prefix = touch & (left >> head) * full
+        for s in shifts:
+            prefix |= prefix << s
+        if needy & ~(prefix >> last):  # a vertex no usable orbit touches
+            res.append(-1)
+            continue
         usable = []  # (orbit, touched vertices), by orbit
         reachable = [0]  # reachable[k]: the vertices touched by usable[:k]
         while left:
             low = left & -left
             base = low.bit_length() - n
-            t = touch >> base & full
-            usable.append((base // n, t))
-            reachable.append(reachable[-1] | t)
+            usable.append((base // n, touch >> base & full))
+            reachable.append(prefix >> base & full)
             left ^= low
-        res.append(-1 if needy & ~reachable[-1] else search(len(usable), 0))
+        res.append(search(len(usable), 0))
     return res
 
 

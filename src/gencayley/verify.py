@@ -20,6 +20,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import Iterator
 
 from . import kernels
 from ._bits import bits, elems, fmt_set, mask_of, perm_mask
@@ -100,10 +101,10 @@ def _contexts(max_order: int, abelian: bool = False):
 
 def _graph_of(graphs: dict, subset: GenCayleySubset) -> GenCayleyGraph:
     """The graph of ``subset``, built once per connection set: ``graphs``
-    is a suite's dict for one involution context, keyed by ``elements``."""
-    graph = graphs.get(subset.elements)
+    is a suite's dict for one involution context, keyed by ``mask``."""
+    graph = graphs.get(subset.mask)
     if graph is None:
-        graph = graphs[subset.elements] = build_graph(subset)
+        graph = graphs[subset.mask] = build_graph(subset)
     return graph
 
 
@@ -436,14 +437,16 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
     violations = []
     cases = 0
     decide = decide_subgroup_pc if kind == 0 else decide_subgroup_tpc
-    routes = [ROUTES[bit] for bit in CHECKS[CODE_KINDS[kind]].values()]  # graph first
+    graph_route, route1, route2 = [ROUTES[bit] for bit in CHECKS[CODE_KINDS[kind]].values()]
     for group, ai, ctx, subs in _contexts(max_order):
-        graphs = {}
-        h_masks = [s.mask for s in subs]
+        if ai == 0:  # a group's contexts share subs
+            h_masks = [s.mask for s in subs]
+        graphs = {}  # S mask -> graph
+        oracle = {}  # least orbit mask -> the graph of its connection set
         found = kernels.scan_subgroup_codes(
             orbit_translate_masks(ctx), len(ctx.tau_orbits), h_masks, group.order, kind
         )
-        for sub, orbit_mask in zip(subs, found):
+        for sub, hm, orbit_mask in zip(subs, h_masks, found):
             cases += 1
             witness = decide(sub, ctx)
             if witness.success != (orbit_mask != -1):
@@ -453,17 +456,25 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
                 )
                 continue
             if orbit_mask != -1:
-                subset = subset_from_orbit_mask(ctx, orbit_mask)
-                graph = _graph_of(graphs, subset)
-                holds = routes[0](graph, sub.mask)
-                # the same S gives the same graph object: one graph-route call
-                decided = _graph_of(graphs, witness.subset)
-                if not (holds if decided is graph else routes[0](decided, sub.mask)):
+                graph = oracle.get(orbit_mask)
+                if graph is None:
+                    graph = oracle[orbit_mask] = _graph_of(
+                        graphs, subset_from_orbit_mask(ctx, orbit_mask)
+                    )
+                subset = graph.subset
+                holds = graph_route(graph, hm)
+                # the same S has the same graph: one graph-route call
+                decided = witness.subset
+                if not (
+                    holds
+                    if decided.mask == subset.mask
+                    else graph_route(_graph_of(graphs, decided), hm)
+                ):
                     violations.append(
                         f"{_where(group.id, ai, sub.elements)}:"
-                        f" decider witness S={fmt_set(witness.subset.elements)} fails"
+                        f" decider witness S={fmt_set(decided.elements)} fails"
                     )
-                if not (holds and all(route(graph, sub.mask) for route in routes[1:])):
+                if not (holds and route1(graph, hm) and route2(graph, hm)):
                     violations.append(
                         f"{_where(group.id, ai, sub.elements)}:"
                         f" oracle witness S={fmt_set(subset.elements)} fails"
@@ -484,13 +495,16 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
 def suite_pc_oracle(max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> SuiteResult:
     """decide_subgroup_pc agrees with an exact search over every
     connection set; its witness re-validates by the graph route, and the
-    search's witness by all three routes."""
+    search's witness by all three routes. Each involution builds one
+    witness graph per least orbit mask the search finds, and one more per
+    decider witness with another connection set."""
     return _suite_code_oracle("pc-oracle", 0, max_order)
 
 
 def suite_tpc_oracle(max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> SuiteResult:
     """decide_subgroup_tpc agrees with an exact search over every
-    connection set, with the witnesses re-validated as in the pc suite."""
+    connection set, with the witnesses re-validated, and their graphs
+    built, as in the pc suite."""
     return _suite_code_oracle("tpc-oracle", 1, max_order)
 
 
@@ -800,14 +814,34 @@ SUITES = (
 )
 
 
-def run_all(max_order: int | None = None) -> list[SuiteResult]:
+def _suite_name(fn) -> str:
+    """The name a suite function reports: ``suite_pc_oracle`` is
+    ``pc-oracle``."""
+    return fn.__name__.removeprefix("suite_").replace("_", "-")
+
+
+def run_suites(max_order: int | None = None) -> Iterator[SuiteResult]:
+    """Run the suites of :data:`SUITES` in order, yielding each result as
+    its suite finishes. A suite that raises yields a failed result whose
+    one violation names the exception, and the next suite still runs. A
+    ``max_order`` that is not an int of at least 1 raises here, before any
+    suite runs."""
     if max_order is not None:
         _check_size("max_order", max_order)
-    results = []
-    for fn, bound in SUITES:
-        kwargs = {} if bound is None else {"max_order": min(bound, max_order or bound)}
-        started = time.perf_counter()
+    return (_run_suite(fn, bound, max_order) for fn, bound in SUITES)
+
+
+def _run_suite(fn, bound: int | None, max_order: int | None) -> SuiteResult:
+    kwargs = {} if bound is None else {"max_order": min(bound, max_order or bound)}
+    started = time.perf_counter()
+    try:
         result = fn(**kwargs)
-        result.seconds = time.perf_counter() - started
-        results.append(result)
-    return results
+    except Exception as exc:
+        result = SuiteResult(_suite_name(fn), 0, [f"suite raised {type(exc).__name__}: {exc}"])
+    result.seconds = time.perf_counter() - started
+    return result
+
+
+def run_all(max_order: int | None = None) -> list[SuiteResult]:
+    """The results of :func:`run_suites`, as a list."""
+    return list(run_suites(max_order))

@@ -15,11 +15,12 @@ import gencayley.census as census_module
 import gencayley.cli as cli_module
 import gencayley.codes as codes_module
 import gencayley.groups as groups_module
+import gencayley.verify as verify_module
 from gencayley import enumerate_involutory_automorphisms, enumerate_subgroups
 from gencayley.groups import abelian_group
 from gencayley.census import CSV_COLUMNS, CensusRecord, catalog, census_records, emit_report
 from gencayley.cli import build_parser, main
-from gencayley.verify import SUITES, SuiteResult, run_all
+from gencayley.verify import SUITES, SuiteResult, run_all, run_suites
 
 
 def run_cli(capsys, *argv):
@@ -335,8 +336,12 @@ def test_cli_rejects_sizes_below_one(capsys, argv):
         lambda: census_records(4, workers=0),
         lambda: census_records(4, workers=-2),
         lambda: run_all(max_order=0),
+        lambda: run_suites(max_order=0),  # at the call, before any suite runs
     ],
-    ids=["catalog-0", "catalog-neg", "census-0", "workers-0", "workers-neg", "run_all-0"],
+    ids=[
+        "catalog-0", "catalog-neg", "census-0", "workers-0", "workers-neg", "run_all-0",
+        "run_suites-0",
+    ],
 )
 def test_library_rejects_sizes_below_one(call):
     with pytest.raises(ValueError, match="must be at least 1"):
@@ -666,6 +671,8 @@ def test_run_all_lists_every_suite_in_order():
     ]
     assert len(results) == len(SUITES)
     assert all(r.ok and r.cases > 0 for r in results)
+    # the name a suite that raises is reported under
+    assert [r.name for r in results] == [verify_module._suite_name(fn) for fn, _ in SUITES]
 
 
 def test_cli_check_total_code(capsys):
@@ -679,10 +686,39 @@ def test_cli_check_total_code(capsys):
 
 def test_cli_verify_reports_a_failed_suite(monkeypatch, capsys):
     failed = SuiteResult("pc-oracle", 3, ["group=Z2 alpha=0 H={0}: decide=True oracle=False"])
-    monkeypatch.setattr(cli_module, "run_all", lambda max_order: [failed])
+    monkeypatch.setattr(cli_module, "run_suites", lambda max_order: iter([failed]))
     code, out, _ = run_cli(capsys, "verify", "--max-order", "2")
     assert code == 1
     assert out.splitlines() == [
         "FAIL pc-oracle (3 cases, 0.00 s)",
         "     counterexample: group=Z2 alpha=0 H={0}: decide=True oracle=False",
     ]
+
+
+def test_cli_verify_reports_a_suite_that_raises_and_runs_the_rest(monkeypatch, capsys):
+    clean = run_cli(capsys, "verify", "--max-order", "4")[1].splitlines()
+
+    printed = []
+
+    def broken(g1, g2):
+        printed.append(sys.stdout.getvalue())  # the lines out before this suite ran
+        raise RuntimeError("no product")
+
+    monkeypatch.setattr(verify_module, "direct_product", broken)
+    code, out, _ = run_cli(capsys, "verify", "--max-order", "4")
+    assert code == 1
+    lines = out.splitlines()
+    fails = [i for i, line in enumerate(lines) if line.startswith("FAIL")]
+    assert len(fails) == 1
+    i = fails[0]
+    assert re.fullmatch(r"FAIL product-identities \(0 cases, \d+\.\d\d s\)", lines[i])
+    assert lines[i + 1] == "     counterexample: suite raised RuntimeError: no product"
+    # the other 14 suites still run, in their places, with their cases
+    others = lines[:i] + lines[i + 2 :]
+    assert len(others) == 14
+    times = re.compile(r", \d+\.\d\d s\)$")
+    assert [times.sub(")", line) for line in others] == [
+        times.sub(")", line) for line in clean if "product-identities" not in line
+    ]
+    # each line is out as its suite finishes
+    assert printed == ["".join(line + "\n" for line in lines[:i])]

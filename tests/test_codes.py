@@ -832,7 +832,7 @@ def witness_faults():
         "coset-met-twice": (fault([1, 2], [0, 3], True), "witness meets coset 1 twice"),
         "coset-missed": (fault([1, 2], [0], True), "witness is not a transversal of the cosets"),
         "witness-both": (
-            lambda: CodeWitness(GenCayleySubset((), ctx), "x", True),
+            lambda: CodeWitness(GenCayleySubset((), ctx, mask=0), "x", True),
             one_of_two,
         ),
         "witness-neither": (

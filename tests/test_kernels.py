@@ -207,6 +207,43 @@ def test_scan_subgroup_codes_matches_bruteforce_on_order_16_contexts():
     assert cases == 16
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_scan_subgroup_codes_matches_bruteforce_with_at_most_one_orbit(m):
+    # no orbit leaves the prefix fold empty, and one orbit needs no shift;
+    # H={e} and H=G, for both kinds
+    rng = random.Random(4 + m)
+    outcomes = set()
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        trans = _random_translates(rng, n, m, rng.choice((1, 2)))
+        h_masks = [0b1, (1 << n) - 1]
+        for kind in (0, 1):
+            got = kernels.scan_subgroup_codes(trans, m, h_masks, n, kind)
+            assert got == scan_subgroup_codes_bruteforce(trans, m, h_masks, n, kind), (
+                trans, m, n, kind,
+            )
+            outcomes.update(got)
+    # the one orbit gives all three answers; none gives only the empty set
+    assert outcomes == ({-1, 0, 1} if m else {-1, 0})
+
+
+@pytest.mark.parametrize("kind", [0, 1])
+@pytest.mark.parametrize(
+    "m, trans, h_masks, message",
+    [
+        (0, [], [0b1, 0b1111, 1 << 4], "H mask 0x10 has an element outside 0..3"),
+        (1, [0b10, 0b01, 0b1000, 1 << 4], [0b1, 0b1111], "translate mask 0x10 has an element"),
+        (1, [0b10, 0b01, 0b1000, 0b100], [0b1111, -1], "H mask -0x1 has an element"),
+        (2, [0b10, 0b01, 0b1000, 0b100] * 2, [0b1, 0b1111], "orbits 0 and 1 overlap at vertex 0"),
+    ],
+    ids=["no-orbit-H", "one-orbit-translate", "one-orbit-H", "two-orbits-overlap"],
+)
+def test_scan_subgroup_codes_rejects_before_any_answer(kind, m, trans, h_masks, message):
+    # the leading H masks alone would be answered, with or without a search
+    with pytest.raises(ValueError, match=message):
+        kernels.scan_subgroup_codes(trans, m, h_masks, 4, kind)
+
+
 @pytest.mark.parametrize(
     "trans_bad, h_masks, message",
     [

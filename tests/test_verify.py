@@ -23,6 +23,7 @@ from gencayley import (
     enumerate_subgroups,
     involution_contexts,
     kernels,
+    orbit_translate_masks,
     subgroup,
     transport_automorphism,
     transport_conjugate,
@@ -180,9 +181,9 @@ def test_code_oracle_reports_every_disagreement(monkeypatch):
 
     def decide(sub, c):
         if c is ctx and sub.elements == (0,):  # a code the oracle does not find
-            return CodeWitness(GenCayleySubset((1,), ctx), None, True)
+            return CodeWitness(GenCayleySubset((1,), ctx, mask=0b10), None, True)
         if c is ctx and sub.elements == (0, 2):  # a witness that is no code
-            return CodeWitness(GenCayleySubset((1, 3), ctx), None, True)
+            return CodeWitness(GenCayleySubset((1, 3), ctx, mask=0b1010), None, True)
         return real_decide(sub, c)
 
     def scan(trans, n_orbits, h_masks, n, kind):
@@ -206,6 +207,45 @@ def test_code_oracle_reports_every_disagreement(monkeypatch):
         "group=Z4 alpha=0 H={0,2}: decider witness S={1,3} fails",
         "group=Z4 alpha=0 H={0,2}: oracle witness breaks the invariance audit",
         "group=Z4 alpha=0 H={0,1,2,3}: oracle witness S={1} fails",
+    ]
+
+
+def test_tpc_oracle_reports_every_disagreement(monkeypatch):
+    # D3 with its first involution (orbits {3} and {4,5}): the total
+    # perfect codes are H={0,3}, {0,4}, {0,5} with S={3,4,5} and H=G with
+    # S={3}. The suite compares the two witnesses by mask; a decider S
+    # that differs is re-checked on its own graph
+    d3 = next(g for g in catalog(6) if g.id == "D3")
+    ctx = involution_contexts(d3)[0]
+    assert ctx.tau_orbits == ((3,), (4, 5))
+    pair = GenCayleySubset((4, 5), ctx, mask=0b110000)  # orbit mask 0b10, no code here
+    real_decide, real_scan = verify.decide_subgroup_tpc, kernels.scan_subgroup_codes
+
+    def decide(sub, c):
+        if c is ctx and sub.elements == (0, 3):  # differs from the oracle's and fails
+            return CodeWitness(pair, None, True)
+        if c is ctx and sub.elements == (0, 4):  # equal to the oracle's, both fail
+            return CodeWitness(GenCayleySubset((4, 5), ctx, mask=0b110000), None, True)
+        return real_decide(sub, c)
+
+    def scan(trans, n_orbits, h_masks, n, kind):
+        found = real_scan(trans, n_orbits, h_masks, n, kind)
+        if trans == orbit_translate_masks(ctx):
+            found[2] = 0b10  # H={0,4}
+            found[-1] = 0b10  # H=G: a wrong oracle mask, while the decider's S={3} holds
+        return found
+
+    clean = verify.suite_tpc_oracle(6)
+    monkeypatch.setattr(verify, "decide_subgroup_tpc", decide)
+    monkeypatch.setattr(kernels, "scan_subgroup_codes", scan)
+    result = verify.suite_tpc_oracle(6)
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert result.violations == [
+        "group=D3 alpha=0 H={0,3}: decider witness S={4,5} fails",
+        "group=D3 alpha=0 H={0,4}: decider witness S={4,5} fails",
+        "group=D3 alpha=0 H={0,4}: oracle witness S={4,5} fails",
+        "group=D3 alpha=0 H={0,1,2,3,4,5}: oracle witness S={4,5} fails",
     ]
 
 
@@ -235,7 +275,9 @@ def test_census_audits_report_every_problem(monkeypatch):
     def deciding(real_decide):
         def decide(sub, c):
             if c is ctx and sub.elements in crafted:
-                return CodeWitness(GenCayleySubset(crafted[sub.elements], ctx), None, True)
+                elements = crafted[sub.elements]
+                mask = sum(1 << s for s in elements)
+                return CodeWitness(GenCayleySubset(elements, ctx, mask=mask), None, True)
             return real_decide(sub, c)
 
         return decide
