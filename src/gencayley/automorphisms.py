@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import kernels
 from ._bits import elems
 from .errors import GenCayleyError, GroupFileError, ThresholdError
 from .groups import FiniteGroup, SubgroupHandle, _product_elements, _read_json, _right_generators
@@ -298,11 +299,11 @@ class AlphaContext:
     mho_mask: int
     # the pairing map s -> alpha(s^-1) as an index array
     tau_perm: tuple[int, ...]
-    # subgroup mask -> a handle of alpha(H), H itself when alpha preserves
-    # it: the perfect and total perfect code decisions of a pair share one
-    # evaluation. Made by codes._decide on first use, or up front by the
-    # census from its task's own handles. None until then, so building a
-    # context allocates nothing for it.
+    # subgroup mask -> a handle of alpha(H), one of H's own mask when
+    # alpha preserves it: the perfect and total perfect code decisions of a
+    # pair share one evaluation. Made by codes._decide on first use, or up
+    # front by the census from its task's own handles. None until then, so
+    # building a context allocates nothing for it.
     images: dict[int, SubgroupHandle] | None = field(default=None, init=False, repr=False)
 
     @property
@@ -351,6 +352,15 @@ class AlphaContext:
                 seen |= 1 << z
             out.append(orbit)
         return tuple(out)
+
+    @cached_property
+    def orbit_lanes(self) -> kernels.OrbitLanes:
+        """The tau-orbits' translates packed by :func:`kernels.orbit_lanes`,
+        built and checked on first use and kept: the perfect and total code
+        scans of this involution read the same lanes."""
+        return kernels.orbit_lanes(
+            orbit_translate_masks(self), len(self.tau_orbits), self.group.order
+        )
 
 
 def alpha_context(group: FiniteGroup, alpha: Automorphism) -> AlphaContext:

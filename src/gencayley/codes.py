@@ -87,13 +87,27 @@ REFUTATION_OMEGA_COSET = "coset-inside-omega"
 REFUTATION_EXHAUSTED = "search-exhausted"
 
 
+def _check_same_group(alpha: Automorphism, sub: SubgroupHandle) -> None:
+    if alpha.parent is not sub.parent:
+        raise GenCayleyError("automorphism group does not match the subgroup's parent")
+
+
 def alpha_preserves(alpha: Automorphism, sub: SubgroupHandle) -> bool:
-    """Does alpha map the subgroup onto itself?"""
+    """Does alpha map the subgroup onto itself? An automorphism of another
+    group raises :class:`GenCayleyError`."""
+    _check_same_group(alpha, sub)
     return perm_mask(alpha.perm, sub.mask) == sub.mask
 
 
 def image_subgroup(alpha: Automorphism, sub: SubgroupHandle) -> SubgroupHandle:
-    return subgroup(sub.parent, (alpha.perm[h] for h in sub.elements))
+    """The handle of alpha(H): the group's registered handle of its mask,
+    validated by :func:`subgroup` only when none is registered. An
+    automorphism of another group raises :class:`GenCayleyError`."""
+    _check_same_group(alpha, sub)
+    group = sub.parent
+    mask = perm_mask(alpha.perm, sub.mask)
+    handle = group.cache.subgroups.get(mask)
+    return subgroup(group, elems(mask)) if handle is None else handle
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +286,7 @@ def _decide(sub: SubgroupHandle, ctx: AlphaContext, kind: str) -> CodeWitness:
         images = ctx.images = {}
     image = images.get(sub.mask)
     if image is None:
-        image = images[sub.mask] = (
-            sub if alpha_preserves(ctx.alpha, sub) else image_subgroup(ctx.alpha, sub)
-        )
+        image = images[sub.mask] = image_subgroup(ctx.alpha, sub)
     preserved = image.mask == sub.mask
     perfect = kind == "perfect"
     if perfect and not preserved:
@@ -320,7 +332,10 @@ def decide_subgroup_tpc(sub: SubgroupHandle, ctx: AlphaContext) -> CodeWitness:
 def is_gc_transversal(ctx: AlphaContext, sub: SubgroupHandle, T, side: str = "right") -> bool:
     """Is T a transversal of the subgroup containing the identity whose
     other members form a valid connection set? An element of T that is not
-    an int in 0..order-1 raises :class:`ValueError`."""
+    an int in 0..order-1 raises :class:`ValueError`, and a context of
+    another group :class:`GenCayleyError`."""
+    if ctx.group is not sub.parent:
+        raise GenCayleyError("context group does not match the subgroup's parent")
     tmask = element_mask(ctx.group.order, T)
     if not tmask & 1:
         return False

@@ -4,7 +4,10 @@ the oracles, the verification suites and the sweeps.
 All set arguments are bitmasks (bit i = element i); neighbor masks are the
 adjacency rows of a generalized Cayley graph. The code searches prune, and
 return the same lists in the same order as the literal scans over all
-subsets kept in ``tests/oracles.py``. The route kernel evaluates a whole
+subsets kept in ``tests/oracles.py``. The subgroup-code search reads
+orbit lanes that :func:`orbit_lanes` packs and checks once per layout of
+translates; ``AlphaContext.orbit_lanes`` keeps an involution's, so its
+perfect and total code scans share them. The route kernel evaluates a whole
 batch of X at once, one w-bit lane of a packed int per X, w being the
 narrowest of 16, 32 and 64 bits that holds an X of order n; a count of at
 most n elements then stays below the top bit of its lane, so no lane
@@ -18,8 +21,9 @@ from array import array
 from functools import reduce
 from itertools import repeat
 from operator import and_, or_, sub
+from typing import NamedTuple
 
-from ._bits import bits
+from ._bits import bits, element_mask
 from .errors import ThresholdError
 
 
@@ -98,9 +102,18 @@ def scan_codes(nbr_masks, kind: int) -> list[int]:
     return out
 
 
-def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int) -> list[int]:
-    """For each subgroup mask, the least orbit-subset mask whose connection
-    set makes it a code, else -1.
+class OrbitLanes(NamedTuple):
+    """The orbit lanes of one layout of translates, as :func:`orbit_lanes`
+    builds them: ``lanes[e]`` has bit ``o*n + v`` when orbit o shows
+    vertex v the element e."""
+
+    n: int
+    num_orbits: int
+    lanes: tuple[int, ...]
+
+
+def orbit_lanes(trans_masks, num_orbits: int, n: int) -> OrbitLanes:
+    """Pack translates into orbit lanes for :func:`scan_subgroup_codes`.
 
     ``trans_masks`` is flattened ``num_orbits x n``: entry ``o*n + g`` holds
     the neighbors vertex g gains when pairing-orbit o joins the connection
@@ -108,36 +121,13 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
     translates of different orbits at one vertex must be disjoint, as
     ``orbit_translate_masks`` gives them (alpha(g)*o for disjoint orbits o),
     so a vertex sees each element from at most one orbit.
-    For one subgroup H, a vertex v sees ``trans & H`` from each orbit; it
-    needs none of H (kind 0 and v in H) or exactly one element of H. An
-    orbit that shows v two elements, or any element when v needs none, can
-    never be chosen and is dropped.
 
-    Every orbit is one n-bit field of a packed int: ``lanes[e]`` has bit
-    ``o*n + v`` when orbit o shows vertex v the element e. So one pass over
-    the elements of H, OR-ing their lanes, finds for all orbits at once the
-    vertices each touches and those it touches twice, and a carry into the
-    top bit of every field marks the orbits left.
-
-    Shift-ORs by n, 2n, 4n, ... fold the usable orbits' fields into
-    prefix unions, field o holding the vertices the usable orbits up to o
-    touch, in ceil(log2 m) steps. The top field is every vertex some
-    usable orbit touches: a subgroup with a needy vertex outside it is
-    answered -1 there, with nothing searched or listed.
-
-    The search decides the orbits from the highest index down, leaving
-    each out before putting it in, so the first leaf reached is the least
-    mask. Its state is one int, the vertices reached so far: an orbit
-    clashes exactly when it touches one of them, since it would show that
-    vertex a second element of H. The search prunes when a vertex still
-    short of its element is touched by none of the undecided orbits. Pure
-    neighbor counting, as in :func:`scan_codes`.
-
-    A ``num_orbits`` below 0, a ``trans_masks`` whose length is not
-    ``num_orbits * n``, a ``kind`` other than 0 or 1, a translate or H
+    Every orbit becomes one n-bit field of a packed int, laid out as
+    :class:`OrbitLanes` describes. A ``num_orbits`` below 0, a
+    ``trans_masks`` whose length is not ``num_orbits * n``, a translate
     mask that is negative or has a bit at or above n, and, checked last,
     two orbits whose translates at one vertex overlap each raise
-    :class:`ValueError` before anything is folded or searched.
+    :class:`ValueError`.
     """
     m = num_orbits
     if m < 0:
@@ -146,12 +136,10 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
         raise ValueError(
             f"trans_masks holds {len(trans_masks)} masks, expected num_orbits * n = {m * n}"
         )
-    _check_kind(kind)
     full = (1 << n) - 1
-    for what, masks in (("translate", trans_masks), ("H", h_masks)):
-        if masks and (min(masks) < 0 or max(masks) > full):
-            bad = next(x for x in masks if not 0 <= x <= full)
-            raise ValueError(f"{what} mask {bad:#x} has an element outside 0..{n - 1}")
+    if trans_masks and (min(trans_masks) < 0 or max(trans_masks) > full):
+        bad = next(x for x in trans_masks if not 0 <= x <= full)
+        raise ValueError(f"translate mask {bad:#x} has an element outside 0..{n - 1}")
     lanes = [0] * n
     shown = [0] * n  # shown[v]: the elements the orbits so far show v
     i = 0
@@ -167,6 +155,50 @@ def scan_subgroup_codes(trans_masks, num_orbits: int, h_masks, n: int, kind: int
                 lanes[low.bit_length() - 1] |= 1 << i
                 t ^= low
             i += 1
+    return OrbitLanes(n, m, tuple(lanes))
+
+
+def scan_subgroup_codes(lanes: OrbitLanes, kind: int, h_masks) -> list[int]:
+    """For each subgroup mask, the least orbit-subset mask whose connection
+    set makes it a code, else -1.
+
+    ``lanes`` comes from :func:`orbit_lanes`, built once per layout of
+    translates and read by any number of scans. For one subgroup H, a
+    vertex v sees ``trans & H`` from each orbit; it needs none of H (kind 0
+    and v in H) or exactly one element of H. An orbit that shows v two
+    elements, or any element when v needs none, can never be chosen and
+    is dropped. One pass over the elements of H, OR-ing their lanes, finds
+    for all orbits at once the vertices each touches and those it touches
+    twice, and a carry into the top bit of every field marks the orbits
+    left.
+
+    Shift-ORs by n, 2n, 4n, ... fold the usable orbits' fields into
+    prefix unions, field o holding the vertices the usable orbits up to o
+    touch, in ceil(log2 m) steps. The top field is every vertex some
+    usable orbit touches: a subgroup with a needy vertex outside it is
+    answered -1 there, with nothing searched or listed.
+
+    The search decides the orbits from the highest index down, leaving
+    each out before putting it in, so the first leaf reached is the least
+    mask. Its state is one int, the vertices reached so far: an orbit
+    clashes exactly when it touches one of them, since it would show that
+    vertex a second element of H. The search prunes when a vertex still
+    short of its element is touched by none of the undecided orbits. Pure
+    neighbor counting, as in :func:`scan_codes`.
+
+    A ``lanes`` that is not an :class:`OrbitLanes` raises
+    :class:`TypeError`; a ``kind`` other than 0 or 1 and an H mask that is
+    negative or has a bit at or above n raise :class:`ValueError`, before
+    anything is folded or searched.
+    """
+    if not isinstance(lanes, OrbitLanes):
+        raise TypeError(f"lanes must come from orbit_lanes, got {type(lanes).__name__}")
+    n, m, lanes = lanes
+    _check_kind(kind)
+    full = (1 << n) - 1
+    if h_masks and (min(h_masks) < 0 or max(h_masks) > full):
+        bad = next(x for x in h_masks if not 0 <= x <= full)
+        raise ValueError(f"H mask {bad:#x} has an element outside 0..{n - 1}")
     orep = sum(1 << o * n for o in range(m))  # the low bit of every orbit field
     low_bits = orep * (full >> 1)  # all but the top bit of every field
     top_bits = low_bits + orep
@@ -272,11 +304,30 @@ def scan_check_routes(n, table, inv_perm, alpha_perm, s_elems, nbr_masks, x_mask
     2^(w-1) - k keeps a lane below 2^w, carries into no other lane, and
     sets its top bit iff the count is at least k. Each route is then the
     top bits of the lanes that pass it, and 16 bits hold the 13 verdict
-    bits. That is O(n*|S| + n^2) big-int operations, none per X. An X that
-    is negative or has a bit at or above n raises :class:`ValueError`, and
-    an order above 64 :class:`~gencayley.errors.ThresholdError`.
+    bits. That is O(n*|S| + n^2) big-int operations, none per X.
+
+    Before any lane is packed, :class:`ValueError` names the argument when
+    ``table``, ``inv_perm``, ``alpha_perm`` or ``nbr_masks`` does not hold
+    n entries, when ``s_elems`` has an element that is not an int in
+    0..n-1 or repeats one, and when a neighbor mask or an X is negative or
+    has a bit at or above n; an order above 64 raises
+    :class:`~gencayley.errors.ThresholdError`.
     """
+    for what, rows in (
+        ("table", table), ("inv_perm", inv_perm), ("alpha_perm", alpha_perm), ("nbr_masks", nbr_masks)
+    ):
+        if len(rows) != n:
+            raise ValueError(f"{what} holds {len(rows)} entries, expected n = {n}")
+    try:
+        s_mask = element_mask(n, s_elems)
+    except ValueError as exc:
+        raise ValueError(f"s_elems: {exc}") from None
+    if s_mask.bit_count() != len(s_elems):
+        raise ValueError(f"s_elems repeats an element: {tuple(s_elems)}")
     full = (1 << n) - 1
+    if nbr_masks and (min(nbr_masks) < 0 or max(nbr_masks) > full):
+        bad = next(m for m in nbr_masks if not 0 <= m <= full)
+        raise ValueError(f"neighbor mask {bad:#x} has an element outside 0..{n - 1}")
     if x_masks and (min(x_masks) < 0 or max(x_masks) > full):
         bad = next(xm for xm in x_masks if not 0 <= xm <= full)
         raise ValueError(f"X mask {bad:#x} has an element outside 0..{n - 1}")
@@ -292,7 +343,7 @@ def scan_check_routes(n, table, inv_perm, alpha_perm, s_elems, nbr_masks, x_mask
     heads = [p << top for p in lanes]  # the same marks in the top bit
 
     # each table as the counts of its rows, plus k1
-    graph = [sum([lanes[a] for a in bits(m & full)], k1) for m in nbr_masks]
+    graph = [sum([lanes[a] for a in bits(m)], k1) for m in nbr_masks]
     translates = [[] for _ in range(n)]
     for a in range(n):
         row = table[alpha_perm[a]]

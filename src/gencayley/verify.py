@@ -30,7 +30,6 @@ from .automorphisms import (
     enumerate_involutory_automorphisms,
     inversion_automorphism,
     involution_contexts,
-    orbit_translate_masks,
     product_automorphism,
 )
 from .census import DEFAULT_CENSUS_MAX_ORDER, _check_size, catalog, census_records
@@ -443,9 +442,7 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
             h_masks = [s.mask for s in subs]
         graphs = {}  # S mask -> graph
         oracle = {}  # least orbit mask -> the graph of its connection set
-        found = kernels.scan_subgroup_codes(
-            orbit_translate_masks(ctx), len(ctx.tau_orbits), h_masks, group.order, kind
-        )
+        found = kernels.scan_subgroup_codes(ctx.orbit_lanes, kind, h_masks)
         for sub, hm, orbit_mask in zip(subs, h_masks, found):
             cases += 1
             witness = decide(sub, ctx)

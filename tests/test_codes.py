@@ -511,6 +511,52 @@ def test_pc_hits_preserve_subgroup_and_miss_image():
                     assert not set(w.subset.elements) & set(image.elements)
 
 
+def test_image_subgroup_is_the_registered_handle_of_the_image():
+    pairs = moved = 0
+    for group in catalog(12):
+        subs = enumerate_subgroups(group)
+        for ctx in involution_contexts(group):
+            for sub in subs:
+                image = image_subgroup(ctx.alpha, sub)
+                literal = tuple(sorted(ctx.alpha.perm[h] for h in sub.elements))
+                assert image.elements == literal, (group.id, ctx.alpha.perm, sub.elements)
+                assert image is subgroup(group, literal)
+                pairs += 1
+                moved += image is not sub
+    assert (pairs, moved) == (829, 338)
+
+
+def test_image_subgroup_validates_an_image_not_yet_registered():
+    # a pickled group starts with an empty registry: alpha(H) is validated
+    # and registered by subgroup() on first use, then found there
+    v4 = pickle.loads(pickle.dumps(build_group("abelian:2,2")))
+    swap = automorphism_from_perm(v4, (0, 2, 1, 3))
+    sub = subgroup(v4, [0, 1])
+    assert set(v4.cache.subgroups) == {0b0011}
+    image = image_subgroup(swap, sub)
+    assert image.elements == (0, 2) and set(v4.cache.subgroups) == {0b0011, 0b0101}
+    assert image_subgroup(swap, sub) is image is subgroup(v4, [0, 2])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z3_ctx, z4_whole, inv4, z6_pair: is_gc_transversal(z3_ctx, z4_whole, [0]),
+        lambda z3_ctx, z4_whole, inv4, z6_pair: alpha_preserves(inv4, z6_pair),
+        lambda z3_ctx, z4_whole, inv4, z6_pair: image_subgroup(inv4, z6_pair),
+    ],
+    ids=["is_gc_transversal", "alpha_preserves", "image_subgroup"],
+)
+def test_subgroup_audits_refuse_another_groups_context(call):
+    # these once answered True, and raised a misleading subgroup-inverse
+    # error, by reading the perm of Z4's inversion on Z6's elements
+    z3, z4, z6 = (build_group(f"cyclic:{n}") for n in (3, 4, 6))
+    z3_ctx = alpha_context(z3, inversion_automorphism(z3)[0])
+    inv4 = inversion_automorphism(z4)[0]
+    with pytest.raises(GenCayleyError, match="does not match the subgroup's parent"):
+        call(z3_ctx, subgroup(z4, range(4)), inv4, subgroup(z6, [0, 3]))
+
+
 def pickled_copy(sub):
     """A pickle round trip of a subgroup handle that keeps its parent group:
     a second handle of the same element set."""

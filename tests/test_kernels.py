@@ -86,6 +86,12 @@ def test_scan_codes_matches_bruteforce_on_random_graphs():
     assert found > 500
 
 
+def _scan(trans, m, h_masks, n, kind):
+    """The subgroup-code kernel on the brute force's arguments: the lanes
+    of the translates, then the scan of the H masks."""
+    return kernels.scan_subgroup_codes(kernels.orbit_lanes(trans, m, n), kind, h_masks)
+
+
 def _random_translates(rng, n, m, width):
     """m orbits of n translate masks, disjoint at each vertex as
     ``orbit_translate_masks`` gives them: asymmetric, up to ``width``
@@ -112,7 +118,7 @@ def test_scan_subgroup_codes_matches_bruteforce_on_random_translates():
         trans = _random_translates(rng, n, m, rng.choice((1, 2, 3)))
         h_masks = [0, (1 << n) - 1] + [_random_mask(rng, n, 0.4) for _ in range(4)]
         for kind in (0, 1):
-            got = kernels.scan_subgroup_codes(trans, m, h_masks, n, kind)
+            got = _scan(trans, m, h_masks, n, kind)
             assert got == scan_subgroup_codes_bruteforce(trans, m, h_masks, n, kind), (
                 trans, m, h_masks, n, kind,
             )
@@ -156,7 +162,7 @@ def test_scan_subgroup_codes_matches_bruteforce_on_wide_layouts():
         trans[empty * n : empty * n + n] = [0] * n
         h_masks = [0, full, hm] + [_random_mask(rng, n, 0.3) for _ in range(3)]
         for kind in (0, 1):
-            got = kernels.scan_subgroup_codes(trans, m, h_masks, n, kind)
+            got = _scan(trans, m, h_masks, n, kind)
             assert got == scan_subgroup_codes_bruteforce(trans, m, h_masks, n, kind), (
                 trans, m, h_masks, n, kind,
             )
@@ -198,7 +204,7 @@ def test_scan_subgroup_codes_matches_bruteforce_on_order_16_contexts():
         for ctx in tops[:3] if group.id == "Z2xZ2xZ2xZ2" else tops[:1]:
             trans = orbit_translate_masks(ctx)
             for kind in (0, 1):
-                assert kernels.scan_subgroup_codes(
+                assert _scan(
                     trans, most, h_masks, 16, kind
                 ) == scan_subgroup_codes_bruteforce(trans, most, h_masks, 16, kind), (
                     group.id, ctx.alpha.perm, kind,
@@ -218,7 +224,7 @@ def test_scan_subgroup_codes_matches_bruteforce_with_at_most_one_orbit(m):
         trans = _random_translates(rng, n, m, rng.choice((1, 2)))
         h_masks = [0b1, (1 << n) - 1]
         for kind in (0, 1):
-            got = kernels.scan_subgroup_codes(trans, m, h_masks, n, kind)
+            got = _scan(trans, m, h_masks, n, kind)
             assert got == scan_subgroup_codes_bruteforce(trans, m, h_masks, n, kind), (
                 trans, m, n, kind,
             )
@@ -241,7 +247,7 @@ def test_scan_subgroup_codes_matches_bruteforce_with_at_most_one_orbit(m):
 def test_scan_subgroup_codes_rejects_before_any_answer(kind, m, trans, h_masks, message):
     # the leading H masks alone would be answered, with or without a search
     with pytest.raises(ValueError, match=message):
-        kernels.scan_subgroup_codes(trans, m, h_masks, 4, kind)
+        _scan(trans, m, h_masks, 4, kind)
 
 
 @pytest.mark.parametrize(
@@ -256,12 +262,14 @@ def test_scan_subgroup_codes_rejects_before_any_answer(kind, m, trans, h_masks, 
 )
 def test_scan_subgroup_codes_rejects_masks_outside_the_group(trans_bad, h_masks, message):
     # a negative translate mask once sent the bit loop on forever, and
-    # out-of-range H masks gave answers; nothing is searched now
-    trans = [0b0001, 0b0010, 0b0100, 0b1000] * 2
+    # out-of-range H masks gave answers; nothing is searched now. The two
+    # orbits are disjoint at every vertex, so the lanes are built and the
+    # H masks reach their check
+    trans = [0b0001, 0b0010, 0b0100, 0b1000, 0b0010, 0b0001, 0b1000, 0b0100]
     if trans_bad is not None:
         trans[5] = trans_bad
     with pytest.raises(ValueError, match=message):
-        kernels.scan_subgroup_codes(trans, 2, h_masks, 4, 0)
+        _scan(trans, 2, h_masks, 4, 0)
 
 
 @pytest.mark.parametrize(
@@ -276,22 +284,22 @@ def test_scan_subgroup_codes_rejects_overlapping_translates(trans, m, n, message
     # two orbits showing one vertex the same element: the search's one-int
     # state would count that element twice
     with pytest.raises(ValueError, match=f"translates of {message}"):
-        kernels.scan_subgroup_codes(trans, m, [0b1], n, 0)
+        _scan(trans, m, [0b1], n, 0)
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
         (
-            lambda: kernels.scan_subgroup_codes([1, 2, 4], 1, [0b0011], 4, 0),
+            lambda: _scan([1, 2, 4], 1, [0b0011], 4, 0),
             "trans_masks holds 3 masks, expected num_orbits \\* n = 4",
         ),
         (
-            lambda: kernels.scan_subgroup_codes([], -1, [0b0011], 4, 0),
+            lambda: _scan([], -1, [0b0011], 4, 0),
             "num_orbits must be at least 0, got -1",
         ),
         (
-            lambda: kernels.scan_subgroup_codes([1, 2, 4, 8], 1, [0b0011], 4, 7),
+            lambda: _scan([1, 2, 4, 8], 1, [0b0011], 4, 7),
             "kind must be 0 \\(perfect\\) or 1 \\(total\\), got 7",
         ),
         (
@@ -308,6 +316,15 @@ def test_kernels_reject_bad_shapes_and_kinds(call, message):
         call()
 
 
+def test_scan_subgroup_codes_takes_only_packed_lanes():
+    # three translates would unpack as (n, num_orbits, lanes) unchecked
+    with pytest.raises(TypeError, match="lanes must come from orbit_lanes, got list"):
+        kernels.scan_subgroup_codes([0b01, 0b10, 0b11], 0, [0b1])
+    lanes = kernels.orbit_lanes([0b10, 0b01], 1, 2)
+    assert lanes == (2, 1, (0b10, 0b01))
+    assert kernels.scan_subgroup_codes(lanes, 1, [0b11]) == [1]
+
+
 def test_kernels_match_bruteforce_on_catalog_to_order_8():
     for group in catalog(8):
         h_masks = [s.mask for s in enumerate_subgroups(group)]
@@ -315,7 +332,7 @@ def test_kernels_match_bruteforce_on_catalog_to_order_8():
             trans = orbit_translate_masks(ctx)
             m = len(ctx.tau_orbits)
             for kind in (0, 1):
-                assert kernels.scan_subgroup_codes(
+                assert _scan(
                     trans, m, h_masks, group.order, kind
                 ) == scan_subgroup_codes_bruteforce(trans, m, h_masks, group.order, kind)
             for subset in enumerate_subsets(ctx):
@@ -481,6 +498,58 @@ def test_scan_check_routes_rejects_x_outside_the_group(bad):
     graph = build_graph(next(enumerate_subsets(involution_contexts(build_group("cyclic:6"))[0])))
     with pytest.raises(ValueError, match=f"X mask {bad:#x} has an element outside 0..5"):
         _kernel_verdicts(graph, [0, 3, bad, 1 << 7])
+
+
+def _z4_full_graph():
+    """Z4 with inversion, tau-orbits {1} and {3}, and S = {1,3}."""
+    group = build_group("cyclic:4")
+    ctx = alpha_context(group, inversion_automorphism(group)[0])
+    return build_graph(subset_from_orbit_mask(ctx, 0b11))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("s_elems", (-1, 1), "s_elems: element -1 is not an int in 0..3"),
+        ("s_elems", (1, 4), "s_elems: element 4 is not an int in 0..3"),
+        ("s_elems", (1, 1.0), "s_elems: element 1.0 is not an int in 0..3"),
+        ("s_elems", (1, 1, 3), "s_elems repeats an element: \\(1, 1, 3\\)"),
+        ("nbr_masks", 3, "nbr_masks holds 3 entries, expected n = 4"),
+        ("nbr_masks", 5, "nbr_masks holds 5 entries, expected n = 4"),
+        ("nbr_masks", (0b1010, 1 << 4, 0b1010, 0b0101), "neighbor mask 0x10 has an element outside 0..3"),
+        ("nbr_masks", (0b1010, -1, 0b1010, 0b0101), "neighbor mask -0x1 has an element outside 0..3"),
+        ("table", 3, "table holds 3 entries, expected n = 4"),
+        ("inv_perm", 5, "inv_perm holds 5 entries, expected n = 4"),
+        ("alpha_perm", 3, "alpha_perm holds 3 entries, expected n = 4"),
+    ],
+)
+def test_scan_check_routes_rejects_malformed_sets_and_tables(monkeypatch, field, value, message):
+    # on Z4 with inversion S=(-1, 1) was read as (3, 1), S=(1, 1, 3) gave
+    # other verdicts than S=(1, 3), and S=(1, 4) raised a bare IndexError;
+    # nothing is packed now, so a lane built would fail the test
+    graph = _z4_full_graph()
+    group = graph.group
+    args = {
+        "table": group.table,
+        "inv_perm": group.inv,
+        "alpha_perm": graph.context.alpha.perm,
+        "s_elems": graph.subset.elements,
+        "nbr_masks": graph.nbr_masks,
+    }
+    assert args["s_elems"] == (1, 3)
+    if isinstance(value, int):  # a row count: cut or pad the argument
+        value = (list(args[field]) * 2)[:value]
+    args[field] = value
+
+    def packed(*_):
+        raise AssertionError("a lane was packed")
+
+    monkeypatch.setattr(kernels, "array", packed)
+    with pytest.raises(ValueError, match=message):
+        kernels.scan_check_routes(
+            4, args["table"], args["inv_perm"], args["alpha_perm"], args["s_elems"],
+            args["nbr_masks"], [0b0001, 0b0101, 0b1111],
+        )
 
 
 def test_verdict_lookup_matches_group_check():

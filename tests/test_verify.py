@@ -186,9 +186,9 @@ def test_code_oracle_reports_every_disagreement(monkeypatch):
             return CodeWitness(GenCayleySubset((1, 3), ctx, mask=0b1010), None, True)
         return real_decide(sub, c)
 
-    def scan(trans, n_orbits, h_masks, n, kind):
-        found = real_scan(trans, n_orbits, h_masks, n, kind)
-        if n == 4 and n_orbits == 2:
+    def scan(lanes, kind, h_masks):
+        found = real_scan(lanes, kind, h_masks)
+        if lanes.n == 4 and lanes.num_orbits == 2:
             found[-1] = 0b01  # S={1} for H=G: X=G is not independent
         return found
 
@@ -228,9 +228,9 @@ def test_tpc_oracle_reports_every_disagreement(monkeypatch):
             return CodeWitness(GenCayleySubset((4, 5), ctx, mask=0b110000), None, True)
         return real_decide(sub, c)
 
-    def scan(trans, n_orbits, h_masks, n, kind):
-        found = real_scan(trans, n_orbits, h_masks, n, kind)
-        if trans == orbit_translate_masks(ctx):
+    def scan(lanes, kind, h_masks):
+        found = real_scan(lanes, kind, h_masks)
+        if lanes == ctx.orbit_lanes:
             found[2] = 0b10  # H={0,4}
             found[-1] = 0b10  # H=G: a wrong oracle mask, while the decider's S={3} holds
         return found
@@ -247,6 +247,38 @@ def test_tpc_oracle_reports_every_disagreement(monkeypatch):
         "group=D3 alpha=0 H={0,4}: oracle witness S={4,5} fails",
         "group=D3 alpha=0 H={0,1,2,3,4,5}: oracle witness S={4,5} fails",
     ]
+
+
+def test_oracle_suites_build_each_contexts_lanes_once(monkeypatch):
+    # the lanes are a cached property of the context: the pc suite builds
+    # them once per involution, and the tpc suite reads the same ones
+    contexts = [ctx for group in catalog(8) for ctx in involution_contexts(group)]
+    for ctx in contexts:
+        ctx.__dict__.pop("orbit_lanes", None)
+    built = []
+    real = kernels.orbit_lanes
+
+    def counted(trans, m, n):
+        built.append((n, m))
+        return real(trans, m, n)
+
+    monkeypatch.setattr(kernels, "orbit_lanes", counted)
+    assert verify.suite_pc_oracle(8).ok
+    assert len(built) == len(contexts) == 48
+    del built[:]
+    assert verify.suite_tpc_oracle(8).ok
+    assert built == []
+
+
+def test_context_lanes_are_the_lanes_of_its_translates():
+    contexts = 0
+    for group in catalog(8):
+        for ctx in involution_contexts(group):
+            fresh = kernels.orbit_lanes(orbit_translate_masks(ctx), len(ctx.tau_orbits), group.order)
+            assert ctx.orbit_lanes == fresh, (group.id, ctx.alpha.perm)
+            assert ctx.orbit_lanes is ctx.orbit_lanes
+            contexts += 1
+    assert contexts == 48
 
 
 def test_census_audits_report_every_problem(monkeypatch):
