@@ -50,10 +50,14 @@ def elems(mask: int) -> tuple[int, ...]:
 
 
 def perm_mask(perm, mask: int) -> int:
-    """Image of a set under a permutation given as an index array."""
-    m = 0
-    for x in bits(mask):
-        m |= 1 << perm[x]
+    """Image of a set under a permutation given as an index array. The
+    mask is read one byte at a time, as :func:`bits` reads it, into no list."""
+    m = base = 0
+    while mask:
+        for i in _BYTE_BITS[mask & 255]:
+            m |= 1 << perm[base + i]
+        mask >>= 8
+        base += 8
     return m
 
 

@@ -52,13 +52,14 @@ def _resolve_group(args):
 
 
 def _resolve_context(args, group):
-    """The involution context of ``--alpha``."""
+    """The involution context of ``--alpha``: ``inv``, an index in ASCII
+    decimal digits, or else a perm file, whose errors name the option."""
     spec = args.alpha
     if spec == "inv":
         alpha, reason = inversion_automorphism(group)
         if alpha is None:
             raise GenCayleyError(f"inversion is not usable here: {reason}")
-    elif spec.isdigit():
+    elif spec.isascii() and spec.isdigit():
         alphas = enumerate_involutory_automorphisms(group)
         idx = int(spec)
         if idx >= len(alphas):
@@ -68,7 +69,10 @@ def _resolve_context(args, group):
             )
         alpha = alphas[idx]
     else:
-        alpha = load_automorphism(spec, group)
+        try:
+            alpha = load_automorphism(spec, group)
+        except GenCayleyError as exc:
+            raise GenCayleyError(f"--alpha {exc}") from exc
     return alpha_context(group, alpha)
 
 
@@ -77,18 +81,19 @@ def _resolve_graph(args):
     the other arguments name."""
     group = _resolve_group(args)
     ctx = _resolve_context(args, group)
-    return build_graph(validate_subset(ctx, _parse_elements(group, args.S)))
+    return build_graph(validate_subset(ctx, _parse_elements(group, args.S, "--S")))
 
 
-def _parse_elements(group, text: str) -> tuple[int, ...]:
-    """Comma-separated element indices; names are accepted when defined."""
+def _parse_elements(group, text: str, option: str) -> tuple[int, ...]:
+    """Comma-separated element indices, ASCII decimal digits after an
+    optional ``-``; names are accepted when defined."""
     if text.strip() == "":
         return ()
     out = []
     name_index = None
     for token in text.split(","):
         token = token.strip()
-        if token.lstrip("-").isdigit():
+        if token.isascii() and token.removeprefix("-").isdigit():
             value = int(token)
         else:
             if name_index is None:
@@ -98,7 +103,7 @@ def _parse_elements(group, text: str) -> tuple[int, ...]:
                     else {}
                 )
             if token not in name_index:
-                raise GenCayleyError(f"unknown element {token!r} in {group.id}")
+                raise GenCayleyError(f"{option}: unknown element {token!r} in {group.id}")
             value = name_index[token]
         out.append(value)
     return tuple(sorted(set(out)))
@@ -183,7 +188,7 @@ def cmd_graph_build(args) -> int:
 def cmd_check(args) -> int:
     graph = _resolve_graph(args)
     group = graph.group
-    x = _parse_elements(group, args.X)
+    x = _parse_elements(group, args.X, "--X")
     if args.kind == "pc":
         value = is_perfect_code(graph, x)
     else:
@@ -199,7 +204,7 @@ def cmd_check(args) -> int:
 def cmd_decide(args) -> int:
     group = _resolve_group(args)
     ctx = _resolve_context(args, group)
-    sub = subgroup(group, _parse_elements(group, args.subgroup))
+    sub = subgroup(group, _parse_elements(group, args.subgroup, "--subgroup"))
     if args.kind == "pc":
         witness = decide_subgroup_pc(sub, ctx)
     else:
@@ -257,11 +262,11 @@ def cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """An argparse type for sizes and counts: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """An argparse type for sizes and counts: an integer of at least 1, in
+    ASCII decimal digits after an optional ``-``."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

@@ -296,7 +296,7 @@ def _decide(sub: SubgroupHandle, ctx: AlphaContext, kind: str) -> CodeWitness:
     reps, reason = _search_transversal(ctx, dec, first)
     if reps is None:
         return CodeWitness(None, reason, preserved)
-    subset = _certify_transversal(ctx, reps, dec, with_identity=perfect)
+    subset = _certify_transversal(ctx, reps, dec, perfect)
     return CodeWitness(subset, None, preserved)
 
 

@@ -344,30 +344,28 @@ def abelian_group(factors: list[int]) -> FiniteGroup:
 # spec parsing
 
 _ALIASES = {"V4": "abelian:2,2"}
+# the one-number atoms, and the one-letter forms ZN, CN, DN and SN
+_ATOMS = {"cyclic": cyclic_group, "dihedral": dihedral_group, "symmetric": symmetric_group}
+_LETTERS = {"z": "cyclic", "c": "cyclic", "d": "dihedral", "s": "symmetric"}
 
 
 def _build_atom(atom: str) -> FiniteGroup:
+    """One factor of a group spec. Its numbers must be ASCII decimal digits:
+    int() alone also reads other scripts' digits, signs and spaces."""
     a = atom.strip()
-    key = a.upper()
-    if key in _ALIASES:
-        a = _ALIASES[key]
-    low = a.lower()
-    if low.startswith("cyclic:"):
-        return cyclic_group(int(low.split(":", 1)[1]))
-    if low.startswith("dihedral:"):
-        return dihedral_group(int(low.split(":", 1)[1]))
-    if low.startswith("symmetric:"):
-        return symmetric_group(int(low.split(":", 1)[1]))
-    if low.startswith("abelian:"):
-        factors = [int(p) for p in low.split(":", 1)[1].split(",") if p]
-        return abelian_group(factors)
-    if len(a) >= 2 and a[0] in "zZcC" and a[1:].isdigit():
-        return cyclic_group(int(a[1:]))
-    if len(a) >= 2 and a[0] in "dD" and a[1:].isdigit():
-        return dihedral_group(int(a[1:]))
-    if len(a) >= 2 and a[0] in "sS" and a[1:].isdigit():
-        return symmetric_group(int(a[1:]))
-    raise ValueError(f"unsupported group spec {atom!r}")
+    low = _ALIASES.get(a.upper(), a).lower()
+    head, colon, arg = low.partition(":")
+    if not colon and low[1:].isascii() and low[1:].isdigit() and low[0] in _LETTERS:
+        head, colon, arg = _LETTERS[low[0]], ":", low[1:]
+    if not colon or (head not in _ATOMS and head != "abelian"):
+        raise ValueError(f"unsupported group spec {atom!r}")
+    numbers = [p for p in arg.split(",") if p] if head == "abelian" else [arg]
+    for p in numbers:
+        if not (p.isascii() and p.isdigit()):
+            raise ValueError(f"group spec {atom!r}: {p!r} is not a decimal number")
+    if head == "abelian":
+        return abelian_group([int(p) for p in numbers])
+    return _ATOMS[head](int(arg))
 
 
 @lru_cache(maxsize=None)

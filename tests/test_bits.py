@@ -1,0 +1,121 @@
+"""The mask helpers in ``_bits`` read a mask one byte at a time through a
+table of each byte's set bits; each must equal its literal one-bit-at-a-time
+definition, on empty masks, masks with all-zero bytes, bits at and past the
+64-bit boundary, and random permutations of up to 200 elements."""
+
+import random
+
+import pytest
+
+from gencayley._bits import bits, element_mask, elems, mask_of, perm_mask
+
+
+def bits_reference(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def perm_mask_reference(perm, mask):
+    image = 0
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            image |= 1 << perm[i]
+    return image
+
+
+def element_mask_reference(items):
+    mask = 0
+    for x in items:
+        mask |= 1 << x
+    return mask
+
+
+# the empty mask, single bits around each byte and word boundary, masks
+# whose set bits are separated by all-zero bytes, and full bytes
+EDGE_MASKS = [
+    0,
+    1,
+    1 << 7,
+    1 << 8,
+    1 << 63,
+    1 << 64,
+    1 << 65,
+    1 << 127,
+    1 << 128,
+    1 << 199,
+    1 | 1 << 40,
+    1 << 63 | 1 << 64,
+    (1 << 63) - 1,
+    (1 << 64) - 1,
+    (1 << 200) - 1,
+    0xFF << 8 | 0xFF << 64,
+    1 | 1 << 199,
+    int("10000001" * 25, 2),
+]
+
+
+def random_masks(rng, n, count):
+    """Random masks of n bits, dense and sparse, some with zero bytes."""
+    out = [rng.getrandbits(n) for _ in range(count)]
+    for _ in range(count):
+        out.append(element_mask_reference(rng.sample(range(n), rng.randint(1, min(3, n)))))
+    return out
+
+
+@pytest.mark.parametrize("mask", EDGE_MASKS, ids=hex)
+def test_bits_and_elems_match_the_definition_on_edge_masks(mask):
+    assert bits(mask) == bits_reference(mask)
+    assert elems(mask) == tuple(bits_reference(mask))
+    assert mask_of(bits(mask)) == mask
+
+
+def test_bits_and_elems_match_the_definition_on_random_masks():
+    rng = random.Random(2024)
+    masks = 0
+    for n in (1, 7, 8, 9, 63, 64, 65, 128, 200):
+        for mask in random_masks(rng, n, 50):
+            assert bits(mask) == bits_reference(mask), hex(mask)
+            assert elems(mask) == tuple(bits_reference(mask)), hex(mask)
+            masks += 1
+    assert masks == 9 * 100
+
+
+def test_perm_mask_matches_the_definition():
+    rng = random.Random(7)
+    cases = 0
+    for n in (1, 2, 8, 9, 24, 63, 64, 65, 100, 129, 200):
+        for _ in range(20):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            masks = [m for m in EDGE_MASKS if m < 1 << n] + random_masks(rng, n, 10)
+            for mask in masks:
+                assert perm_mask(perm, mask) == perm_mask_reference(perm, mask), (n, hex(mask))
+                cases += 1
+    assert cases > 4_000
+
+
+def test_perm_mask_reads_the_index_array_as_given():
+    # a tuple or a list, and the identity leaves every mask unchanged
+    for mask in EDGE_MASKS:
+        assert perm_mask(tuple(range(200)), mask) == mask
+    # the reversal of 0..199 maps bit i to bit 199 - i
+    reverse = list(range(199, -1, -1))
+    assert perm_mask(reverse, 1 | 1 << 64) == 1 << 199 | 1 << 135
+    assert perm_mask(reverse, 0) == 0
+
+
+def test_element_mask_matches_the_definition():
+    rng = random.Random(11)
+    for n in (1, 8, 64, 65, 200):
+        for _ in range(50):
+            items = [rng.randrange(n) for _ in range(rng.randint(0, n))]
+            assert element_mask(n, items) == element_mask_reference(items) == mask_of(items)
+    assert element_mask(200, []) == 0
+    assert element_mask(200, [63, 64, 199]) == 1 << 63 | 1 << 64 | 1 << 199
+    # a bool counts as 0 or 1
+    assert element_mask(2, [True]) == 2
+
+
+@pytest.mark.parametrize("item", [65, -1, 1.0, 2.5, "1", None], ids=repr)
+def test_element_mask_names_the_first_item_outside_the_range(item):
+    with pytest.raises(ValueError, match=f"element {item!r} is not an int in 0..64"):
+        element_mask(65, [0, 64, item, 200])

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import pickle
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,13 @@ import gencayley.cli as cli_module
 import gencayley.codes as codes_module
 import gencayley.groups as groups_module
 import gencayley.verify as verify_module
-from gencayley import enumerate_involutory_automorphisms, enumerate_subgroups
+from gencayley import (
+    alpha_context,
+    decide_subgroup_pc,
+    decide_subgroup_tpc,
+    enumerate_involutory_automorphisms,
+    enumerate_subgroups,
+)
 from gencayley.groups import abelian_group
 from gencayley.census import CSV_COLUMNS, CensusRecord, catalog, census_records, emit_report
 from gencayley.cli import build_parser, main
@@ -227,6 +235,61 @@ def test_pool_records_equal_serial_records():
     assert [record_fields(r, timings) for r in census_records(8, workers=2)] == serial
 
 
+def test_task_records_equal_keyword_built_records(monkeypatch):
+    # task_records passes a record's fields by position; a record built by
+    # keyword from the same decisions pins that order against
+    # dataclasses.fields. The clock reads 0, 0.25 and 0.75 s around each
+    # pair's two decisions, so the pc and tpc timings differ too
+    ticks = itertools.cycle([0.0, 0.25, 0.75])
+    clock = types.SimpleNamespace(perf_counter=lambda: next(ticks))
+    monkeypatch.setattr(census_module, "time", clock)
+    pairs = placeholders = 0
+    for group in catalog(8):
+        alphas = enumerate_involutory_automorphisms(group)
+        if not alphas:
+            (record,) = census_module.task_records((group, None, None, ()))
+            expected = CensusRecord(
+                group_id=group.id, group_order=group.order, note="no-involutory-automorphisms"
+            )
+            assert record_fields(record) == record_fields(expected)
+            placeholders += 1
+            continue
+        subgroups = enumerate_subgroups(group)
+        for idx, alpha in enumerate(alphas):
+            ctx = alpha_context(group, alpha)
+            records = census_module.task_records((group, idx, alpha.perm, subgroups))
+            assert len(records) == len(subgroups)
+            for record, sub in zip(records, subgroups):
+                pc, tpc = decide_subgroup_pc(sub, ctx), decide_subgroup_tpc(sub, ctx)
+                expected = CensusRecord(
+                    group_id=group.id,
+                    group_order=group.order,
+                    alpha_index=idx,
+                    subgroup=sub.elements,
+                    alpha_preserves_subgroup=tpc.alpha_preserves_subgroup,
+                    is_pc=pc.success,
+                    pc_witness=pc.subset.elements if pc.success else None,
+                    pc_refutation=pc.refutation,
+                    is_tpc=tpc.success,
+                    tpc_witness=tpc.subset.elements if tpc.success else None,
+                    tpc_refutation=tpc.refutation,
+                    decide_pc_ms=250.0,
+                    decide_tpc_ms=500.0,
+                )
+                assert record_fields(record) == record_fields(expected), (group.id, idx, sub)
+                pairs += 1
+    assert (pairs, placeholders) == (len(census_records(8)) - 2, 2)
+
+
+def test_census_record_is_slotted():
+    # no attribute dict: a misspelled field cannot be set by mistake
+    record = CensusRecord("Z1", 1)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.is_pcc = True
+    assert [f.name for f in dataclasses.fields(CensusRecord)] == list(CensusRecord.__slots__)
+
+
 def test_pool_chunk_reuses_task_handles(monkeypatch):
     # a pool worker receives a chunk of tasks as one pickle, so its tasks
     # share one group and one list of subgroup handles, outside the
@@ -388,6 +451,51 @@ def test_cli_usage_errors(capsys):
     )
     assert code == 2
     assert "nonabelian" in err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        # other scripts' digits and superscripts: str.isdigit() takes them
+        (["--alpha", "\u0661"], "--alpha \u0661: "),
+        (["--alpha", "\u00b2"], "--alpha \u00b2: "),
+        (
+            ["--group", "cyclic:\u0661\u0662"],
+            "group spec 'cyclic:\u0661\u0662': '\u0661\u0662' is not",
+        ),
+        (["--group", "D\u00b3"], "unsupported group spec 'D\u00b3'"),
+        (["--subgroup", "0,\u00b2"], "--subgroup: unknown element '\u00b2' in Z6"),
+        (["--subgroup", "0,--3"], "--subgroup: unknown element '--3' in Z6"),
+        (["--group", "cyclic:+6"], "group spec 'cyclic:+6': '+6' is not"),
+        (["--group", "abelian:2, 3"], "group spec 'abelian:2, 3': ' 3' is not"),
+    ],
+    ids=["alpha-arabic-indic", "alpha-superscript", "group-arabic-indic", "group-superscript",
+         "subgroup-superscript", "subgroup-double-minus", "group-plus", "group-space"],
+)
+def test_cli_numeric_tokens_are_ascii_decimal_digits(capsys, argv, fragment):
+    # a token that is not ASCII decimal digits is never read as a number,
+    # and the error names its option or spec instead of int()'s message
+    args = {"--group": "cyclic:6", "--alpha": "inv", "--subgroup": "0"}
+    args[argv[0]] = argv[1]
+    code, out, err = run_cli(capsys, "decide", "pc", *itertools.chain(*args.items()))
+    assert code == 2 and out == ""
+    assert fragment in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize("value", ["\u0661\u0662", "\u00b2", "+3", "1_0", " 4", "--3"])
+def test_cli_sizes_are_ascii_decimal_digits(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", f"--max-order={value}"])
+    assert exc.value.code == 2
+    assert f"argument --max-order: invalid int value: {value!r}" in capsys.readouterr().err
+
+
+def test_cli_reads_an_element_with_a_minus_as_a_number(capsys):
+    # one leading minus is read as a number, which the range check rejects
+    code, _, err = run_cli(
+        capsys, "decide", "pc", "--group", "cyclic:6", "--alpha", "inv", "--subgroup", "0,-3"
+    )
+    assert code == 2 and "element -3 is not an int in 0..5" in err
 
 
 def test_cli_export_dot(tmp_path, capsys):
