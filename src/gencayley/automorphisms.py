@@ -301,10 +301,9 @@ class AlphaContext:
     tau_perm: tuple[int, ...]
     # subgroup mask -> a handle of alpha(H), one of H's own mask when
     # alpha preserves it: the perfect and total perfect code decisions of a
-    # pair share one evaluation. Made by codes._decide on first use, or up
-    # front by the census from its task's own handles. None until then, so
-    # building a context allocates nothing for it.
-    images: dict[int, SubgroupHandle] | None = field(default=None, init=False, repr=False)
+    # pair share one evaluation. Filled by codes._decide on first use, or up
+    # front by the census from its task's own handles.
+    images: dict[int, SubgroupHandle] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def group(self) -> FiniteGroup:

@@ -144,7 +144,11 @@ def task_records(args) -> list[CensusRecord]:
     # handle, so neither builds one (a pool worker's handles are unpickled
     # copies, and their cosets are decomposed once for the whole chunk)
     by_mask = {s.mask: s for s in subgroups}
-    ctx.images = {m: by_mask[perm_mask(perm, m)] for m in by_mask}
+    images = ctx.images
+    for m, sub in by_mask.items():
+        if m not in images:  # alpha is an involution: one image per pair {H, alpha(H)}
+            image = perm_mask(perm, m)
+            images[m], images[image] = by_mask[image], sub
     # records are built positionally, in field order: binding 13 keywords
     # took census-24's 27,481 records two to three times as long
     clock, gid, order = time.perf_counter, group.id, group.order

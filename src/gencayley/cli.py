@@ -86,25 +86,25 @@ def _resolve_graph(args):
 
 def _parse_elements(group, text: str, option: str) -> tuple[int, ...]:
     """Comma-separated element indices, ASCII decimal digits after an
-    optional ``-``; names are accepted when defined."""
+    optional ``-``; names are accepted when defined. A token that is the
+    index of one element and the name of another is refused."""
     if text.strip() == "":
         return ()
     out = []
-    name_index = None
+    name_index = {name: i for i, name in enumerate(group.names or ())}
     for token in text.split(","):
         token = token.strip()
+        value = name_index.get(token)
         if token.isascii() and token.removeprefix("-").isdigit():
-            value = int(token)
-        else:
-            if name_index is None:
-                name_index = (
-                    {name: i for i, name in enumerate(group.names)}
-                    if group.names is not None
-                    else {}
+            index = int(token)
+            if value is not None and value != index and 0 <= index < group.order:
+                raise GenCayleyError(
+                    f"{option}: {token!r} is both the index of element {index} and the"
+                    f" name of element {value} in {group.id}"
                 )
-            if token not in name_index:
-                raise GenCayleyError(f"{option}: unknown element {token!r} in {group.id}")
-            value = name_index[token]
+            value = index if value is None else value
+        elif value is None:
+            raise GenCayleyError(f"{option}: unknown element {token!r} in {group.id}")
         out.append(value)
     return tuple(sorted(set(out)))
 

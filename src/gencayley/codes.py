@@ -44,6 +44,7 @@ search over all connection sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import kernels
 from ._bits import bits, element_mask, elems, fmt_set, perm_mask
@@ -55,10 +56,11 @@ from .automorphisms import (
     automorphism_from_perm,
     product_automorphism,
 )
-from .errors import GenCayleyError, ThresholdError
+from .errors import GenCayleyError, SubsetInvalidError, ThresholdError
 from .graphs import (
     GenCayleyGraph,
     GenCayleySubset,
+    _mask_violation,
     build_graph,
     evaluate,
     subset_violation,
@@ -165,7 +167,7 @@ def brute_force_codes(graph: GenCayleyGraph, kind: str = "perfect") -> list[tupl
 # subgroup-level deciders
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CodeWitness:
     """Decision result for one subgroup and involution: exactly one of a
     witness connection set and a refutation reason, plus whether alpha
@@ -199,7 +201,7 @@ def _search_transversal(
     labelled by :func:`_refutation_reason`, else as exhausted."""
     fixed, moved, tau = ctx.big_omega_mask, ctx.mho_mask, ctx.tau_perm
     masks, rep_of = dec.masks, dec.rep_of
-    full = (1 << dec.index) - 1
+    full = (1 << len(masks)) - 1
     taken, reps = (1 << first) - 1, []  # bit ci: coset ci is filled or not required
     while taken != full:
         low = ~taken & taken + 1  # the lowest free coset
@@ -235,13 +237,8 @@ def _refutation_reason(ctx: AlphaContext, dec: CosetDecomposition, first: int) -
     for cm in required:
         if cm & omega == cm:
             return REFUTATION_OMEGA_COSET
-    for cm in required:
-        if cm & big_omega:
-            continue
-        m = cm & moved
-        while m and cm >> tau[(m & -m).bit_length() - 1] & 1:
-            m &= m - 1  # the lowest one's partner is in the coset too
-        if not m:
+    for cm in required:  # the tau-partners of its tau-moved elements stay inside it
+        if not cm & big_omega and not perm_mask(tau, cm & moved) & ~cm:
             return REFUTATION_SELF_PAIRED
     return None
 
@@ -251,18 +248,37 @@ def _certify_transversal(
 ) -> GenCayleySubset:
     """The witness certificate: the elements form a valid connection set S,
     and S (with the identity when ``with_identity`` is set) meets every
-    coset of ``dec`` exactly once. Costs O(|S|); raises
-    :class:`GenCayleyError` when the certificate fails."""
-    subset = validate_subset(ctx, elements)
-    seen = 1 if with_identity else 0  # bit ci: coset ci already met
-    for s in subset.elements:
-        bit = 1 << dec.rep_of[s]
-        if seen & bit:
-            raise GenCayleyError(f"witness meets coset {dec.rep_of[s]} twice")
-        seen |= bit
-    if seen != (1 << dec.index) - 1:
+    coset of ``dec`` exactly once. One O(|S|) read of the elements builds
+    S's mask, its tau-image and the cosets it meets. It raises
+    :class:`GenCayleyError` on the first fault in this order: a fault of
+    :func:`validate_subset`, with its reason and witness element; "meets
+    coset i twice", for the first repeat in ascending element order; "not
+    a transversal"."""
+    tau, rep_of = ctx.tau_perm, dec.rep_of
+    mask = image = met = 0  # S, tau(S) and the cosets S meets
+    elements = iter(elements)
+    for s in elements:
+        try:  # an s that is no int in 0..n-1 fails: tau[s] from n on, 1 << s below 0
+            image |= 1 << tau[s]
+            mask |= 1 << s
+            met |= 1 << rep_of[s]
+        except (TypeError, ValueError, IndexError):
+            # the elements before s are ints in range, so the validator names
+            # the same fault on s and the rest as on all of them
+            raise SubsetInvalidError(*subset_violation(ctx, chain((s,), elements))) from None
+    bad = _mask_violation(ctx, mask, image)
+    if bad is not None:
+        raise SubsetInvalidError(*bad)
+    index = len(dec.masks)
+    # |S| + with_identity elements meeting all index cosets meet each once
+    if met | with_identity != (1 << index) - 1 or mask.bit_count() + with_identity != index:
+        seen = 1 if with_identity else 0  # bit ci: coset ci already met
+        for s in bits(mask):
+            if seen >> rep_of[s] & 1:
+                raise GenCayleyError(f"witness meets coset {rep_of[s]} twice")
+            seen |= 1 << rep_of[s]
         raise GenCayleyError("witness is not a transversal of the cosets")
-    return subset
+    return GenCayleySubset(elems(mask), ctx, mask)
 
 
 def _decide(sub: SubgroupHandle, ctx: AlphaContext, kind: str) -> CodeWitness:
@@ -279,19 +295,17 @@ def _decide(sub: SubgroupHandle, ctx: AlphaContext, kind: str) -> CodeWitness:
     alpha preserves H is read from the masks, so any handle of the same
     element set gives the same answer.
     """
-    if ctx.group is not sub.parent:
+    if ctx.alpha.parent is not sub.parent:
         raise GenCayleyError("context group does not match the subgroup's parent")
-    images = ctx.images
-    if images is None:
-        images = ctx.images = {}
-    image = images.get(sub.mask)
+    mask = sub.mask
+    image = ctx.images.get(mask)
     if image is None:
-        image = images[sub.mask] = image_subgroup(ctx.alpha, sub)
-    preserved = image.mask == sub.mask
+        image = ctx.images[mask] = image_subgroup(ctx.alpha, sub)
+    preserved = image.mask == mask
     perfect = kind == "perfect"
     if perfect and not preserved:
         return CodeWitness(None, REFUTATION_ALPHA, False)
-    dec = cosets(image, "right")
+    dec = image.decompositions.get("right") or cosets(image, "right")
     first = 1 if perfect else 0
     reps, reason = _search_transversal(ctx, dec, first)
     if reps is None:

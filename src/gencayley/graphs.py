@@ -34,12 +34,12 @@ from .groups import FiniteGroup
 MAX_SUBSET_ORBITS = 20  # enumerating connection sets scans 2^orbits choices
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GenCayleySubset:
     """A validated connection set for a fixed involution context, with
-    ``mask`` the mask of ``elements``, given when it is built. The
-    validator passes it by position: a keyword argument costs the census
-    about 2% for its tens of thousands of witnesses."""
+    ``mask`` the mask of ``elements``, given when it is built. Builders
+    pass it by position: a keyword argument costs the census about 2% for
+    its tens of thousands of witnesses. Slotted: no attribute dict."""
 
     elements: tuple[int, ...]
     context: AlphaContext
@@ -80,14 +80,20 @@ def _violation(ctx: AlphaContext, elements: Iterable[int]):
             return mask, ("not-an-integer", s)
     if low is not None:
         return mask, ("out-of-range", low)
+    return mask, _mask_violation(ctx, mask, image)
+
+
+def _mask_violation(ctx: AlphaContext, mask: int, image: int):
+    """The first omega-intersection or tau-closure fault, as in
+    :func:`_violation`, of the set ``mask`` with tau-image ``image``."""
     hit = mask & ctx.omega_mask
     if hit:
-        return mask, ("omega-intersection", bits(hit)[0])
+        return "omega-intersection", (hit & -hit).bit_length() - 1
     # tau is an involution, so s has its partner in S exactly when s is in tau(S)
     unpaired = mask & ~image
     if unpaired:
-        return mask, ("tau-closure", bits(unpaired)[0])
-    return mask, None
+        return "tau-closure", (unpaired & -unpaired).bit_length() - 1
+    return None
 
 
 def validate_subset(ctx: AlphaContext, elements: Iterable[int]) -> GenCayleySubset:

@@ -359,7 +359,7 @@ def _build_atom(atom: str) -> FiniteGroup:
         head, colon, arg = _LETTERS[low[0]], ":", low[1:]
     if not colon or (head not in _ATOMS and head != "abelian"):
         raise ValueError(f"unsupported group spec {atom!r}")
-    numbers = [p for p in arg.split(",") if p] if head == "abelian" else [arg]
+    numbers = arg.split(",") if head == "abelian" else [arg]
     for p in numbers:
         if not (p.isascii() and p.isdigit()):
             raise ValueError(f"group spec {atom!r}: {p!r} is not a decimal number")
@@ -375,11 +375,12 @@ def build_group(spec: str) -> FiniteGroup:
     Accepted atoms: ``cyclic:N`` (``ZN``/``CN``), ``dihedral:N`` (``DN``,
     order 2N), ``symmetric:N`` (``SN``, N <= 5), ``abelian:d1,d2,...`` and
     the alias ``V4``. Atoms joined with ``x`` form direct products, e.g.
-    ``Z2xZ4`` or ``dihedral:4xcyclic:2``.
+    ``Z2xZ4`` or ``dihedral:4xcyclic:2``; an empty atom or abelian factor
+    raises :class:`ValueError`.
     """
-    parts = [p for p in spec.split("x") if p.strip()]
-    if not parts:
-        raise ValueError(f"empty group spec {spec!r}")
+    parts = spec.split("x")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"group spec {spec!r} has an empty part")
     group = _build_atom(parts[0])
     for part in parts[1:]:
         group = direct_product(group, _build_atom(part))

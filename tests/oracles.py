@@ -2,14 +2,19 @@
 
 Everything here recomputes results from first principles (definition-level
 scans over subsets or edges) without touching the package's decision
-procedures, so agreement is meaningful. The bijection and generator-subset
-oracles live in :mod:`gencayley.verify`, which runs them too.
+procedures, so agreement is meaningful. The one exception is
+:func:`certify_by_two_passes`, the earlier form of the witness
+certificate, which calls the package's connection-set validator. The
+bijection and generator-subset oracles live in :mod:`gencayley.verify`,
+which runs them too.
 """
 
 from __future__ import annotations
 
 from gencayley import kernels
 from gencayley._bits import mask_of
+from gencayley.errors import GenCayleyError
+from gencayley.graphs import validate_subset
 
 
 def gc_edges_by_rule(group, alpha_perm, S) -> set[frozenset[int]]:
@@ -288,6 +293,23 @@ def refutation_reason_by_scan(ctx, dec, first: int) -> str:
         ):
             return "self-paired-coset-without-big-omega-element"
     return "search-exhausted"
+
+
+def certify_by_two_passes(ctx, elements, dec, with_identity: bool):
+    """Literal reference for ``codes._certify_transversal``: the package's
+    connection-set validator first, then one pass over the validated
+    elements in ascending order marking the cosets they meet, which raises
+    on the first coset met twice and, after the pass, on a coset missed."""
+    subset = validate_subset(ctx, elements)
+    seen = 1 if with_identity else 0  # bit ci: coset ci already met
+    for s in subset.elements:
+        bit = 1 << dec.rep_of[s]
+        if seen & bit:
+            raise GenCayleyError(f"witness meets coset {dec.rep_of[s]} twice")
+        seen |= bit
+    if seen != (1 << dec.index) - 1:
+        raise GenCayleyError("witness is not a transversal of the cosets")
+    return subset
 
 
 def witness_abelian_by_scan(sub, ctx, dec) -> list[int]:

@@ -25,6 +25,7 @@ from gencayley import (
     enumerate_involutory_automorphisms,
     enumerate_subgroups,
 )
+from gencayley._bits import perm_mask
 from gencayley.groups import abelian_group
 from gencayley.census import CSV_COLUMNS, CensusRecord, catalog, census_records, emit_report
 from gencayley.cli import build_parser, main
@@ -288,6 +289,30 @@ def test_census_record_is_slotted():
     with pytest.raises(AttributeError):
         record.is_pcc = True
     assert [f.name for f in dataclasses.fields(CensusRecord)] == list(CensusRecord.__slots__)
+
+
+def test_task_images_match_direct_perm_masks(monkeypatch):
+    # task_records computes alpha(H) once per pair {H, alpha(H)}; every
+    # context's images must still map each subgroup to the task's own
+    # handle of its image
+    contexts = []
+
+    def recording(group, alpha):
+        contexts.append(alpha_context(group, alpha))
+        return contexts[-1]
+
+    monkeypatch.setattr(census_module, "alpha_context", recording)
+    records = census_records(24)
+    pairs = 0
+    for ctx in contexts:
+        subs = enumerate_subgroups(ctx.group)
+        assert len(ctx.images) == len(subs)
+        for sub in subs:
+            image = ctx.images[sub.mask]
+            assert image.mask == perm_mask(ctx.alpha.perm, sub.mask)
+            assert any(image is s for s in subs)
+            pairs += 1
+    assert pairs == len(records) - sum(r.note is not None for r in records) == 27481
 
 
 def test_pool_chunk_reuses_task_handles(monkeypatch):
@@ -614,6 +639,68 @@ def test_cli_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, argv,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err and "No such file" in err
+
+
+@pytest.mark.parametrize("spec", ["Z2x", "xZ3", "Z2xxZ3", "abelian:2,x", "abelian:2,,3"])
+def test_cli_refuses_empty_spec_parts(capsys, spec):
+    # these once built Z2, Z3, Z2xZ3, Z2 and Z2xZ3 without a word
+    code, out, err = run_cli(capsys, "decide", "pc", "--group", spec, "--alpha", "0",
+                             "--subgroup", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and repr(spec) in err
+
+
+def z3_named_file(tmp_path, names):
+    path = tmp_path / "z3named.json"
+    path.write_text(
+        json.dumps(
+            {"name": "Z3n", "order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+             "names": names}
+        )
+    )
+    return str(path)
+
+
+def test_cli_refuses_a_token_that_is_an_index_and_another_name(tmp_path, capsys):
+    # "2" is the index of element 2 and the name of element 1; it once
+    # silently took element 2
+    path = z3_named_file(tmp_path, ["e", "2", "1"])
+    code, out, err = run_cli(
+        capsys, "decide", "tpc", "--group-file", path, "--alpha", "0", "--subgroup", "2"
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --subgroup: '2' is both the index of element 2 and the name of"
+        " element 1 in Z3n\n"
+    )
+    code, _, err = run_cli(
+        capsys, "graph", "build", "--group-file", path, "--alpha", "0", "--S", "0,1"
+    )
+    assert code == 2 and "--S: '1' is both the index of element 1 and the name of element 2" in err
+
+
+@pytest.mark.parametrize(
+    "names, token, elements",
+    [
+        (["e", "2", "1"], "0", "{0}"),  # a plain index, not a name
+        (["e", "2", "1"], "e", "{0}"),  # a non-digit name
+        (["0", "a", "b"], "0", "{0}"),  # a digit name equal to its own index
+        (["e", "a", "b"], "0", "{0}"),  # an index in a group without digit names
+        (["e", "2", "1"], "e,0", "{0}"),  # a name and an index of one element
+    ],
+)
+def test_cli_element_tokens_that_stay_unambiguous(tmp_path, capsys, names, token, elements):
+    path = z3_named_file(tmp_path, names)
+    code, out, _ = run_cli(
+        capsys, "decide", "tpc", "--group-file", path, "--alpha", "0", "--subgroup", token
+    )
+    assert code == 0 and f"subgroup={elements} kind=tpc" in out
+
+
+def test_cli_digit_name_past_the_order_is_a_name(tmp_path):
+    # "7" is no index of Z3, so it can only mean the element named "7"
+    group = groups_module.load_group_file(z3_named_file(tmp_path, ["e", "a", "7"]))
+    assert cli_module._parse_elements(group, "7,a", "--S") == (1, 2)
 
 
 def test_cli_rejects_duplicate_element_names(tmp_path, capsys):

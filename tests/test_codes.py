@@ -1,8 +1,10 @@
 import ast
 import dataclasses
 import io
+import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 import textwrap
@@ -60,8 +62,10 @@ from gencayley import (
 )
 import gencayley.codes as codes_module
 import gencayley.verify as verify_module
+from gencayley._bits import elems
 
 from oracles import (
+    certify_by_two_passes,
     codes_by_definition,
     exists_pc_connection_set,
     refutation_reason_by_scan,
@@ -921,6 +925,116 @@ def test_certificate_faults_raise_under_optimize_flag():
     )
     expected = [f"{name} {message}" for name, (_, message) in sorted(witness_faults().items())]
     assert run_optimized(code) == expected
+
+
+def certificate_outcome(certify, ctx, elements, dec, with_identity):
+    """The witness's elements and mask, or the type and message of the
+    certificate's fault."""
+    try:
+        subset = certify(ctx, elements, dec, with_identity)
+    except GenCayleyError as exc:
+        return type(exc), str(exc)
+    return subset.elements, subset.mask
+
+
+def test_certificate_matches_two_pass_reference_on_census_witnesses():
+    # every witness the search returns on the census-24 pairs: 25,233 of
+    # the 36,926 searches
+    cases = Counter()
+    for group in catalog(24):
+        subs = enumerate_subgroups(group)
+        for ctx in involution_contexts(group):
+            for sub in subs:
+                image = image_subgroup(ctx.alpha, sub)
+                dec = cosets(image, "right")
+                for first in (1, 0) if image.mask == sub.mask else (0,):
+                    reps, _ = codes_module._search_transversal(ctx, dec, first)
+                    cases[reps is not None] += 1
+                    if reps is None:
+                        continue
+                    expected, got = (
+                        certificate_outcome(certify, ctx, reps, dec, first == 1)
+                        for certify in (certify_by_two_passes, codes_module._certify_transversal)
+                    )
+                    assert got == expected and got[0] == elems(got[1])
+    assert cases == {True: 25233, False: 11693}
+
+
+def certificate_fault_inputs():
+    """Element lists that break the certificate in one or several ways, on
+    V4 with the coordinate swap (loop set {0, 3}, tau exchanges 1 and 2),
+    Z6 with inversion (loop set {0, 2, 4}, tau fixes every element) and Z8
+    with the identity (loop set {0}, tau(x) = -x), where a set can meet two
+    cosets twice each. Each is tried on the right cosets of every subgroup,
+    with and without the identity."""
+    return [
+        [-1], [-1, 1, 2], [1, 2, -3, 9], [-1, "a"],  # negative: rep_of[-1] wraps
+        [1.0, 2], [1.5], [2, 7.5], [7.5, 1.5], [1, 2, 2.0],  # floats
+        ["1", 2], [5, "a"], ["a", 9], [1, 2, None],  # strings, None
+        [True, 2], [False], [True, True, 2],  # bools count as 0 or 1
+        [1, 2, 9], [9, 1, 1, 2, 2], [1, 2, 3, 1],  # out of range, repeats
+        [4], [6], [10**20], [1, -10**20], [2, 2**63, -2],  # the order, huge ints
+        [1, 5, 3, 0], [1], [5, 1, 1], [3, 3], [],  # loop set, tau, repeats
+        [1, 2, 3, 4, 5], [5, 3, 1], [2, 1], [3],  # transversals or repeated cosets
+        [7, 5, 3, 1], [1, 7, 2, 6, 3, 5, 4], [6, 2, 4], [4, 7, 1],
+    ]
+
+
+def test_certificate_faults_match_two_pass_reference():
+    outcomes = Counter()
+    for spec, perm in (
+        ("V4", (0, 2, 1, 3)), ("cyclic:6", (0, 5, 4, 3, 2, 1)), ("cyclic:8", tuple(range(8)))
+    ):
+        group = build_group(spec)
+        ctx = alpha_context(group, automorphism_from_perm(group, perm))
+        for sub, elements, with_identity in itertools.product(
+            enumerate_subgroups(group), certificate_fault_inputs(), (True, False)
+        ):
+            dec = cosets(sub, "right")
+            expected = certificate_outcome(certify_by_two_passes, ctx, elements, dec, with_identity)
+            for given in (list(elements), tuple(elements), (x for x in elements)):
+                got = certificate_outcome(
+                    codes_module._certify_transversal, ctx, given, dec, with_identity
+                )
+                assert got == expected, (spec, sub.elements, elements, with_identity)
+            fault = expected[1] if isinstance(expected[0], type) else "ok"
+            outcomes[re.sub(r"\d+", "i", fault.split(" (")[0])] += 1
+    # every fault class is reached, and some inputs pass
+    assert set(outcomes) == {
+        "invalid connection set: not-an-integer",
+        "invalid connection set: out-of-range",
+        "invalid connection set: omega-intersection",
+        "invalid connection set: tau-closure",
+        "witness meets coset i twice",
+        "witness is not a transversal of the cosets",
+        "ok",
+    }
+
+
+def test_certificate_lets_the_producers_own_errors_through(v4_swap_ctx):
+    # an error raised while producing the elements is not a fault of one
+    dec = cosets(subgroup(v4_swap_ctx.group, [0, 1]), "right")
+    for error in (TypeError, ValueError, IndexError):
+        def produce():
+            yield 1
+            raise error("from the producer")
+
+        for certify in (certify_by_two_passes, codes_module._certify_transversal):
+            with pytest.raises(error, match="from the producer"):
+                certify(v4_swap_ctx, produce(), dec, False)
+
+
+@pytest.mark.parametrize("make", [
+    lambda ctx: CodeWitness(None, "x", True),
+    lambda ctx: GenCayleySubset((), ctx, 0),
+], ids=["CodeWitness", "GenCayleySubset"])
+def test_decision_results_are_slotted(v4_swap_ctx, make):
+    # no attribute dict: a misspelled attribute cannot be set by mistake
+    result = make(v4_swap_ctx)
+    assert not hasattr(result, "__dict__")
+    with pytest.raises(AttributeError):
+        result.elemnts = ()
+    assert [f.name for f in dataclasses.fields(result)] == list(type(result).__slots__)
 
 
 def test_package_has_no_debug_only_code():

@@ -124,6 +124,15 @@ def test_unsupported_spec():
         build_group("symmetric:6")
 
 
+@pytest.mark.parametrize("spec", ["Z2x", "xZ3", "Z2xxZ3", "abelian:2,x", "abelian:2,,3", "", " x "])
+def test_empty_spec_parts_are_refused(spec):
+    # an empty atom or abelian factor once dropped out: Z2x built Z2 and
+    # abelian:2,,3 built Z2xZ3
+    with pytest.raises(ValueError) as err:
+        build_group(spec)
+    assert repr(spec) in str(err.value)
+
+
 def test_subgroups_z6(z6):
     subs = [s.elements for s in enumerate_subgroups(z6)]
     assert subs == [(0,), (0, 3), (0, 2, 4), (0, 1, 2, 3, 4, 5)]
