@@ -357,9 +357,7 @@ class AlphaContext:
         """The tau-orbits' translates packed by :func:`kernels.orbit_lanes`,
         built and checked on first use and kept: the perfect and total code
         scans of this involution read the same lanes."""
-        return kernels.orbit_lanes(
-            orbit_translate_masks(self), len(self.tau_orbits), self.group.order
-        )
+        return kernels.orbit_lanes(orbit_translate_masks(self), self.group.order)
 
 
 def alpha_context(group: FiniteGroup, alpha: Automorphism) -> AlphaContext:

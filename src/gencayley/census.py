@@ -18,8 +18,14 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from ._bits import perm_mask
-from .automorphisms import Automorphism, alpha_context, enumerate_involutory_automorphisms
+from .automorphisms import (
+    AUT_ENUM_LIMIT,
+    Automorphism,
+    alpha_context,
+    enumerate_involutory_automorphisms,
+)
 from .codes import decide_subgroup_pc, decide_subgroup_tpc
+from .errors import ThresholdError
 from .groups import FiniteGroup, build_group, enumerate_subgroups
 
 DEFAULT_CENSUS_MAX_ORDER = 24
@@ -179,9 +185,18 @@ def census_records(
     A group with no involutory automorphism contributes a single
     placeholder record noting the empty sweep. Results are merged in task
     order, so the output is identical for any worker count. A ``workers``
-    that is not an int of at least 1 raises :class:`ValueError`.
+    or ``max_order`` that is not an int of at least 1 raises
+    :class:`ValueError`, and a ``max_order`` above ``AUT_ENUM_LIMIT``
+    raises :class:`~gencayley.errors.ThresholdError`, before any group is
+    built: the catalog holds a cyclic group of every order.
     """
     _check_size("workers", workers)
+    _check_size("max_order", max_order)
+    if max_order > AUT_ENUM_LIMIT:
+        raise ThresholdError(
+            f"census limited to max_order <= {AUT_ENUM_LIMIT} by automorphism enumeration,"
+            f" got {max_order}"
+        )
     tasks = []
     for group in catalog(max_order):
         alphas = enumerate_involutory_automorphisms(group)

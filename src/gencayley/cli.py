@@ -42,10 +42,21 @@ SET_LABELS = (
 
 
 def _resolve_group(args):
+    """The group of ``--group`` or ``--group-file``. A file element name
+    that an element list cannot give as one token is an error naming its
+    ``names`` entry."""
     if getattr(args, "group_file", None):
         if getattr(args, "group", None):
             raise GenCayleyError("pass either --group or --group-file, not both")
-        return load_group_file(args.group_file)
+        group = load_group_file(args.group_file)
+        for i, name in enumerate(group.names or ()):
+            if not _is_token(name):
+                raise GenCayleyError(
+                    f"{args.group_file}: field 'names' entry {i} = {name!r} is not one"
+                    " element-list token: it must be nonempty, without surrounding"
+                    " whitespace, with balanced parentheses and no comma outside them"
+                )
+        return group
     if not getattr(args, "group", None):
         raise GenCayleyError("a group is required (--group or --group-file)")
     return build_group(args.group)
@@ -84,16 +95,45 @@ def _resolve_graph(args):
     return build_graph(validate_subset(ctx, _parse_elements(group, args.S, "--S")))
 
 
+def _split_elements(text: str) -> list[str]:
+    """The tokens of an element list: ``text`` split at each comma outside
+    parentheses, each piece stripped of surrounding whitespace. A product
+    element's name such as ``((0,1),0)`` stays one token."""
+    tokens, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and not depth:
+            tokens.append(text[start:i].strip())
+            start = i + 1
+    tokens.append(text[start:].strip())
+    return tokens
+
+
+def _is_token(name: str) -> bool:
+    """Does :func:`_split_elements` give ``name`` back as one token, in any
+    list? It must be nonempty, without surrounding whitespace, with
+    balanced parentheses and no comma outside them."""
+    depth = 0
+    for ch in name:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0 or (ch == "," and not depth):
+            return False
+    return not depth and name.strip() == name != ""
+
+
 def _parse_elements(group, text: str, option: str) -> tuple[int, ...]:
-    """Comma-separated element indices, ASCII decimal digits after an
-    optional ``-``; names are accepted when defined. A token that is the
-    index of one element and the name of another is refused."""
+    """An element list (:func:`_split_elements`) of element indices, ASCII
+    decimal digits after an optional ``-``; names are accepted when
+    defined. A token that is the index of one element and the name of
+    another is refused."""
     if text.strip() == "":
         return ()
     out = []
     name_index = {name: i for i, name in enumerate(group.names or ())}
-    for token in text.split(","):
-        token = token.strip()
+    for token in _split_elements(text):
         value = name_index.get(token)
         if token.isascii() and token.removeprefix("-").isdigit():
             index = int(token)

@@ -80,8 +80,7 @@ from .groups import (
 
 BRUTE_FORCE_LIMIT = 20
 
-# the two code kinds, in the order of the kernels' 0/1 kind index
-CODE_KINDS = ("perfect", "total")
+CODE_KINDS = kernels.CODE_KINDS  # the two code kinds, by name
 
 REFUTATION_ALPHA = "alpha-not-preserving"
 REFUTATION_SELF_PAIRED = "self-paired-coset-without-big-omega-element"
@@ -139,14 +138,6 @@ def is_total_perfect_code(graph: GenCayleyGraph, X, mode: str = "graph") -> bool
     return evaluate("total", graph, X, mode)
 
 
-def _kind_index(kind: str) -> int:
-    """The kernels' index of a code kind; :class:`ValueError` for any kind
-    not in :data:`CODE_KINDS`."""
-    if kind not in CODE_KINDS:
-        raise ValueError(f"kind must be one of {CODE_KINDS}, got {kind!r}")
-    return CODE_KINDS.index(kind)
-
-
 def brute_force_codes(graph: GenCayleyGraph, kind: str = "perfect") -> list[tuple[int, ...]]:
     """All codes of the requested kind, by an exact search over vertex subsets.
 
@@ -159,7 +150,7 @@ def brute_force_codes(graph: GenCayleyGraph, kind: str = "perfect") -> list[tupl
         raise ThresholdError(
             f"brute-force code scan limited to order <= {BRUTE_FORCE_LIMIT}, got {n}"
         )
-    masks = kernels.scan_codes(graph.nbr_masks, _kind_index(kind))
+    masks = kernels.scan_codes(graph.nbr_masks, kind)
     return [elems(m) for m in masks]
 
 
@@ -441,7 +432,9 @@ def _pair_group(sub: SubgroupHandle, subset: GenCayleySubset) -> FiniteGroup:
 
 
 def _code_pair_holds(sub: SubgroupHandle, subset: GenCayleySubset, kind: str) -> bool:
-    check = (is_perfect_code, is_total_perfect_code)[_kind_index(kind)]
+    kernels._check_kind(kind)
+    # the checks are looked up at call time, so a wrapper set on them sees each call
+    check = is_perfect_code if kind == "perfect" else is_total_perfect_code
     return check(build_graph(subset), sub.elements)
 
 

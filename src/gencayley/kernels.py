@@ -27,19 +27,33 @@ from ._bits import bits, element_mask
 from .errors import ThresholdError
 
 
+# the two code kinds, by name, as every code search and decider takes them
+CODE_KINDS = ("perfect", "total")
+
+
 def _check_kind(kind) -> None:
-    """Input check: :class:`ValueError` unless ``kind`` is 0 (perfect) or
-    1 (total)."""
-    if kind not in (0, 1):
-        raise ValueError(f"kind must be 0 (perfect) or 1 (total), got {kind!r}")
+    """Input check: :class:`ValueError` unless ``kind`` is one of
+    :data:`CODE_KINDS`."""
+    if kind not in CODE_KINDS:
+        raise ValueError(f"kind must be one of {CODE_KINDS}, got {kind!r}")
 
 
-def scan_codes(nbr_masks, kind: int) -> list[int]:
+def _check_masks(what: str, masks, n: int) -> None:
+    """Input check: :class:`ValueError` naming ``what`` and the first mask
+    that is negative or has a bit at or above ``n``."""
+    full = (1 << n) - 1
+    if masks and (min(masks) < 0 or max(masks) > full):
+        bad = next(m for m in masks if not 0 <= m <= full)
+        raise ValueError(f"{what} mask {bad:#x} has an element outside 0..{n - 1}")
+
+
+def scan_codes(nbr_masks, kind: str) -> list[int]:
     """All vertex subsets that are codes, as ascending masks.
 
-    kind 1: total perfect codes (every vertex has exactly one neighbor in
-    the set); kind 0: perfect codes (members have no neighbor in the set,
-    everyone else exactly one); any other kind raises :class:`ValueError`.
+    kind ``"total"``: total perfect codes (every vertex has exactly one
+    neighbor in the set); kind ``"perfect"``: perfect codes (members have
+    no neighbor in the set, everyone else exactly one). Any other kind and
+    a neighbor mask outside 0..n-1 raise :class:`ValueError`.
     Both are exact hitting: X is a code iff every vertex v has exactly one
     member of X in C_v, where C_v is N(v) for total codes and N(v) + {v}
     for perfect codes (a vertex with a self-loop can then never be a
@@ -51,12 +65,12 @@ def scan_codes(nbr_masks, kind: int) -> list[int]:
     """
     _check_kind(kind)
     n = len(nbr_masks)
+    _check_masks("neighbor", nbr_masks, n)
     full = (1 << n) - 1
-    total = kind == 1
+    total = kind == "total"
     eligible = full  # the vertices that may be members
     cons = []
-    for v, m in enumerate(nbr_masks):
-        c = m & full
+    for v, c in enumerate(nbr_masks):
         if not total:
             if c >> v & 1:
                 eligible &= ~(1 << v)
@@ -112,10 +126,10 @@ class OrbitLanes(NamedTuple):
     lanes: tuple[int, ...]
 
 
-def orbit_lanes(trans_masks, num_orbits: int, n: int) -> OrbitLanes:
+def orbit_lanes(trans_masks, n: int) -> OrbitLanes:
     """Pack translates into orbit lanes for :func:`scan_subgroup_codes`.
 
-    ``trans_masks`` is flattened ``num_orbits x n``: entry ``o*n + g`` holds
+    ``trans_masks`` is flattened n masks per orbit: entry ``o*n + g`` holds
     the neighbors vertex g gains when pairing-orbit o joins the connection
     set, and the neighbor mask of g is the OR over the chosen orbits. The
     translates of different orbits at one vertex must be disjoint, as
@@ -123,23 +137,17 @@ def orbit_lanes(trans_masks, num_orbits: int, n: int) -> OrbitLanes:
     so a vertex sees each element from at most one orbit.
 
     Every orbit becomes one n-bit field of a packed int, laid out as
-    :class:`OrbitLanes` describes. A ``num_orbits`` below 0, a
-    ``trans_masks`` whose length is not ``num_orbits * n``, a translate
-    mask that is negative or has a bit at or above n, and, checked last,
-    two orbits whose translates at one vertex overlap each raise
-    :class:`ValueError`.
+    :class:`OrbitLanes` describes, with ``len(trans_masks) // n`` orbits.
+    An n below 1, a length that is not a multiple of n, a translate mask
+    outside 0..n-1 and, checked last, two orbits whose translates at one
+    vertex overlap each raise :class:`ValueError`.
     """
-    m = num_orbits
-    if m < 0:
-        raise ValueError(f"num_orbits must be at least 0, got {m}")
-    if len(trans_masks) != m * n:
-        raise ValueError(
-            f"trans_masks holds {len(trans_masks)} masks, expected num_orbits * n = {m * n}"
-        )
-    full = (1 << n) - 1
-    if trans_masks and (min(trans_masks) < 0 or max(trans_masks) > full):
-        bad = next(x for x in trans_masks if not 0 <= x <= full)
-        raise ValueError(f"translate mask {bad:#x} has an element outside 0..{n - 1}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    m, extra = divmod(len(trans_masks), n)
+    if extra:
+        raise ValueError(f"trans_masks holds {len(trans_masks)} masks, not a multiple of n = {n}")
+    _check_masks("translate", trans_masks, n)
     lanes = [0] * n
     shown = [0] * n  # shown[v]: the elements the orbits so far show v
     i = 0
@@ -158,19 +166,19 @@ def orbit_lanes(trans_masks, num_orbits: int, n: int) -> OrbitLanes:
     return OrbitLanes(n, m, tuple(lanes))
 
 
-def scan_subgroup_codes(lanes: OrbitLanes, kind: int, h_masks) -> list[int]:
+def scan_subgroup_codes(lanes: OrbitLanes, kind: str, h_masks) -> list[int]:
     """For each subgroup mask, the least orbit-subset mask whose connection
     set makes it a code, else -1.
 
     ``lanes`` comes from :func:`orbit_lanes`, built once per layout of
     translates and read by any number of scans. For one subgroup H, a
-    vertex v sees ``trans & H`` from each orbit; it needs none of H (kind 0
-    and v in H) or exactly one element of H. An orbit that shows v two
-    elements, or any element when v needs none, can never be chosen and
-    is dropped. One pass over the elements of H, OR-ing their lanes, finds
-    for all orbits at once the vertices each touches and those it touches
-    twice, and a carry into the top bit of every field marks the orbits
-    left.
+    vertex v sees ``trans & H`` from each orbit; it needs none of H (v in
+    H, for a perfect code) or exactly one element of H. An orbit that
+    shows v two elements, or any element when v needs none, can never be
+    chosen and is dropped. One pass over the elements of H, OR-ing their
+    lanes, finds for all orbits at once the vertices each touches and
+    those it touches twice, and a carry into the top bit of every field
+    marks the orbits left.
 
     Shift-ORs by n, 2n, 4n, ... fold the usable orbits' fields into
     prefix unions, field o holding the vertices the usable orbits up to o
@@ -187,18 +195,16 @@ def scan_subgroup_codes(lanes: OrbitLanes, kind: int, h_masks) -> list[int]:
     neighbor counting, as in :func:`scan_codes`.
 
     A ``lanes`` that is not an :class:`OrbitLanes` raises
-    :class:`TypeError`; a ``kind`` other than 0 or 1 and an H mask that is
-    negative or has a bit at or above n raise :class:`ValueError`, before
-    anything is folded or searched.
+    :class:`TypeError`; a ``kind`` not in :data:`CODE_KINDS` and an H mask
+    outside 0..n-1 raise :class:`ValueError`, before anything is folded or
+    searched.
     """
     if not isinstance(lanes, OrbitLanes):
         raise TypeError(f"lanes must come from orbit_lanes, got {type(lanes).__name__}")
     n, m, lanes = lanes
     _check_kind(kind)
+    _check_masks("H", h_masks, n)
     full = (1 << n) - 1
-    if h_masks and (min(h_masks) < 0 or max(h_masks) > full):
-        bad = next(x for x in h_masks if not 0 <= x <= full)
-        raise ValueError(f"H mask {bad:#x} has an element outside 0..{n - 1}")
     orep = sum(1 << o * n for o in range(m))  # the low bit of every orbit field
     low_bits = orep * (full >> 1)  # all but the top bit of every field
     top_bits = low_bits + orep
@@ -237,7 +243,7 @@ def scan_subgroup_codes(lanes: OrbitLanes, kind: int, h_masks) -> list[int]:
             touch |= lane
             h ^= low
         needy = full  # the vertices that need exactly one element of H
-        if kind != 1:
+        if kind == "perfect":
             needy ^= hm
             twice |= touch & hm * orep  # a member touched counts as twice
         # adding low_bits carries into the top bit of every non-zero field:
@@ -324,13 +330,8 @@ def scan_check_routes(n, table, inv_perm, alpha_perm, s_elems, nbr_masks, x_mask
         raise ValueError(f"s_elems: {exc}") from None
     if s_mask.bit_count() != len(s_elems):
         raise ValueError(f"s_elems repeats an element: {tuple(s_elems)}")
-    full = (1 << n) - 1
-    if nbr_masks and (min(nbr_masks) < 0 or max(nbr_masks) > full):
-        bad = next(m for m in nbr_masks if not 0 <= m <= full)
-        raise ValueError(f"neighbor mask {bad:#x} has an element outside 0..{n - 1}")
-    if x_masks and (min(x_masks) < 0 or max(x_masks) > full):
-        bad = next(xm for xm in x_masks if not 0 <= xm <= full)
-        raise ValueError(f"X mask {bad:#x} has an element outside 0..{n - 1}")
+    _check_masks("neighbor", nbr_masks, n)
+    _check_masks("X", x_masks, n)
     if n > _LANES[-1][0]:
         raise ThresholdError(f"route kernel limited to order <= {_LANES[-1][0]}, got {n}")
     w, code = next(lane for lane in _LANES if lane[0] >= n)

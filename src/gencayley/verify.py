@@ -34,7 +34,6 @@ from .automorphisms import (
 )
 from .census import DEFAULT_CENSUS_MAX_ORDER, _check_size, catalog, census_records
 from .codes import (
-    CODE_KINDS,
     abelian_pc_criterion,
     alpha_preserves,
     build_witness_abelian,
@@ -74,7 +73,7 @@ class SuiteResult:
     name: str
     cases: int
     violations: list[str]
-    seconds: float = 0.0  # wall time, filled in by run_all
+    seconds: float = 0.0  # wall time, filled in by _run_suite
 
     @property
     def ok(self) -> bool:
@@ -432,11 +431,11 @@ def _where(group_id: str, ai: int, elements) -> str:
     return f"group={group_id} alpha={ai} H={fmt_set(elements)}"
 
 
-def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
+def _suite_code_oracle(name: str, kind: str, max_order: int) -> SuiteResult:
     violations = []
     cases = 0
-    decide = decide_subgroup_pc if kind == 0 else decide_subgroup_tpc
-    graph_route, route1, route2 = [ROUTES[bit] for bit in CHECKS[CODE_KINDS[kind]].values()]
+    decide = decide_subgroup_pc if kind == "perfect" else decide_subgroup_tpc
+    graph_route, route1, route2 = [ROUTES[bit] for bit in CHECKS[kind].values()]
     for group, ai, ctx, subs in _contexts(max_order):
         if ai == 0:  # a group's contexts share subs
             h_masks = [s.mask for s in subs]
@@ -476,7 +475,7 @@ def _suite_code_oracle(name: str, kind: int, max_order: int) -> SuiteResult:
                         f"{_where(group.id, ai, sub.elements)}:"
                         f" oracle witness S={fmt_set(subset.elements)} fails"
                     )
-                elif kind == 0:
+                elif kind == "perfect":
                     # every perfect-code pair forces alpha-invariance of
                     # the subgroup and keeps the set off its image
                     if not alpha_preserves(ctx.alpha, sub) or (
@@ -495,14 +494,14 @@ def suite_pc_oracle(max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> SuiteResult:
     search's witness by all three routes. Each involution builds one
     witness graph per least orbit mask the search finds, and one more per
     decider witness with another connection set."""
-    return _suite_code_oracle("pc-oracle", 0, max_order)
+    return _suite_code_oracle("pc-oracle", "perfect", max_order)
 
 
 def suite_tpc_oracle(max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> SuiteResult:
     """decide_subgroup_tpc agrees with an exact search over every
     connection set, with the witnesses re-validated, and their graphs
     built, as in the pc suite."""
-    return _suite_code_oracle("tpc-oracle", 1, max_order)
+    return _suite_code_oracle("tpc-oracle", "total", max_order)
 
 
 def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
@@ -837,8 +836,3 @@ def _run_suite(fn, bound: int | None, max_order: int | None) -> SuiteResult:
         result = SuiteResult(_suite_name(fn), 0, [f"suite raised {type(exc).__name__}: {exc}"])
     result.seconds = time.perf_counter() - started
     return result
-
-
-def run_all(max_order: int | None = None) -> list[SuiteResult]:
-    """The results of :func:`run_suites`, as a list."""
-    return list(run_suites(max_order))

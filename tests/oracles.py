@@ -165,7 +165,7 @@ def exists_pc_connection_set(ctx, sub) -> bool:
     return False
 
 
-def scan_codes_bruteforce(nbr_masks, kind: int) -> list[int]:
+def scan_codes_bruteforce(nbr_masks, kind: str) -> list[int]:
     """Literal 2^n reference for ``scan_codes``: every vertex subset, in
     ascending mask order, checked by neighbor counting."""
     n = len(nbr_masks)
@@ -175,7 +175,7 @@ def scan_codes_bruteforce(nbr_masks, kind: int) -> list[int]:
         ok = True
         for v in range(n):
             c = (nbr[v] & xm).bit_count()
-            if kind == 1:
+            if kind == "total":
                 if c != 1:
                     ok = False
                     break
@@ -191,10 +191,11 @@ def scan_codes_bruteforce(nbr_masks, kind: int) -> list[int]:
     return out
 
 
-def scan_subgroup_codes_bruteforce(trans_masks, num_orbits: int, h_masks, n: int, kind: int) -> list[int]:
-    """Literal 2^m reference for ``scan_subgroup_codes``: every orbit mask,
-    in ascending order, checked against every undecided subgroup mask."""
-    m = num_orbits
+def scan_subgroup_codes_bruteforce(trans_masks, h_masks, n: int, kind: str) -> list[int]:
+    """Literal 2^m reference for ``scan_subgroup_codes``, m being
+    ``len(trans_masks) // n``: every orbit mask, in ascending order,
+    checked against every undecided subgroup mask."""
+    m = len(trans_masks) // n
     res = [-1] * len(h_masks)
     undecided = len(h_masks)
     for sm in range(1 << m):
@@ -210,7 +211,7 @@ def scan_subgroup_codes_bruteforce(trans_masks, num_orbits: int, h_masks, n: int
             ok = True
             for v in range(n):
                 c = (nbr[v] & hm).bit_count()
-                if kind == 1:
+                if kind == "total":
                     if c != 1:
                         ok = False
                         break

@@ -29,7 +29,7 @@ from gencayley._bits import perm_mask
 from gencayley.groups import abelian_group
 from gencayley.census import CSV_COLUMNS, CensusRecord, catalog, census_records, emit_report
 from gencayley.cli import build_parser, main
-from gencayley.verify import SUITES, SuiteResult, run_all, run_suites
+from gencayley.verify import SUITES, SuiteResult, run_suites
 
 
 def run_cli(capsys, *argv):
@@ -423,13 +423,9 @@ def test_cli_rejects_sizes_below_one(capsys, argv):
         lambda: census_records(0),
         lambda: census_records(4, workers=0),
         lambda: census_records(4, workers=-2),
-        lambda: run_all(max_order=0),
         lambda: run_suites(max_order=0),  # at the call, before any suite runs
     ],
-    ids=[
-        "catalog-0", "catalog-neg", "census-0", "workers-0", "workers-neg", "run_all-0",
-        "run_suites-0",
-    ],
+    ids=["catalog-0", "catalog-neg", "census-0", "workers-0", "workers-neg", "run_suites-0"],
 )
 def test_library_rejects_sizes_below_one(call):
     with pytest.raises(ValueError, match="must be at least 1"):
@@ -719,6 +715,96 @@ def test_cli_rejects_duplicate_element_names(tmp_path, capsys):
     assert "field 'names' repeats 'a' at indexes 1 and 2" in err
 
 
+def test_element_lists_give_back_every_product_name():
+    # a list splits only at commas outside parentheses, so the names that
+    # direct products build, nested ones included, come back one token each
+    groups = catalog(24) + [
+        gencayley.build_group(spec) for spec in ("S3xS3", "D4xZ2", "Z2xZ2xZ2", "D3xZ6", "S4xZ2")
+    ]
+    named = [g for g in groups if g.names is not None]
+    assert len(named) == len(groups) == 54
+    assert sum(len(g.names) for g in named) == 815
+    assert "((0,0),0)" in groups[-3].names
+    for group in named:
+        assert cli_module._split_elements(",".join(group.names)) == list(group.names), group.id
+        assert all(cli_module._is_token(name) for name in group.names), group.id
+        assert cli_module._parse_elements(group, ", ".join(group.names), "--S") == tuple(
+            range(group.order)
+        )
+
+
+def test_cli_selects_product_elements_by_name(capsys):
+    # "(0" was once taken as the first token of the list
+    code, out, _ = run_cli(
+        capsys, "decide", "pc", "--group", "Z2xZ2", "--alpha", "0", "--subgroup", "(0,0),(1,0)"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "group=Z2xZ2 alpha=0 subgroup={0,2} kind=pc"
+
+
+def test_cli_selects_file_names_with_commas_inside_parentheses(tmp_path, capsys):
+    path = z3_named_file(tmp_path, ["e", "(a,b)", "(b,a)"])
+    code, out, _ = run_cli(
+        capsys, "decide", "tpc", "--group-file", path, "--alpha", "0",
+        "--subgroup", "e, (a,b),(b,a)",
+    )
+    assert code == 0 and "subgroup={0,1,2} kind=tpc" in out
+    code, out, _ = run_cli(
+        capsys, "check", "pc", "--group-file", path, "--alpha", "0", "--S", "",
+        "--X", "(b,a) ,(a,b)",
+    )
+    assert code == 0 and "S={} X={1,2}" in out
+
+
+@pytest.mark.parametrize(
+    "names, entry",
+    [
+        (["e", "a,b", " c"], 1),  # a comma outside parentheses
+        (["e", "a", " c"], 2),  # surrounding whitespace
+        (["e", "a ", "c"], 1),
+        (["e", "", "c"], 1),  # an empty name
+        (["e", "(a", "c"], 1),  # unbalanced parentheses
+        (["e", "a", "b)"], 2),
+        (["e", ")a(", "c"], 1),
+        (["e", "(a),b", "c"], 1),
+    ],
+)
+def test_cli_refuses_file_names_an_element_list_cannot_give(tmp_path, capsys, names, entry):
+    # such an element was listed by group describe but could never be selected
+    path = z3_named_file(tmp_path, names)
+    for argv in (
+        ("group", "describe", "--group-file", path),
+        ("decide", "tpc", "--group-file", path, "--alpha", "0", "--subgroup", "e"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(
+            f"error: {path}: field 'names' entry {entry} = {names[entry]!r} is not one"
+            " element-list token"
+        )
+
+
+def test_census_refuses_orders_past_the_automorphism_limit_before_building(monkeypatch, capsys):
+    # the catalog holds a cyclic group of every order, so the sweep would
+    # fail at order 49 after building every table up to max_order
+    def no_catalog(*args):
+        raise AssertionError("catalog built")
+
+    monkeypatch.setattr(census_module, "catalog", no_catalog)
+    for max_order in (49, 120, 1000):
+        with pytest.raises(gencayley.ThresholdError) as exc:
+            census_records(max_order, workers=2)
+        assert str(exc.value) == (
+            f"census limited to max_order <= 48 by automorphism enumeration, got {max_order}"
+        )
+    code, out, err = run_cli(capsys, "census", "--max-order", "1000")
+    assert code == 3 and out == ""
+    assert err == (
+        "threshold exceeded: census limited to max_order <= 48 by automorphism"
+        " enumeration, got 1000\n"
+    )
+
+
 def test_cli_census_has_no_timings_flag(capsys):
     # reports never carry timings, so no flag can make them non-reproducible
     with pytest.raises(SystemExit) as exc:
@@ -825,13 +911,13 @@ def test_cli_enumerate_total_codes(capsys):
         (lambda: census_records(4, workers=1.5), "workers must be an int, got 1.5"),
         (lambda: census_records(4, workers="2"), "workers must be an int, got '2'"),
         (lambda: census_records(4.5), "max_order must be an int, got 4.5"),
-        (lambda: run_all(max_order=30.5), "max_order must be an int, got 30.5"),
-        (lambda: run_all(max_order="8"), "max_order must be an int, got '8'"),
+        (lambda: run_suites(max_order=30.5), "max_order must be an int, got 30.5"),
+        (lambda: run_suites(max_order="8"), "max_order must be an int, got '8'"),
         (lambda: catalog(False), "max_order must be at least 1, got False"),
     ],
     ids=[
         "catalog-float", "catalog-str", "workers-float", "workers-str",
-        "census-float", "run_all-float", "run_all-str", "catalog-false",
+        "census-float", "run_suites-float", "run_suites-str", "catalog-false",
     ],
 )
 def test_library_rejects_sizes_that_are_not_ints(call, message):
@@ -845,8 +931,8 @@ def test_a_bool_size_counts_as_one():
     assert emit_report(census_records(2, workers=True)) == emit_report(census_records(2))
 
 
-def test_run_all_lists_every_suite_in_order():
-    results = run_all(max_order=4)
+def test_run_suites_lists_every_suite_in_order():
+    results = list(run_suites(max_order=4))
     assert [r.name for r in results] == [
         "group-axioms",
         "subgroup-oracle",

@@ -5,6 +5,7 @@ table ``graphs.ROUTES``."""
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -24,6 +25,8 @@ from gencayley import (
     orbit_translate_masks,
     subset_from_orbit_mask,
 )
+from gencayley import codes
+from gencayley.kernels import CODE_KINDS
 from gencayley.verify import CONSISTENT_VERDICTS, reference_verdict
 
 from oracles import codes_by_definition, scan_codes_bruteforce, scan_subgroup_codes_bruteforce
@@ -52,10 +55,10 @@ def test_backend_reports_something():
 def test_scan_codes_matches_definition_oracle():
     for group, ctx, subset in _instances():
         graph = build_graph(subset)
-        for kind, name in ((0, "perfect"), (1, "total")):
+        for kind in CODE_KINDS:
             masks = kernels.scan_codes(graph.nbr_masks, kind)
             expect = {
-                frozenset(c) for c in codes_by_definition(graph.adjacency, name)
+                frozenset(c) for c in codes_by_definition(graph.adjacency, kind)
             }
             got = {
                 frozenset(v for v in range(group.order) if m >> v & 1) for m in masks
@@ -65,7 +68,7 @@ def test_scan_codes_matches_definition_oracle():
 
 def test_scan_codes_matches_bruteforce_on_random_graphs():
     # arbitrary neighbor masks: asymmetric, self-loops, isolated and free
-    # vertices, and bits above n, which neither scan may read
+    # vertices; bits above n are refused
     rng = random.Random(1)
     found = 0
     for _ in range(800):
@@ -77,19 +80,23 @@ def test_scan_codes_matches_bruteforce_on_random_graphs():
                 for w in range(n):
                     if nbr[v] >> w & 1:
                         nbr[w] |= 1 << v
+        high = nbr
         if rng.random() < 0.2:
-            nbr = [m | rng.getrandbits(4) << n for m in nbr]
-        for kind in (0, 1):
+            high = [m | rng.getrandbits(4) << n for m in nbr]
+        for kind in CODE_KINDS:
+            if high != nbr:
+                with pytest.raises(ValueError, match="neighbor mask .* outside"):
+                    kernels.scan_codes(high, kind)
             got = kernels.scan_codes(nbr, kind)
             assert got == scan_codes_bruteforce(nbr, kind), (nbr, kind)
             found += len(got)
     assert found > 500
 
 
-def _scan(trans, m, h_masks, n, kind):
+def _scan(trans, h_masks, n, kind):
     """The subgroup-code kernel on the brute force's arguments: the lanes
     of the translates, then the scan of the H masks."""
-    return kernels.scan_subgroup_codes(kernels.orbit_lanes(trans, m, n), kind, h_masks)
+    return kernels.scan_subgroup_codes(kernels.orbit_lanes(trans, n), kind, h_masks)
 
 
 def _random_translates(rng, n, m, width):
@@ -113,13 +120,13 @@ def test_scan_subgroup_codes_matches_bruteforce_on_random_translates():
     rng = random.Random(2)
     found = 0
     for _ in range(800):
-        n = rng.randint(0, 9)
+        n = rng.randint(1, 9)
         m = rng.randint(0, 6)
         trans = _random_translates(rng, n, m, rng.choice((1, 2, 3)))
         h_masks = [0, (1 << n) - 1] + [_random_mask(rng, n, 0.4) for _ in range(4)]
-        for kind in (0, 1):
-            got = _scan(trans, m, h_masks, n, kind)
-            assert got == scan_subgroup_codes_bruteforce(trans, m, h_masks, n, kind), (
+        for kind in CODE_KINDS:
+            got = _scan(trans, h_masks, n, kind)
+            assert got == scan_subgroup_codes_bruteforce(trans, h_masks, n, kind), (
                 trans, m, h_masks, n, kind,
             )
             found += sum(r > 0 for r in got)
@@ -161,13 +168,13 @@ def test_scan_subgroup_codes_matches_bruteforce_on_wide_layouts():
         empty = orbits[4]
         trans[empty * n : empty * n + n] = [0] * n
         h_masks = [0, full, hm] + [_random_mask(rng, n, 0.3) for _ in range(3)]
-        for kind in (0, 1):
-            got = _scan(trans, m, h_masks, n, kind)
-            assert got == scan_subgroup_codes_bruteforce(trans, m, h_masks, n, kind), (
+        for kind in CODE_KINDS:
+            got = _scan(trans, h_masks, n, kind)
+            assert got == scan_subgroup_codes_bruteforce(trans, h_masks, n, kind), (
                 trans, m, h_masks, n, kind,
             )
             found += sum(r > 0 for r in got)
-            if case % 4 < 2 and kind == case % 2:
+            if case % 4 < 2 and kind == CODE_KINDS[case % 2]:
                 assert got[2] != -1, (trans, m, hm, n, kind)  # the planted code
     assert widest > 64 and planted == 20
     assert found >= planted
@@ -203,10 +210,10 @@ def test_scan_subgroup_codes_matches_bruteforce_on_order_16_contexts():
         tops = [ctx for ctx in contexts if len(ctx.tau_orbits) == most]
         for ctx in tops[:3] if group.id == "Z2xZ2xZ2xZ2" else tops[:1]:
             trans = orbit_translate_masks(ctx)
-            for kind in (0, 1):
+            for kind in CODE_KINDS:
                 assert _scan(
-                    trans, most, h_masks, 16, kind
-                ) == scan_subgroup_codes_bruteforce(trans, most, h_masks, 16, kind), (
+                    trans, h_masks, 16, kind
+                ) == scan_subgroup_codes_bruteforce(trans, h_masks, 16, kind), (
                     group.id, ctx.alpha.perm, kind,
                 )
                 cases += 1
@@ -223,9 +230,9 @@ def test_scan_subgroup_codes_matches_bruteforce_with_at_most_one_orbit(m):
         n = rng.randint(1, 9)
         trans = _random_translates(rng, n, m, rng.choice((1, 2)))
         h_masks = [0b1, (1 << n) - 1]
-        for kind in (0, 1):
-            got = _scan(trans, m, h_masks, n, kind)
-            assert got == scan_subgroup_codes_bruteforce(trans, m, h_masks, n, kind), (
+        for kind in CODE_KINDS:
+            got = _scan(trans, h_masks, n, kind)
+            assert got == scan_subgroup_codes_bruteforce(trans, h_masks, n, kind), (
                 trans, m, n, kind,
             )
             outcomes.update(got)
@@ -233,21 +240,21 @@ def test_scan_subgroup_codes_matches_bruteforce_with_at_most_one_orbit(m):
     assert outcomes == ({-1, 0, 1} if m else {-1, 0})
 
 
-@pytest.mark.parametrize("kind", [0, 1])
+@pytest.mark.parametrize("kind", CODE_KINDS, ids=["0", "1"])  # ids: the kind's index
 @pytest.mark.parametrize(
-    "m, trans, h_masks, message",
+    "trans, h_masks, message",
     [
-        (0, [], [0b1, 0b1111, 1 << 4], "H mask 0x10 has an element outside 0..3"),
-        (1, [0b10, 0b01, 0b1000, 1 << 4], [0b1, 0b1111], "translate mask 0x10 has an element"),
-        (1, [0b10, 0b01, 0b1000, 0b100], [0b1111, -1], "H mask -0x1 has an element"),
-        (2, [0b10, 0b01, 0b1000, 0b100] * 2, [0b1, 0b1111], "orbits 0 and 1 overlap at vertex 0"),
+        ([], [0b1, 0b1111, 1 << 4], "H mask 0x10 has an element outside 0..3"),
+        ([0b10, 0b01, 0b1000, 1 << 4], [0b1, 0b1111], "translate mask 0x10 has an element"),
+        ([0b10, 0b01, 0b1000, 0b100], [0b1111, -1], "H mask -0x1 has an element"),
+        ([0b10, 0b01, 0b1000, 0b100] * 2, [0b1, 0b1111], "orbits 0 and 1 overlap at vertex 0"),
     ],
     ids=["no-orbit-H", "one-orbit-translate", "one-orbit-H", "two-orbits-overlap"],
 )
-def test_scan_subgroup_codes_rejects_before_any_answer(kind, m, trans, h_masks, message):
+def test_scan_subgroup_codes_rejects_before_any_answer(kind, trans, h_masks, message):
     # the leading H masks alone would be answered, with or without a search
     with pytest.raises(ValueError, match=message):
-        _scan(trans, m, h_masks, 4, kind)
+        _scan(trans, h_masks, 4, kind)
 
 
 @pytest.mark.parametrize(
@@ -269,60 +276,97 @@ def test_scan_subgroup_codes_rejects_masks_outside_the_group(trans_bad, h_masks,
     if trans_bad is not None:
         trans[5] = trans_bad
     with pytest.raises(ValueError, match=message):
-        _scan(trans, 2, h_masks, 4, 0)
+        _scan(trans, h_masks, 4, "perfect")
 
 
 @pytest.mark.parametrize(
-    "trans, m, n, message",
+    "trans, n, message",
     [
-        ([0b0001, 0b0010, 0b0100, 0b1000] * 2, 2, 4, "orbits 0 and 1 overlap at vertex 0"),
-        ([0b001, 0b010, 0b100, 0b100, 0, 0, 0, 0, 0b110], 3, 3, "orbits 0 and 2 overlap at vertex 2"),
+        ([0b0001, 0b0010, 0b0100, 0b1000] * 2, 4, "orbits 0 and 1 overlap at vertex 0"),
+        ([0b001, 0b010, 0b100, 0b100, 0, 0, 0, 0, 0b110], 3, "orbits 0 and 2 overlap at vertex 2"),
     ],
     ids=["repeated-orbit", "one-shared-element"],
 )
-def test_scan_subgroup_codes_rejects_overlapping_translates(trans, m, n, message):
+def test_scan_subgroup_codes_rejects_overlapping_translates(trans, n, message):
     # two orbits showing one vertex the same element: the search's one-int
     # state would count that element twice
     with pytest.raises(ValueError, match=f"translates of {message}"):
-        _scan(trans, m, [0b1], n, 0)
+        _scan(trans, [0b1], n, "perfect")
+
+
+def _code_scan(kind="perfect", nbr=(0b10, 0b01)):
+    return kernels.scan_codes(list(nbr), kind)
+
+
+def _subgroup_scan(kind="perfect", trans=(0b10, 0b01), h_masks=(0b1,)):
+    return kernels.scan_subgroup_codes(kernels.orbit_lanes(list(trans), 2), kind, list(h_masks))
+
+
+def _route_scan(nbr=(0b10, 0b01), x_masks=(0b1,)):
+    # Z2 with the identity automorphism and S = {1}
+    return kernels.scan_check_routes(
+        2, [[0, 1], [1, 0]], (0, 1), (0, 1), (1,), list(nbr), list(x_masks)
+    )
+
+
+def _kind_refused(kind):
+    return re.escape(f"kind must be one of ('perfect', 'total'), got {kind!r}")
+
+
+# (id, call, message): the one input contract of the kernels. Code kinds go
+# by name, every mask argument lies inside 0..n-1, and the orbit count
+# divides out of the translates. Each call was once answered, or refused
+# with another message
+_CONTRACT = [
+    ("short-translates", lambda: _scan([1, 2, 4], [0b0011], 4, "perfect"),
+     "trans_masks holds 3 masks, not a multiple of n = 4"),
+    ("lanes-of-order-0", lambda: kernels.orbit_lanes([], 0), "n must be at least 1, got 0"),
+    ("subgroup-scan-kind", lambda: _subgroup_scan(7), _kind_refused(7)),
+    ("code-scan-kind", lambda: _code_scan(5), _kind_refused(5)),
+    *[
+        (f"{label}-kind-{kind}", lambda scan=scan, kind=kind: scan(kind), _kind_refused(kind))
+        for label, scan in (("code-scan", _code_scan), ("subgroup-scan", _subgroup_scan))
+        for kind in (0, 1, True, 1.0, "pc", None)
+    ],
+    *[
+        (
+            f"{label}-{arg}={bad:#x}",
+            lambda scan=scan, arg=arg, bad=bad: scan(**{arg: (0b01, bad)}),
+            re.escape(f"{what} mask {bad:#x} has an element outside 0..1"),
+        )
+        for label, scan, arg, what in (
+            ("code-scan", _code_scan, "nbr", "neighbor"),
+            ("lanes", _subgroup_scan, "trans", "translate"),
+            ("subgroup-scan", _subgroup_scan, "h_masks", "H"),
+            ("route-scan", _route_scan, "nbr", "neighbor"),
+            ("route-scan", _route_scan, "x_masks", "X"),
+        )
+        for bad in (-1, 1 << 2)
+    ],
+    ("code-scan-every-nbr-above-n", lambda: kernels.scan_codes([0b100, 0b100], "total"),
+     "neighbor mask 0x4 has an element outside 0..1"),
+]
 
 
 @pytest.mark.parametrize(
-    "call, message",
-    [
-        (
-            lambda: _scan([1, 2, 4], 1, [0b0011], 4, 0),
-            "trans_masks holds 3 masks, expected num_orbits \\* n = 4",
-        ),
-        (
-            lambda: _scan([], -1, [0b0011], 4, 0),
-            "num_orbits must be at least 0, got -1",
-        ),
-        (
-            lambda: _scan([1, 2, 4, 8], 1, [0b0011], 4, 7),
-            "kind must be 0 \\(perfect\\) or 1 \\(total\\), got 7",
-        ),
-        (
-            lambda: kernels.scan_codes([0b10, 0b01], 5),
-            "kind must be 0 \\(perfect\\) or 1 \\(total\\), got 5",
-        ),
-    ],
-    ids=["short-translates", "negative-orbit-count", "subgroup-scan-kind", "code-scan-kind"],
+    "call, message", [case[1:] for case in _CONTRACT], ids=[case[0] for case in _CONTRACT]
 )
 def test_kernels_reject_bad_shapes_and_kinds(call, message):
-    # these once raised a bare IndexError, returned [-1], or were decided
-    # as perfect codes
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_code_kinds_have_one_home():
+    assert codes.CODE_KINDS is kernels.CODE_KINDS == ("perfect", "total")
 
 
 def test_scan_subgroup_codes_takes_only_packed_lanes():
     # three translates would unpack as (n, num_orbits, lanes) unchecked
     with pytest.raises(TypeError, match="lanes must come from orbit_lanes, got list"):
-        kernels.scan_subgroup_codes([0b01, 0b10, 0b11], 0, [0b1])
-    lanes = kernels.orbit_lanes([0b10, 0b01], 1, 2)
+        kernels.scan_subgroup_codes([0b01, 0b10, 0b11], "perfect", [0b1])
+    lanes = kernels.orbit_lanes([0b10, 0b01], 2)
     assert lanes == (2, 1, (0b10, 0b01))
-    assert kernels.scan_subgroup_codes(lanes, 1, [0b11]) == [1]
+    assert kernels.scan_subgroup_codes(lanes, "total", [0b11]) == [1]
 
 
 def test_kernels_match_bruteforce_on_catalog_to_order_8():
@@ -330,14 +374,13 @@ def test_kernels_match_bruteforce_on_catalog_to_order_8():
         h_masks = [s.mask for s in enumerate_subgroups(group)]
         for ctx in involution_contexts(group):
             trans = orbit_translate_masks(ctx)
-            m = len(ctx.tau_orbits)
-            for kind in (0, 1):
+            for kind in CODE_KINDS:
                 assert _scan(
-                    trans, m, h_masks, group.order, kind
-                ) == scan_subgroup_codes_bruteforce(trans, m, h_masks, group.order, kind)
+                    trans, h_masks, group.order, kind
+                ) == scan_subgroup_codes_bruteforce(trans, h_masks, group.order, kind)
             for subset in enumerate_subsets(ctx):
                 nbr = build_graph(subset).nbr_masks
-                for kind in (0, 1):
+                for kind in CODE_KINDS:
                     assert kernels.scan_codes(nbr, kind) == scan_codes_bruteforce(nbr, kind)
 
 

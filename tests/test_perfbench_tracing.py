@@ -58,11 +58,11 @@ def test_every_traced_count_is_taken(monkeypatch):
     for sub in subs:
         gencayley.decide_subgroup_pc(sub, ctx)
         gencayley.decide_subgroup_tpc(sub, ctx)
-    kernels.scan_subgroup_codes(ctx.orbit_lanes, 0, [s.mask for s in subs])
+    kernels.scan_subgroup_codes(ctx.orbit_lanes, "perfect", [s.mask for s in subs])
     kernels.scan_check_routes(
         4, z4.table, z4.inv, ctx.alpha.perm, graph.subset.elements, graph.nbr_masks, [0b0101]
     )
-    kernels.scan_codes(graph.nbr_masks, 1)
+    kernels.scan_codes(graph.nbr_masks, "total")
     gencayley.emit_report(census.census_records(4))
     for suite in (verify.suite_pc_oracle, verify.suite_tpc_oracle, verify.suite_mode_agreement):
         assert suite(4).ok

@@ -258,9 +258,9 @@ def test_oracle_suites_build_each_contexts_lanes_once(monkeypatch):
     built = []
     real = kernels.orbit_lanes
 
-    def counted(trans, m, n):
-        built.append((n, m))
-        return real(trans, m, n)
+    def counted(trans, n):
+        built.append(n)
+        return real(trans, n)
 
     monkeypatch.setattr(kernels, "orbit_lanes", counted)
     assert verify.suite_pc_oracle(8).ok
@@ -274,7 +274,7 @@ def test_context_lanes_are_the_lanes_of_its_translates():
     contexts = 0
     for group in catalog(8):
         for ctx in involution_contexts(group):
-            fresh = kernels.orbit_lanes(orbit_translate_masks(ctx), len(ctx.tau_orbits), group.order)
+            fresh = kernels.orbit_lanes(orbit_translate_masks(ctx), group.order)
             assert ctx.orbit_lanes == fresh, (group.id, ctx.alpha.perm)
             assert ctx.orbit_lanes is ctx.orbit_lanes
             contexts += 1
