@@ -6,7 +6,6 @@ from .automorphisms import (
     Automorphism,
     alpha_context,
     automorphism_from_perm,
-    conjugate_automorphism,
     enumerate_automorphisms,
     enumerate_involutory_automorphisms,
     inversion_automorphism,
@@ -49,9 +48,6 @@ from .graphs import (
     GenCayleyGraph,
     GenCayleySubset,
     build_graph,
-    check_at_most_one,
-    check_dominates,
-    check_independent,
     enumerate_subsets,
     export_dot,
     subset_from_orbit_mask,

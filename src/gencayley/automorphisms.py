@@ -244,15 +244,6 @@ def inversion_automorphism(group: FiniteGroup):
     return Automorphism(tuple(perm), group), None
 
 
-def conjugate_automorphism(beta: Automorphism, alpha: Automorphism) -> Automorphism:
-    """beta . alpha . beta^-1; involutory whenever alpha is."""
-    if beta.parent is not alpha.parent:
-        raise GenCayleyError("automorphism conjugation across different groups")
-    binv = beta.inverse_perm
-    perm = tuple(beta.perm[alpha.perm[binv[x]]] for x in range(len(binv)))
-    return Automorphism(perm, beta.parent)
-
-
 def product_automorphism(
     a1: Automorphism, a2: Automorphism, product_group: FiniteGroup
 ) -> Automorphism:

@@ -26,7 +26,7 @@ from .automorphisms import (
 )
 from .codes import decide_subgroup_pc, decide_subgroup_tpc
 from .errors import ThresholdError
-from .groups import FiniteGroup, build_group, enumerate_subgroups
+from .groups import SUBGROUP_ENUM_LIMIT, FiniteGroup, build_group, enumerate_subgroups
 
 DEFAULT_CENSUS_MAX_ORDER = 24
 
@@ -48,9 +48,15 @@ def catalog(max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> list[FiniteGroup]:
     invariant-factor chains, so each isomorphism type appears once), and
     the symmetric groups S3 and S4. Sorted by (order, id). A
     ``max_order`` that is not an int of at least 1 raises
-    :class:`ValueError`.
+    :class:`ValueError`, and one above ``SUBGROUP_ENUM_LIMIT`` raises
+    :class:`~gencayley.errors.ThresholdError` before any group is built.
     """
     _check_size("max_order", max_order)
+    if max_order > SUBGROUP_ENUM_LIMIT:
+        raise ThresholdError(
+            f"catalog limited to max_order <= {SUBGROUP_ENUM_LIMIT} by subgroup enumeration,"
+            f" got {max_order}"
+        )
     specs: list[str] = []
     specs.extend(f"cyclic:{n}" for n in range(1, max_order + 1))
     specs.extend(f"dihedral:{n}" for n in range(3, max_order // 2 + 1))

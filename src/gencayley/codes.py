@@ -80,8 +80,6 @@ from .groups import (
 
 BRUTE_FORCE_LIMIT = 20
 
-CODE_KINDS = kernels.CODE_KINDS  # the two code kinds, by name
-
 REFUTATION_ALPHA = "alpha-not-preserving"
 REFUTATION_SELF_PAIRED = "self-paired-coset-without-big-omega-element"
 REFUTATION_OMEGA_COSET = "coset-inside-omega"

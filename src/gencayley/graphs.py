@@ -10,13 +10,14 @@ symmetric and loop-free, and every vertex has exactly |S| neighbors
 
 :data:`ROUTES` defines every evaluation route of the five checks (at most
 one neighbor, domination, independence, perfect and total perfect code)
-once, and :data:`CHECKS` names the routes of each check by mode; the
-checks here and in :mod:`codes`, the verification suites and the kernel
-tests all read them. Each route reads only its own data, so the
-routes of one check stay independent evaluations: the graph routes read
-the neighbor masks, and the translate and algebraic routes read the group
-table, ``inv``, alpha and S, including the cached SS^-1 of
-:attr:`GenCayleyGraph.ss_inv`, and never the neighbor masks.
+once, and :data:`CHECKS` names the routes of each check by mode;
+:func:`evaluate` runs any check by any of its modes, and the deciders in
+:mod:`codes`, the verification suites and the kernel tests all read them.
+Each route reads only its own data, so the routes of one check stay
+independent evaluations: the graph routes read the neighbor masks, and
+the translate and algebraic routes read the group table, ``inv``, alpha
+and S, including the cached SS^-1 of :attr:`GenCayleyGraph.ss_inv`, and
+never the neighbor masks.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def build_graph(subset: GenCayleySubset) -> GenCayleyGraph:
 # ---------------------------------------------------------------------------
 # the route table: every evaluation route of every check, written once from
 # its definition as a predicate (graph, X mask) -> bool and keyed by its
-# verdict bit in :mod:`kernels`. The public checks evaluate the requested
+# verdict bit in :mod:`kernels`. :func:`evaluate` runs the requested
 # route only; the mode-agreement suite compares the routes of each check
 # with each other and with the batch kernel.
 
@@ -329,7 +330,7 @@ ROUTES = {
 
 # ---------------------------------------------------------------------------
 # the five checks: each check's modes with the verdict bit of their route,
-# the graph route first. The public checks, the oracle suites and the
+# the graph route first. :func:`evaluate`, the oracle suites and the
 # mode-agreement suite read which routes belong to which check here only.
 
 CHECKS = {
@@ -361,25 +362,6 @@ def evaluate(check: str, graph: GenCayleyGraph, X: Iterable[int], mode: str = "g
     if bit is None:
         raise ValueError(f"mode must be one of {tuple(modes)}, got {mode!r}")
     return ROUTES[bit](graph, element_mask(graph.group.order, X))
-
-
-def check_at_most_one(graph: GenCayleyGraph, X: Iterable[int], mode: str = "graph") -> bool:
-    """Is every vertex adjacent to at most one member of X?
-
-    Three interchangeable evaluations: neighbor counting, pairwise
-    disjointness of the translates alpha(X)s, and the product-set test.
-    """
-    return evaluate("at-most-one", graph, X, mode)
-
-
-def check_dominates(graph: GenCayleyGraph, X: Iterable[int]) -> bool:
-    """Is every vertex outside X adjacent to at least one member of X?"""
-    return evaluate("dominates", graph, X)
-
-
-def check_independent(graph: GenCayleyGraph, X: Iterable[int]) -> bool:
-    """Does X span no edge?"""
-    return evaluate("independent", graph, X)
 
 
 # ---------------------------------------------------------------------------

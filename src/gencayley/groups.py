@@ -588,7 +588,7 @@ class CosetDecomposition:
 
     ``masks`` holds the element mask of each coset by least element, so
     ``masks[0]`` is the subgroup itself; ``rep_of[x]`` is the index of the
-    coset containing x. The element tuples, ``cosets``, are derived.
+    coset containing x.
     """
 
     masks: tuple[int, ...]
@@ -597,11 +597,6 @@ class CosetDecomposition:
     @property
     def index(self) -> int:
         return len(self.masks)
-
-    @property
-    def cosets(self) -> tuple[tuple[int, ...], ...]:
-        """The sorted elements of each coset, in the order of ``masks``."""
-        return tuple([elems(m) for m in self.masks])
 
 
 def cosets(sub: SubgroupHandle, side: str = "right") -> CosetDecomposition:

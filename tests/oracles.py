@@ -12,7 +12,7 @@ which runs them too.
 from __future__ import annotations
 
 from gencayley import kernels
-from gencayley._bits import mask_of
+from gencayley._bits import elems, mask_of
 from gencayley.errors import GenCayleyError
 from gencayley.graphs import validate_subset
 
@@ -26,6 +26,14 @@ def gc_edges_by_rule(group, alpha_perm, S) -> set[frozenset[int]]:
             if g != h and group.table[alpha_perm[group.inv[g]]][h] in sset:
                 edges.add(frozenset((g, h)))
     return edges
+
+
+def conjugated_perm(beta_perm, alpha_perm) -> tuple[int, ...]:
+    """The perm of beta.alpha.beta^-1, from the two perms alone."""
+    binv = [0] * len(beta_perm)
+    for x, y in enumerate(beta_perm):
+        binv[y] = x
+    return tuple(beta_perm[alpha_perm[binv[x]]] for x in range(len(beta_perm)))
 
 
 def cayley_edges(group, S) -> set[frozenset[int]]:
@@ -238,7 +246,7 @@ def transversal_by_dfs(ctx, dec, first: int):
     the representatives by coset index, or None, and the number of choices
     undone on the way."""
     coset_of = dec.rep_of
-    blocks = dec.cosets
+    blocks = [elems(m) for m in dec.masks]
     tau = ctx.tau_perm
     fixed, moved = ctx.big_omega_mask, ctx.mho_mask
     last = dec.index
@@ -283,7 +291,7 @@ def refutation_reason_by_scan(ctx, dec, first: int) -> str:
     required coset lying wholly in the loop set, else the first one whose
     non-loop elements are all tau-moved with their partner in the same
     coset, else plain exhaustion."""
-    required = dec.cosets[first:]
+    required = [elems(m) for m in dec.masks[first:]]
     omega, big_omega, mho = ctx.omega, ctx.big_omega, ctx.mho
     for coset in required:
         if all(x in omega for x in coset):
@@ -327,7 +335,7 @@ def witness_abelian_by_scan(sub, ctx, dec) -> list[int]:
         if ci in done:
             continue
         done.add(ci)
-        coset = dec.cosets[ci]
+        coset = elems(dec.masks[ci])
         g = coset[0]
         if sub.mask >> group.table[ctx.alpha.perm[g]][g] & 1:
             chosen.append(min(x for x in coset if ctx.big_omega_mask >> x & 1))

@@ -11,12 +11,14 @@ from gencayley import (
     automorphism_from_perm,
     build_group,
     catalog,
-    conjugate_automorphism,
+    decide_subgroup_pc,
     enumerate_automorphisms,
     enumerate_involutory_automorphisms,
     inversion_automorphism,
     load_automorphism,
     product_automorphism,
+    subgroup,
+    transport_automorphism,
 )
 import gencayley.automorphisms as automorphisms_module
 from gencayley.verify import involutions_by_bijections
@@ -174,20 +176,29 @@ def test_automorphism_validation(z6):
         automorphism_from_perm(z6, (0, 2, 1, 3, 4, 5))  # not a homomorphism
 
 
+def _transported_alpha(alpha, beta):
+    """The involution a transport by beta carries the code pair (G, {}),
+    perfect under every involution, to: beta.alpha.beta^-1."""
+    group = alpha.parent
+    whole = subgroup(group, range(group.order))
+    pair = decide_subgroup_pc(whole, alpha_context(group, alpha))
+    return transport_automorphism(whole, pair.subset, beta)[2].alpha.perm
+
+
 def test_conjugation(z6, v4):
     alpha = enumerate_involutory_automorphisms(z6)[0]
     identity = automorphism_from_perm(z6, tuple(range(6)))
-    assert conjugate_automorphism(identity, alpha).perm == alpha.perm
-    assert conjugate_automorphism(alpha, alpha).perm == alpha.perm
+    assert _transported_alpha(alpha, identity) == alpha.perm
+    assert _transported_alpha(alpha, alpha) == alpha.perm
 
     # a 3-cycle of Aut(V4) conjugates one generator swap into another
     swaps = enumerate_involutory_automorphisms(v4)
     cycle = next(
         a for a in enumerate_automorphisms(v4) if not a.squares_to_identity
     )
-    conj = conjugate_automorphism(cycle, swaps[1])
-    assert conj.perm != swaps[1].perm
-    assert conj.perm in {s.perm for s in swaps}
+    conj = _transported_alpha(swaps[1], cycle)
+    assert conj != swaps[1].perm
+    assert conj in {s.perm for s in swaps}
 
 
 def test_product_automorphism(z4, z4_ctx):

@@ -805,6 +805,29 @@ def test_census_refuses_orders_past_the_automorphism_limit_before_building(monke
     )
 
 
+def test_catalog_refuses_orders_past_the_subgroup_limit_before_building(monkeypatch, capsys):
+    # no command can use a catalog group above the subgroup limit, and
+    # building every table up to max_order 3000 does not finish
+    def no_build(*args):
+        raise AssertionError("group built")
+
+    monkeypatch.setattr(census_module, "build_group", no_build)
+    for max_order in (65, 3000, 2**70):
+        with pytest.raises(gencayley.ThresholdError) as exc:
+            catalog(max_order)
+        assert str(exc.value) == (
+            f"catalog limited to max_order <= 64 by subgroup enumeration, got {max_order}"
+        )
+    code, out, err = run_cli(capsys, "group", "list", "--max-order", "3000")
+    assert code == 3 and out == ""
+    assert err == (
+        "threshold exceeded: catalog limited to max_order <= 64 by subgroup"
+        " enumeration, got 3000\n"
+    )
+    monkeypatch.undo()
+    assert max(g.order for g in catalog(64)) == 64
+
+
 def test_cli_census_has_no_timings_flag(capsys):
     # reports never carry timings, so no flag can make them non-reproducible
     with pytest.raises(SystemExit) as exc:

@@ -31,10 +31,6 @@ from gencayley import (
     build_product_subset_augmented,
     build_witness_abelian,
     catalog,
-    check_at_most_one,
-    check_dominates,
-    check_independent,
-    conjugate_automorphism,
     cosets,
     decide_subgroup_pc,
     decide_subgroup_tpc,
@@ -63,10 +59,12 @@ from gencayley import (
 import gencayley.codes as codes_module
 import gencayley.verify as verify_module
 from gencayley._bits import elems
+from gencayley.graphs import evaluate
 
 from oracles import (
     certify_by_two_passes,
     codes_by_definition,
+    conjugated_perm,
     exists_pc_connection_set,
     refutation_reason_by_scan,
     transversal_by_dfs,
@@ -333,7 +331,8 @@ def test_transports_share_one_context_per_involution(spec):
         for beta in enumerate_automorphisms(group):
             tsub, tset, tctx = transport_automorphism(sub, subset, beta, kind)
             # reference: a context of beta.alpha.beta^-1 built afresh
-            fresh = alpha_context(group, conjugate_automorphism(beta, subset.context.alpha))
+            conj = conjugated_perm(beta.perm, subset.context.alpha.perm)
+            fresh = alpha_context(group, automorphism_from_perm(group, conj))
             assert tctx.alpha.perm == fresh.alpha.perm
             assert (tctx.omega_mask, tctx.big_omega_mask, tctx.mho_mask, tctx.tau_perm) == (
                 fresh.omega_mask, fresh.big_omega_mask, fresh.mho_mask, fresh.tau_perm
@@ -490,6 +489,41 @@ def test_restrict_witness_nonabelian_proper_normalizer():
                 )
                 return
     pytest.fail("expected a hit with a proper normalizer chain in D4")
+
+
+def test_restriction_lemma_on_catalog_12():
+    # every perfect-code pair (H, S) restricts to every alpha-invariant K
+    # between H and G: H is a perfect code of GC(K, S & K, alpha|K). The
+    # restricted pair is read back into G's numbering and re-checked by a
+    # neighbor count in G's table, with no route of the package
+    pairs = restrictions = proper = 0
+    for group in catalog(12):
+        t, inv = group.table, group.inv
+        subs = enumerate_subgroups(group)
+        for ctx in involution_contexts(group):
+            a = ctx.alpha.perm
+            invariant = [k for k in subs if all(k.mask >> a[x] & 1 for x in k.elements)]
+            for sub in subs:
+                w = decide_subgroup_pc(sub, ctx)
+                if not w.success:
+                    continue
+                pairs += 1
+                for inter in invariant:
+                    if sub.mask & ~inter.mask:
+                        continue
+                    res = restrict_witness(sub, w.subset, inter)
+                    restrictions += 1
+                    proper += sub.order < inter.order < group.order
+                    back = res.element_map
+                    assert back == inter.elements
+                    assert [back[a_k] for a_k in res.context.alpha.perm] == [a[x] for x in back]
+                    assert tuple(back[h] for h in res.subgroup.elements) == sub.elements
+                    S = {back[s] for s in res.subset.elements}
+                    assert S == {s for s in w.subset.elements if inter.mask >> s & 1}
+                    for v in inter.elements:
+                        seen = sum(t[a[inv[v]]][x] in S for x in sub.elements)
+                        assert seen == (0 if sub.mask >> v & 1 else 1), (group.id, a, sub.elements, v)
+    assert (pairs, restrictions, proper) == (282, 572, 94)
 
 
 def test_restrict_witness_requires_invariance(v4, v4_swap_ctx):
@@ -668,17 +702,18 @@ def test_double_coset_lemmas_on_catalog_24():
         tau = ctx.tau_perm
         for sub in subs:
             dec = cosets(image_subgroup(ctx.alpha, sub), "right")
+            blocks = [elems(m) for m in dec.masks]
             free = set(range(dec.index))
             while free:
-                x = dec.cosets[min(free)][0]
+                x = blocks[min(free)][0]
                 d = double_coset(dec, sub, x)
                 free -= d
                 doubles += 1
                 assert len({dec.masks[c] & ctx.big_omega_mask == 0 for c in d}) == 1
                 image = double_coset(dec, sub, tau[x])
                 for c in d:
-                    assert {dec.rep_of[tau[z]] for z in dec.cosets[c]} == image
-            if dec.cosets[0] == sub.elements:
+                    assert {dec.rep_of[tau[z]] for z in blocks[c]} == image
+            if dec.masks[0] == sub.mask:
                 # a perfect code's coset 0 = H is a double coset on its own
                 assert double_coset(dec, sub, 0) == {0}
     assert doubles == 91280
@@ -1117,9 +1152,10 @@ def element_entry_points():
         "subgroup_closure": lambda x: subgroup_closure(z6, [x]),
         "is_perfect_code": lambda x: is_perfect_code(graph, [0, x]),
         "is_total_perfect_code": lambda x: is_total_perfect_code(graph, [0, x]),
-        "check_at_most_one": lambda x: check_at_most_one(graph, [0, x]),
-        "check_dominates": lambda x: check_dominates(graph, [0, x]),
-        "check_independent": lambda x: check_independent(graph, [0, x]),
+        # the three neighborhood checks of graphs.CHECKS, run by evaluate
+        "check_at_most_one": lambda x: evaluate("at-most-one", graph, [0, x]),
+        "check_dominates": lambda x: evaluate("dominates", graph, [0, x]),
+        "check_independent": lambda x: evaluate("independent", graph, [0, x]),
         "is_gc_transversal": lambda x: is_gc_transversal(ctx, sub, [0, x]),
         "transport_conjugate": lambda x: transport_conjugate(sub, subset, x),
     }

@@ -13,9 +13,6 @@ from gencayley import (
     build_graph,
     build_group,
     catalog,
-    check_at_most_one,
-    check_dominates,
-    check_independent,
     cosets,
     enumerate_involutory_automorphisms,
     enumerate_subsets,
@@ -193,31 +190,37 @@ def test_identity_alpha_gives_cayley_graph():
         assert edges(graph) == cayley_edges(group, subset.elements)
 
 
+def _holds(check, graph, X):
+    """The verdict of ``check`` on X, which every mode must give alike."""
+    verdicts = {evaluate(check, graph, X, mode) for mode in CHECKS[check]}
+    assert len(verdicts) == 1, (check, X)
+    return verdicts.pop()
+
+
 def test_check_at_most_one(z6_ctx):
     g1 = build_graph(validate_subset(z6_ctx, [1]))
-    assert check_at_most_one(g1, [0, 2, 4])
-    assert check_at_most_one(g1, [])
+    assert _holds("at-most-one", g1, [0, 2, 4])
+    assert _holds("at-most-one", g1, [])
     # with S={1,5} no vertex has two neighbors inside {0,1}: the two
     # candidate common neighbors fail the edge rule, so the answer is True
     # (frozen from the neighbor-count scan, which all routes must match)
     g15 = build_graph(validate_subset(z6_ctx, [1, 5]))
-    for mode in ("graph", "cosets", "product-set"):
-        assert check_at_most_one(g15, [0, 1], mode)
-    assert not check_at_most_one(g15, [0, 2, 4])  # vertex 1 sees 0 and 2
+    assert _holds("at-most-one", g15, [0, 1])
+    assert not _holds("at-most-one", g15, [0, 2, 4])  # vertex 1 sees 0 and 2
 
 
 def test_check_dominates(z6_ctx):
     g1 = build_graph(validate_subset(z6_ctx, [1]))
-    assert check_dominates(g1, [0, 2, 4])
-    assert check_dominates(g1, range(6))
-    assert not check_dominates(g1, [0])  # vertex 3 has no neighbor in {0}
+    assert _holds("dominates", g1, [0, 2, 4])
+    assert _holds("dominates", g1, range(6))
+    assert not _holds("dominates", g1, [0])  # vertex 3 has no neighbor in {0}
 
 
 def test_check_independent(z6_ctx):
     g1 = build_graph(validate_subset(z6_ctx, [1]))
-    assert check_independent(g1, [0, 2, 4])
-    assert check_independent(g1, [3])
-    assert not check_independent(g1, [0, 1])
+    assert _holds("independent", g1, [0, 2, 4])
+    assert _holds("independent", g1, [3])
+    assert not _holds("independent", g1, [0, 1])
 
 
 @pytest.mark.parametrize(
@@ -233,7 +236,6 @@ def test_check_independent(z6_ctx):
 def test_unknown_mode_names_the_modes_of_its_check(z6_ctx, check, modes):
     graph = build_graph(validate_subset(z6_ctx, [1]))
     public = {
-        "at-most-one": check_at_most_one,
         "perfect": is_perfect_code,
         "total": is_total_perfect_code,
     }
