@@ -11,13 +11,14 @@ symmetric and loop-free, and every vertex has exactly |S| neighbors
 :data:`ROUTES` defines every evaluation route of the five checks (at most
 one neighbor, domination, independence, perfect and total perfect code)
 once, and :data:`CHECKS` names the routes of each check by mode;
-:func:`evaluate` runs any check by any of its modes, and the deciders in
-:mod:`codes`, the verification suites and the kernel tests all read them.
-Each route reads only its own data, so the routes of one check stay
-independent evaluations: the graph routes read the neighbor masks, and
-the translate and algebraic routes read the group table, ``inv``, alpha
-and S, including the cached SS^-1 of :attr:`GenCayleyGraph.ss_inv`, and
-never the neighbor masks.
+:func:`evaluate` runs any check by any of its modes, finding its route in
+one lookup, and the deciders in :mod:`codes`, the verification suites and
+the kernel tests all read them. Each route reads only its own data, so
+the routes of one check stay independent evaluations: the graph routes
+read the neighbor masks, each in one pass over them, and the translate
+and algebraic routes read the group table, ``inv``, alpha and S,
+including the cached SS^-1 of :attr:`GenCayleyGraph.ss_inv`, and never
+the neighbor masks.
 """
 
 from __future__ import annotations
@@ -265,8 +266,13 @@ def _amo_productset(graph: GenCayleyGraph, xmask: int) -> bool:
 
 
 def _dom_graph(graph: GenCayleyGraph, xmask: int) -> bool:
-    outside = ((1 << graph.group.order) - 1) & ~xmask
-    return all(graph.nbr_masks[v] & xmask for v in bits(outside))
+    # every vertex outside X has a neighbor in X
+    v = 1
+    for nm in graph.nbr_masks:
+        if not (nm & xmask or xmask & v):
+            return False
+        v <<= 1
+    return True
 
 
 def _dom_translates(graph: GenCayleyGraph, xmask: int) -> bool:
@@ -275,7 +281,15 @@ def _dom_translates(graph: GenCayleyGraph, xmask: int) -> bool:
 
 
 def _ind_graph(graph: GenCayleyGraph, xmask: int) -> bool:
-    return not any(graph.nbr_masks[v] & xmask for v in bits(xmask))
+    # no member of X has a neighbor in X
+    masks = graph.nbr_masks
+    x = xmask
+    while x:
+        low = x & -x
+        if masks[low.bit_length() - 1] & xmask:
+            return False
+        x ^= low
+    return True
 
 
 def _ind_algebraic(graph: GenCayleyGraph, xmask: int) -> bool:
@@ -290,6 +304,20 @@ def _ind_algebraic(graph: GenCayleyGraph, xmask: int) -> bool:
     return not products & graph.subset.mask
 
 
+def _pc_graph(graph: GenCayleyGraph, xmask: int) -> bool:
+    # members of X have no neighbor in X, every other vertex exactly one
+    v = 1
+    for nm in graph.nbr_masks:
+        hit = nm & xmask
+        if xmask & v:
+            if hit:
+                return False
+        elif not hit or hit & (hit - 1):
+            return False
+        v <<= 1
+    return True
+
+
 def _tpc_graph(graph: GenCayleyGraph, xmask: int) -> bool:
     # every vertex has exactly one neighbor in X
     for nm in graph.nbr_masks:
@@ -299,9 +327,10 @@ def _tpc_graph(graph: GenCayleyGraph, xmask: int) -> bool:
     return True
 
 
-def _blocks(graph: GenCayleyGraph, xmask: int, k: int) -> bool:
-    """Do k blocks of |X| elements add up to |G|?"""
-    return xmask.bit_count() * k == graph.group.order
+def _blocks(graph: GenCayleyGraph, xmask: int, extra: int) -> bool:
+    """Do |S| + ``extra`` blocks of |X| elements add up to |G|? ``extra``
+    is 1 when X itself is a block beside its |S| translates."""
+    return xmask.bit_count() * (len(graph.subset.elements) + extra) == graph.group.order
 
 
 ROUTES = {
@@ -314,18 +343,18 @@ ROUTES = {
     kernels.IND_ALGEBRAIC: _ind_algebraic,
     # perfect code: independent, and every outside vertex has exactly one
     # neighbor in X; equivalently X and the r translates partition G
-    kernels.PC_GRAPH: lambda g, x: _ind_graph(g, x) and _dom_graph(g, x) and _amo_graph(g, x),
-    kernels.PC_PARTITION: lambda g, x: _blocks(g, x, g.degree + 1) and _dom_translates(g, x),
+    kernels.PC_GRAPH: _pc_graph,
+    kernels.PC_PARTITION: lambda g, x: _blocks(g, x, 1) and _dom_translates(g, x),
     kernels.PC_ALGEBRAIC: lambda g, x: (
-        _blocks(g, x, g.degree + 1) and _ind_algebraic(g, x) and _amo_productset(g, x)
+        _blocks(g, x, 1) and _ind_algebraic(g, x) and _amo_productset(g, x)
     ),
     # total perfect code: every vertex has exactly one neighbor in X;
     # equivalently the r translates partition G
     kernels.TPC_GRAPH: _tpc_graph,
     kernels.TPC_PARTITION: lambda g, x: (
-        _blocks(g, x, g.degree) and _translates(g, x) == (1 << g.group.order) - 1
+        _blocks(g, x, 0) and _translates(g, x) == (1 << g.group.order) - 1
     ),
-    kernels.TPC_ALGEBRAIC: lambda g, x: _blocks(g, x, g.degree) and _amo_productset(g, x),
+    kernels.TPC_ALGEBRAIC: lambda g, x: _blocks(g, x, 0) and _amo_productset(g, x),
 }
 
 # ---------------------------------------------------------------------------
@@ -354,14 +383,23 @@ CHECKS = {
 }
 
 
+# each (check, mode) of CHECKS with its route, for evaluate's one lookup
+_ROUTE_OF = {
+    (check, mode): ROUTES[bit] for check, modes in CHECKS.items() for mode, bit in modes.items()
+}
+
+
 def evaluate(check: str, graph: GenCayleyGraph, X: Iterable[int], mode: str = "graph") -> bool:
     """Evaluate ``check`` on X by the route of ``mode``, one of the modes
-    :data:`CHECKS` lists for it; any other mode raises :class:`ValueError`."""
-    modes = CHECKS[check]
-    bit = modes.get(mode) if isinstance(mode, str) else None
-    if bit is None:
-        raise ValueError(f"mode must be one of {tuple(modes)}, got {mode!r}")
-    return ROUTES[bit](graph, element_mask(graph.group.order, X))
+    :data:`CHECKS` lists for it. A check that :data:`CHECKS` does not name,
+    and any other mode, raise :class:`ValueError`."""
+    try:
+        route = _ROUTE_OF[check, mode]
+    except (KeyError, TypeError):  # TypeError: an unhashable check or mode
+        if isinstance(check, str) and check in CHECKS:
+            raise ValueError(f"mode must be one of {tuple(CHECKS[check])}, got {mode!r}") from None
+        raise ValueError(f"check must be one of {tuple(CHECKS)}, got {check!r}") from None
+    return route(graph, element_mask(graph.group.order, X))
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,21 @@ def _check_kind(kind) -> None:
 
 def _check_masks(what: str, masks, n: int) -> None:
     """Input check: :class:`ValueError` naming ``what`` and the first mask
-    that is negative or has a bit at or above ``n``."""
+    that is not an int, is negative or has a bit at or above ``n``. One OR
+    over the masks finds all three: it raises :class:`TypeError` for a
+    float, str, None, bytes or complex, and is negative or above the full
+    mask when some mask is. A bool reads as 0 or 1."""
     full = (1 << n) - 1
-    if masks and (min(masks) < 0 or max(masks) > full):
-        bad = next(m for m in masks if not 0 <= m <= full)
-        raise ValueError(f"{what} mask {bad:#x} has an element outside 0..{n - 1}")
+    try:
+        union = reduce(or_, masks, 0)
+        if 0 <= union <= full:
+            return
+    except TypeError:
+        pass
+    bad = next(m for m in masks if not (isinstance(m, int) and 0 <= m <= full))
+    if not isinstance(bad, int):
+        raise ValueError(f"{what} mask {bad!r} is not an int")
+    raise ValueError(f"{what} mask {bad:#x} has an element outside 0..{n - 1}")
 
 
 def scan_codes(nbr_masks, kind: str) -> list[int]:
@@ -53,7 +63,7 @@ def scan_codes(nbr_masks, kind: str) -> list[int]:
     kind ``"total"``: total perfect codes (every vertex has exactly one
     neighbor in the set); kind ``"perfect"``: perfect codes (members have
     no neighbor in the set, everyone else exactly one). Any other kind and
-    a neighbor mask outside 0..n-1 raise :class:`ValueError`.
+    a neighbor mask that is not an int in 0..n-1 raise :class:`ValueError`.
     Both are exact hitting: X is a code iff every vertex v has exactly one
     member of X in C_v, where C_v is N(v) for total codes and N(v) + {v}
     for perfect codes (a vertex with a self-loop can then never be a
@@ -139,8 +149,8 @@ def orbit_lanes(trans_masks, n: int) -> OrbitLanes:
     Every orbit becomes one n-bit field of a packed int, laid out as
     :class:`OrbitLanes` describes, with ``len(trans_masks) // n`` orbits.
     An n below 1, a length that is not a multiple of n, a translate mask
-    outside 0..n-1 and, checked last, two orbits whose translates at one
-    vertex overlap each raise :class:`ValueError`.
+    that is not an int in 0..n-1 and, checked last, two orbits whose
+    translates at one vertex overlap each raise :class:`ValueError`.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -196,8 +206,8 @@ def scan_subgroup_codes(lanes: OrbitLanes, kind: str, h_masks) -> list[int]:
 
     A ``lanes`` that is not an :class:`OrbitLanes` raises
     :class:`TypeError`; a ``kind`` not in :data:`CODE_KINDS` and an H mask
-    outside 0..n-1 raise :class:`ValueError`, before anything is folded or
-    searched.
+    that is not an int in 0..n-1 raise :class:`ValueError`, before anything
+    is folded or searched.
     """
     if not isinstance(lanes, OrbitLanes):
         raise TypeError(f"lanes must come from orbit_lanes, got {type(lanes).__name__}")
@@ -315,8 +325,8 @@ def scan_check_routes(n, table, inv_perm, alpha_perm, s_elems, nbr_masks, x_mask
     Before any lane is packed, :class:`ValueError` names the argument when
     ``table``, ``inv_perm``, ``alpha_perm`` or ``nbr_masks`` does not hold
     n entries, when ``s_elems`` has an element that is not an int in
-    0..n-1 or repeats one, and when a neighbor mask or an X is negative or
-    has a bit at or above n; an order above 64 raises
+    0..n-1 or repeats one, and when a neighbor mask or an X is not an int,
+    is negative or has a bit at or above n; an order above 64 raises
     :class:`~gencayley.errors.ThresholdError`.
     """
     for what, rows in (

@@ -250,6 +250,44 @@ def test_unknown_mode_names_the_modes_of_its_check(z6_ctx, check, modes):
     assert evaluate(check, graph, [0, 3]) == ROUTES[CHECKS[check]["graph"]](graph, 0b1001)
 
 
+@pytest.mark.parametrize("check", ["bogus", None, ["perfect"], "", "Perfect", 7])
+def test_unknown_check_names_the_five_checks(z6_ctx, check):
+    # a name CHECKS does not hold was once a KeyError, and an unhashable
+    # one a TypeError
+    graph = build_graph(validate_subset(z6_ctx, [1]))
+    message = re.escape(
+        "check must be one of ('at-most-one', 'dominates', 'independent', 'perfect', 'total'),"
+        f" got {check!r}"
+    )
+    for mode in ("graph", "sets", ["graph"]):
+        with pytest.raises(ValueError, match=message):
+            evaluate(check, graph, [0, 3], mode)
+
+
+def test_one_pass_perfect_route_is_the_three_pass_definition():
+    # the perfect-code graph route walks the neighbor masks once; it must
+    # equal the conjunction of the independence, domination and
+    # at-most-one graph routes for every X of every connection set to
+    # order 8
+    pc, ind, dom, amo = (
+        ROUTES[CHECKS[check]["graph"]]
+        for check in ("perfect", "independent", "dominates", "at-most-one")
+    )
+    cases = codes = 0
+    for group in catalog(8):
+        for ctx in involution_contexts(group):
+            for subset in enumerate_subsets(ctx):
+                graph = build_graph(subset)
+                for xm in range(1 << group.order):
+                    got = pc(graph, xm)
+                    assert got == (ind(graph, xm) and dom(graph, xm) and amo(graph, xm)), (
+                        group.id, ctx.alpha.perm, subset.elements, xm,
+                    )
+                    cases += 1
+                    codes += got
+    assert (cases, codes) == (148808, 1835)
+
+
 def test_export_dot(v4_swap_ctx):
     graph = build_graph(validate_subset(v4_swap_ctx, [1, 2]))
     dot = export_dot(graph)

@@ -313,8 +313,18 @@ def _kind_refused(kind):
     return re.escape(f"kind must be one of ('perfect', 'total'), got {kind!r}")
 
 
+# (label, scan, keyword, name in the message) of every mask argument
+_MASK_ARGS = (
+    ("code-scan", _code_scan, "nbr", "neighbor"),
+    ("lanes", _subgroup_scan, "trans", "translate"),
+    ("subgroup-scan", _subgroup_scan, "h_masks", "H"),
+    ("route-scan", _route_scan, "nbr", "neighbor"),
+    ("route-scan", _route_scan, "x_masks", "X"),
+)
+
+
 # (id, call, message): the one input contract of the kernels. Code kinds go
-# by name, every mask argument lies inside 0..n-1, and the orbit count
+# by name, every mask argument is an int inside 0..n-1, and the orbit count
 # divides out of the translates. Each call was once answered, or refused
 # with another message
 _CONTRACT = [
@@ -334,14 +344,19 @@ _CONTRACT = [
             lambda scan=scan, arg=arg, bad=bad: scan(**{arg: (0b01, bad)}),
             re.escape(f"{what} mask {bad:#x} has an element outside 0..1"),
         )
-        for label, scan, arg, what in (
-            ("code-scan", _code_scan, "nbr", "neighbor"),
-            ("lanes", _subgroup_scan, "trans", "translate"),
-            ("subgroup-scan", _subgroup_scan, "h_masks", "H"),
-            ("route-scan", _route_scan, "nbr", "neighbor"),
-            ("route-scan", _route_scan, "x_masks", "X"),
-        )
+        for label, scan, arg, what in _MASK_ARGS
         for bad in (-1, 1 << 2)
+    ],
+    # a mask that is not an int: 4.0 once reached the message's hex format,
+    # and the others a bare TypeError
+    *[
+        (
+            f"{label}-{arg}={bad!r}",
+            lambda scan=scan, arg=arg, bad=bad: scan(**{arg: (bad, 0b01)}),
+            re.escape(f"{what} mask {bad!r} is not an int"),
+        )
+        for label, scan, arg, what in _MASK_ARGS
+        for bad in (4.0, 0.5, "a", None, b"x", 1j)
     ],
     ("code-scan-every-nbr-above-n", lambda: kernels.scan_codes([0b100, 0b100], "total"),
      "neighbor mask 0x4 has an element outside 0..1"),
@@ -354,6 +369,15 @@ _CONTRACT = [
 def test_kernels_reject_bad_shapes_and_kinds(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "scan, arg", [m[1:3] for m in _MASK_ARGS], ids=[f"{m[0]}-{m[2]}" for m in _MASK_ARGS]
+)
+def test_kernels_read_a_bool_mask_as_its_int(scan, arg):
+    # a bool is an int, and every mask argument reads True as 1 until the
+    # argument policy decides bools for every argument at once
+    assert scan(**{arg: (True, 0b01)}) == scan(**{arg: (1, 0b01)})
 
 
 def test_code_kinds_have_one_home():
