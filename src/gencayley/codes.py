@@ -503,10 +503,8 @@ def build_product_subset_augmented(
     s1: GenCayleySubset, s2: GenCayleySubset, product_ctx: AlphaContext
 ) -> GenCayleySubset:
     """S1 x S2 together with the two axis copies {e} x S2 and S1 x {e}."""
-    n2 = s2.context.group.order
-    elems_ = _product_elements(s1.elements, s2.elements, n2)
-    elems_ += _product_elements((0,), s2.elements, n2)
-    elems_ += _product_elements(s1.elements, (0,), n2)
+    # that is ({e} u S1) x ({e} u S2) without (e, e), the pair listed first
+    elems_ = _product_elements((0, *s1.elements), (0, *s2.elements), s2.context.group.order)[1:]
     return _sized_subset(product_ctx, elems_, s1.size * s2.size + s1.size + s2.size)
 
 
@@ -541,49 +539,38 @@ def verify_product_codes(
     With perfect-code inputs, the augmented product set should again admit
     the product subgroup as a perfect code, while the plain product set
     fails the total-code counting condition. With total-code inputs
-    (optional), the plain product set should admit the product subgroup as
-    a total perfect code.
+    (optional, both or neither: one alone raises :class:`ValueError`), the
+    plain product set should admit the product subgroup as a total perfect
+    code.
     """
-    h1, s1 = pc_pair1
-    h2, s2 = pc_pair2
-    _require_code_pair(h1, s1, "perfect", "first")
-    _require_code_pair(h2, s2, "perfect", "second")
-
-    prod_group, prod_ctx = _product_context(s1.context, s2.context)
-    prod_sub = subgroup(prod_group, _product_elements(h1.elements, h2.elements, h2.parent.order))
-
-    augmented = build_product_subset_augmented(s1, s2, prod_ctx)
-    pc_holds = is_perfect_code(build_graph(augmented), prod_sub.elements)
-
-    plain = build_product_subset(s1, s2, prod_ctx)
-    counting_ok = prod_group.order == prod_sub.order * plain.size
-    tpc_plain = is_total_perfect_code(build_graph(plain), prod_sub.elements)
-
-    amended_holds = None
-    evaluated = tpc_pair1 is not None and tpc_pair2 is not None
-    if evaluated:
-        th1, ts1 = tpc_pair1
-        th2, ts2 = tpc_pair2
-        _require_code_pair(th1, ts1, "total", "first")
-        _require_code_pair(th2, ts2, "total", "second")
-        tg, tctx = _product_context(ts1.context, ts2.context)
-        tsub = subgroup(tg, _product_elements(th1.elements, th2.elements, th2.parent.order))
-        tplain = build_product_subset(ts1, ts2, tctx)
-        amended_holds = is_total_perfect_code(build_graph(tplain), tsub.elements)
-
-    return ProductCodesReport(
-        pc_product_holds=pc_holds,
-        tpc_plain_counting_ok=counting_ok,
-        tpc_plain_holds=tpc_plain,
-        tpc_amended_evaluated=evaluated,
-        tpc_amended_holds=amended_holds,
+    if (tpc_pair1 is None) != (tpc_pair2 is None):
+        raise ValueError("tpc_pair1 and tpc_pair2 must be given together or not at all")
+    prod_sub, plain = _product_pair(pc_pair1, pc_pair2, "perfect")
+    augmented = build_product_subset_augmented(pc_pair1[1], pc_pair2[1], plain.context)
+    report = ProductCodesReport(
+        pc_product_holds=_code_pair_holds(prod_sub, augmented, "perfect"),
+        tpc_plain_counting_ok=plain.context.group.order == prod_sub.order * plain.size,
+        tpc_plain_holds=_code_pair_holds(prod_sub, plain, "total"),
+        tpc_amended_evaluated=tpc_pair1 is not None,
+        tpc_amended_holds=None,
     )
+    if tpc_pair1 is not None:
+        report.tpc_amended_holds = _code_pair_holds(
+            *_product_pair(tpc_pair1, tpc_pair2, "total"), "total"
+        )
+    return report
 
 
-def _product_context(ctx1: AlphaContext, ctx2: AlphaContext):
-    group = direct_product(ctx1.group, ctx2.group)
-    bar = product_automorphism(ctx1.alpha, ctx2.alpha, group)
-    return group, alpha_context(group, bar)
+def _product_pair(pair1, pair2, kind: str) -> tuple[SubgroupHandle, GenCayleySubset]:
+    """H1 x H2 and S1 x S2, in the context of alpha1 x alpha2, from two
+    pairs checked as ``kind`` codes."""
+    (h1, s1), (h2, s2) = pair1, pair2
+    _require_code_pair(h1, s1, kind, "first")
+    _require_code_pair(h2, s2, kind, "second")
+    group = direct_product(s1.context.group, s2.context.group)
+    ctx = alpha_context(group, product_automorphism(s1.context.alpha, s2.context.alpha, group))
+    sub = subgroup(group, _product_elements(h1.elements, h2.elements, h2.parent.order))
+    return sub, build_product_subset(s1, s2, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ the routes of one check stay independent evaluations: the graph routes
 read the neighbor masks, each in one pass over them, and the translate
 and algebraic routes read the group table, ``inv``, alpha and S,
 including the cached SS^-1 of :attr:`GenCayleyGraph.ss_inv`, and never
-the neighbor masks.
+the neighbor masks. The at-most-one translate route counts the union
+alpha(X)S that domination and the partition routes build, and the two
+algebraic routes share one loop over the left products alpha(x^-1)y.
 """
 
 from __future__ import annotations
@@ -175,18 +177,10 @@ class GenCayleyGraph:
                 m |= 1 << row[inv[t]]
         return m
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The neighbors of each vertex in ascending order, from the masks."""
-        return tuple([elems(m) for m in self.nbr_masks])
-
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for g, row in enumerate(self.adjacency):
-            for h in row:
-                if g < h:
-                    out.append((g, h))
-        return out
+        """Each edge once, as (g, h) with g < h, in ascending order."""
+        # m & -(2 << g) keeps the neighbors of g above g
+        return [(g, h) for g, m in enumerate(self.nbr_masks) for h in bits(m & -(2 << g))]
 
 
 def build_graph(subset: GenCayleySubset) -> GenCayleyGraph:
@@ -236,33 +230,29 @@ def _amo_graph(graph: GenCayleyGraph, xmask: int) -> bool:
 
 def _amo_translates(graph: GenCayleyGraph, xmask: int) -> bool:
     # the translates alpha(X)s are pairwise disjoint for distinct s; alpha(x)s
-    # is one-to-one in x and in s, so an element met twice lies in two of them
-    table, alpha = graph.group.table, graph.context.alpha.perm
-    elements = graph.subset.elements
-    union = 0
-    for x in bits(xmask):
-        row = table[alpha[x]]
-        for s in elements:
-            bit = 1 << row[s]
-            if union & bit:
-                return False
-            union |= bit
-    return True
+    # is one-to-one in x and in s, so the |X||S| products are distinct
+    # exactly when their union has |X||S| elements
+    return _translates(graph, xmask).bit_count() == xmask.bit_count() * len(graph.subset.elements)
+
+
+def _products(graph: GenCayleyGraph, xs: list[int], ys: list[int]) -> int:
+    """The mask of the left products alpha(x^-1) * y, x in xs and y in ys."""
+    table, inv, alpha = graph.group.table, graph.group.inv, graph.context.alpha.perm
+    products = 0
+    for x in xs:
+        row = table[alpha[inv[x]]]
+        for y in ys:
+            products |= 1 << row[y]
+    return products
 
 
 def _amo_productset(graph: GenCayleyGraph, xmask: int) -> bool:
     # alpha(X^-1)alpha(X) meets SS^-1 only in the identity; both products
     # contain e whenever X and S are nonempty, so "subset of {e}" is the
     # reading that stays consistent with the graph route on empty inputs
-    table, inv, alpha = graph.group.table, graph.group.inv, graph.context.alpha.perm
+    alpha = graph.context.alpha.perm
     xs = bits(xmask)
-    ax = [alpha[y] for y in xs]
-    products = 0
-    for x in xs:
-        row = table[alpha[inv[x]]]
-        for y in ax:
-            products |= 1 << row[y]
-    return not products & graph.ss_inv & ~1
+    return not _products(graph, xs, [alpha[y] for y in xs]) & graph.ss_inv & ~1
 
 
 def _dom_graph(graph: GenCayleyGraph, xmask: int) -> bool:
@@ -294,14 +284,8 @@ def _ind_graph(graph: GenCayleyGraph, xmask: int) -> bool:
 
 def _ind_algebraic(graph: GenCayleyGraph, xmask: int) -> bool:
     # alpha(X^-1)X is disjoint from S
-    table, inv, alpha = graph.group.table, graph.group.inv, graph.context.alpha.perm
     xs = bits(xmask)
-    products = 0
-    for x in xs:
-        row = table[alpha[inv[x]]]
-        for y in xs:
-            products |= 1 << row[y]
-    return not products & graph.subset.mask
+    return not _products(graph, xs, xs) & graph.subset.mask
 
 
 def _pc_graph(graph: GenCayleyGraph, xmask: int) -> bool:

@@ -2,9 +2,11 @@
 
 Everything here recomputes results from first principles (definition-level
 scans over subsets or edges) without touching the package's decision
-procedures, so agreement is meaningful. The one exception is
+procedures, so agreement is meaningful. The exceptions are
 :func:`certify_by_two_passes`, the earlier form of the witness
-certificate, which calls the package's connection-set validator. The
+certificate, which calls the package's connection-set validator, and the
+earlier loops of three routes, which read a built graph and its cached
+SS^-1 as the routes do. The
 bijection and generator-subset oracles live in :mod:`gencayley.verify`,
 which runs them too.
 """
@@ -12,7 +14,7 @@ which runs them too.
 from __future__ import annotations
 
 from gencayley import kernels
-from gencayley._bits import elems, mask_of
+from gencayley._bits import bits, elems, mask_of
 from gencayley.errors import GenCayleyError
 from gencayley.graphs import validate_subset
 
@@ -135,6 +137,61 @@ def route_verdicts_by_sets(group, alpha_perm, S, neighborhoods, X) -> dict[int, 
     }
 
 
+# the earlier loops of three routes of ``graphs.ROUTES``, kept verbatim as
+# references for the shared forms that replaced them: the translate route
+# now counts the union alpha(X)S, and the two algebraic routes share one
+# left-product loop
+
+
+def amo_translates_by_repeat_scan(graph, xmask: int) -> bool:
+    """At most one neighbor in X, by scanning the products alpha(x)s for
+    the first one met twice."""
+    # the translates alpha(X)s are pairwise disjoint for distinct s; alpha(x)s
+    # is one-to-one in x and in s, so an element met twice lies in two of them
+    table, alpha = graph.group.table, graph.context.alpha.perm
+    elements = graph.subset.elements
+    union = 0
+    for x in bits(xmask):
+        row = table[alpha[x]]
+        for s in elements:
+            bit = 1 << row[s]
+            if union & bit:
+                return False
+            union |= bit
+    return True
+
+
+def amo_productset_by_loop(graph, xmask: int) -> bool:
+    """At most one neighbor in X, by the product set alpha(X^-1)alpha(X)
+    written as its own loop."""
+    # alpha(X^-1)alpha(X) meets SS^-1 only in the identity; both products
+    # contain e whenever X and S are nonempty, so "subset of {e}" is the
+    # reading that stays consistent with the graph route on empty inputs
+    table, inv, alpha = graph.group.table, graph.group.inv, graph.context.alpha.perm
+    xs = bits(xmask)
+    ax = [alpha[y] for y in xs]
+    products = 0
+    for x in xs:
+        row = table[alpha[inv[x]]]
+        for y in ax:
+            products |= 1 << row[y]
+    return not products & graph.ss_inv & ~1
+
+
+def ind_algebraic_by_loop(graph, xmask: int) -> bool:
+    """Independence, by the product set alpha(X^-1)X written as its own
+    loop."""
+    # alpha(X^-1)X is disjoint from S
+    table, inv, alpha = graph.group.table, graph.group.inv, graph.context.alpha.perm
+    xs = bits(xmask)
+    products = 0
+    for x in xs:
+        row = table[alpha[inv[x]]]
+        for y in xs:
+            products |= 1 << row[y]
+    return not products & graph.subset.mask
+
+
 def connection_sets_by_filter(ctx) -> set[tuple[int, ...]]:
     """All valid connection sets by filtering every subset of the group
     against the two defining conditions."""
@@ -160,11 +217,12 @@ def exists_pc_connection_set(ctx, sub) -> bool:
 
     group = ctx.group
     hset = set(sub.elements)
-    for elems in sorted(connection_sets_by_filter(ctx)):
-        graph = build_graph(validate_subset(ctx, elems))
+    for S in sorted(connection_sets_by_filter(ctx)):
+        graph = build_graph(validate_subset(ctx, S))
+        adjacency = [elems(m) for m in graph.nbr_masks]
         ok = True
         for v in range(group.order):
-            hits = sum(1 for w in graph.adjacency[v] if w in hset)
+            hits = sum(1 for w in adjacency[v] if w in hset)
             if (v in hset and hits != 0) or (v not in hset and hits != 1):
                 ok = False
                 break

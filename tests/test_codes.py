@@ -38,6 +38,7 @@ from gencayley import (
     enumerate_automorphisms,
     enumerate_involutory_automorphisms,
     enumerate_subgroups,
+    enumerate_subsets,
     image_subgroup,
     inversion_automorphism,
     involution_contexts,
@@ -106,7 +107,8 @@ def test_brute_force_codes_matching(z6_ctx):
     codes = brute_force_codes(g1, "perfect")
     assert len(codes) == 8  # one endpoint per matching edge
     assert (0, 2, 4) in codes
-    assert [set(c) for c in codes] == [set(c) for c in codes_by_definition(g1.adjacency, "perfect")]
+    adjacency = [elems(m) for m in g1.nbr_masks]
+    assert [set(c) for c in codes] == [set(c) for c in codes_by_definition(adjacency, "perfect")]
 
 
 def test_brute_force_codes_edgeless(z6_ctx):
@@ -120,12 +122,11 @@ def test_brute_force_codes_total(z6_ctx):
     codes = brute_force_codes(bip, "total")
     assert (0, 3) in codes
     assert len(codes) == 9  # one even and one odd vertex
-    assert [set(c) for c in codes] == [set(c) for c in codes_by_definition(bip.adjacency, "total")]
+    adjacency = [elems(m) for m in bip.nbr_masks]
+    assert [set(c) for c in codes] == [set(c) for c in codes_by_definition(adjacency, "total")]
 
 
 def test_brute_force_threshold():
-    from gencayley import enumerate_subsets
-
     g24 = build_group("symmetric:4")
     ctx = involution_contexts(g24)[0]
     graph = build_graph(next(iter(enumerate_subsets(ctx))))
@@ -383,6 +384,28 @@ def test_product_subsets_z4(z4, z4_ctx):
     assert build_product_subset(empty, empty, prod_ctx).elements == ()
     assert build_product_subset_augmented(empty, empty, prod_ctx).elements == ()
 
+    # the augmented set is the literal union S1 x S2 u {e} x S2 u S1 x {e},
+    # (a, b) numbered a * n2 + b, for every pair of connection sets of Z4
+    # under inversion and D3 under one involution, in both orders
+    d3 = build_group("dihedral:3")
+    d3_ctx = alpha_context(d3, enumerate_involutory_automorphisms(d3)[0])
+    pairs = 0
+    for ctx1, ctx2 in ((z4_ctx, d3_ctx), (d3_ctx, z4_ctx)):
+        prod = direct_product(ctx1.group, ctx2.group)
+        prod_ctx = alpha_context(prod, product_automorphism(ctx1.alpha, ctx2.alpha, prod))
+        n2 = ctx2.group.order
+        for s1 in enumerate_subsets(ctx1):
+            for s2 in enumerate_subsets(ctx2):
+                union = (
+                    {a * n2 + b for a in s1.elements for b in s2.elements}
+                    | {0 * n2 + b for b in s2.elements}
+                    | {a * n2 + 0 for a in s1.elements}
+                )
+                got = build_product_subset_augmented(s1, s2, prod_ctx)
+                assert got.elements == tuple(sorted(union)), (s1.elements, s2.elements)
+                pairs += 1
+    assert pairs == 32
+
 
 def test_verify_product_codes_z4(z4, z4_ctx):
     sub = subgroup(z4, [0, 2])
@@ -393,6 +416,20 @@ def test_verify_product_codes_z4(z4, z4_ctx):
     assert not report.tpc_plain_counting_ok  # 16 != 4 * 1
     assert not report.tpc_plain_holds
     assert not report.tpc_amended_evaluated
+
+
+@pytest.mark.parametrize("lone", ["first", "second"])
+def test_verify_product_codes_refuses_a_lone_total_pair(z6, z6_ctx, lone, monkeypatch):
+    sub = subgroup(z6, [0, 3])
+    code = (sub, decide_subgroup_pc(sub, z6_ctx).subset)
+    total = (sub, decide_subgroup_tpc(sub, z6_ctx).subset)
+    tpc_pairs = (total, None) if lone == "first" else (None, total)
+    checked = []
+    monkeypatch.setattr(codes_module, "_code_pair_holds", lambda *a: checked.append(a))
+    # refused before any pair is checked
+    with pytest.raises(ValueError, match="tpc_pair1 and tpc_pair2 must be given together"):
+        verify_product_codes(code, code, *tpc_pairs)
+    assert checked == []
 
 
 def test_non_code_pairs_are_refused(z6, z6_ctx):

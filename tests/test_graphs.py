@@ -28,12 +28,16 @@ from gencayley import (
     validate_subset,
 )
 
+from gencayley._bits import elems
 from gencayley.graphs import CHECKS, ROUTES, evaluate
 
 from oracles import (
+    amo_productset_by_loop,
+    amo_translates_by_repeat_scan,
     cayley_edges,
     connection_sets_by_filter,
     gc_edges_by_rule,
+    ind_algebraic_by_loop,
     route_verdicts_by_sets,
 )
 
@@ -162,23 +166,30 @@ def test_graphs_match_edge_rule_oracle(spec):
 
 
 def test_graph_masks_and_adjacency_follow_the_definition():
-    # vertex g is joined to alpha(g) * s for every s in S
+    # vertex g is joined to alpha(g) * s for every s in S; edges() lists
+    # each edge once, from its lower end, in ascending order
     for group in catalog(8):
         for ctx in involution_contexts(group):
             for subset in enumerate_subsets(ctx):
                 graph = build_graph(subset)
+                adjacency = [elems(m) for m in graph.nbr_masks]
+                expected_edges = []
                 for g in range(group.order):
                     nbrs = {group.table[ctx.alpha.perm[g]][s] for s in subset.elements}
                     assert graph.nbr_masks[g] == sum(1 << h for h in nbrs)
-                    assert graph.adjacency[g] == tuple(sorted(nbrs))
+                    assert adjacency[g] == tuple(sorted(nbrs))
+                    expected_edges += [(g, h) for h in sorted(nbrs) if g < h]
+                assert graph.edges() == expected_edges
 
 
 def test_replaced_masks_derive_their_own_adjacency(z6_ctx):
+    # edges() reads the masks of its own graph, whatever built them
     graph = build_graph(validate_subset(z6_ctx, [1, 5]))
-    assert graph.adjacency[0] == (1, 5)
     other = dataclasses.replace(graph, nbr_masks=(0b110, 0, 0, 0, 0, 1))
-    assert other.adjacency == ((1, 2), (), (), (), (), (0,))
-    assert graph.adjacency == ((1, 5), (0, 4), (3, 5), (2, 4), (1, 3), (0, 2))
+    assert [elems(m) for m in other.nbr_masks] == [(1, 2), (), (), (), (), (0,)]
+    assert other.edges() == [(0, 1), (0, 2)]
+    assert [elems(m) for m in graph.nbr_masks] == [(1, 5), (0, 4), (3, 5), (2, 4), (1, 3), (0, 2)]
+    assert graph.edges() == [(0, 1), (0, 5), (1, 4), (2, 3), (2, 5), (3, 4)]
 
 
 def test_identity_alpha_gives_cayley_graph():
@@ -264,28 +275,43 @@ def test_unknown_check_names_the_five_checks(z6_ctx, check):
             evaluate(check, graph, [0, 3], mode)
 
 
-def test_one_pass_perfect_route_is_the_three_pass_definition():
-    # the perfect-code graph route walks the neighbor masks once; it must
-    # equal the conjunction of the independence, domination and
-    # at-most-one graph routes for every X of every connection set to
-    # order 8
-    pc, ind, dom, amo = (
-        ROUTES[CHECKS[check]["graph"]]
-        for check in ("perfect", "independent", "dominates", "at-most-one")
+def _three_pass_perfect(graph, xmask):
+    # independent, dominating and at most one neighbor in X, by the graph routes
+    return all(
+        ROUTES[CHECKS[check]["graph"]](graph, xmask)
+        for check in ("independent", "dominates", "at-most-one")
     )
-    cases = codes = 0
+
+
+@pytest.mark.parametrize(
+    "check, mode, reference, holds",
+    [
+        ("perfect", "graph", _three_pass_perfect, 1835),
+        ("at-most-one", "cosets", amo_translates_by_repeat_scan, 43714),
+        ("at-most-one", "product-set", amo_productset_by_loop, 43714),
+        ("independent", "algebraic", ind_algebraic_by_loop, 30946),
+    ],
+    ids=["perfect-graph", "at-most-one-cosets", "at-most-one-product-set", "independent-algebraic"],
+)
+def test_rewritten_route_is_its_reference_loop(check, mode, reference, holds):
+    # the one-pass perfect-code graph route against the three graph routes
+    # it joins, the counting translate route and the two routes on the
+    # shared left-product loop against their earlier loops, for every X of
+    # every connection set to order 8
+    route = ROUTES[CHECKS[check][mode]]
+    cases = count = 0
     for group in catalog(8):
         for ctx in involution_contexts(group):
             for subset in enumerate_subsets(ctx):
                 graph = build_graph(subset)
                 for xm in range(1 << group.order):
-                    got = pc(graph, xm)
-                    assert got == (ind(graph, xm) and dom(graph, xm) and amo(graph, xm)), (
+                    got = route(graph, xm)
+                    assert got == reference(graph, xm), (
                         group.id, ctx.alpha.perm, subset.elements, xm,
                     )
                     cases += 1
-                    codes += got
-    assert (cases, codes) == (148808, 1835)
+                    count += got
+    assert (cases, count) == (148808, holds)
 
 
 def test_export_dot(v4_swap_ctx):

@@ -26,6 +26,7 @@ from gencayley import (
     subset_from_orbit_mask,
 )
 from gencayley import codes
+from gencayley._bits import elems
 from gencayley.kernels import CODE_KINDS
 from gencayley.verify import CONSISTENT_VERDICTS, reference_verdict
 
@@ -57,9 +58,8 @@ def test_scan_codes_matches_definition_oracle():
         graph = build_graph(subset)
         for kind in CODE_KINDS:
             masks = kernels.scan_codes(graph.nbr_masks, kind)
-            expect = {
-                frozenset(c) for c in codes_by_definition(graph.adjacency, kind)
-            }
+            adjacency = [elems(m) for m in graph.nbr_masks]
+            expect = {frozenset(c) for c in codes_by_definition(adjacency, kind)}
             got = {
                 frozenset(v for v in range(group.order) if m >> v & 1) for m in masks
             }
