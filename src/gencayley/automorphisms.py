@@ -103,7 +103,7 @@ def _search_automorphisms(group: FiniteGroup, involutive: bool) -> list[Automorp
     n = group.order
     table = group.table
     orders = group.element_orders
-    gens = _right_generators(table, n)
+    gens = _right_generators(table)
     by_order: dict[int, list[int]] = {}
     for x in range(n):
         by_order.setdefault(orders[x], []).append(x)

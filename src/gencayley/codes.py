@@ -284,6 +284,7 @@ def _decide(sub: SubgroupHandle, ctx: AlphaContext, kind: str) -> CodeWitness:
     alpha preserves H is read from the masks, so any handle of the same
     element set gives the same answer.
     """
+    # _check_same_group inline: this runs once per decision of the census
     if ctx.alpha.parent is not sub.parent:
         raise GenCayleyError("context group does not match the subgroup's parent")
     mask = sub.mask
@@ -337,8 +338,7 @@ def is_gc_transversal(ctx: AlphaContext, sub: SubgroupHandle, T, side: str = "ri
     other members form a valid connection set? An element of T that is not
     an int in 0..order-1 raises :class:`ValueError`, and a context of
     another group :class:`GenCayleyError`."""
-    if ctx.group is not sub.parent:
-        raise GenCayleyError("context group does not match the subgroup's parent")
+    _check_same_group(ctx.alpha, sub)
     tmask = element_mask(ctx.group.order, T)
     if not tmask & 1:
         return False
@@ -358,13 +358,12 @@ def abelian_pc_criterion(sub: SubgroupHandle, ctx: AlphaContext) -> bool:
     True iff alpha preserves the subgroup and every g outside it with
     alpha(g)*g inside it has some h in the subgroup with h*g tau-fixed
     outside the loop set. Must agree with :func:`decide_subgroup_pc` on
-    abelian inputs; the verification suites assert that.
+    abelian inputs; the verification suites assert that. A context of
+    another group raises :class:`GenCayleyError`, in :func:`alpha_preserves`.
     """
     group = sub.parent
     if not group.is_abelian:
         raise GenCayleyError("criterion applies to abelian groups only")
-    if ctx.group is not group:
-        raise GenCayleyError("context group does not match the subgroup's parent")
     if not alpha_preserves(ctx.alpha, sub):
         return False
     table = group.table
@@ -496,7 +495,7 @@ def build_product_subset(
 ) -> GenCayleySubset:
     """Pairwise products S1 x S2 as a connection set on the direct product."""
     elems_ = _product_elements(s1.elements, s2.elements, s2.context.group.order)
-    return _sized_subset(product_ctx, elems_, s1.size * s2.size)
+    return validate_subset(product_ctx, elems_)
 
 
 def build_product_subset_augmented(
@@ -505,16 +504,7 @@ def build_product_subset_augmented(
     """S1 x S2 together with the two axis copies {e} x S2 and S1 x {e}."""
     # that is ({e} u S1) x ({e} u S2) without (e, e), the pair listed first
     elems_ = _product_elements((0, *s1.elements), (0, *s2.elements), s2.context.group.order)[1:]
-    return _sized_subset(product_ctx, elems_, s1.size * s2.size + s1.size + s2.size)
-
-
-def _sized_subset(ctx: AlphaContext, elements, size: int) -> GenCayleySubset:
-    """Validate a product connection set that must have exactly ``size``
-    distinct elements."""
-    out = validate_subset(ctx, elements)
-    if out.size != size:
-        raise GenCayleyError(f"product connection set has {out.size} elements, expected {size}")
-    return out
+    return validate_subset(product_ctx, elems_)
 
 
 @dataclass(eq=False)

@@ -129,8 +129,14 @@ def noncommuting_pair(group: FiniteGroup) -> tuple[int, int] | None:
 # validation
 
 
-def first_axiom_violation(table, order: int):
+def first_axiom_violation(table):
     """First violated group axiom as (axiom, witness), or None.
+
+    Precondition: the table is n x n (n = ``len(table)``) with entries in
+    0..n-1 and element 0 a two-sided identity. Every table passed here was
+    built by a constructor of this module, or checked for exactly that by
+    :func:`group_from_table` first, so only the Latin property and
+    associativity are left to decide.
 
     Associativity is decided exactly by Light's test: greedily pick a set
     Gamma that reaches every element by right multiplication from the
@@ -142,20 +148,7 @@ def first_axiom_violation(table, order: int):
     row that passes the Latin check holds the identity, and in a table
     that passes every axiom a right inverse is two-sided.
     """
-    if len(table) != order:
-        return ("shape", (len(table), order))
-    for a, row in enumerate(table):
-        if len(row) != order:
-            return ("shape", (a, len(row)))
-        for b, v in enumerate(row):
-            if not (0 <= v < order):
-                return ("range", (a, b, v))
-    for b in range(order):
-        if table[0][b] != b:
-            return ("identity", (0, b, table[0][b]))
-    for a in range(order):
-        if table[a][0] != a:
-            return ("identity", (a, 0, table[a][0]))
+    order = len(table)
     full = set(range(order))
     for a in range(order):
         if set(table[a]) != full:
@@ -164,7 +157,7 @@ def first_axiom_violation(table, order: int):
         if {table[a][b] for a in range(order)} != full:
             return ("latin-column", (b,))
     rows = [list(row) for row in table]  # lists, to compare with built rows
-    for a in _right_generators(rows, order):
+    for a in _right_generators(rows):
         row_a = rows[a]
         for x, row_x in enumerate(rows):
             left = rows[row_x[a]]
@@ -199,12 +192,12 @@ def _right_closure(table, gens, reached: int = 1, closed: int = 0) -> int:
     return reached
 
 
-def _right_generators(table, order: int) -> list[int]:
+def _right_generators(table) -> list[int]:
     """Least unreached elements, added one at a time until every element
     is reached from the identity by right multiplication with them."""
     gens: list[int] = []
     reached = 1
-    while reached != (1 << order) - 1:
+    while reached != (1 << len(table)) - 1:
         # the least unreached element; the last closure lies in the next
         gens.append((~reached & (reached + 1)).bit_length() - 1)
         reached = _right_closure(table, gens, reached, reached)
@@ -222,22 +215,19 @@ def _repeated_name(names) -> tuple[int, int] | None:
 
 
 def _finish_group(table, gid: str, names=None) -> FiniteGroup:
-    order = len(table)
-    if order == 0:
-        raise GroupValidationError("shape", (0,), "empty table")
-    violation = first_axiom_violation(table, order)
+    """The group of a table that meets the precondition of
+    :func:`first_axiom_violation`, with one name per element if given."""
+    violation = first_axiom_violation(table)
     if violation is not None:
         raise GroupValidationError(violation[0], violation[1])
     inv = [row.index(0) for row in table]  # a group: a right inverse is two-sided
     if names is not None:
         names = tuple(names)
-        if len(names) != order:
-            raise GroupValidationError("names", (len(names), order), "length mismatch")
         repeat = _repeated_name(names)
         if repeat is not None:
             raise GroupValidationError("names", repeat, "duplicate name")
     return FiniteGroup(
-        order=order,
+        order=len(table),
         table=tuple(tuple(row) for row in table),
         inv=tuple(inv),
         id=gid,
@@ -331,9 +321,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 
 def abelian_group(factors: list[int]) -> FiniteGroup:
-    """Direct product of cyclic groups, mixed-radix numbering (last factor fastest)."""
-    if not factors:
-        raise ValueError("abelian spec needs at least one factor")
+    """Direct product of one or more cyclic groups, mixed-radix (last factor fastest)."""
     g = cyclic_group(factors[0])
     for d in factors[1:]:
         g = direct_product(g, cyclic_group(d))

@@ -124,11 +124,11 @@ def associativity_violations(table):
 
 
 def suite_group_axioms(max_order: int = 24) -> SuiteResult:
-    """Every catalog group passes the package's axiom checker (identity,
-    Latin property, exact associativity; a Latin row holds the identity,
-    so inverses need no check of their own), its identity and ``inv``
-    agree with the table, and up to order 24 a literal triple scan finds
-    no associativity violation either."""
+    """Every catalog group passes the package's axiom checker, which
+    decides the Latin property and exact associativity; the suite checks
+    the identity (element 0) and ``inv`` against the table itself, and up
+    to order 24 a literal triple scan finds no associativity violation
+    either."""
     violations = []
     cases = 0
     for group in catalog(max_order):
@@ -136,7 +136,7 @@ def suite_group_axioms(max_order: int = 24) -> SuiteResult:
         n = group.order
         t = group.table
         bad = None
-        checker = first_axiom_violation(t, n)
+        checker = first_axiom_violation(t)
         if checker is not None:
             bad = f"{checker[0]} at {checker[1]}"
         elif any(t[0][b] != b for b in range(n)) or any(t[a][0] != a for a in range(n)):

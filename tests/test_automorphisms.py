@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 
 import pytest
 
@@ -174,6 +175,61 @@ def test_automorphism_validation(z6):
         automorphism_from_perm(z6, (1, 0, 2, 3, 4, 5))  # moves the identity
     with pytest.raises(GenCayleyError):
         automorphism_from_perm(z6, (0, 2, 1, 3, 4, 5))  # not a homomorphism
+
+
+def _inversion(spec):
+    return inversion_automorphism(build_group(spec))[0]
+
+
+def _json_file(path, value):
+    path.write_text(json.dumps(value))
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda tmp: automorphism_from_perm(build_group("cyclic:4"), (0, 1, 1, 3)),
+            GenCayleyError,
+            "not a permutation of 0..3: (0, 1, 1, 3)",
+        ),
+        (
+            # g -> 2g has order 4 on Z5
+            lambda tmp: product_automorphism(
+                automorphism_from_perm(build_group("cyclic:5"), (0, 2, 4, 1, 3)),
+                _inversion("cyclic:5"),
+                build_group("Z5xZ5"),
+            ),
+            GenCayleyError,
+            "product automorphism requires both factors to square to identity",
+        ),
+        (
+            lambda tmp: product_automorphism(
+                _inversion("cyclic:3"), _inversion("cyclic:4"), build_group("cyclic:6")
+            ),
+            GenCayleyError,
+            "product group order 6 != 3 * 4",
+        ),
+        (
+            lambda tmp: load_automorphism(
+                _json_file(tmp / "list.json", [1, 2]), build_group("cyclic:2")
+            ),
+            GroupFileError,
+            "list.json: expected an object with field 'perm'",
+        ),
+        (
+            lambda tmp: alpha_context(build_group("cyclic:6"), _inversion("cyclic:4")),
+            GenCayleyError,
+            "automorphism does not belong to this group",
+        ),
+    ],
+    ids=["not-a-permutation", "factor-not-involution", "product-order", "perm-file-list",
+         "context-of-another-group"],
+)
+def test_automorphism_inputs_are_refused(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)
 
 
 def _transported_alpha(alpha, beta):

@@ -94,6 +94,8 @@ def test_emit_report_empty_csv():
         "tpc_refutation,note"
     ]
     assert emit_report([], fmt="jsonl") == ""
+    with pytest.raises(ValueError, match="format must be 'jsonl' or 'csv', got 'xml'"):
+        emit_report([], fmt="xml")
 
 
 def test_emit_report_jsonl_fields():
@@ -472,6 +474,24 @@ def test_cli_usage_errors(capsys):
     )
     assert code == 2
     assert "nonabelian" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--group", "cyclic:6", "--group-file", "z6.json"],
+            "error: pass either --group or --group-file, not both",
+        ),
+        ([], "error: a group is required (--group or --group-file)"),
+        (["--group", "Z0"], "error: cyclic group order must be >= 1, got 0"),
+        (["--group", "D2"], "error: dihedral parameter must be >= 3, got 2"),
+    ],
+    ids=["group-and-file", "no-group", "Z0", "D2"],
+)
+def test_cli_group_options_are_refused(capsys, argv, message):
+    code, out, err = run_cli(capsys, "group", "describe", *argv)
+    assert (code, out, err) == (2, "", message + "\n")
 
 
 @pytest.mark.parametrize(

@@ -180,6 +180,9 @@ def test_witnesses_are_gc_transversals(z6, z6_ctx):
     assert is_gc_transversal(z6_ctx, sub, (0,) + w.subset.elements, "right")
     assert is_gc_transversal(z6_ctx, sub, (0,) + w.subset.elements, "left")
     assert not is_gc_transversal(z6_ctx, sub, w.subset.elements, "right")  # identity missing
+    # {0, 1, 2} meets each coset of {0, 3} once, but 2 = 1 + 1 lies in the loop set
+    assert z6_ctx.omega == (0, 2, 4)
+    assert not is_gc_transversal(z6_ctx, sub, (0, 1, 2), "right")
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,7 @@ def test_abelian_criterion_examples(z6, z6_ctx, z4, z4_ctx):
     assert abelian_pc_criterion(subgroup(z6, [0, 3]), z6_ctx)
     assert not abelian_pc_criterion(subgroup(z4, [0]), z4_ctx)
     assert abelian_pc_criterion(subgroup(z6, range(6)), z6_ctx)  # vacuous
-    with pytest.raises(GenCayleyError):
+    with pytest.raises(GenCayleyError, match="criterion applies to abelian groups only"):
         abelian_pc_criterion(
             subgroup(build_group("dihedral:3"), [0]),
             involution_contexts(build_group("dihedral:3"))[0],
@@ -203,7 +206,7 @@ def test_build_witness_abelian(z6, z6_ctx):
     s = build_witness_abelian(subgroup(z6, [0, 3]), z6_ctx)
     assert s.size == 2
     assert is_perfect_code(build_graph(s), [0, 3])
-    with pytest.raises(GenCayleyError):
+    with pytest.raises(GenCayleyError, match="abelian perfect-code criterion not satisfied"):
         build_witness_abelian(subgroup(z6, [0]), z6_ctx)
 
 
@@ -281,7 +284,7 @@ def test_transport_by_inversion_fixes_z6_pair(z6, z6_ctx):
 def test_transport_requires_fixed_element(z6, z6_ctx):
     sub = subgroup(z6, [0, 3])
     w = decide_subgroup_pc(sub, z6_ctx)
-    with pytest.raises(GenCayleyError):
+    with pytest.raises(GenCayleyError, match="element 1 is not fixed by alpha"):
         transport_conjugate(sub, w.subset, 1)  # 1 is moved by inversion
 
 
@@ -564,10 +567,66 @@ def test_restriction_lemma_on_catalog_12():
 
 
 def test_restrict_witness_requires_invariance(v4, v4_swap_ctx):
+    # the swap maps K = {0, 1} to {0, 2}; H = {0} lies in K, and the check
+    # comes before the one that ({0}, {}) is no perfect code
+    k = subgroup(v4, [0, 1])
+    empty = validate_subset(v4_swap_ctx, [])
+    with pytest.raises(GenCayleyError, match="alpha does not preserve the intermediate subgroup"):
+        restrict_witness(subgroup(v4, [0]), empty, k)
     whole = subgroup(v4, range(4))
     w = decide_subgroup_pc(whole, v4_swap_ctx)
-    with pytest.raises(GenCayleyError):
-        restrict_witness(whole, w.subset, subgroup(v4, [0, 1]))
+    with pytest.raises(
+        GenCayleyError, match="code subgroup is not contained in the intermediate one"
+    ):
+        restrict_witness(whole, w.subset, k)
+
+
+def _z6_pair(z6, z6_ctx):
+    sub = subgroup(z6, [0, 3])
+    return sub, decide_subgroup_pc(sub, z6_ctx).subset
+
+
+def _z3_context():
+    z3 = build_group("cyclic:3")
+    return alpha_context(z3, inversion_automorphism(z3)[0])
+
+
+def _restrict_with_a_failing_restricted_check(z6, z6_ctx, monkeypatch):
+    """Restrict a Z6 code pair to Z6 with every code check outside Z6
+    itself failing: the input pair passes, the restricted one does not."""
+    pair = _z6_pair(z6, z6_ctx)
+    holds = codes_module._code_pair_holds
+    monkeypatch.setattr(
+        codes_module, "_code_pair_holds", lambda sub, *a: sub.parent is z6 and holds(sub, *a)
+    )
+    restrict_witness(*pair, subgroup(z6, range(6)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda z6, z6_ctx, mp: decide_subgroup_pc(subgroup(z6, [0, 3]), _z3_context()),
+            "context group does not match the subgroup's parent",
+        ),
+        (
+            lambda z6, z6_ctx, mp: abelian_pc_criterion(subgroup(z6, [0, 3]), _z3_context()),
+            "automorphism group does not match the subgroup's parent",
+        ),
+        (
+            lambda z6, z6_ctx, mp: restrict_witness(
+                *_z6_pair(z6, z6_ctx), subgroup(build_group("cyclic:4"), range(4))
+            ),
+            "intermediate subgroup has a different parent group",
+        ),
+        (_restrict_with_a_failing_restricted_check, "restricted pair is not a perfect code"),
+    ],
+    ids=["decide-foreign-context", "criterion-foreign-context", "restrict-foreign-k",
+         "restricted-pair-fails"],
+)
+def test_code_inputs_are_refused(z6, z6_ctx, monkeypatch, call, message):
+    with pytest.raises(GenCayleyError, match=re.escape(message)):
+        call(z6, z6_ctx, monkeypatch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -125,7 +126,9 @@ def test_unsupported_spec():
         build_group("symmetric:6")
 
 
-@pytest.mark.parametrize("spec", ["Z2x", "xZ3", "Z2xxZ3", "abelian:2,x", "abelian:2,,3", "", " x "])
+@pytest.mark.parametrize(
+    "spec", ["Z2x", "xZ3", "Z2xxZ3", "abelian:2,x", "abelian:2,,3", "abelian:", "", " x "]
+)
 def test_empty_spec_parts_are_refused(spec):
     # an empty atom or abelian factor once dropped out: Z2x built Z2 and
     # abelian:2,,3 built Z2xZ3
@@ -310,6 +313,37 @@ def test_group_from_table_renumbers_identity():
     data = {"name": "flipped", "order": 2, "table": [[1, 0], [0, 1]]}
     g = group_from_table(data)
     assert g.table == ((0, 1), (1, 0))
+    # Z3 with the identity as element 2: elements 0 and 2 swap, names too
+    data = {
+        "name": "C3",
+        "order": 3,
+        "table": [[1, 2, 0], [2, 0, 1], [0, 1, 2]],
+        "names": ["a", "b", "e"],
+    }
+    g = group_from_table(data)
+    assert g.names == ("e", "b", "a")
+    assert g.table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: subgroup(build_group("cyclic:4"), [0, 1, 3]),
+            GroupValidationError,
+            "group axiom violated: subgroup-closure, witness (1, 1, 2)",
+        ),
+        (
+            lambda: cosets(subgroup(build_group("cyclic:4"), [0, 2]), "up"),
+            ValueError,
+            "side must be 'left' or 'right', got 'up'",
+        ),
+    ],
+    ids=["subgroup-closure", "coset-side"],
+)
+def test_group_inputs_are_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_duplicate_element_names_rejected():
@@ -349,7 +383,20 @@ def test_group_file_roundtrip(tmp_path, z6):
         ("{not json", "line 1"),
         ('{"name": "x", "order": 2}', "missing field 'table'"),
         ('{"name": "x", "order": 2, "table": [[0, 1]]}', "field 'table'"),
+        (
+            '{"name": "x", "order": 2, "table": [[0, 1], [1]]}',
+            "field 'table' row 1 must have 2 entries",
+        ),
         ('{"name": "x", "order": 2, "table": [[0, 1], [1, 7]]}', "[1][1]"),
+        (
+            '{"name": "x", "order": 2, "table": [[0, 1], [1, 0]], "names": ["e"]}',
+            "field 'names' must list 2 strings",
+        ),
+        (
+            '{"name": "x", "order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]}',
+            "group axiom violated: latin-column, witness (1,)",
+        ),
+        ("[1, 2]", "top-level value must be an object"),
         ('{"name": "x", "order": 2, "table": [[0, 1], [1, 1]]}', "latin-row"),
         ('{"name": "x", "order": 2, "table": [[1, 0], [1, 0]]}', "identity"),
     ],
@@ -391,7 +438,7 @@ def _xor_loop(k, rng):
 
 
 def _assert_agrees_with_triple_scan(table):
-    verdict = first_axiom_violation(table, len(table))
+    verdict = first_axiom_violation(table)
     first = next(associativity_violations(table), None)
     assert (verdict is None) == (first is None), (verdict, first)
     if verdict is not None:
@@ -437,7 +484,7 @@ def test_axiom_checker_matches_triple_scan_on_every_small_loop():
         assert len(tables) == count
         for table in tables:
             _assert_agrees_with_triple_scan(table)
-            nonassociative += first_axiom_violation(table, n) is not None
+            nonassociative += first_axiom_violation(table) is not None
     assert nonassociative > 9000
 
 
@@ -463,7 +510,7 @@ def test_every_construction_goes_through_the_checker(monkeypatch, z6, z6_ctx):
     sub = subgroup(z6, [0, 3])
     subset = decide_subgroup_pc(sub, z6_ctx).subset
     monkeypatch.setattr(
-        groups_module, "first_axiom_violation", lambda table, order: ("associativity", (0, 0, 0))
+        groups_module, "first_axiom_violation", lambda table: ("associativity", (0, 0, 0))
     )
     for build in (
         lambda: cyclic_group(3),
