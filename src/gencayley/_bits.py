@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 # _BYTE_BITS[b] lists the set bits of the byte b in ascending order
@@ -15,17 +16,26 @@ def mask_of(items: Iterable[int]) -> int:
     return m
 
 
+@lru_cache(maxsize=None)
+def bit_tuple(n: int) -> tuple[int, ...]:
+    """``1 << x`` for every x in 0..n-1, built once per order n."""
+    return tuple(1 << x for x in range(n))
+
+
 def element_mask(n: int, items: Iterable[int]) -> int:
     """The mask of ``items``; :class:`ValueError` names the first item that
-    is not an int in 0..n-1. Nothing is cast: a float or a string fails
-    ``0 <= x < n`` or ``1 << x``, and a bool counts as 0 or 1."""
+    is not an int in 0..n-1. Each bit is read from :func:`bit_tuple` after
+    an ``x >= 0`` test, and nothing is cast: a str fails the comparison, a
+    float fails it (NaN) or the tuple index, an int from n on fails the
+    index, however large, and a bool counts as 0 or 1."""
+    bit = bit_tuple(n)
     m = 0
     for x in items:
         try:
-            if 0 <= x < n:
-                m |= 1 << x
+            if x >= 0:
+                m |= bit[x]
                 continue
-        except TypeError:
+        except (TypeError, IndexError):
             pass
         raise ValueError(f"element {x!r} is not an int in 0..{n - 1}")
     return m

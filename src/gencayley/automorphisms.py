@@ -393,16 +393,14 @@ def orbit_translate_masks(ctx: AlphaContext) -> list[int]:
     """For each tau-orbit o and each element g, the mask of alpha(g)*o: the
     neighbors g gains when o joins the connection set. Flattened orbit by
     orbit, as ``kernels.scan_subgroup_codes`` takes them."""
-    group = ctx.group
-    n = group.order
-    table = group.table
+    rows = ctx.group.bit_rows
     alpha = ctx.alpha.perm
     trans = []
     for orbit in ctx.tau_orbits:
-        for g in range(n):
-            row = table[alpha[g]]
+        for ag in alpha:
+            row = rows[ag]
             m = 0
             for s in orbit:
-                m |= 1 << row[s]
+                m |= row[s]
             trans.append(m)
     return trans

@@ -168,13 +168,13 @@ class GenCayleyGraph:
     def ss_inv(self) -> int:
         """SS^-1 as a mask for the product-set route, computed once per graph
         from the connection set alone."""
-        table, inv = self.group.table, self.group.inv
+        rows, inv = self.group.bit_rows, self.group.inv
         elements = self.subset.elements
         m = 0
         for s in elements:
-            row = table[s]
+            row = rows[s]
             for t in elements:
-                m |= 1 << row[inv[t]]
+                m |= row[inv[t]]
         return m
 
     def edges(self) -> list[tuple[int, int]]:
@@ -187,15 +187,15 @@ def build_graph(subset: GenCayleySubset) -> GenCayleyGraph:
     """Construct the graph; the validity of S makes it loop-free,
     symmetric and |S|-regular, which the graph-laws suite re-checks."""
     ctx = subset.context
-    table = ctx.group.table
+    rows = ctx.group.bit_rows
     elements = subset.elements
     # vertex g is joined to alpha(g) * s for every s in the connection set
     nbr_masks = []
     for ag in ctx.alpha.perm:
-        row = table[ag]
+        row = rows[ag]
         m = 0
         for s in elements:
-            m |= 1 << row[s]
+            m |= row[s]
         nbr_masks.append(m)
     return GenCayleyGraph(ctx.group, subset, tuple(nbr_masks))
 
@@ -210,13 +210,13 @@ def build_graph(subset: GenCayleySubset) -> GenCayleyGraph:
 
 def _translates(graph: GenCayleyGraph, xmask: int) -> int:
     """alpha(X)S, the union of the translates alpha(X)s over s in S."""
-    table, alpha = graph.group.table, graph.context.alpha.perm
+    rows, alpha = graph.group.bit_rows, graph.context.alpha.perm
     elements = graph.subset.elements
     union = 0
     for x in bits(xmask):
-        row = table[alpha[x]]
+        row = rows[alpha[x]]
         for s in elements:
-            union |= 1 << row[s]
+            union |= row[s]
     return union
 
 
@@ -237,12 +237,12 @@ def _amo_translates(graph: GenCayleyGraph, xmask: int) -> bool:
 
 def _products(graph: GenCayleyGraph, xs: list[int], ys: list[int]) -> int:
     """The mask of the left products alpha(x^-1) * y, x in xs and y in ys."""
-    table, inv, alpha = graph.group.table, graph.group.inv, graph.context.alpha.perm
+    rows, inv, alpha = graph.group.bit_rows, graph.group.inv, graph.context.alpha.perm
     products = 0
     for x in xs:
-        row = table[alpha[inv[x]]]
+        row = rows[alpha[inv[x]]]
         for y in ys:
-            products |= 1 << row[y]
+            products |= row[y]
     return products
 
 

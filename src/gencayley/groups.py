@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import permutations
+from operator import itemgetter
 
-from ._bits import bits, element_mask, elems
+from ._bits import bit_tuple, bits, element_mask, elems
 from .errors import GroupFileError, GroupValidationError, ThresholdError
 
 SUBGROUP_ENUM_LIMIT = 64
@@ -62,6 +63,9 @@ class FiniteGroup:
 
     Instances are immutable after construction, apart from ``cache``,
     which memoizes derived data, and are safe to share between processes.
+    The cached properties (``element_orders``, ``bit_rows`` and the others)
+    are derived from the table alone, so pickles leave them out with
+    ``cache``.
     Always build through :func:`build_group`, :func:`direct_product` or
     :func:`group_from_table`, which validate the axioms.
     """
@@ -105,6 +109,16 @@ class FiniteGroup:
                 k += 1
             orders.append(k)
         return tuple(orders)
+
+    @cached_property
+    def bit_rows(self) -> tuple[tuple[int, ...], ...]:
+        """``bit_rows[a][b]`` is ``1 << table[a][b]``, the bit of the product
+        ab. Every row reads the one :func:`bit_tuple` of the order, so the
+        rows share its n ints."""
+        if self.order == 1:  # itemgetter of one index returns the item, not a tuple
+            return ((1,),)
+        bit = bit_tuple(self.order)
+        return tuple(itemgetter(*row)(bit) for row in self.table)
 
     @cached_property
     def exponent(self) -> int:

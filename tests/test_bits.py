@@ -3,11 +3,17 @@ table of each byte's set bits; each must equal its literal one-bit-at-a-time
 definition, on empty masks, masks with all-zero bytes, bits at and past the
 64-bit boundary, and random permutations of up to 200 elements."""
 
+import math
 import random
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from gencayley import alpha_context, build_graph, build_group, inversion_automorphism, is_perfect_code
 from gencayley._bits import bits, element_mask, elems, mask_of, perm_mask
+from gencayley.graphs import validate_subset
 
 
 def bits_reference(mask):
@@ -119,3 +125,46 @@ def test_element_mask_matches_the_definition():
 def test_element_mask_names_the_first_item_outside_the_range(item):
     with pytest.raises(ValueError, match=f"element {item!r} is not an int in 0..64"):
         element_mask(65, [0, 64, item, 200])
+
+
+# the element_mask contract on both sides of 64 bits: what it accepts, and
+# every value it refuses with the one message, whether the value fails the
+# x >= 0 test or the bit tuple's index
+CONTRACT_ORDERS = (16, 100)
+
+
+def refused_items(n):
+    return [-1, -n, n, 2**70, 1.0, 0.5, math.nan, "1", None, Decimal(1), Fraction(1)]
+
+
+def perfect_matching(n):
+    """GC(Z_n, {1}, inversion): g ~ 1 - g, so the evens are a perfect code,
+    as are the odds, and {0, n-1} is not."""
+    z = build_group(f"cyclic:{n}")
+    ctx = alpha_context(z, inversion_automorphism(z)[0])
+    return build_graph(validate_subset(ctx, [1]))
+
+
+@pytest.mark.parametrize("n", CONTRACT_ORDERS)
+def test_element_mask_accepts_ints_and_bools_in_range(n):
+    top = 1 << n - 1
+    assert element_mask(n, [0, n - 1]) == 1 | top
+    assert element_mask(n, [True, False]) == 0b11
+    assert element_mask(n, [n - 1, 3, n - 1]) == top | 1 << 3  # a repeat is OR-ed once
+    assert element_mask(n, (x for x in (2, 0))) == 0b101
+    graph = perfect_matching(n)
+    assert is_perfect_code(graph, range(0, n, 2))
+    assert is_perfect_code(graph, [False, *range(2, n, 2), 0])
+    assert is_perfect_code(graph, (x for x in [True, *range(3, n, 2)]))
+    assert not is_perfect_code(graph, [0, n - 1])
+
+
+@pytest.mark.parametrize(
+    "n, item", [(n, x) for n in CONTRACT_ORDERS for x in refused_items(n)], ids=repr
+)
+def test_element_mask_refuses_the_same_values_end_to_end(n, item):
+    message = re.escape(f"element {item!r} is not an int in 0..{n - 1}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        element_mask(n, [0, n - 1, item, n + 1])  # the first refused item is named
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        is_perfect_code(perfect_matching(n), [0, item])

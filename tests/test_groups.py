@@ -12,6 +12,7 @@ from gencayley import (
     ThresholdError,
     build_group,
     catalog,
+    census_records,
     cosets,
     decide_subgroup_pc,
     enumerate_automorphisms,
@@ -279,6 +280,32 @@ def test_pickle_leaves_caches_out():
     assert len(pickle.dumps(group)) == before
     copy = pickle.loads(pickle.dumps(group))
     assert copy.table == group.table and copy.cache.subgroups == {}
+
+
+def test_bit_rows_are_the_product_bits():
+    # every catalog group to order 24, and a product past 64 bits
+    big = direct_product(build_group("cyclic:12"), build_group("symmetric:3"))
+    assert big.order == 72
+    for group in catalog(24) + [big]:
+        assert group.bit_rows == tuple(tuple(1 << c for c in row) for row in group.table)
+
+
+def test_pickle_leaves_bit_rows_out():
+    group = build_group("dihedral:5")
+    rows = group.bit_rows
+    copy = pickle.loads(pickle.dumps(group))
+    assert "bit_rows" in group.__dict__ and "bit_rows" not in copy.__dict__
+    assert copy.bit_rows == rows
+
+
+def test_census_builds_no_bit_rows():
+    # the census decides on cosets and masks and builds no graph, so its
+    # groups stay without bit rows and its memory as it was
+    groups = catalog(8)
+    for group in groups:
+        group.__dict__.pop("bit_rows", None)
+    assert census_records(8)
+    assert [g.id for g in groups if "bit_rows" in g.__dict__] == []
 
 
 def test_cosets_z6(z6):

@@ -135,6 +135,49 @@ def test_coset_partitions_report_each_broken_decomposition(monkeypatch, tamper):
     assert result.violations == ["group=Z6 H={0,3} side=right: bad partition"]
 
 
+def test_graph_laws_report_a_dropped_neighbor(monkeypatch):
+    # one graph of D4 loses the lowest neighbor of vertex 0, so it is no
+    # longer |S|-regular; the line names its group, involution and S
+    real = verify.build_graph
+    tampered = []
+
+    def dropped(subset):
+        graph = real(subset)
+        if not tampered and subset.context.group.id == "D4" and subset.size == 2:
+            tampered.append(subset)
+            masks = list(graph.nbr_masks)
+            masks[0] &= masks[0] - 1
+            graph = dataclasses.replace(graph, nbr_masks=tuple(masks))
+        return graph
+
+    clean = verify.suite_graph_laws(8)
+    monkeypatch.setattr(verify, "build_graph", dropped)
+    result = verify.suite_graph_laws(8)
+    (subset,) = tampered
+    group = subset.context.group
+    ai = involution_contexts(group).index(subset.context)
+    S = ",".join(map(str, subset.elements))
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert result.violations == [f"group=D4 alpha={ai} S={{{S}}}: graph law broken"]
+
+
+def test_graph_laws_catch_a_wrong_bit_table(monkeypatch):
+    # graphs read each product's bit from the group's bit rows; with every
+    # row of Z4 read as the identity's, vertex g is joined to S itself, so
+    # 0, outside S, has neighbors that do not have it: every nonempty S fails
+    z4 = next(g for g in catalog(8) if g.id == "Z4")
+    clean = verify.suite_graph_laws(8)
+    monkeypatch.setitem(z4.__dict__, "bit_rows", (z4.bit_rows[0],) * 4)
+    result = verify.suite_graph_laws(8)
+    contexts = involution_contexts(z4)
+    nonempty = sum(1 << len(ctx.tau_orbits) for ctx in contexts) - len(contexts)
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert nonempty and len(result.violations) == nonempty
+    assert all(v.startswith("group=Z4 ") and v.endswith(": graph law broken") for v in result.violations)
+
+
 def test_mode_agreement_reports_tampered_verdicts_in_scan_order(monkeypatch):
     clean = verify.suite_mode_agreement(7)
     real = kernels.scan_check_routes
