@@ -13,9 +13,8 @@ import csv
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 from ._bits import perm_mask
 from .automorphisms import (
@@ -95,9 +94,9 @@ def _invariant_factor_chains(max_order: int) -> list[tuple[int, ...]]:
 
 @dataclass(eq=False, slots=True)
 class CensusRecord:
-    """One census row. The field order is the positional order in which
-    :func:`task_records` builds each record, and the order of the pickled
-    field tuple; slots keep a record small and make a misspelled field
+    """One census row. The field order is the order of the plain rows that
+    :func:`task_records` returns, from which :func:`census_records` builds
+    each record; slots keep a record small and make a misspelled field
     assignment raise :class:`AttributeError`."""
 
     group_id: str
@@ -134,22 +133,20 @@ class CensusRecord:
             "note": self.note,
         }
 
-    def __reduce__(self):
-        # pickle as the constructor and its field tuple: pool workers send
-        # every record back to the parent, and a tuple loads faster and
-        # smaller than the default attribute dict
-        return (CensusRecord, _record_fields(self))
+
+# the fields after group_id and group_order of a group without involutions
+_PLACEHOLDER = (None,) * 11 + ("no-involutory-automorphisms",)
 
 
-_record_fields = attrgetter(*(f.name for f in fields(CensusRecord)))
-
-
-def task_records(args) -> list[CensusRecord]:
-    """The records of one involution, or the placeholder record of a group
-    without involutions (``perm`` is None)."""
+def task_records(args) -> list[tuple]:
+    """The rows of one involution, or the placeholder row of a group
+    without involutions (``perm`` is None). A row is a plain tuple of
+    :class:`CensusRecord`'s fields in their order: a pool worker's rows
+    pickle with no Python call per row, and :func:`census_records` builds
+    the records."""
     group, alpha_index, perm, subgroups = args
     if perm is None:
-        return [CensusRecord(group.id, group.order, note="no-involutory-automorphisms")]
+        return [(group.id, group.order) + _PLACEHOLDER]
     alpha = Automorphism(perm, group)
     ctx = alpha_context(group, alpha)
     # alpha(H) is one of the task's own subgroups: hand the deciders that
@@ -161,10 +158,8 @@ def task_records(args) -> list[CensusRecord]:
         if m not in images:  # alpha is an involution: one image per pair {H, alpha(H)}
             image = perm_mask(perm, m)
             images[m], images[image] = by_mask[image], sub
-    # records are built positionally, in field order: binding 13 keywords
-    # took census-24's 27,481 records two to three times as long
     clock, gid, order = time.perf_counter, group.id, group.order
-    records = []
+    rows = []
     for sub in subgroups:
         t0 = clock()
         pc = decide_subgroup_pc(sub, ctx)
@@ -172,15 +167,13 @@ def task_records(args) -> list[CensusRecord]:
         tpc = decide_subgroup_tpc(sub, ctx)
         t2 = clock()
         pcs, tpcs = pc.subset, tpc.subset
-        records.append(
-            CensusRecord(
-                gid, order, alpha_index, sub.elements, tpc.alpha_preserves_subgroup,
-                pcs is not None, None if pcs is None else pcs.elements, pc.refutation,
-                tpcs is not None, None if tpcs is None else tpcs.elements, tpc.refutation,
-                (t1 - t0) * 1000.0, (t2 - t1) * 1000.0,
-            )
-        )
-    return records
+        rows.append((
+            gid, order, alpha_index, sub.elements, tpc.alpha_preserves_subgroup,
+            pcs is not None, None if pcs is None else pcs.elements, pc.refutation,
+            tpcs is not None, None if tpcs is None else tpcs.elements, tpc.refutation,
+            (t1 - t0) * 1000.0, (t2 - t1) * 1000.0, None,
+        ))
+    return rows
 
 
 def census_records(
@@ -190,11 +183,14 @@ def census_records(
 
     A group with no involutory automorphism contributes a single
     placeholder record noting the empty sweep. Results are merged in task
-    order, so the output is identical for any worker count. A ``workers``
-    or ``max_order`` that is not an int of at least 1 raises
-    :class:`ValueError`, and a ``max_order`` above ``AUT_ENUM_LIMIT``
-    raises :class:`~gencayley.errors.ThresholdError`, before any group is
-    built: the catalog holds a cyclic group of every order.
+    order, so the output is identical for any worker count. Every record
+    is built here from a row of :func:`task_records`; with a pool, each
+    chunk's rows become records as the chunk arrives, while the workers
+    decide the rest. A ``workers`` or ``max_order`` that is not an int of
+    at least 1 raises :class:`ValueError`, and a ``max_order`` above
+    ``AUT_ENUM_LIMIT`` raises :class:`~gencayley.errors.ThresholdError`,
+    before any group is built: the catalog holds a cyclic group of every
+    order.
     """
     _check_size("workers", workers)
     _check_size("max_order", max_order)
@@ -216,12 +212,12 @@ def census_records(
     # more than there are tasks
     workers = min(workers, len(tasks))
     if workers <= 1:
-        task_results = [task_records(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            task_results = list(pool.map(task_records, tasks, chunksize=chunk))
-    return [record for records in task_results for record in records]
+        return [CensusRecord(*row) for rows in map(task_records, tasks) for row in rows]
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        results = pool.map(task_records, tasks, chunksize=chunk)
+        # inside the block: records are built while later chunks are decided
+        return [CensusRecord(*row) for rows in results for row in rows]
 
 
 CSV_COLUMNS = list(CensusRecord("", 0).payload())

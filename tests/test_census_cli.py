@@ -239,10 +239,10 @@ def test_pool_records_equal_serial_records():
 
 
 def test_task_records_equal_keyword_built_records(monkeypatch):
-    # task_records passes a record's fields by position; a record built by
-    # keyword from the same decisions pins that order against
-    # dataclasses.fields. The clock reads 0, 0.25 and 0.75 s around each
-    # pair's two decisions, so the pc and tpc timings differ too
+    # task_records returns each record's fields as a plain row, in field
+    # order; a record built by keyword from the same decisions pins that
+    # order against dataclasses.fields. The clock reads 0, 0.25 and 0.75 s
+    # around each pair's two decisions, so the pc and tpc timings differ too
     ticks = itertools.cycle([0.0, 0.25, 0.75])
     clock = types.SimpleNamespace(perf_counter=lambda: next(ticks))
     monkeypatch.setattr(census_module, "time", clock)
@@ -250,7 +250,8 @@ def test_task_records_equal_keyword_built_records(monkeypatch):
     for group in catalog(8):
         alphas = enumerate_involutory_automorphisms(group)
         if not alphas:
-            (record,) = census_module.task_records((group, None, None, ()))
+            (row,) = census_module.task_records((group, None, None, ()))
+            record = CensusRecord(*row)
             expected = CensusRecord(
                 group_id=group.id, group_order=group.order, note="no-involutory-automorphisms"
             )
@@ -260,7 +261,8 @@ def test_task_records_equal_keyword_built_records(monkeypatch):
         subgroups = enumerate_subgroups(group)
         for idx, alpha in enumerate(alphas):
             ctx = alpha_context(group, alpha)
-            records = census_module.task_records((group, idx, alpha.perm, subgroups))
+            rows = census_module.task_records((group, idx, alpha.perm, subgroups))
+            records = [CensusRecord(*row) for row in rows]
             assert len(records) == len(subgroups)
             for record, sub in zip(records, subgroups):
                 pc, tpc = decide_subgroup_pc(sub, ctx), decide_subgroup_tpc(sub, ctx)
@@ -344,8 +346,8 @@ def test_pool_chunk_reuses_task_handles(monkeypatch):
         (codes_module, "alpha_preserves"),
     ):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    records = [r for task in chunk for r in census_module.task_records(task)]
-    assert len(subgroups) == 67 and len(records) == 40 * 67
+    rows = [row for task in chunk for row in census_module.task_records(task)]
+    assert len(subgroups) == 67 and len(rows) == 40 * 67
     assert calls == {"_decompose": 67, "image_subgroup": 0, "alpha_preserves": 0}
 
 
@@ -371,6 +373,56 @@ def test_pool_never_starts_idle_workers(monkeypatch):
     assert emit_report(census_records(6, workers=3)) == emit_report(census_records(6))
     # order 2 is two tasks (Z1 and Z2, neither with an involution)
     assert requested == [2, 3]
+
+
+# the types a pool row may carry: element tuples hold ints only
+_ROW_SCALARS = (str, int, bool, float, type(None))
+
+
+def _is_plain_row(row):
+    return type(row) is tuple and all(
+        type(v) in _ROW_SCALARS or (type(v) is tuple and all(type(e) is int for e in v))
+        for v in row
+    )
+
+
+def test_pool_transport_carries_plain_rows(monkeypatch):
+    # a stand-in pool that runs in this process and passes each chunk's
+    # results through pickle, as a worker's return does; no process is
+    # started. Only plain rows may cross, never a CensusRecord
+    requested, crossed = [], []
+
+    class PicklingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            tasks = list(iterable)
+            for i in range(0, len(tasks), chunksize):
+                results = pickle.loads(pickle.dumps([fn(t) for t in tasks[i : i + chunksize]]))
+                crossed.append(results)
+                yield from results
+
+    timings = ("decide_pc_ms", "decide_tpc_ms")
+    serial = census_records(8)
+    monkeypatch.setattr(census_module, "ProcessPoolExecutor", PicklingPool)
+    pooled = census_records(8, workers=2)
+    assert [record_fields(r, timings) for r in pooled] == [
+        record_fields(r, timings) for r in serial
+    ]
+    # order 2 is two tasks (Z1 and Z2, neither with an involution)
+    assert emit_report(census_records(2, workers=5)) == emit_report(census_records(2))
+    assert requested == [2, 2]
+    rows = [row for results in crossed for rows in results for row in rows]
+    assert len(rows) == len(serial) + 2 and len(crossed) > 2
+    width = len(dataclasses.fields(CensusRecord))
+    assert all(_is_plain_row(row) and len(row) == width for row in rows)
 
 
 def test_cli_decide_example(capsys):

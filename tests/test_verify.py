@@ -3,16 +3,20 @@ set) and still run every check on every witness, and the suites report
 every violation they find, in scan order."""
 
 import dataclasses
+import types
 from collections import Counter
 
 import pytest
 
 import gencayley.verify as verify
 from gencayley import (
+    Automorphism,
     CodeWitness,
     CosetDecomposition,
+    GenCayleyError,
     GenCayleySubset,
     GroupValidationError,
+    SubgroupHandle,
     catalog,
     census_records,
     decide_subgroup_pc,
@@ -25,6 +29,7 @@ from gencayley import (
     subgroup,
     transport_automorphism,
     transport_conjugate,
+    validate_subset,
 )
 from gencayley.graphs import CHECKS, ROUTES
 from oracles import conjugated_perm
@@ -470,3 +475,315 @@ def test_conjugation_is_the_inner_automorphism_transport():
                         assert new_set.elements == conj_set.elements
                         assert new_ctx.alpha.perm == ctx.alpha.perm
     assert (cases, identities) == (2640, 2305)
+
+
+# ---------------------------------------------------------------------------
+# the violation lines of the structural, abelian, product and claim suites:
+# each test breaks the component a suite checks, in one place, and reads
+# the one line that names it
+
+
+# a loop of order 5 in which every element is its own inverse: identity and
+# inverses hold, but (1*1)*2 = 2 while 1*(1*2) = 1*3 = 4
+NONASSOCIATIVE_LOOP = (
+    (0, 1, 2, 3, 4),
+    (1, 0, 3, 4, 2),
+    (2, 4, 0, 1, 3),
+    (3, 2, 4, 0, 1),
+    (4, 3, 1, 2, 0),
+)
+LOOP_CHANGES = {"table": NONASSOCIATIVE_LOOP, "inv": (0, 1, 2, 3, 4)}
+# Z4 with its identity row's entries 1 and 2 swapped
+Z4_BAD_IDENTITY = ((0, 2, 1, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "group_id, changes, blind, expected",
+    [
+        ("Z5", LOOP_CHANGES, False, "associativity at (1, 1, 2)"),
+        ("Z5", LOOP_CHANGES, True, "associativity at (1, 1, 2) (triple scan)"),
+        ("Z4", {"table": Z4_BAD_IDENTITY}, True, "identity"),
+        ("Z4", {"inv": (0, 1, 2, 3)}, True, "inverse"),
+    ],
+    ids=["checker", "triple-scan", "identity", "inverse"],
+)
+def test_group_axioms_report_a_broken_table(monkeypatch, group_id, changes, blind, expected):
+    # one catalog group gets a broken table or inverse map; with the axiom
+    # checker blinded, the suite's own identity, inverse and triple scans
+    # must still name it
+    group = next(g for g in catalog(8) if g.id == group_id)
+    clean = verify.suite_group_axioms(8)
+    for name, value in changes.items():
+        monkeypatch.setattr(group, name, value)
+    if blind:
+        monkeypatch.setattr(verify, "first_axiom_violation", lambda table: None)
+    result = verify.suite_group_axioms(8)
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert result.violations == [f"group={group_id}: {expected}"]
+
+
+def test_subgroup_oracle_reports_a_lost_subgroup(monkeypatch):
+    # the enumeration loses Z6's last subgroup, Z6 itself
+    real = verify.enumerate_subgroups
+
+    def losing(group):
+        subs = real(group)
+        return subs[:-1] if group.id == "Z6" else subs
+
+    clean = verify.suite_subgroup_oracle()
+    monkeypatch.setattr(verify, "enumerate_subgroups", losing)
+    result = verify.suite_subgroup_oracle()
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert result.violations == ["group=Z6: enumeration 3 != oracle 4"]
+
+
+@pytest.mark.parametrize(
+    "group_id, elements, claimed, expected",
+    [
+        # S3 is not abelian, so only containment can fail there
+        ("S3", (0, 1), (0,), "group=S3 H={0,1}: H not inside its normalizer"),
+        ("Z6", (0, 3), (0, 3), "group=Z6 H={0,3}: abelian normalizer proper"),
+    ],
+)
+def test_coset_partitions_check_each_normalizer(monkeypatch, group_id, elements, claimed, expected):
+    # one subgroup's normalizer is replaced by a smaller subgroup
+    real = verify.normalizer
+
+    def fake(sub):
+        if sub.parent.id == group_id and sub.elements == elements:
+            return subgroup(sub.parent, claimed)
+        return real(sub)
+
+    clean = verify.suite_coset_partitions(6)
+    monkeypatch.setattr(verify, "normalizer", fake)
+    result = verify.suite_coset_partitions(6)
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert result.violations == [expected]
+
+
+@pytest.mark.parametrize(
+    "component, group_id, tamper, expected",
+    [
+        # Aut(Z5) lists inversion, its one involution, last
+        (
+            "enumerate_automorphisms",
+            "Z5",
+            lambda autos, group: autos[:-1],
+            "involution list 1 != filtered Aut(G) 0 or differs in order",
+        ),
+        (
+            "involutions_by_bijections",
+            "Z5",
+            lambda perms, group: [],
+            "involution list 1 != bijection oracle 0",
+        ),
+        (
+            "inversion_automorphism",
+            "Z5",
+            lambda found, group: (None, "equals-identity"),
+            "inversion availability wrong",
+        ),
+        (
+            "inversion_automorphism",
+            "Z5",
+            lambda found, group: (Automorphism(tuple(range(group.order)), group), None),
+            "inversion missing from enumeration",
+        ),
+        (
+            "inversion_automorphism",
+            "S3",
+            lambda found, group: (None, "equals-identity"),
+            "inversion reason 'equals-identity'",
+        ),
+    ],
+    ids=["filtered-aut", "bijections", "inversion-absent", "inversion-unlisted", "nonabelian"],
+)
+def test_alpha_invariants_report_a_wrong_involution_list(
+    monkeypatch, component, group_id, tamper, expected
+):
+    real = getattr(verify, component)
+
+    def fake(group):
+        found = real(group)
+        return tamper(found, group) if group.id == group_id else found
+
+    clean = verify.suite_alpha_invariants(6)
+    monkeypatch.setattr(verify, component, fake)
+    result = verify.suite_alpha_invariants(6)
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert result.violations == [f"group={group_id}: {expected}"]
+
+
+@pytest.mark.parametrize(
+    "group_id, changes",
+    [
+        # Z4 under inversion: omega {0,2}, big omega {1,3}, mho empty
+        ("Z4", {"omega_mask": 0b100, "mho_mask": 0b1}),
+        # D3's first involution: omega {0,1,2}, big omega {3}, mho {4,5},
+        # tau swaps 4 and 5
+        ("D3", {"mho_mask": 0b110001}),
+        ("D3", {"big_omega_mask": 0, "mho_mask": 0b111000}),
+        ("D3", {"tau_perm": (0, 1, 2, 4, 5, 3)}),
+        ("D3", {"tau_perm": (0, 2, 1, 3, 5, 4)}),
+        ("D3", {"tau_perm": (0, 1, 3, 2, 5, 4)}),
+    ],
+    ids=[
+        "identity-off-omega",
+        "mho-meets-omega",
+        "k-set",
+        "tau-not-involution",
+        "tau-moves-omega",
+        "tau-maps-into-omega",
+    ],
+)
+def test_alpha_invariants_report_inconsistent_derived_sets(monkeypatch, group_id, changes):
+    # the first involution context of one group gets one derived set wrong
+    real = verify.involution_contexts
+
+    def fake(group):
+        contexts = real(group)
+        if group.id != group_id:
+            return contexts
+        return [dataclasses.replace(contexts[0], **changes), *contexts[1:]]
+
+    clean = verify.suite_alpha_invariants(6)
+    monkeypatch.setattr(verify, "involution_contexts", fake)
+    result = verify.suite_alpha_invariants(6)
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert result.violations == [f"group={group_id} alpha=0: derived sets inconsistent"]
+
+
+def _raise_no_witness(found, *args):
+    raise GenCayleyError("no transversal")
+
+
+def _empty_connection_set(found, sub, ctx):
+    # a valid connection set of which {0,3} is no perfect code
+    return validate_subset(ctx, ())
+
+
+@pytest.mark.parametrize(
+    "component, tamper, expected",
+    [
+        ("abelian_pc_criterion", lambda found, *args: not found, "criterion=False decide=True"),
+        ("build_witness_abelian", _raise_no_witness, "constructive witness failed"),
+        ("build_witness_abelian", _empty_connection_set, "constructive witness failed"),
+        ("is_gc_transversal", lambda found, *args: False, "constructive witness failed"),
+    ],
+    ids=["criterion", "witness-raises", "witness-fails-route", "not-a-transversal"],
+)
+def test_abelian_criterion_reports_a_failed_witness(monkeypatch, component, tamper, expected):
+    # Z6 under inversion with H = {0,3}, a perfect code with S = {1,5}; a
+    # GenCayleyError from the constructive witness is a violation, not a raise
+    real = getattr(verify, component)
+
+    def fake(*args):
+        found = real(*args)
+        sub = next(a for a in args if isinstance(a, SubgroupHandle))
+        if sub.parent.id == "Z6" and sub.elements == (0, 3):
+            return tamper(found, *args)
+        return found
+
+    clean = verify.suite_abelian_criterion(6)
+    monkeypatch.setattr(verify, component, fake)
+    result = verify.suite_abelian_criterion(6)
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert result.violations == [f"group=Z6 alpha=0 H={{0,3}}: {expected}"]
+
+
+@pytest.mark.parametrize("derived", ["omega_mask", "big_omega_mask"])
+def test_product_identities_report_a_wrong_product_context(monkeypatch, derived):
+    # the first context on Z3xZ3, the only product of order 9, with a1 the
+    # identity and a2 inversion, gets element 1 of one derived set flipped
+    real = verify.alpha_context
+    tampered = []
+
+    def fake(group, alpha):
+        ctx = real(group, alpha)
+        if group.order == 9 and not tampered:
+            tampered.append(alpha.perm)
+            ctx = dataclasses.replace(ctx, **{derived: getattr(ctx, derived) ^ 0b10})
+        return ctx
+
+    clean = verify.suite_product_identities(4)
+    monkeypatch.setattr(verify, "alpha_context", fake)
+    result = verify.suite_product_identities(4)
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert len(tampered) == 1
+    assert result.violations == ["product=Z3xZ3 a1=(0, 1, 2) a2=(0, 2, 1): set identity fails"]
+
+
+def test_product_codes_report_too_few_pairs(monkeypatch):
+    real = verify.collect_code_pairs
+    monkeypatch.setattr(verify, "collect_code_pairs", lambda kind, limit: real(kind, limit)[:-1])
+    result = verify.suite_product_codes()
+    assert result.cases == verify.PRODUCT_PC_PAIRS - 1
+    assert result.violations == [
+        "only 4 perfect-code pairs available",
+        "only 2 total-code pairs available",
+    ]
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("pc_product_holds", False, "augmented product set loses the perfect code"),
+        ("tpc_plain_counting_ok", True, "plain product set passed under perfect-code inputs"),
+        ("tpc_plain_holds", True, "plain product set passed under perfect-code inputs"),
+        ("tpc_amended_evaluated", False, "total-code product form failed"),
+        ("tpc_amended_holds", False, "total-code product form failed"),
+    ],
+)
+def test_product_codes_report_a_failed_construction(monkeypatch, field, value, expected):
+    # the report on the first two perfect-code pairs has one field changed
+    real = verify.verify_product_codes
+    calls = []
+
+    def fake(*pairs):
+        report = real(*pairs)
+        calls.append(pairs)
+        if len(calls) == 1:
+            setattr(report, field, value)
+        return report
+
+    clean = verify.suite_product_codes()
+    monkeypatch.setattr(verify, "verify_product_codes", fake)
+    result = verify.suite_product_codes()
+    assert clean.ok
+    assert result.cases == clean.cases == len(calls)
+    assert result.violations == [f"pair1=(Z4,{{0,2}}) pair2=(D3,{{0,3}}): {expected}"]
+
+
+@pytest.mark.parametrize(
+    "suite, expected",
+    [
+        ("suite_odd_order_in_omega", "group=Z3 alpha=0 H={0}: decide=True expected=False"),
+        ("suite_characteristic_criterion", "group=Z3 alpha=0 H={0}: decide=True expected=False"),
+    ],
+)
+def test_claim_suites_report_a_flipped_decision(monkeypatch, suite, expected):
+    # the first perfect-code decision a claim suite checks is reported the
+    # other way
+    real = verify.decide_subgroup_pc
+    flipped = []
+
+    def fake(sub, ctx):
+        witness = real(sub, ctx)
+        if flipped:
+            return witness
+        flipped.append(witness)
+        return types.SimpleNamespace(success=not witness.success)
+
+    clean = getattr(verify, suite)(6)
+    monkeypatch.setattr(verify, "decide_subgroup_pc", fake)
+    result = getattr(verify, suite)(6)
+    assert clean.ok
+    assert result.cases == clean.cases
+    assert result.violations == [expected]
