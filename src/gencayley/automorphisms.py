@@ -24,9 +24,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import kernels
-from ._bits import elems
+from ._bits import bits, elems
 from .errors import GenCayleyError, GroupFileError, ThresholdError
-from .groups import FiniteGroup, SubgroupHandle, _product_elements, _read_json, _right_generators
+from .groups import (
+    FiniteGroup,
+    SubgroupHandle,
+    _check_group,
+    _product_elements,
+    _read_json,
+    _right_generators,
+)
 
 AUT_ENUM_LIMIT = 48
 
@@ -329,19 +336,9 @@ class AlphaContext:
         Singleton orbits are exactly the big_omega elements, pairs lie in
         mho. Valid connection sets are exactly the unions of these orbits.
         """
-        out = []
-        seen = 0
-        avoid = self.omega_mask
         tau = self.tau_perm
-        for x in range(self.group.order):
-            if avoid >> x & 1 or seen >> x & 1:
-                continue
-            y = tau[x]
-            orbit = (x,) if y == x else (x, y)
-            for z in orbit:
-                seen |= 1 << z
-            out.append(orbit)
-        return tuple(out)
+        live = bits(self.big_omega_mask | self.mho_mask)  # each orbit from its least element
+        return tuple([(x,) if x == tau[x] else (x, tau[x]) for x in live if x <= tau[x]])
 
     @cached_property
     def orbit_lanes(self) -> kernels.OrbitLanes:
@@ -354,8 +351,7 @@ class AlphaContext:
 def alpha_context(group: FiniteGroup, alpha: Automorphism) -> AlphaContext:
     """Derive the sets of an involution in one pass over the group: omega
     from the products alpha(g^-1)*g, and k_set as the fixed points of tau."""
-    if alpha.parent is not group:
-        raise GenCayleyError("automorphism does not belong to this group")
+    _check_group(group, alpha.parent, "automorphism")
     if not alpha.squares_to_identity:
         raise GenCayleyError("alpha must square to the identity")
     perm = alpha.perm

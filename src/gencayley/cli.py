@@ -10,7 +10,7 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from . import kernels
+from . import __version__, kernels
 from ._bits import fmt_set
 from .automorphisms import (
     alpha_context,
@@ -20,17 +20,14 @@ from .automorphisms import (
     load_automorphism,
 )
 from .census import CSV_COLUMNS, DEFAULT_CENSUS_MAX_ORDER, catalog, census_records, emit_report
-from .codes import (
-    brute_force_codes,
-    decide_subgroup_pc,
-    decide_subgroup_tpc,
-    is_perfect_code,
-    is_total_perfect_code,
-)
+from .codes import _decide, brute_force_codes
 from .errors import GenCayleyError, ThresholdError
-from .graphs import build_graph, export_dot, validate_subset
+from .graphs import build_graph, evaluate, export_dot, validate_subset
 from .groups import build_group, enumerate_subgroups, load_group_file, subgroup
 from .verify import run_suites
+
+# each code kind the commands take, and the library's name for it
+KINDS = {"pc": "perfect", "tpc": "total"}
 
 SET_LABELS = (
     ("omega", "loop set"),
@@ -229,10 +226,7 @@ def cmd_check(args) -> int:
     graph = _resolve_graph(args)
     group = graph.group
     x = _parse_elements(group, args.X, "--X")
-    if args.kind == "pc":
-        value = is_perfect_code(graph, x)
-    else:
-        value = is_total_perfect_code(graph, x)
+    value = evaluate(KINDS[args.kind], graph, x)
     print(
         f"group={group.id} alpha={args.alpha} S={fmt_set(graph.subset.elements)}"
         f" X={fmt_set(x)} kind={args.kind}"
@@ -245,10 +239,7 @@ def cmd_decide(args) -> int:
     group = _resolve_group(args)
     ctx = _resolve_context(args, group)
     sub = subgroup(group, _parse_elements(group, args.subgroup, "--subgroup"))
-    if args.kind == "pc":
-        witness = decide_subgroup_pc(sub, ctx)
-    else:
-        witness = decide_subgroup_tpc(sub, ctx)
+    witness = _decide(sub, ctx, KINDS[args.kind])
     print(
         f"group={group.id} alpha={args.alpha} subgroup={fmt_set(sub.elements)}"
         f" kind={args.kind}"
@@ -265,8 +256,7 @@ def cmd_decide(args) -> int:
 
 def cmd_enumerate_codes(args) -> int:
     graph = _resolve_graph(args)
-    kind = "perfect" if args.kind == "pc" else "total"
-    codes = brute_force_codes(graph, kind)
+    codes = brute_force_codes(graph, KINDS[args.kind])
     print(
         f"group={graph.group.id} alpha={args.alpha} S={fmt_set(graph.subset.elements)}"
         f" kind={args.kind} codes={len(codes)}"
@@ -332,9 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         "decide perfect and total perfect codes, sweep the catalog.",
         epilog="census CSV columns: " + ",".join(CSV_COLUMNS),
     )
-    parser.add_argument(
-        "--version", action="version", version=f"gencayley 0.1.0 (kernels: {kernels.backend()})"
-    )
+    version = f"gencayley {__version__} (kernels: {kernels.backend()})"
+    parser.add_argument("--version", action="version", version=version)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", help="catalog groups")
@@ -368,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.set_defaults(func=cmd_graph_build)
 
     p = sub.add_parser("check", help="test a given vertex set")
-    p.add_argument("kind", choices=("pc", "tpc"))
+    p.add_argument("kind", choices=KINDS)
     _add_group_args(p)
     _add_alpha_arg(p)
     p.add_argument("--S", required=True)
@@ -376,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("decide", help="decide a subgroup and construct a witness")
-    p.add_argument("kind", choices=("pc", "tpc"))
+    p.add_argument("kind", choices=KINDS)
     _add_group_args(p)
     _add_alpha_arg(p)
     p.add_argument("--subgroup", required=True)
@@ -388,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_args(p_codes)
     _add_alpha_arg(p_codes)
     p_codes.add_argument("--S", required=True)
-    p_codes.add_argument("--kind", choices=("pc", "tpc"), default="pc")
+    p_codes.add_argument("--kind", choices=KINDS, default="pc")
     p_codes.set_defaults(func=cmd_enumerate_codes)
 
     p = sub.add_parser("census", help="sweep the catalog and emit records")

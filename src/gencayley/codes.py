@@ -70,6 +70,7 @@ from .groups import (
     CosetDecomposition,
     FiniteGroup,
     SubgroupHandle,
+    _check_group,
     _finish_group,
     _product_elements,
     cosets,
@@ -86,15 +87,10 @@ REFUTATION_OMEGA_COSET = "coset-inside-omega"
 REFUTATION_EXHAUSTED = "search-exhausted"
 
 
-def _check_same_group(alpha: Automorphism, sub: SubgroupHandle) -> None:
-    if alpha.parent is not sub.parent:
-        raise GenCayleyError("automorphism group does not match the subgroup's parent")
-
-
 def alpha_preserves(alpha: Automorphism, sub: SubgroupHandle) -> bool:
     """Does alpha map the subgroup onto itself? An automorphism of another
     group raises :class:`GenCayleyError`."""
-    _check_same_group(alpha, sub)
+    _check_group(sub.parent, alpha.parent, "automorphism")
     return perm_mask(alpha.perm, sub.mask) == sub.mask
 
 
@@ -102,8 +98,8 @@ def image_subgroup(alpha: Automorphism, sub: SubgroupHandle) -> SubgroupHandle:
     """The handle of alpha(H): the group's registered handle of its mask,
     validated by :func:`subgroup` only when none is registered. An
     automorphism of another group raises :class:`GenCayleyError`."""
-    _check_same_group(alpha, sub)
     group = sub.parent
+    _check_group(group, alpha.parent, "automorphism")
     mask = perm_mask(alpha.perm, sub.mask)
     handle = group.cache.subgroups.get(mask)
     return subgroup(group, elems(mask)) if handle is None else handle
@@ -284,9 +280,9 @@ def _decide(sub: SubgroupHandle, ctx: AlphaContext, kind: str) -> CodeWitness:
     alpha preserves H is read from the masks, so any handle of the same
     element set gives the same answer.
     """
-    # _check_same_group inline: this runs once per decision of the census
+    # the test inline: this runs once per decision of the census
     if ctx.alpha.parent is not sub.parent:
-        raise GenCayleyError("context group does not match the subgroup's parent")
+        _check_group(sub.parent, ctx.group, "context")
     mask = sub.mask
     image = ctx.images.get(mask)
     if image is None:
@@ -338,7 +334,7 @@ def is_gc_transversal(ctx: AlphaContext, sub: SubgroupHandle, T, side: str = "ri
     other members form a valid connection set? An element of T that is not
     an int in 0..order-1 raises :class:`ValueError`, and a context of
     another group :class:`GenCayleyError`."""
-    _check_same_group(ctx.alpha, sub)
+    _check_group(sub.parent, ctx.group, "context")
     tmask = element_mask(ctx.group.order, T)
     if not tmask & 1:
         return False
@@ -416,18 +412,6 @@ def build_witness_abelian(sub: SubgroupHandle, ctx: AlphaContext) -> GenCayleySu
 # transport constructions
 
 
-def _pair_group(sub: SubgroupHandle, subset: GenCayleySubset) -> FiniteGroup:
-    """The group of a (subgroup, connection set) pair; raises
-    :class:`GenCayleyError` when the two live in different groups."""
-    group = sub.parent
-    if subset.context.group is not group:
-        raise GenCayleyError(
-            f"subgroup of group {group.id} paired with a connection set of group"
-            f" {subset.context.group.id}"
-        )
-    return group
-
-
 def _code_pair_holds(sub: SubgroupHandle, subset: GenCayleySubset, kind: str) -> bool:
     kernels._check_kind(kind)
     # the checks are looked up at call time, so a wrapper set on them sees each call
@@ -437,7 +421,7 @@ def _code_pair_holds(sub: SubgroupHandle, subset: GenCayleySubset, kind: str) ->
 
 def _require_code_pair(sub: SubgroupHandle, subset: GenCayleySubset, kind: str, which: str):
     """Input check: raise :class:`GenCayleyError` unless the pair is a code."""
-    _pair_group(sub, subset)
+    _check_group(sub.parent, subset.context.group, "connection set")
     if not _code_pair_holds(sub, subset, kind):
         raise GenCayleyError(f"{which} pair is not a {kind} code")
 
@@ -451,8 +435,8 @@ def transport_conjugate(
     pair is re-validated, and :class:`GenCayleyError` is raised if it fails.
     A ``g`` that is not an int in 0..order-1 raises :class:`ValueError`.
     """
-    ctx = subset.context
-    group = _pair_group(sub, subset)
+    ctx, group = subset.context, sub.parent
+    _check_group(group, ctx.group, "connection set")
     element_mask(group.order, (g,))
     if ctx.alpha.perm[g] != g:
         raise GenCayleyError(f"element {g} is not fixed by alpha")
@@ -473,9 +457,9 @@ def transport_automorphism(
     :class:`GenCayleyError` is raised if it fails. The context is the
     group's one context of that involution, kept in ``group.cache.contexts``.
     """
-    group = _pair_group(sub, subset)
-    if beta.parent is not group:
-        raise GenCayleyError("beta acts on a different group")
+    group = sub.parent
+    _check_group(group, subset.context.group, "connection set")
+    _check_group(group, beta.parent, "beta")
     b, a = beta.perm, subset.context.alpha.perm
     perm = tuple([b[a[x]] for x in beta.inverse_perm])  # beta.alpha.beta^-1
     new_ctx = _cached_context(group, perm)
@@ -591,10 +575,9 @@ def restrict_witness(
     a perfect-code witness there. :class:`GenCayleyError` is raised when
     the input pair is not a perfect code or the restricted pair fails.
     """
-    ctx = subset.context
-    group = _pair_group(sub, subset)
-    if inter.parent is not group:
-        raise GenCayleyError("intermediate subgroup has a different parent group")
+    ctx, group = subset.context, sub.parent
+    _check_group(group, ctx.group, "connection set")
+    _check_group(group, inter.parent, "intermediate subgroup")
     if sub.mask & ~inter.mask:
         raise GenCayleyError("code subgroup is not contained in the intermediate one")
     if not alpha_preserves(ctx.alpha, inter):

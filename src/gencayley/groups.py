@@ -23,7 +23,7 @@ from itertools import permutations
 from operator import itemgetter
 
 from ._bits import bit_tuple, bits, element_mask, elems
-from .errors import GroupFileError, GroupValidationError, ThresholdError
+from .errors import GenCayleyError, GroupFileError, GroupValidationError, ThresholdError
 
 SUBGROUP_ENUM_LIMIT = 64
 SYMMETRIC_DEGREE_LIMIT = 5
@@ -126,6 +126,17 @@ class FiniteGroup:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteGroup({self.id}, order={self.order})"
+
+
+def _check_group(group: FiniteGroup, other: FiniteGroup, what: str) -> None:
+    """The one same-group guard: ``what``, of the group ``other``, must be used
+    with that group. Twins from two specs ("Z6", "cyclic:6") share an id, so
+    the message names both ids without contrasting them."""
+    if other is not group:
+        raise GenCayleyError(
+            f"{what} belongs to another group ({other.id}) than the one it is used with"
+            f" ({group.id})"
+        )
 
 
 def noncommuting_pair(group: FiniteGroup) -> tuple[int, int] | None:

@@ -15,6 +15,7 @@ passed.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 import zlib
@@ -23,7 +24,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from . import kernels
-from ._bits import bits, elems, fmt_set, mask_of, perm_mask
+from ._bits import bits, element_mask, elems, fmt_set, perm_mask
 from .automorphisms import (
     alpha_context,
     enumerate_automorphisms,
@@ -250,9 +251,9 @@ def suite_alpha_invariants(max_order: int = 12) -> SuiteResult:
     up to order :data:`BIJECTION_ORACLE_ORDER`, a bijection oracle),
     inversion is listed where it applies, and the derived sets of every
     involution are consistent: omega, big_omega and mho partition G, the
-    identity lies in omega, alpha maps omega onto itself, and tau is an
-    involution that fixes omega pointwise and maps its complement onto
-    itself."""
+    identity lies in omega, alpha maps omega onto itself, tau is an
+    involution that fixes omega pointwise, and omega and big_omega equal
+    their definitions {alpha(g^-1)g} and {g : alpha(g) = g^-1} minus omega."""
     violations = []
     cases = 0
     for group in catalog(max_order):
@@ -295,21 +296,18 @@ def suite_alpha_invariants(max_order: int = 12) -> SuiteResult:
                 and ctx.omega_mask & 1
                 and perm_mask(ctx.alpha.perm, ctx.omega_mask) == ctx.omega_mask
             )
-            # tau is an involution, fixes omega pointwise and maps the
-            # complement of omega onto itself
+            # tau is an involution and fixes omega pointwise; so it maps the
+            # complement of omega onto itself, as tau(x) in omega would give
+            # tau(tau(x)) = tau(x) != x
             tau = ctx.tau_perm
             for x in range(n):
-                if tau[tau[x]] != x:
+                if tau[tau[x]] != x or ctx.omega_mask >> x & 1 and tau[x] != x:
                     ok = False
-                if ctx.omega_mask >> x & 1:
-                    if tau[x] != x:
-                        ok = False
-                elif ctx.omega_mask >> tau[x] & 1:
-                    ok = False
-            # k_set from its definition, not from the context's own tau
-            perm = ctx.alpha.perm
-            k_set = mask_of(g for g in range(n) if perm[g] == group.inv[g])
-            if k_set != ctx.omega_mask | ctx.big_omega_mask:
+            # omega and k_set from their definitions, not from the context's own tau
+            perm, inv, table = ctx.alpha.perm, group.inv, group.table
+            omega = element_mask(n, [table[perm[inv[g]]][g] for g in range(n)])
+            k_set = element_mask(n, [g for g in range(n) if perm[g] == inv[g]])
+            if omega != ctx.omega_mask or k_set != ctx.omega_mask | ctx.big_omega_mask:
                 ok = False
             if not ok:
                 violations.append(f"group={group.id} alpha={ai}: derived sets inconsistent")
@@ -537,7 +535,7 @@ def suite_abelian_criterion(max_order: int = 24) -> SuiteResult:
     return SuiteResult("abelian-criterion", cases, violations)
 
 
-def suite_census_audits(max_order: int = 24) -> SuiteResult:
+def suite_census_audits(max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> SuiteResult:
     """The census has one record per scanned (group, involution, subgroup)
     pair, in scan order; its booleans re-validate, its witnesses are the
     deciders' and pass the graph definition, every perfect-code hit passes
@@ -662,7 +660,7 @@ def suite_product_identities(max_order: int = 8) -> SuiteResult:
     for g1, ctxs1 in factors:
         for g2, ctxs2 in factors:
             prod = direct_product(g1, g2)
-            n2 = g2.order
+            n, n2 = prod.order, g2.order
             for c1 in ctxs1:
                 for c2 in ctxs2:
                     a1, a2 = c1.alpha, c2.alpha
@@ -670,8 +668,8 @@ def suite_product_identities(max_order: int = 8) -> SuiteResult:
                         continue
                     cases += 1
                     bar_ctx = alpha_context(prod, product_automorphism(a1, a2, prod))
-                    want_omega = mask_of(_product_elements(c1.omega, c2.omega, n2))
-                    want_k = mask_of(_product_elements(c1.k_set, c2.k_set, n2))
+                    want_omega = element_mask(n, _product_elements(c1.omega, c2.omega, n2))
+                    want_k = element_mask(n, _product_elements(c1.k_set, c2.k_set, n2))
                     got_omega = bar_ctx.omega_mask
                     got_big = bar_ctx.big_omega_mask
                     if got_omega != want_omega or got_big != want_k & ~want_omega:
@@ -792,21 +790,21 @@ def suite_characteristic_criterion(max_order: int = 24) -> SuiteResult:
 # runner
 
 SUITES = (
-    (suite_group_axioms, 24),
-    (suite_subgroup_oracle, None),
-    (suite_coset_partitions, 12),
-    (suite_alpha_invariants, 12),
-    (suite_graph_laws, 12),
-    (suite_mode_agreement, 12),
-    (suite_pc_oracle, DEFAULT_CENSUS_MAX_ORDER),
-    (suite_abelian_criterion, 24),
-    (suite_census_audits, 24),
-    (suite_transports, 12),
-    (suite_product_identities, 8),
-    (suite_product_codes, None),
-    (suite_tpc_oracle, DEFAULT_CENSUS_MAX_ORDER),
-    (suite_odd_order_in_omega, 24),
-    (suite_characteristic_criterion, 24),
+    suite_group_axioms,
+    suite_subgroup_oracle,
+    suite_coset_partitions,
+    suite_alpha_invariants,
+    suite_graph_laws,
+    suite_mode_agreement,
+    suite_pc_oracle,
+    suite_abelian_criterion,
+    suite_census_audits,
+    suite_transports,
+    suite_product_identities,
+    suite_product_codes,
+    suite_tpc_oracle,
+    suite_odd_order_in_omega,
+    suite_characteristic_criterion,
 )
 
 
@@ -824,11 +822,13 @@ def run_suites(max_order: int | None = None) -> Iterator[SuiteResult]:
     suite runs."""
     if max_order is not None:
         _check_size("max_order", max_order)
-    return (_run_suite(fn, bound, max_order) for fn, bound in SUITES)
+    return (_run_suite(fn, max_order) for fn in SUITES)
 
 
-def _run_suite(fn, bound: int | None, max_order: int | None) -> SuiteResult:
-    kwargs = {} if bound is None else {"max_order": min(bound, max_order or bound)}
+def _run_suite(fn, max_order: int | None) -> SuiteResult:
+    """Run one suite to its own default ``max_order``, or to ``max_order`` if lower."""
+    param = inspect.signature(fn).parameters.get("max_order")
+    kwargs = {} if param is None else {"max_order": min(param.default, max_order or param.default)}
     started = time.perf_counter()
     try:
         result = fn(**kwargs)

@@ -14,9 +14,32 @@ which runs them too.
 from __future__ import annotations
 
 from gencayley import kernels
-from gencayley._bits import bits, elems, mask_of
+from gencayley._bits import bits, elems
 from gencayley.errors import GenCayleyError
 from gencayley.graphs import validate_subset
+
+
+def mask_of(items) -> int:
+    """Literal reference for ``_bits.element_mask``: bit x for each item x."""
+    return sum(1 << x for x in set(items))
+
+
+def tau_orbits_by_scan(ctx) -> tuple[tuple[int, ...], ...]:
+    """Literal reference for ``AlphaContext.tau_orbits``: scan the group in
+    ascending order, skip omega and every element already in an orbit, and
+    pair each other x with tau(x)."""
+    out = []
+    seen = 0
+    tau = ctx.tau_perm
+    for x in range(ctx.group.order):
+        if ctx.omega_mask >> x & 1 or seen >> x & 1:
+            continue
+        y = tau[x]
+        orbit = (x,) if y == x else (x, y)
+        for z in orbit:
+            seen |= 1 << z
+        out.append(orbit)
+    return tuple(out)
 
 
 def gc_edges_by_rule(group, alpha_perm, S) -> set[frozenset[int]]:

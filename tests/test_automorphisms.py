@@ -16,6 +16,7 @@ from gencayley import (
     enumerate_automorphisms,
     enumerate_involutory_automorphisms,
     inversion_automorphism,
+    involution_contexts,
     load_automorphism,
     product_automorphism,
     subgroup,
@@ -23,7 +24,7 @@ from gencayley import (
 )
 import gencayley.automorphisms as automorphisms_module
 from gencayley.verify import involutions_by_bijections
-from oracles import context_sets_by_definition
+from oracles import context_sets_by_definition, tau_orbits_by_scan
 
 
 def _fresh(spec):
@@ -163,6 +164,19 @@ def test_contexts_match_definitions():
             assert {name: getattr(ctx, name) for name in want} == want, (group.id, alpha.perm)
 
 
+def test_tau_orbits_read_from_the_masks_match_the_scan():
+    # Z2^5 alone has 9,765 involutions, which add nothing the scan tells apart
+    contexts = [
+        ctx
+        for group in catalog(32)
+        if group.id != "Z2xZ2xZ2xZ2xZ2"
+        for ctx in involution_contexts(group)
+    ]
+    assert len(contexts) == 1934
+    for ctx in contexts:
+        assert ctx.tau_orbits == tau_orbits_by_scan(ctx), (ctx.group.id, ctx.alpha.perm)
+
+
 def test_alpha_context_rejects_non_involution():
     z5 = build_group("cyclic:5")
     doubling = automorphism_from_perm(z5, tuple((2 * g) % 5 for g in range(5)))
@@ -221,7 +235,7 @@ def _json_file(path, value):
         (
             lambda tmp: alpha_context(build_group("cyclic:6"), _inversion("cyclic:4")),
             GenCayleyError,
-            "automorphism does not belong to this group",
+            "automorphism belongs to another group (Z4) than the one it is used with (Z6)",
         ),
     ],
     ids=["not-a-permutation", "factor-not-involution", "product-order", "perm-file-list",

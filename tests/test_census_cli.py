@@ -1048,7 +1048,7 @@ def test_run_suites_lists_every_suite_in_order():
     assert len(results) == len(SUITES)
     assert all(r.ok and r.cases > 0 for r in results)
     # the name a suite that raises is reported under
-    assert [r.name for r in results] == [verify_module._suite_name(fn) for fn, _ in SUITES]
+    assert [r.name for r in results] == [verify_module._suite_name(fn) for fn in SUITES]
 
 
 def test_cli_check_total_code(capsys):

@@ -359,7 +359,8 @@ def test_warm_context_cache_keeps_every_transport_check(z6, z6_ctx):
     twin = build_group.__wrapped__("cyclic:6")
     assert twin is not z6
     beta = inversion_automorphism(twin)[0]
-    with pytest.raises(GenCayleyError, match="beta acts on a different group"):
+    message = "beta belongs to another group (Z6) than the one it is used with (Z6)"
+    with pytest.raises(GenCayleyError, match=re.escape(message)):
         transport_automorphism(sub, subset, beta)
     edgeless = validate_subset(z6_ctx, [])  # no outside vertex is dominated
     with pytest.raises(GenCayleyError, match="not a perfect code"):
@@ -472,10 +473,80 @@ def test_code_pairs_from_two_groups_are_refused(z6, z6_ctx, z4_ctx, entry):
         "product-total": lambda: verify_product_codes(code, code, total, foreign_total),
         "restrict": lambda: restrict_witness(*foreign, subgroup(z6, range(6))),
     }[entry]
-    with pytest.raises(
-        GenCayleyError, match="subgroup of group Z6 paired with a connection set of group Z4"
-    ):
+    message = "connection set belongs to another group (Z4) than the one it is used with (Z6)"
+    with pytest.raises(GenCayleyError, match=re.escape(message)):
         run()
+
+
+# each entry point with its objects of two groups: the foreign object, the
+# name the guard gives it, and the call on Z6's code pair
+GUARD_SITES = {
+    "alpha_context": ("automorphism", lambda f, home: alpha_context(home.group, f.alpha)),
+    "alpha_preserves": ("automorphism", lambda f, home: alpha_preserves(f.alpha, home.sub)),
+    "image_subgroup": ("automorphism", lambda f, home: image_subgroup(f.alpha, home.sub)),
+    "is_gc_transversal": ("context", lambda f, home: is_gc_transversal(f.ctx, home.sub, [0, 1])),
+    "decide_subgroup_pc": ("context", lambda f, home: decide_subgroup_pc(home.sub, f.ctx)),
+    "decide_subgroup_tpc": ("context", lambda f, home: decide_subgroup_tpc(home.sub, f.ctx)),
+    "abelian_pc_criterion": ("automorphism", lambda f, home: abelian_pc_criterion(home.sub, f.ctx)),
+    "transport_conjugate": (
+        "connection set", lambda f, home: transport_conjugate(home.sub, f.subset, 0)
+    ),
+    "transport_automorphism-pair": (
+        "connection set",
+        lambda f, home: transport_automorphism(home.sub, f.subset, home.ctx.alpha),
+    ),
+    "transport_automorphism-beta": (
+        "beta", lambda f, home: transport_automorphism(*home.code, f.alpha)
+    ),
+    "verify_product_codes-pc": (
+        "connection set", lambda f, home: verify_product_codes((home.sub, f.subset), home.code)
+    ),
+    "verify_product_codes-tpc": (
+        "connection set",
+        lambda f, home: verify_product_codes(
+            home.code, home.code, home.total, (home.sub, f.total)
+        ),
+    ),
+    "restrict_witness-pair": (
+        "connection set", lambda f, home: restrict_witness(home.sub, f.subset, home.whole)
+    ),
+    "restrict_witness-intermediate": (
+        "intermediate subgroup", lambda f, home: restrict_witness(*home.code, f.whole)
+    ),
+}
+
+
+@pytest.mark.parametrize("site", GUARD_SITES)
+@pytest.mark.parametrize("foreign", ["twin", "cyclic:4"])
+def test_every_same_group_guard_names_both_groups(z6, z6_ctx, site, foreign):
+    # a twin built from a second spec has Z6's id and elements but is
+    # another object: the message names both ids and reads true for it too
+    group = build_group.__wrapped__("cyclic:6") if foreign == "twin" else build_group(foreign)
+    assert group is not z6
+    alpha = inversion_automorphism(group)[0]
+    ctx = alpha_context(group, alpha)
+    # under inversion tau is the identity and omega the squares, so {1} and
+    # {1, 3} are connection sets of both Z6 and Z4
+    f = SimpleNamespace(
+        alpha=alpha,
+        ctx=ctx,
+        subset=validate_subset(ctx, [1]),
+        total=validate_subset(ctx, [1, 3]),
+        whole=subgroup(group, range(group.order)),
+    )
+    sub = subgroup(z6, [0, 3])
+    home = SimpleNamespace(
+        group=z6,
+        ctx=z6_ctx,
+        sub=sub,
+        code=(sub, decide_subgroup_pc(sub, z6_ctx).subset),
+        total=(sub, decide_subgroup_tpc(sub, z6_ctx).subset),
+        whole=subgroup(z6, range(6)),
+    )
+    what, call = GUARD_SITES[site]
+    message = f"{what} belongs to another group ({group.id}) than the one it is used with (Z6)"
+    with pytest.raises(GenCayleyError, match=re.escape(message)):
+        call(f, home)
 
 
 def test_verify_product_codes_amended(z6, z6_ctx, z4, z4_ctx):
@@ -607,17 +678,18 @@ def _restrict_with_a_failing_restricted_check(z6, z6_ctx, monkeypatch):
     [
         (
             lambda z6, z6_ctx, mp: decide_subgroup_pc(subgroup(z6, [0, 3]), _z3_context()),
-            "context group does not match the subgroup's parent",
+            "context belongs to another group (Z3) than the one it is used with (Z6)",
         ),
         (
             lambda z6, z6_ctx, mp: abelian_pc_criterion(subgroup(z6, [0, 3]), _z3_context()),
-            "automorphism group does not match the subgroup's parent",
+            "automorphism belongs to another group (Z3) than the one it is used with (Z6)",
         ),
         (
             lambda z6, z6_ctx, mp: restrict_witness(
                 *_z6_pair(z6, z6_ctx), subgroup(build_group("cyclic:4"), range(4))
             ),
-            "intermediate subgroup has a different parent group",
+            "intermediate subgroup belongs to another group (Z4) than the one it is used"
+            " with (Z6)",
         ),
         (_restrict_with_a_failing_restricted_check, "restricted pair is not a perfect code"),
     ],
@@ -673,21 +745,30 @@ def test_image_subgroup_validates_an_image_not_yet_registered():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda z3_ctx, z4_whole, inv4, z6_pair: is_gc_transversal(z3_ctx, z4_whole, [0]),
-        lambda z3_ctx, z4_whole, inv4, z6_pair: alpha_preserves(inv4, z6_pair),
-        lambda z3_ctx, z4_whole, inv4, z6_pair: image_subgroup(inv4, z6_pair),
+        (
+            lambda z3_ctx, z4_whole, inv4, z6_pair: is_gc_transversal(z3_ctx, z4_whole, [0]),
+            "context belongs to another group (Z3) than the one it is used with (Z4)",
+        ),
+        (
+            lambda z3_ctx, z4_whole, inv4, z6_pair: alpha_preserves(inv4, z6_pair),
+            "automorphism belongs to another group (Z4) than the one it is used with (Z6)",
+        ),
+        (
+            lambda z3_ctx, z4_whole, inv4, z6_pair: image_subgroup(inv4, z6_pair),
+            "automorphism belongs to another group (Z4) than the one it is used with (Z6)",
+        ),
     ],
     ids=["is_gc_transversal", "alpha_preserves", "image_subgroup"],
 )
-def test_subgroup_audits_refuse_another_groups_context(call):
+def test_subgroup_audits_refuse_another_groups_context(call, message):
     # these once answered True, and raised a misleading subgroup-inverse
     # error, by reading the perm of Z4's inversion on Z6's elements
     z3, z4, z6 = (build_group(f"cyclic:{n}") for n in (3, 4, 6))
     z3_ctx = alpha_context(z3, inversion_automorphism(z3)[0])
     inv4 = inversion_automorphism(z4)[0]
-    with pytest.raises(GenCayleyError, match="does not match the subgroup's parent"):
+    with pytest.raises(GenCayleyError, match=re.escape(message)):
         call(z3_ctx, subgroup(z4, range(4)), inv4, subgroup(z6, [0, 3]))
 
 

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+import gencayley.automorphisms as automorphisms
 import gencayley.verify as verify
 from gencayley import (
     Automorphism,
@@ -656,6 +657,25 @@ def test_alpha_invariants_report_inconsistent_derived_sets(monkeypatch, group_id
     assert clean.ok
     assert result.cases == clean.cases
     assert result.violations == [f"group={group_id} alpha=0: derived sets inconsistent"]
+
+
+def test_alpha_invariants_recompute_omega_from_its_definition(monkeypatch):
+    # every context gets the loop set {e}, with big omega widened to keep
+    # k_set, tau and alpha consistent: only omega's definition tells
+    real = automorphisms.alpha_context
+
+    def trivial_omega(group, alpha):
+        ctx = real(group, alpha)
+        k_set = ctx.omega_mask | ctx.big_omega_mask
+        return dataclasses.replace(ctx, omega_mask=1, big_omega_mask=k_set & ~1)
+
+    for group in catalog(12):
+        monkeypatch.setattr(group.cache, "contexts", {})  # built again, by the fake
+    monkeypatch.setattr(automorphisms, "alpha_context", trivial_omega)
+    result = verify.suite_alpha_invariants(12)
+    assert result.cases == 122
+    assert len(result.violations) == 86
+    assert result.violations[0] == "group=Z3 alpha=0: derived sets inconsistent"
 
 
 def _raise_no_witness(found, *args):
