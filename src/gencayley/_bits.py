@@ -9,13 +9,6 @@ from typing import Iterable
 _BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
-def mask_of(items: Iterable[int]) -> int:
-    m = 0
-    for x in items:
-        m |= 1 << x
-    return m
-
-
 @lru_cache(maxsize=None)
 def bit_tuple(n: int) -> tuple[int, ...]:
     """``1 << x`` for every x in 0..n-1, built once per order n."""

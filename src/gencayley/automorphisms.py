@@ -32,7 +32,6 @@ from .groups import (
     _check_group,
     _product_elements,
     _read_json,
-    _right_generators,
 )
 
 AUT_ENUM_LIMIT = 48
@@ -66,16 +65,19 @@ class Automorphism:
 
 
 def _is_homomorphism(group: FiniteGroup, perm) -> tuple[int, int] | None:
-    """First pair (a, b) with perm[a*b] != perm[a]*perm[b], or None."""
+    """First pair (a, g), g in ``group.generators``, with perm[a*g] !=
+    perm[a]*perm[g], or None: the verdict of the law on all pairs (a, b), on
+    every map. With a = e the test forces perm[e] = e (order 1 has one map),
+    and for b = b'g, perm[ab] = perm[ab']perm[g] = perm[a]perm[b']perm[g] =
+    perm[a]perm[b], by induction on b's length as a word in the generators."""
     t = group.table
-    n = group.order
-    for a in range(n):
+    edges = [(g, perm[g]) for g in group.generators]
+    for a, pa in enumerate(perm):
         row = t[a]
-        pa = perm[a]
         prow = t[pa]
-        for b in range(n):
-            if perm[row[b]] != prow[perm[b]]:
-                return (a, b)
+        for g, pg in edges:
+            if perm[row[g]] != prow[pg]:
+                return (a, g)
     return None
 
 
@@ -104,13 +106,13 @@ def _search_automorphisms(group: FiniteGroup, involutive: bool) -> list[Automorp
     pruning on element order and on partial-homomorphism consistency. In
     involutive mode every binding x -> v also binds v -> x, so an image
     that is already taken prunes the branch at once, and the identity leaf
-    is skipped. Every leaf is checked against the whole table. Results are
-    sorted by permutation.
+    is skipped. Every leaf goes through :func:`automorphism_from_perm`.
+    Results are sorted by permutation.
     """
     n = group.order
     table = group.table
     orders = group.element_orders
-    gens = _right_generators(table)
+    gens = group.generators
     by_order: dict[int, list[int]] = {}
     for x in range(n):
         by_order.setdefault(orders[x], []).append(x)
@@ -184,14 +186,7 @@ def _search_automorphisms(group: FiniteGroup, involutive: bool) -> list[Automorp
 
     assign(0)
     results.sort()
-    for perm in results:
-        bad = _is_homomorphism(group, perm)
-        if bad is not None:
-            raise GenCayleyError(
-                f"automorphism search on {group.id} produced {list(perm)},"
-                f" which fails the homomorphism law at pair {bad}"
-            )
-    return [Automorphism(p, group) for p in results]
+    return [automorphism_from_perm(group, p) for p in results]
 
 
 def _check_limit(group: FiniteGroup) -> None:
@@ -385,18 +380,21 @@ def involution_contexts(group: FiniteGroup) -> list[AlphaContext]:
     return [_cached_context(group, a.perm) for a in enumerate_involutory_automorphisms(group)]
 
 
-def orbit_translate_masks(ctx: AlphaContext) -> list[int]:
-    """For each tau-orbit o and each element g, the mask of alpha(g)*o: the
-    neighbors g gains when o joins the connection set. Flattened orbit by
-    orbit, as ``kernels.scan_subgroup_codes`` takes them."""
+def _neighbor_masks(ctx: AlphaContext, elements) -> list[int]:
+    """For each element g, the mask of alpha(g)*elements: g's neighbors when
+    ``elements`` is the connection set, or those it gains when they join it."""
     rows = ctx.group.bit_rows
-    alpha = ctx.alpha.perm
-    trans = []
-    for orbit in ctx.tau_orbits:
-        for ag in alpha:
-            row = rows[ag]
-            m = 0
-            for s in orbit:
-                m |= row[s]
-            trans.append(m)
-    return trans
+    masks = []
+    for ag in ctx.alpha.perm:
+        row = rows[ag]
+        m = 0
+        for s in elements:
+            m |= row[s]
+        masks.append(m)
+    return masks
+
+
+def orbit_translate_masks(ctx: AlphaContext) -> list[int]:
+    """The :func:`_neighbor_masks` of each tau-orbit, flattened orbit by
+    orbit, as ``kernels.scan_subgroup_codes`` takes them."""
+    return [m for orbit in ctx.tau_orbits for m in _neighbor_masks(ctx, orbit)]

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 from . import kernels
 from ._bits import bits, element_mask, elems, fmt_set
-from .automorphisms import AlphaContext
+from .automorphisms import AlphaContext, _neighbor_masks
 from .errors import SubsetInvalidError, ThresholdError
 from .groups import FiniteGroup
 
@@ -186,18 +186,9 @@ class GenCayleyGraph:
 def build_graph(subset: GenCayleySubset) -> GenCayleyGraph:
     """Construct the graph; the validity of S makes it loop-free,
     symmetric and |S|-regular, which the graph-laws suite re-checks."""
-    ctx = subset.context
-    rows = ctx.group.bit_rows
-    elements = subset.elements
     # vertex g is joined to alpha(g) * s for every s in the connection set
-    nbr_masks = []
-    for ag in ctx.alpha.perm:
-        row = rows[ag]
-        m = 0
-        for s in elements:
-            m |= row[s]
-        nbr_masks.append(m)
-    return GenCayleyGraph(ctx.group, subset, tuple(nbr_masks))
+    ctx = subset.context
+    return GenCayleyGraph(ctx.group, subset, tuple(_neighbor_masks(ctx, subset.elements)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,9 @@ class FiniteGroup:
 
     Instances are immutable after construction, apart from ``cache``,
     which memoizes derived data, and are safe to share between processes.
-    The cached properties (``element_orders``, ``bit_rows`` and the others)
-    are derived from the table alone, so pickles leave them out with
-    ``cache``.
+    The cached properties (``element_orders``, ``bit_rows``, ``generators``
+    and the others) are derived from the table alone, so pickles leave them
+    out with ``cache``.
     Always build through :func:`build_group`, :func:`direct_product` or
     :func:`group_from_table`, which validate the axioms.
     """
@@ -119,6 +119,11 @@ class FiniteGroup:
             return ((1,),)
         bit = bit_tuple(self.order)
         return tuple(itemgetter(*row)(bit) for row in self.table)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Every element is a product of these; see :func:`_right_generators`."""
+        return tuple(_right_generators(self.table))
 
     @cached_property
     def exponent(self) -> int:

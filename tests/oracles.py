@@ -24,6 +24,17 @@ def mask_of(items) -> int:
     return sum(1 << x for x in set(items))
 
 
+def homomorphism_fault_by_pairs(group, perm) -> tuple[int, int] | None:
+    """Literal reference for the homomorphism law: the first pair (a, b) in
+    row order with perm[a*b] != perm[a]*perm[b], or None."""
+    t = group.table
+    for a in range(group.order):
+        for b in range(group.order):
+            if perm[t[a][b]] != t[perm[a]][perm[b]]:
+                return (a, b)
+    return None
+
+
 def tau_orbits_by_scan(ctx) -> tuple[tuple[int, ...], ...]:
     """Literal reference for ``AlphaContext.tau_orbits``: scan the group in
     ascending order, skip omega and every element already in an orbit, and

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import pickle
+import random
 import re
 
 import pytest
@@ -23,8 +25,10 @@ from gencayley import (
     transport_automorphism,
 )
 import gencayley.automorphisms as automorphisms_module
+from gencayley.automorphisms import _is_homomorphism
+from gencayley.groups import _right_generators
 from gencayley.verify import involutions_by_bijections
-from oracles import context_sets_by_definition, tau_orbits_by_scan
+from oracles import context_sets_by_definition, homomorphism_fault_by_pairs, tau_orbits_by_scan
 
 
 def _fresh(spec):
@@ -187,8 +191,92 @@ def test_alpha_context_rejects_non_involution():
 def test_automorphism_validation(z6):
     with pytest.raises(GenCayleyError):
         automorphism_from_perm(z6, (1, 0, 2, 3, 4, 5))  # moves the identity
-    with pytest.raises(GenCayleyError):
-        automorphism_from_perm(z6, (0, 2, 1, 3, 4, 5))  # not a homomorphism
+    # the fault is reported at a generator edge (a, g) of Z6, whose one
+    # generator is 1: 2 -> 1 breaks perm[1 + 1] = perm[1] + perm[1]
+    with pytest.raises(GenCayleyError, match=re.escape("not a homomorphism: fails at pair (1, 1)")):
+        automorphism_from_perm(z6, (0, 2, 1, 3, 4, 5))
+
+
+def _small_maps():
+    """Every bijection of S3 and every map of Z4 and of V4, with the number
+    of them that are homomorphisms: |Aut(S3)| = 6, and the endomorphisms
+    x -> kx of Z4 and the 16 linear maps of V4 = GF(2)^2."""
+    return [
+        ("symmetric:3", list(itertools.permutations(range(6))), 6),
+        ("cyclic:4", list(itertools.product(range(4), repeat=4)), 4),
+        ("V4", list(itertools.product(range(4), repeat=4)), 16),
+    ]
+
+
+def _order_24_maps(group, rng):
+    """Each involution, the near miss that swaps two of its images, and 40
+    seeded random bijections and 40 seeded random maps, each as drawn and
+    with perm[0] = 0."""
+    n = group.order
+    maps = []
+    for alpha in enumerate_involutory_automorphisms(group):
+        near = list(alpha.perm)
+        i, j = rng.sample(range(1, n), 2)
+        near[i], near[j] = near[j], near[i]
+        maps += [alpha.perm, tuple(near)]
+    for _ in range(40):
+        bijection = rng.sample(range(n), n)
+        k = bijection.index(0)
+        fixed = bijection[:]
+        fixed[0], fixed[k] = fixed[k], fixed[0]
+        anymap = [rng.randrange(n) for _ in range(n)]
+        maps += [tuple(bijection), tuple(fixed), tuple(anymap), (0, *anymap[1:])]
+    return maps
+
+
+def _assert_same_verdicts(group, maps) -> int:
+    """The edge test and the literal law agree on every map, and each fault
+    the edge test reports is a real one at a generator edge; returns how
+    many maps pass."""
+    t = group.table
+    passed = 0
+    for perm in maps:
+        got = _is_homomorphism(group, perm)
+        assert (got is None) == (homomorphism_fault_by_pairs(group, perm) is None), (group.id, perm)
+        if got is None:
+            passed += 1
+        else:
+            a, g = got
+            assert g in group.generators and perm[t[a][g]] != t[perm[a]][perm[g]], (group.id, perm)
+    return passed
+
+
+def test_generator_edges_decide_the_homomorphism_law():
+    for spec, maps, homomorphisms in _small_maps():
+        assert _assert_same_verdicts(build_group(spec), maps) == homomorphisms, spec
+    rng = random.Random(0)
+    groups = [g for g in catalog(24) if g.order == 24]
+    assert [g.id for g in groups] == ["D12", "S4", "Z24", "Z2xZ12", "Z2xZ2xZ6"]
+    for group in groups:
+        maps = _order_24_maps(group, rng)
+        # the involutions pass, and nothing else is drawn that would
+        assert _assert_same_verdicts(group, maps) == len(enumerate_involutory_automorphisms(group))
+
+
+def test_the_law_needs_every_generator():
+    # the mutation: the last generator dropped from the edge test. On V4 the
+    # edges of its first generator 1 alone decide the law (perm[2] is free
+    # and sets perm[3] = perm[2]perm[1]), so S3 and Z4 are the ones to see it
+    for spec, maps, _ in _small_maps()[:2]:
+        group = _fresh(spec)
+        group.__dict__["generators"] = group.generators[:-1]
+        assert any(
+            _is_homomorphism(group, perm) is None
+            and homomorphism_fault_by_pairs(group, perm) is not None
+            for perm in maps
+        ), spec
+
+
+def test_generators_are_derived_and_not_pickled():
+    for group in catalog(24):
+        assert group.generators == tuple(_right_generators(group.table)), group.id
+        assert "generators" in vars(group)
+        assert "generators" not in vars(pickle.loads(pickle.dumps(group)))
 
 
 def _inversion(spec):
