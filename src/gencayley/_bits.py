@@ -34,6 +34,16 @@ def element_mask(n: int, items: Iterable[int]) -> int:
     return m
 
 
+def _check_size(name: str, value) -> None:
+    """Raise :class:`ValueError` naming ``name`` unless ``value`` is an int
+    of at least 1. Nothing is cast: a float or a string is refused, and a
+    bool counts as 0 or 1."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def bits(mask: int) -> list[int]:
     """The set bits of a mask in ascending order, one byte at a time."""
     out = []

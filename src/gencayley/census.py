@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from ._bits import perm_mask
+from ._bits import _check_size, perm_mask
 from .automorphisms import (
     AUT_ENUM_LIMIT,
     Automorphism,
@@ -28,16 +28,6 @@ from .errors import ThresholdError
 from .groups import SUBGROUP_ENUM_LIMIT, FiniteGroup, build_group, enumerate_subgroups
 
 DEFAULT_CENSUS_MAX_ORDER = 24
-
-
-def _check_size(name: str, value) -> None:
-    """Raise :class:`ValueError` naming ``name`` unless ``value`` is an int
-    of at least 1. Nothing is cast: a float or a string is refused, and a
-    bool counts as 0 or 1."""
-    if not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def catalog(max_order: int = DEFAULT_CENSUS_MAX_ORDER) -> list[FiniteGroup]:

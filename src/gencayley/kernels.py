@@ -23,7 +23,7 @@ from itertools import repeat
 from operator import and_, or_, sub
 from typing import NamedTuple
 
-from ._bits import bits, element_mask
+from ._bits import _check_size, bits, element_mask
 from .errors import ThresholdError
 
 
@@ -148,12 +148,11 @@ def orbit_lanes(trans_masks, n: int) -> OrbitLanes:
 
     Every orbit becomes one n-bit field of a packed int, laid out as
     :class:`OrbitLanes` describes, with ``len(trans_masks) // n`` orbits.
-    An n below 1, a length that is not a multiple of n, a translate mask
-    that is not an int in 0..n-1 and, checked last, two orbits whose
-    translates at one vertex overlap each raise :class:`ValueError`.
+    An n that is not an int of at least 1, a length not a multiple of n,
+    a translate mask not an int in 0..n-1 and, checked last, two orbits
+    whose translates at one vertex overlap each raise :class:`ValueError`.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_size("n", n)
     m, extra = divmod(len(trans_masks), n)
     if extra:
         raise ValueError(f"trans_masks holds {len(trans_masks)} masks, not a multiple of n = {n}")
@@ -322,13 +321,14 @@ def scan_check_routes(n, table, inv_perm, alpha_perm, s_elems, nbr_masks, x_mask
     top bits of the lanes that pass it, and 16 bits hold the 13 verdict
     bits. That is O(n*|S| + n^2) big-int operations, none per X.
 
-    Before any lane is packed, :class:`ValueError` names the argument when
-    ``table``, ``inv_perm``, ``alpha_perm`` or ``nbr_masks`` does not hold
-    n entries, when ``s_elems`` has an element that is not an int in
-    0..n-1 or repeats one, and when a neighbor mask or an X is not an int,
-    is negative or has a bit at or above n; an order above 64 raises
-    :class:`~gencayley.errors.ThresholdError`.
+    Before any lane is packed, :class:`ValueError` names the argument when n
+    is not an int of at least 1, when ``table``, ``inv_perm``, ``alpha_perm``
+    or ``nbr_masks`` does not hold n entries, when ``s_elems`` has an element
+    that is not an int in 0..n-1 or repeats one, and when a neighbor mask or
+    an X is not an int, is negative or has a bit at or above n; an order
+    above 64 raises :class:`~gencayley.errors.ThresholdError`.
     """
+    _check_size("n", n)
     for what, rows in (
         ("table", table), ("inv_perm", inv_perm), ("alpha_perm", alpha_perm), ("nbr_masks", nbr_masks)
     ):

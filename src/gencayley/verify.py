@@ -24,7 +24,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from . import kernels
-from ._bits import bits, element_mask, elems, fmt_set, perm_mask
+from ._bits import _check_size, bits, element_mask, elems, fmt_set
 from .automorphisms import (
     alpha_context,
     enumerate_automorphisms,
@@ -33,7 +33,7 @@ from .automorphisms import (
     involution_contexts,
     product_automorphism,
 )
-from .census import DEFAULT_CENSUS_MAX_ORDER, _check_size, catalog, census_records
+from .census import DEFAULT_CENSUS_MAX_ORDER, catalog, census_records
 from .codes import (
     abelian_pc_criterion,
     alpha_preserves,
@@ -127,9 +127,10 @@ def associativity_violations(table):
 def suite_group_axioms(max_order: int = 24) -> SuiteResult:
     """Every catalog group passes the package's axiom checker, which
     decides the Latin property and exact associativity; the suite checks
-    the identity (element 0) and ``inv`` against the table itself, and up
-    to order 24 a literal triple scan finds no associativity violation
-    either."""
+    the identity (element 0) and a * inv[a] = e against the table itself
+    (not inv[a] * a = e: in an associative table a right inverse is
+    two-sided), and up to order 24 a literal triple scan finds no
+    associativity violation either."""
     violations = []
     cases = 0
     for group in catalog(max_order):
@@ -142,7 +143,7 @@ def suite_group_axioms(max_order: int = 24) -> SuiteResult:
             bad = f"{checker[0]} at {checker[1]}"
         elif any(t[0][b] != b for b in range(n)) or any(t[a][0] != a for a in range(n)):
             bad = "identity"
-        elif any(t[a][group.inv[a]] != 0 or t[group.inv[a]][a] != 0 for a in range(n)):
+        elif any(t[a][group.inv[a]] != 0 for a in range(n)):
             bad = "inverse"
         elif n <= 24:
             triple = next(associativity_violations(t), None)
@@ -195,31 +196,31 @@ def suite_subgroup_oracle() -> SuiteResult:
 
 
 def suite_coset_partitions(max_order: int = 12) -> SuiteResult:
+    """Each subgroup H's cosets and normalizer equal their definitions,
+    computed here: on each side the first block is H, each block is the
+    coset of its least element g (Hg right, gH left; so no size test),
+    ``rep_of`` names its block, the blocks cover G, and N(H) is
+    {g : g^-1 H g in H}, which is {g : g^-1 H g = H} for a finite H."""
     violations = []
     cases = 0
     for group in catalog(max_order):
-        full = (1 << group.order) - 1
+        n, t, inv = group.order, group.table, group.inv
         for sub in enumerate_subgroups(group):
+            h, hm = sub.elements, sub.mask
             for side in ("left", "right"):
                 cases += 1
                 dec = cosets(sub, side)
-                union, ok = 0, dec.masks[0] == sub.mask
+                union, ok = 0, dec.masks[0] == hm
                 for ci, cm in enumerate(dec.masks):  # blocks that agree with rep_of are disjoint
-                    ok &= cm.bit_count() == sub.order and all(dec.rep_of[x] == ci for x in bits(cm))
+                    g = (cm & -cm).bit_length() - 1
+                    coset = element_mask(n, [t[x][g] if side == "right" else t[g][x] for x in h])
+                    ok &= cm == coset and all(dec.rep_of[x] == ci for x in bits(cm))
                     union |= cm
-                if union != full or not ok:
-                    violations.append(
-                        f"group={group.id} H={fmt_set(sub.elements)} side={side}: bad partition"
-                    )
-            norm = normalizer(sub)
-            if sub.mask & ~norm.mask:
-                violations.append(
-                    f"group={group.id} H={fmt_set(sub.elements)}: H not inside its normalizer"
-                )
-            if group.is_abelian and norm.order != group.order:
-                violations.append(
-                    f"group={group.id} H={fmt_set(sub.elements)}: abelian normalizer proper"
-                )
+                if union != (1 << n) - 1 or not ok:
+                    violations.append(f"group={group.id} H={fmt_set(h)} side={side}: bad partition")
+            norm = [g for g in range(n) if all(hm >> t[t[inv[g]][x]][g] & 1 for x in h)]
+            if normalizer(sub).mask != element_mask(n, norm):
+                violations.append(f"group={group.id} H={fmt_set(h)}: wrong normalizer")
     return SuiteResult("coset-partitions", cases, violations)
 
 
@@ -249,15 +250,17 @@ BIJECTION_ORACLE_ORDER = 8
 def suite_alpha_invariants(max_order: int = 12) -> SuiteResult:
     """The involution list equals Aut(G) filtered to its involutions (and,
     up to order :data:`BIJECTION_ORACLE_ORDER`, a bijection oracle),
-    inversion is listed where it applies, and the derived sets of every
-    involution are consistent: omega, big_omega and mho partition G, the
-    identity lies in omega, alpha maps omega onto itself, tau is an
-    involution that fixes omega pointwise, and omega and big_omega equal
-    their definitions {alpha(g^-1)g} and {g : alpha(g) = g^-1} minus omega."""
+    inversion is listed where it applies, and each involution's derived
+    objects equal their definitions: omega = {alpha(g^-1)g}, big_omega =
+    K - omega for K = {g : alpha(g) = g^-1}, mho = G - K, tau(s) = alpha(s^-1).
+    Nothing these imply for a listed involutory alpha is tested again; with
+    w = alpha(g^-1)g, alpha(w) = w^-1 puts omega in K, so the sets partition
+    G; e lies in omega; alpha(omega) = omega, as alpha(w) = alpha(h^-1)h for
+    h = alpha(g); tau(tau(s)) = alpha(alpha(s)) = s; and tau(w) = w."""
     violations = []
     cases = 0
     for group in catalog(max_order):
-        n = group.order
+        n, inv, table = group.order, group.inv, group.table
         full = (1 << n) - 1
         cases += 1
         listed = [ctx.alpha.perm for ctx in involution_contexts(group)]
@@ -289,27 +292,15 @@ def suite_alpha_invariants(max_order: int = 12) -> SuiteResult:
             violations.append(f"group={group.id}: inversion reason {reason!r}")
         for ai, ctx in enumerate(involution_contexts(group)):
             cases += 1
-            ok = (
-                ctx.omega_mask | ctx.big_omega_mask | ctx.mho_mask == full
-                and ctx.omega_mask & ctx.big_omega_mask == 0
-                and (ctx.omega_mask | ctx.big_omega_mask) & ctx.mho_mask == 0
-                and ctx.omega_mask & 1
-                and perm_mask(ctx.alpha.perm, ctx.omega_mask) == ctx.omega_mask
-            )
-            # tau is an involution and fixes omega pointwise; so it maps the
-            # complement of omega onto itself, as tau(x) in omega would give
-            # tau(tau(x)) = tau(x) != x
-            tau = ctx.tau_perm
-            for x in range(n):
-                if tau[tau[x]] != x or ctx.omega_mask >> x & 1 and tau[x] != x:
-                    ok = False
-            # omega and k_set from their definitions, not from the context's own tau
-            perm, inv, table = ctx.alpha.perm, group.inv, group.table
+            perm = ctx.alpha.perm
             omega = element_mask(n, [table[perm[inv[g]]][g] for g in range(n)])
             k_set = element_mask(n, [g for g in range(n) if perm[g] == inv[g]])
-            if omega != ctx.omega_mask or k_set != ctx.omega_mask | ctx.big_omega_mask:
-                ok = False
-            if not ok:
+            if (
+                ctx.omega_mask != omega
+                or ctx.big_omega_mask != k_set & ~omega
+                or ctx.mho_mask != full & ~k_set
+                or ctx.tau_perm != tuple([perm[inv[s]] for s in range(n)])
+            ):
                 violations.append(f"group={group.id} alpha={ai}: derived sets inconsistent")
     return SuiteResult("alpha-invariants", cases, violations)
 

@@ -302,10 +302,10 @@ def _subgroup_scan(kind="perfect", trans=(0b10, 0b01), h_masks=(0b1,)):
     return kernels.scan_subgroup_codes(kernels.orbit_lanes(list(trans), 2), kind, list(h_masks))
 
 
-def _route_scan(nbr=(0b10, 0b01), x_masks=(0b1,)):
+def _route_scan(nbr=(0b10, 0b01), x_masks=(0b1,), n=2):
     # Z2 with the identity automorphism and S = {1}
     return kernels.scan_check_routes(
-        2, [[0, 1], [1, 0]], (0, 1), (0, 1), (1,), list(nbr), list(x_masks)
+        n, [[0, 1], [1, 0]], (0, 1), (0, 1), (1,), list(nbr), list(x_masks)
     )
 
 
@@ -331,6 +331,12 @@ _CONTRACT = [
     ("short-translates", lambda: _scan([1, 2, 4], [0b0011], 4, "perfect"),
      "trans_masks holds 3 masks, not a multiple of n = 4"),
     ("lanes-of-order-0", lambda: kernels.orbit_lanes([], 0), "n must be at least 1, got 0"),
+    # every order argument takes the package's one size rule: a float order
+    # once raised a bare TypeError, and an order of 0 a table-length message
+    ("lanes-n-not-an-int", lambda: kernels.orbit_lanes([0, 0], 2.0),
+     re.escape("n must be an int, got 2.0")),
+    ("route-scan-n-not-an-int", lambda: _route_scan(n=2.0), re.escape("n must be an int, got 2.0")),
+    ("route-scan-of-order-0", lambda: _route_scan(n=0), "n must be at least 1, got 0"),
     ("subgroup-scan-kind", lambda: _subgroup_scan(7), _kind_refused(7)),
     ("code-scan-kind", lambda: _code_scan(5), _kind_refused(5)),
     *[

@@ -119,8 +119,15 @@ def _short_union(masks, rep_of):
     return masks[:-1], rep_of  # the last coset dropped
 
 
+def _blocks_not_cosets(masks, rep_of):
+    # {0,3}, {1,2}, {4,5}: blocks of two that partition Z6, with a matching
+    # rep_of, but {1,2} is no coset of {0,3}
+    return (masks[0], 0b000110, 0b110000), (0, 1, 1, 0, 2, 2)
+
+
 @pytest.mark.parametrize(
-    "tamper", [_overlapping, _wrong_size, _subgroup_not_first, _wrong_rep, _short_union]
+    "tamper",
+    [_overlapping, _wrong_size, _subgroup_not_first, _wrong_rep, _short_union, _blocks_not_cosets],
 )
 def test_coset_partitions_report_each_broken_decomposition(monkeypatch, tamper):
     # one decomposition is broken in one way: Z6 by {0, 3} on the right,
@@ -543,9 +550,12 @@ def test_subgroup_oracle_reports_a_lost_subgroup(monkeypatch):
 @pytest.mark.parametrize(
     "group_id, elements, claimed, expected",
     [
-        # S3 is not abelian, so only containment can fail there
-        ("S3", (0, 1), (0,), "group=S3 H={0,1}: H not inside its normalizer"),
-        ("Z6", (0, 3), (0, 3), "group=Z6 H={0,3}: abelian normalizer proper"),
+        # a claimed normalizer that misses H, one that is proper in an
+        # abelian group, and one that is proper in a non-abelian group: D3's
+        # rotations {0,1,2} are normal, so their normalizer is all of D3
+        ("S3", (0, 1), (0,), "group=S3 H={0,1}: wrong normalizer"),
+        ("Z6", (0, 3), (0, 3), "group=Z6 H={0,3}: wrong normalizer"),
+        ("D3", (0, 1, 2), (0, 1, 2), "group=D3 H={0,1,2}: wrong normalizer"),
     ],
 )
 def test_coset_partitions_check_each_normalizer(monkeypatch, group_id, elements, claimed, expected):
@@ -620,17 +630,20 @@ def test_alpha_invariants_report_a_wrong_involution_list(
 
 
 @pytest.mark.parametrize(
-    "group_id, changes",
+    "group_id, changes, bound",
     [
         # Z4 under inversion: omega {0,2}, big omega {1,3}, mho empty
-        ("Z4", {"omega_mask": 0b100, "mho_mask": 0b1}),
+        ("Z4", {"omega_mask": 0b100, "mho_mask": 0b1}, 6),
         # D3's first involution: omega {0,1,2}, big omega {3}, mho {4,5},
         # tau swaps 4 and 5
-        ("D3", {"mho_mask": 0b110001}),
-        ("D3", {"big_omega_mask": 0, "mho_mask": 0b111000}),
-        ("D3", {"tau_perm": (0, 1, 2, 4, 5, 3)}),
-        ("D3", {"tau_perm": (0, 2, 1, 3, 5, 4)}),
-        ("D3", {"tau_perm": (0, 1, 3, 2, 5, 4)}),
+        ("D3", {"mho_mask": 0b110001}, 6),
+        ("D3", {"big_omega_mask": 0, "mho_mask": 0b111000}, 6),
+        ("D3", {"tau_perm": (0, 1, 2, 4, 5, 3)}, 6),
+        ("D3", {"tau_perm": (0, 2, 1, 3, 5, 4)}, 6),
+        ("D3", {"tau_perm": (0, 1, 3, 2, 5, 4)}, 6),
+        # Z8 under x -> 3x: tau(s) = 5s pairs {1,5} and {3,7}; pairing {1,3}
+        # and {5,7} instead is an involution that fixes omega = {0,2,4,6}
+        ("Z8", {"tau_perm": (0, 3, 2, 1, 4, 7, 6, 5)}, 8),
     ],
     ids=[
         "identity-off-omega",
@@ -639,9 +652,10 @@ def test_alpha_invariants_report_a_wrong_involution_list(
         "tau-not-involution",
         "tau-moves-omega",
         "tau-maps-into-omega",
+        "tau-wrong-pairs",
     ],
 )
-def test_alpha_invariants_report_inconsistent_derived_sets(monkeypatch, group_id, changes):
+def test_alpha_invariants_report_inconsistent_derived_sets(monkeypatch, group_id, changes, bound):
     # the first involution context of one group gets one derived set wrong
     real = verify.involution_contexts
 
@@ -651,9 +665,9 @@ def test_alpha_invariants_report_inconsistent_derived_sets(monkeypatch, group_id
             return contexts
         return [dataclasses.replace(contexts[0], **changes), *contexts[1:]]
 
-    clean = verify.suite_alpha_invariants(6)
+    clean = verify.suite_alpha_invariants(bound)
     monkeypatch.setattr(verify, "involution_contexts", fake)
-    result = verify.suite_alpha_invariants(6)
+    result = verify.suite_alpha_invariants(bound)
     assert clean.ok
     assert result.cases == clean.cases
     assert result.violations == [f"group={group_id} alpha=0: derived sets inconsistent"]
